@@ -43,16 +43,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default="weyllab_out", help="output directory root"
     )
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     t0 = time.time()
     for label, command, overrides in RUNS:
         target = f"{args.out}/{label}"
         print(f"== weyllab {command} {' '.join(overrides)} --out {target}")
-        code = weyllab_main(
-            [command, *overrides, "--out", target, "--threads", str(args.threads)]
-        )
+        code = weyllab_main([command, *overrides, "--out", target])
         if code != 0:
             print(f"{command} failed with exit code {code}", file=sys.stderr)
             return code

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +27,17 @@ from .model import (
     DegenerateModelError,
     ModelParams,
     SyntheticMomentum,
-    bulk_bands,
+    bulk_band_sheet,
     weyl_points,
 )
-from .numerics import NumericsError
-from .openchain import arc_interval_oracle, density_profile, diagonalize_chain
+from .numerics import NumericsError, unwrap_winding
+from .openchain import density_profile, diagonalize_chain, edge_spectrum
 from .spectroscopy import (
+    DELTA0_STEP,
     detect_arc_endpoint,
+    detuning_grid,
+    loop_reflection,
     reflection_spectrum,
-    winding_measurement,
 )
 from .topology import (
     DegenerateGroundStateError,
@@ -108,13 +109,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _params(cfg: dict, sites: int | None = None) -> ModelParams:
     n_sites = cfg["sites"] if sites is None else sites
     return ModelParams(
@@ -132,13 +126,9 @@ def _angle_grid(n: int) -> np.ndarray:
 
 def cmd_bulk_bands(cfg, out: _OutputSet) -> int:
     grid = _angle_grid(cfg["bulk_bands.grid"])
-    p = _params(cfg)
-    kx = cfg["bulk_bands.kx"]
-    rows = []
-    for t1 in grid:
-        for t2 in grid:
-            em, ep = bulk_bands(SyntheticMomentum(kx, t1, t2), p)
-            rows.append((t1, t2, em, ep))
+    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
+    em, ep = bulk_band_sheet(cfg["bulk_bands.kx"], t1, t2, _params(cfg))
+    rows = zip(t1.ravel(), t2.ravel(), em.ravel(), ep.ravel())
     out.write_csv("bulk_bands.csv", ["theta1", "theta2", "E_minus", "E_plus"], rows)
     return EXIT_OK
 
@@ -228,16 +218,11 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
 def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
     grid = _angle_grid(cfg["edge_spectrum.grid"])
-
-    def one_row(t1):
-        chunk = []
-        for t2 in grid:
-            vals, vecs, labels = diagonalize_chain(float(t1), float(t2), p)
-            for idx in range(vals.size):
-                chunk.append((t1, t2, idx, vals[idx], labels[idx]))
-        return chunk
-
-    rows = [r for chunk in _pmap(one_row, grid, cfg["threads"]) for r in chunk]
+    rows = (
+        (pt.theta1, pt.theta2, idx, energy, label)
+        for pt in edge_spectrum(grid, grid, p)
+        for idx, (energy, label) in enumerate(zip(pt.eigenvalues, pt.labels))
+    )
     out.write_csv(
         "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], rows
     )
@@ -275,8 +260,7 @@ def cmd_density(cfg, out: _OutputSet) -> int:
 
 def cmd_reflection(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
-    nstep = int(round(cfg["reflection.window"] / cfg["reflection.step"]))
-    dgrid = np.arange(-nstep, nstep + 1) * cfg["reflection.step"] * p.J
+    dgrid = detuning_grid(cfg["reflection.window"], cfg["reflection.step"], p)
     trace = reflection_spectrum(
         cfg["reflection.theta1"], cfg["reflection.theta2"], dgrid, p
     )
@@ -297,20 +281,10 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     w = ws[idx - 1]
     theta_r = cfg["winding.theta_r"]
     samples = cfg["winding.samples"]
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    from .spectroscopy import reflection
-
-    rows = []
-    phases = []
-    for th in theta:
-        r = reflection(
-            w.location.theta1 + theta_r * math.cos(th),
-            w.location.theta2 + theta_r * math.sin(th),
-            p,
-        )
-        phases.append(np.angle(r))
-        rows.append((th, np.angle(r), r.real, r.imag))
-    winding = winding_measurement(w, theta_r, samples, p)
+    trace = loop_reflection(w, theta_r, samples, p)
+    r = trace.r_values
+    phases = np.angle(r)
+    rows = zip(trace.parameter_samples, phases, r.real, r.imag)
     trace_path = out.write_csv(
         "winding_phases.csv", ["theta", "phase", "r_re", "r_im"], rows
     )
@@ -318,7 +292,7 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
         "winding.json",
         {
             "weyl": f"W{idx}",
-            "winding": winding,
+            "winding": unwrap_winding(phases).winding,
             "kappa": p.kappa,
             "delta0": p.Delta0,
             "theta_r": theta_r,
@@ -340,8 +314,7 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     grid = _theta1_grid(cfg)
     det = detect_arc_endpoint(math.pi / 2, grid, cfg["fermi_arc.window"], p)
-    nstep = int(round(cfg["fermi_arc.window"] / 0.01))
-    dgrid = np.arange(-nstep, nstep + 1) * 0.01 * p.J
+    dgrid = detuning_grid(cfg["fermi_arc.window"], DELTA0_STEP, p)
     probe = [0.0]
     if not det.empty:
         edge = det.theta1c_plus
@@ -368,17 +341,11 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
 
 def cmd_table1(cfg, out: _OutputSet) -> int:
     grid = _theta1_grid(cfg)
-
-    def one(sites):
-        p = _params(cfg, sites=sites)
-        det = detect_arc_endpoint(math.pi / 2, grid, cfg["fermi_arc.window"], p)
-        oracle = arc_interval_oracle(math.pi / 2, grid, p=p)
-        return sites, det, oracle
-
-    results = _pmap(one, cfg["table1.sizes"], cfg["threads"])
     rows = []
     flagged = False
-    for sites, det, oracle in results:
+    for sites in cfg["table1.sizes"]:
+        p = _params(cfg, sites=sites)
+        det = detect_arc_endpoint(math.pi / 2, grid, cfg["fermi_arc.window"], p)
         flagged |= det.flagged
         theta1c = math.nan if det.empty else det.theta1c_plus
         rows.append((sites, theta1c))
@@ -424,31 +391,19 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override one config key (repeatable, later wins)",
         )
         cp.add_argument("--out", metavar="DIR", help="output directory")
-        cp.add_argument("--threads", type=int, metavar="N", help="sweep parallelism")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.sets)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be at least 1")
-            cfg["threads"] = args.threads
-    except ConfigError as exc:
-        print(f"weyllab: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    outdir = Path(
-        args.out or os.environ.get("WEYLLAB_OUT") or "weyllab_out"
-    )
-    out = _OutputSet(outdir)
-    try:
+        out = _OutputSet(
+            Path(args.out or os.environ.get("WEYLLAB_OUT") or "weyllab_out")
+        )
         code = COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"weyllab: config error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError) as exc:
+        print(f"weyllab: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NUMERIC_ERRORS as exc:
         print(f"weyllab: numerical failure: {exc}", file=sys.stderr)

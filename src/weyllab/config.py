@@ -27,7 +27,6 @@ DEFAULTS = {
     "kappa": 0.1,
     "delta0": -0.1,
     "sites": 4,
-    "threads": 1,
     # bulk band sheet
     "bulk_bands.kx": math.pi / 2,
     "bulk_bands.grid": 101,
@@ -115,14 +114,17 @@ def load_config(config_path=None, sets=()) -> dict:
 
 
 def _validate(cfg: dict):
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg["j"] <= 0:
         raise ConfigError("j must be positive")
     if cfg["je"] < 0 or cfg["kappa"] < 0:
         raise ConfigError("je and kappa must be nonnegative")
-    for key in ("sites", "edge_spectrum.sites"):
+    for key, least in (("sites", 2), ("edge_spectrum.sites", 4)):
         s = cfg[key]
-        if s < 2 or s % 2:
-            raise ConfigError(f"{key} must be an even integer >= 2, got {s}")
+        if s < least or s % 2:
+            raise ConfigError(f"{key} must be an even integer >= {least}, got {s}")
     for s in cfg["table1.sizes"]:
         if s < 2 or s % 2:
             raise ConfigError(f"table1.sizes entries must be even and >= 2, got {s}")
@@ -131,8 +133,9 @@ def _validate(cfg: dict):
     for key in ("bulk_bands.grid", "edge_spectrum.grid", "berry_field.grid"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1")
-    if cfg["threads"] < 1:
-        raise ConfigError("threads must be at least 1")
+    for key in ("fermi_arc.grid_step", "reflection.step"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
 
 
 def format_config(cfg: dict) -> str:

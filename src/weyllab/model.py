@@ -30,7 +30,9 @@ __all__ = [
     "coupling_profile",
     "onsite_profile",
     "dispersive_map",
+    "bloch_vectors",
     "d_vector",
+    "bulk_band_sheet",
     "bulk_bands",
     "weyl_points",
     "linearize",
@@ -42,9 +44,9 @@ class DegenerateModelError(Exception):
     """Model parameters degenerate the band-touching structure."""
 
 
-def _reduce_angle(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    return math.pi - math.fmod(math.pi - x, 2.0 * math.pi)
+def _reduce_angle(x):
+    """Reduce an angle, or an array of angles, to (-pi, pi]."""
+    return np.pi - np.fmod(np.pi - x, 2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class SyntheticMomentum:
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, _reduce_angle(float(v)))
+            object.__setattr__(self, name, float(_reduce_angle(v)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.kx, self.theta1, self.theta2])
@@ -185,18 +187,32 @@ def dispersive_map(g: float, Delta: float) -> float:
     return -(g * g) / Delta
 
 
+def bloch_vectors(kx, theta1, theta2, p: ModelParams):
+    """Bloch vector components (hx, hy, hz) on broadcastable angle arrays."""
+    hx = 2.0 * p.J * np.cos(kx)
+    hy = 2.0 * p.J * np.cos(theta1) * np.sin(kx)
+    hz = p.Je * np.cos(theta2)
+    return np.broadcast_arrays(hx, hy, hz)
+
+
 def d_vector(k: SyntheticMomentum, p: ModelParams) -> DVector:
     """Bloch vector of the momentum-space matrix at k."""
-    hx = 2.0 * p.J * math.cos(k.kx)
-    hy = 2.0 * p.J * math.cos(k.theta1) * math.sin(k.kx)
-    hz = p.Je * math.cos(k.theta2)
-    return DVector(p.Delta0, hx, hy, hz)
+    hx, hy, hz = bloch_vectors(k.kx, k.theta1, k.theta2, p)
+    return DVector(p.Delta0, float(hx), float(hy), float(hz))
+
+
+def bulk_band_sheet(kx, theta1, theta2, p: ModelParams):
+    """Bulk bands (E-, E+) = Delta0 -/+ |h| on broadcastable angle arrays,
+    which are reduced to (-pi, pi] as SyntheticMomentum stores them."""
+    hx, hy, hz = bloch_vectors(*(_reduce_angle(a) for a in (kx, theta1, theta2)), p)
+    h = np.sqrt(hx**2 + hy**2 + hz**2)
+    return p.Delta0 - h, p.Delta0 + h
 
 
 def bulk_bands(k: SyntheticMomentum, p: ModelParams) -> tuple[float, float]:
     """The two bulk band energies (E-, E+) = Delta0 -/+ |h| at k."""
-    h = d_vector(k, p).magnitude()
-    return p.Delta0 - h, p.Delta0 + h
+    em, ep = bulk_band_sheet(k.kx, k.theta1, k.theta2, p)
+    return float(em), float(ep)
 
 
 _WEYL_LOCATIONS = (

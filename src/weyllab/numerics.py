@@ -84,7 +84,11 @@ class TridiagonalSym:
         return h
 
     def inf_norm(self) -> float:
-        return float(np.abs(self.to_dense()).sum(axis=1).max())
+        """Largest absolute row sum."""
+        rows = np.abs(self.diag)
+        rows[:-1] += np.abs(self.offdiag)
+        rows[1:] += np.abs(self.offdiag)
+        return float(rows.max())
 
 
 class WindingResult(NamedTuple):
@@ -187,19 +191,14 @@ def solid_angle(v1, v2, v3) -> float:
         if not np.isfinite(n) or n == 0.0:
             raise ValueError("vertices must be finite nonzero 3-vectors")
         vs.append(v / n)
-    a, b, c = vs
-    num = float(a @ np.cross(b, c))
-    den = 1.0 + float(a @ b) + float(b @ c) + float(c @ a)
-    if abs(num) < 1e-14:
-        return 0.0
-    return 2.0 * float(np.arctan2(num, den))
+    return float(solid_angle_batch(*vs))
 
 
 def solid_angle_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized solid_angle over stacked unit vectors of shape (..., 3).
+    """Signed solid angles over stacked unit vectors of shape (..., 3).
 
-    Callers must pass already-normalized vertices; degenerate triples
-    come out as 0 exactly as in the scalar version.
+    Callers must pass already-normalized vertices (solid_angle does the
+    checks for a single triple); degenerate triples come out as 0.
     """
     num = np.einsum("...i,...i->...", a, np.cross(b, c))
     den = (
@@ -208,6 +207,4 @@ def solid_angle_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray
         + np.einsum("...i,...i->...", b, c)
         + np.einsum("...i,...i->...", c, a)
     )
-    out = 2.0 * np.arctan2(num, den)
-    out[np.abs(num) < 1e-14] = 0.0
-    return out
+    return np.where(np.abs(num) < 1e-14, 0.0, 2.0 * np.arctan2(num, den))

@@ -13,6 +13,7 @@ r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
     "transient_oracle",
     "reflection",
     "reflection_spectrum",
+    "detuning_grid",
+    "loop_reflection",
     "winding_measurement",
     "detect_arc_endpoint",
 ]
@@ -206,20 +209,28 @@ def reflection_spectrum(
     return ReflectionTrace(grid, 1.0 + 1j * p.kappa * g11)
 
 
-def winding_measurement(
+def detuning_grid(window: float, step: float, p: ModelParams) -> np.ndarray:
+    """Symmetric drive-detuning grid over [-window, window] in steps of
+    `step`, both in units of J."""
+    if not step > 0:
+        raise ValueError("detuning step must be positive")
+    nstep = int(round(window / step))
+    return np.arange(-nstep, nstep + 1) * step * p.J
+
+
+def loop_reflection(
     w: WeylPoint,
     theta_r: float,
     samples: int,
     p: ModelParams,
     offset: float = 0.0,
-) -> int:
-    """Integer winding of arg r_L around a circle enclosing the node's
-    (theta1, theta2) projection, at fixed in-gap detuning p.Delta0.
+) -> ReflectionTrace:
+    """r_L around a circle enclosing the node's (theta1, theta2)
+    projection, at fixed in-gap detuning p.Delta0.
 
     The loop is theta1 = theta1w + theta_r cos(theta), theta2 = theta2w
-    + theta_r sin(theta) with theta uniform on offset + [0, 2pi);
-    phases are taken in (-pi, pi] and unwrapped including the closing
-    step.  Undersampled loops raise rather than guess.
+    + theta_r sin(theta) with theta uniform on offset + [0, 2pi); the
+    trace is indexed by theta.
     """
     if p.kappa <= 0:
         raise ValueError("winding readout needs kappa > 0")
@@ -228,15 +239,29 @@ def winding_measurement(
     if not (0.0 < theta_r < np.pi / 2):
         raise ValueError("theta_r must lie in (0, pi/2)")
     theta = offset + 2.0 * np.pi * np.arange(samples) / samples
-    phases = np.empty(samples)
-    for i, th in enumerate(theta):
-        r = reflection(
-            w.location.theta1 + theta_r * np.cos(th),
-            w.location.theta2 + theta_r * np.sin(th),
+    r = [
+        reflection(
+            w.location.theta1 + theta_r * math.cos(th),
+            w.location.theta2 + theta_r * math.sin(th),
             p,
         )
-        phases[i] = np.angle(r)
-    return unwrap_winding(phases).winding
+        for th in theta
+    ]
+    return ReflectionTrace(theta, r)
+
+
+def winding_measurement(
+    w: WeylPoint,
+    theta_r: float,
+    samples: int,
+    p: ModelParams,
+    offset: float = 0.0,
+) -> int:
+    """Integer winding of arg r_L in (-pi, pi] around loop_reflection's
+    loop, closing step included.  Undersampled loops raise rather than guess.
+    """
+    trace = loop_reflection(w, theta_r, samples, p, offset)
+    return unwrap_winding(np.angle(trace.r_values)).winding
 
 
 def _pair_fit_residual(e: float, d: np.ndarray, g: np.ndarray, kappa: float):
@@ -301,9 +326,9 @@ def detect_arc_endpoint(
     diagonalization oracle.
 
     For each theta1 the complex reflection trace over
-    [-delta0_window, +delta0_window] (step 0.01 J) is reduced to the
-    near-zero resonance energy and port weight; the point is inside the
-    arc when the energy is below 0.02 J and the weight exceeds the
+    [-delta0_window, +delta0_window] (in units of J, at least FIT_WINDOW;
+    step 0.01 J) is reduced to the near-zero resonance energy and port
+    weight; the point is inside the arc when the energy is below 0.02 J and the weight exceeds the
     edge-label threshold.  Endpoints are the maximal symmetric interval
     of inside points.  Disagreement with the oracle beyond single
     boundary-adjacent grid points flags the result as inconsistent.
@@ -312,11 +337,10 @@ def detect_arc_endpoint(
         raise ValueError("model parameters required")
     if p.kappa <= 0:
         raise ValueError("arc detection needs kappa > 0")
-    if delta0_window <= 0:
-        raise ValueError("delta0_window must be positive")
+    if not delta0_window >= FIT_WINDOW:
+        raise ValueError(f"delta0_window must be at least {FIT_WINDOW} J")
     grid = np.sort(np.asarray(theta1_grid, dtype=float))
-    nstep = int(round(delta0_window / (DELTA0_STEP * p.J)))
-    dgrid = np.arange(-nstep, nstep + 1) * DELTA0_STEP * p.J
+    dgrid = detuning_grid(delta0_window, DELTA0_STEP, p)
     ztol = ZTOL_DEFAULT * p.J
 
     inside = np.zeros(grid.size, dtype=bool)

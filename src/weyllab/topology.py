@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SyntheticMomentum, WeylPoint, d_vector
+from .model import ModelParams, SyntheticMomentum, WeylPoint, bloch_vectors
 from .numerics import solid_angle_batch
 
 __all__ = [
@@ -61,14 +61,6 @@ def berry_curvature_weyl(q, charge: int) -> np.ndarray:
     if r == 0.0:
         raise ZeroDivisionError("Berry curvature is singular at the monopole")
     return charge * q / (2.0 * r**3)
-
-
-def _bloch_vectors(kx, theta1, theta2, p: ModelParams):
-    """Bloch vector components on broadcastable angle arrays."""
-    hx = 2.0 * p.J * np.cos(kx)
-    hy = 2.0 * p.J * np.cos(theta1) * np.sin(kx)
-    hz = p.Je * np.cos(theta2)
-    return np.broadcast_arrays(hx, hy, hz)
 
 
 def _ground_states(hx, hy, hz, gauge_rng=None):
@@ -118,7 +110,7 @@ def berry_curvature_numeric(
     corners[2, j] += step
     corners[3, j] += step
     psi, gap = _ground_states(
-        *_bloch_vectors(corners[:, 0], corners[:, 1], corners[:, 2], p),
+        *bloch_vectors(corners[:, 0], corners[:, 1], corners[:, 2], p),
         gauge_rng=gauge_rng,
     )
     if gap.min() < 1e-6:
@@ -157,7 +149,7 @@ def chern_sphere(
     )
     q0 = w.location.as_array()
     pts = q0 + radius * normals
-    hx, hy, hz = _bloch_vectors(pts[..., 0], pts[..., 1], pts[..., 2], p)
+    hx, hy, hz = bloch_vectors(pts[..., 0], pts[..., 1], pts[..., 2], p)
     h = np.stack([hx, hy, hz], axis=-1)
     norm = np.linalg.norm(h, axis=-1)
     if norm.min() < 1e-12:
@@ -207,7 +199,7 @@ def chern_mapped_torus(
     kk, tt = np.meshgrid(kx, th, indexing="ij")
     th1 = w.location.theta1 + theta_r * np.cos(tt)
     th2 = w.location.theta2 + theta_r * np.sin(tt)
-    psi, gap = _ground_states(*_bloch_vectors(kk, th1, th2, p), gauge_rng=gauge_rng)
+    psi, gap = _ground_states(*bloch_vectors(kk, th1, th2, p), gauge_rng=gauge_rng)
     if gap.min() < 1e-9:
         raise DegenerateGroundStateError(
             "gap closes on the mapped torus; shrink theta_r"

@@ -35,7 +35,7 @@ def chain(sites, **kw):
 
 def test_criterion_1_table1_reproduction(tmp_path):
     t0 = time.time()
-    code = main(["table1", "--out", str(tmp_path), "--threads", "1"])
+    code = main(["table1", "--out", str(tmp_path)])
     elapsed = time.time() - t0
     assert code == 0
     rows = (tmp_path / "table1.csv").read_text().strip().splitlines()[1:]

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from weyllab import openchain, spectroscopy
 from weyllab.cli import main
 from weyllab.config import DEFAULTS, ConfigError, load_config
+from weyllab.model import ModelParams, SyntheticMomentum, bulk_bands
 
 
 def read_csv(path):
@@ -257,15 +259,6 @@ class TestManifestAndDeterminism:
             b / "edge_spectrum.csv"
         ).read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["--set", "edge_spectrum.grid=7", "--set", "edge_spectrum.sites=6"]
-        main(["edge-spectrum", "--out", str(a), *args])
-        main(["edge-spectrum", "--out", str(b), "--threads", "4", *args])
-        assert (a / "edge_spectrum.csv").read_bytes() == (
-            b / "edge_spectrum.csv"
-        ).read_bytes()
-
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WEYLLAB_OUT", str(tmp_path / "env_out"))
         monkeypatch.chdir(tmp_path)
@@ -275,3 +268,76 @@ class TestManifestAndDeterminism:
     def test_usage_error_on_bad_set(self, tmp_path):
         assert main(["chern", "--out", str(tmp_path), "--set", "nope=1"]) == 2
         assert main(["chern", "--out", str(tmp_path), "--set", "sites"]) == 2
+
+
+MISUSES = [
+    ("winding", ["winding.samples=10"]),
+    ("winding", ["kappa=0"]),
+    ("chern", ["chern.mesh=4"]),
+    ("winding", ["delta0=nan"]),
+    ("fermi-arc", ["fermi_arc.grid_step=0"]),
+    ("reflection", ["reflection.step=0"]),
+    ("edge-spectrum", ["edge_spectrum.sites=2"]),
+    ("fermi-arc", ["fermi_arc.window=0.02"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,sets", MISUSES, ids=[f"{c}:{','.join(s)}" for c, s in MISUSES]
+)
+def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
+    args = [command, "--out", str(tmp_path)]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: ") and err.count("\n") == 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSinglePass:
+    def test_winding_reflects_once_per_sample(self, tmp_path, monkeypatch):
+        calls = _counting(monkeypatch, spectroscopy, "reflection")
+        assert main(
+            ["winding", "--out", str(tmp_path), "--set", "winding.samples=96"]
+        ) == 0
+        assert len(calls) == 96
+
+    def test_table1_diagonalizes_once_per_point(self, tmp_path, monkeypatch):
+        calls = _counting(monkeypatch, openchain, "diagonalize_chain")
+        args = ["--set", "table1.sizes=4,6", "--set", "fermi_arc.grid_step=0.05"]
+        assert main(["table1", "--out", str(tmp_path), *args]) == 0
+        points = 21  # theta1 in [-pi/2, pi/2] at step pi/20
+        assert len(calls) == 2 * points
+
+    def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
+        calls = _counting(monkeypatch, spectroscopy, "reflection_spectrum")
+        args = ["--set", "j=2", "--set", "fermi_arc.grid_step=0.05"]
+        assert main(["fermi-arc", "--out", str(tmp_path), *args]) == 0
+        detector_grid = calls[0][2]
+        _, rows = read_csv(tmp_path / "fermi_arc_spectra.csv")
+        written = [float(d) for t1, d, _ in rows if float(t1) == 0.0]
+        assert np.array_equal(written, detector_grid)
+        assert written[-1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("kx", [math.pi / 2, 0.7, 2.9, -1.3])
+    def test_bulk_sheet_matches_scalar_bands(self, tmp_path, kx):
+        args = ["--set", "bulk_bands.grid=51", "--set", f"bulk_bands.kx={kx!r}"]
+        assert main(["bulk-bands", "--out", str(tmp_path), *args]) == 0
+        _, rows = read_csv(tmp_path / "bulk_bands.csv")
+        assert float(rows[0][0]) == -math.pi  # grid values stay unreduced
+        p = ModelParams()
+        for t1, t2, em, ep in rows:
+            k = SyntheticMomentum(kx, float(t1), float(t2))
+            assert (float(em), float(ep)) == bulk_bands(k, p)
