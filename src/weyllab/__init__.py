@@ -30,7 +30,7 @@ from .numerics import (
     WindingResult,
     eigh_tridiagonal,
     solid_angle,
-    solve_complex,
+    solve_shifted,
     unwrap_winding,
 )
 from .openchain import (

@@ -136,6 +136,9 @@ def _validate(cfg: dict):
     for key in ("fermi_arc.grid_step", "reflection.step"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    for key in ("reflection.window", "fermi_arc.span"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be nonnegative")
 
 
 def format_config(cfg: dict) -> str:

@@ -106,10 +106,6 @@ class SyntheticMomentum:
     def as_array(self) -> np.ndarray:
         return np.array([self.kx, self.theta1, self.theta2])
 
-    def shifted(self, dq: np.ndarray) -> "SyntheticMomentum":
-        q = self.as_array() + np.asarray(dq, dtype=float)
-        return SyntheticMomentum(*q)
-
 
 @dataclass(frozen=True)
 class DVector:

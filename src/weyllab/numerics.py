@@ -1,6 +1,6 @@
 """Dense numerical kernels.
 
-Symmetric tridiagonal eigensolver, pivoted complex linear solves,
+Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b,
 phase-loop winding extraction, and signed spherical solid angles.
 Everything here is a pure function of its inputs; no shared state.
 """
@@ -20,14 +20,14 @@ __all__ = [
     "TridiagonalSym",
     "WindingResult",
     "eigh_tridiagonal",
-    "solve_complex",
+    "solve_shifted",
     "unwrap_winding",
     "solid_angle",
 ]
 
 # Residual / orthonormality bound, relative to max(1, ||H||_inf).
 EIG_TOL = 1e-10
-# Solve residual bound, relative to ||A||_inf ||x|| + ||b||.
+# Solve residual bound, relative to ||A|| ||x|| + ||b||.
 SOLVE_TOL = 1e-10
 # Any principal-value phase step at or beyond this magnitude is
 # considered undersampled; winding cannot be trusted past pi.
@@ -112,37 +112,52 @@ def eigh_tridiagonal(h: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def solve_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for complex A via LU with partial pivoting.
+def _shifted_singular_values(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Singular values |lam + z| of T + z for stacked real symmetric T.
 
-    Raises SingularMatrixError when A is singular to working precision
-    (residual exceeding SOLVE_TOL * (||A||_inf ||x|| + ||b||)).
+    T + z is normal, so they follow from the eigenvalues lam of T: one
+    real eigvalsh per T, however many shifts, and no SVD.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"right-hand side shape {b.shape} does not match {a.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    return np.abs(np.linalg.eigvalsh(t) + z[..., None])
+
+
+def solve_shifted(t, z, b) -> np.ndarray:
+    """Solve (T + z) x = b for stacked real symmetric T and complex shifts z.
+
+    t is (..., n, n); z and b (..., n) broadcast against its stack.  One
+    stacked pivoted LU solves every system, and each gets one rule:
+    SingularMatrixError when the LU fails, x is not finite, the residual
+    exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or the condition number
+    exceeds 1e14, all in the 2-norm.  Mis-shaped or non-finite input:
+    ValueError.
+    """
+    t = np.asarray(t)
+    z, b = np.asarray(z, dtype=complex), np.asarray(b, dtype=complex)
+    if t.dtype.kind == "c" or t.ndim < 2 or t.shape[-1] != t.shape[-2]:
+        raise ValueError(f"need real square matrices, got {t.dtype} {t.shape}")
+    if not (np.isfinite(t).all() and np.isfinite(z).all() and np.isfinite(b).all()):
         raise ValueError("non-finite entries in linear system")
+    # T + z I bit for bit, in one stack-sized allocation instead of two.
+    m = np.empty(np.broadcast_shapes(t.shape[:-2], z.shape) + t.shape[-2:], complex)
+    np.multiply(z[..., None, None], np.eye(t.shape[-1]), out=m)
+    m += t
     try:
-        x = np.linalg.solve(a, b)
+        x = np.linalg.solve(m, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    # A backward-stable LU happily "solves" a singular system with a
-    # huge x and a tiny residual, so check conditioning as well.
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e14:
+    sv = _shifted_singular_values(t, z)
+    with np.errstate(all="ignore"):  # singular systems give inf and NaN here
+        # A backward-stable LU happily "solves" a singular system with a
+        # huge x and a tiny residual, so check conditioning as well.
+        norm_m = sv.max(axis=-1)
+        cond = norm_m / sv.min(axis=-1)
+        resid = np.linalg.norm((m @ x[..., None])[..., 0] - b, axis=-1)
+        norm_x, norm_b = np.linalg.norm(x, axis=-1), np.linalg.norm(b, axis=-1)
+        scale = norm_m * norm_x + norm_b
+    if not ((resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()):
         raise SingularMatrixError(
-            f"system singular to working precision (cond {cond:.3e})"
-        )
-    norm_a = np.abs(a).sum(axis=1).max()
-    resid = np.linalg.norm(a @ x - b)
-    scale = norm_a * np.linalg.norm(x) + np.linalg.norm(b)
-    if not np.all(np.isfinite(x)) or resid > SOLVE_TOL * scale:
-        raise SingularMatrixError(
-            f"system singular to working precision (residual {resid:.3e})"
+            f"system singular to working precision (cond {np.max(cond):.3e}, "
+            f"residual {np.max(resid):.3e})"
         )
     return x
 

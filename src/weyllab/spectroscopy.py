@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .model import ModelParams, WeylPoint, open_chain_hamiltonian
-from .numerics import SingularMatrixError, solve_complex, unwrap_winding
+from .numerics import solve_shifted, unwrap_winding
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
@@ -100,11 +100,6 @@ def left_drive(p: ModelParams, amplitude: complex = 1.0) -> np.ndarray:
     return drive
 
 
-def _response_matrix(theta1: float, theta2: float, p: ModelParams) -> np.ndarray:
-    t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
-    return t + (p.Delta0 - 0.5j * p.kappa) * np.eye(p.sites)
-
-
 def steady_state(
     theta1: float, theta2: float, drive: np.ndarray, p: ModelParams
 ) -> SteadyState:
@@ -116,9 +111,10 @@ def steady_state(
     drive = np.asarray(drive, dtype=complex)
     if drive.shape != (p.sites,):
         raise ValueError(f"drive must have {p.sites} amplitudes")
-    m = _response_matrix(theta1, theta2, p)
-    amps = solve_complex(m, -drive)
-    resid = float(np.linalg.norm(m @ amps + drive))
+    t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
+    z = p.Delta0 - 0.5j * p.kappa
+    amps = solve_shifted(t, z, -drive)
+    resid = float(np.linalg.norm(t @ amps + z * amps + drive))
     return SteadyState(amps, resid)
 
 
@@ -149,7 +145,8 @@ def transient_oracle(
         dt = dt_max
     elif dt <= 0 or dt > dt_max:
         raise ValueError(f"dt must lie in (0, {dt_max:.4g}] for RK4 stability")
-    m = _response_matrix(theta1, theta2, p)
+    t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
+    m = t + (p.Delta0 - 0.5j * p.kappa) * np.eye(p.sites)
     if a0 is None:
         a = np.zeros(p.sites, dtype=complex)
     else:
@@ -176,36 +173,23 @@ def transient_oracle(
 def reflection(theta1: float, theta2: float, p: ModelParams) -> complex:
     """Left-port reflection r_L = 1 + i kappa [(Delta0+T-i kappa/2)^{-1}]_11.
 
-    Computed as the first component of the solve against a unit vector,
-    so it is manifestly drive-amplitude independent.  Singular solves
-    (kappa = 0 exactly on resonance) propagate as SingularMatrixError.
+    The one-point reflection_spectrum at p.Delta0, so it is manifestly
+    drive-amplitude independent.  Singular solves (kappa = 0 exactly on
+    resonance) propagate as SingularMatrixError.
     """
-    m = _response_matrix(theta1, theta2, p)
-    e1 = np.zeros(p.sites, dtype=complex)
-    e1[0] = 1.0
-    g11 = solve_complex(m, e1)[0]
-    return complex(1.0 + 1j * p.kappa * g11)
+    return complex(reflection_spectrum(theta1, theta2, [p.Delta0], p).r_values[0])
 
 
 def reflection_spectrum(
     theta1: float, theta2: float, delta0_grid, p: ModelParams
 ) -> ReflectionTrace:
-    """r_L sampled over a drive-detuning grid (batched pivoted solves).
+    """r_L over a drive-detuning grid, from one stacked shifted solve.
 
     Each grid value replaces p.Delta0; consumers form R = |r|^2.
     """
     grid = np.sort(np.asarray(delta0_grid, dtype=float))
     t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
-    eye = np.eye(p.sites)
-    mats = t[None, :, :] + (grid[:, None, None] - 0.5j * p.kappa) * eye
-    rhs = np.zeros((grid.size, p.sites), dtype=complex)
-    rhs[:, 0] = 1.0
-    try:
-        g11 = np.linalg.solve(mats, rhs[..., None])[:, 0, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    if not np.all(np.isfinite(g11)):
-        raise SingularMatrixError("singular response at some grid detuning")
+    g11 = solve_shifted(t, grid - 0.5j * p.kappa, left_drive(p))[:, 0]
     return ReflectionTrace(grid, 1.0 + 1j * p.kappa * g11)
 
 
@@ -284,7 +268,7 @@ def _pair_fit_residual(e: float, d: np.ndarray, g: np.ndarray, kappa: float):
     return resid, coef
 
 
-def _fit_zero_pair(trace: ReflectionTrace, kappa: float) -> tuple[float, float]:
+def _fit_zero_pair(trace: ReflectionTrace, p: ModelParams) -> tuple[float, float]:
     """Extract the near-zero mode energy and port weight from a trace.
 
     The complex trace determines the resolvent g = (r - 1)/(i kappa)
@@ -292,18 +276,18 @@ def _fit_zero_pair(trace: ReflectionTrace, kappa: float) -> tuple[float, float]:
     known-linewidth fit recovers far below the kappa/2 blurring of any
     local lineshape statistic.  Returns (energy, total pair weight).
     """
-    sel = np.abs(trace.parameter_samples) <= FIT_WINDOW + 1e-12
+    e_max = FIT_WINDOW * p.J
+    sel = np.abs(trace.parameter_samples) <= e_max + 1e-12 * p.J
     d = trace.parameter_samples[sel]
-    g = (trace.r_values[sel] - 1.0) / (1j * kappa)
-    e_max = FIT_WINDOW
+    g = (trace.r_values[sel] - 1.0) / (1j * p.kappa)
     coarse = np.linspace(0.0, e_max, 61)
-    resids = [_pair_fit_residual(e, d, g, kappa)[0] for e in coarse]
+    resids = [_pair_fit_residual(e, d, g, p.kappa)[0] for e in coarse]
     i0 = int(np.argmin(resids))
     lo = coarse[max(i0 - 1, 0)]
     hi = coarse[min(i0 + 1, coarse.size - 1)]
     if hi > lo:
         res = minimize_scalar(
-            lambda e: _pair_fit_residual(e, d, g, kappa)[0],
+            lambda e: _pair_fit_residual(e, d, g, p.kappa)[0],
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-9},
@@ -311,7 +295,7 @@ def _fit_zero_pair(trace: ReflectionTrace, kappa: float) -> tuple[float, float]:
         e_hat = float(res.x)
     else:
         e_hat = float(coarse[i0])
-    _, coef = _pair_fit_residual(e_hat, d, g, kappa)
+    _, coef = _pair_fit_residual(e_hat, d, g, p.kappa)
     weight = float(coef[0].real + coef[1].real)
     return e_hat, weight
 
@@ -349,7 +333,7 @@ def detect_arc_endpoint(
     if p.N >= 2:
         for i, t1 in enumerate(grid):
             trace = reflection_spectrum(float(t1), theta2, dgrid, p)
-            e_hat, weight = _fit_zero_pair(trace, p.kappa)
+            e_hat, weight = _fit_zero_pair(trace, p)
             inside[i] = (e_hat < ztol) and (weight > EDGE_WEIGHT_MIN)
 
     measured = max_symmetric_interval(grid, inside)

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weyllab import openchain, spectroscopy
 from weyllab.cli import main
@@ -279,6 +283,8 @@ MISUSES = [
     ("reflection", ["reflection.step=0"]),
     ("edge-spectrum", ["edge_spectrum.sites=2"]),
     ("fermi-arc", ["fermi_arc.window=0.02"]),
+    ("reflection", ["reflection.window=-1"]),
+    ("fermi-arc", ["fermi_arc.span=-0.5"]),
 ]
 
 
@@ -292,6 +298,70 @@ def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("weyllab: ") and err.count("\n") == 1
+
+
+def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
+    # kappa = 0 at zero detuning sits on the decoupled end mode of the
+    # theta1 = 0 chain: no steady state exists.
+    args = ["reflection", "--out", str(tmp_path), "--set", "kappa=0"]
+    assert main([*args, "--set", "reflection.window=0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+
+
+def _floats(lo, hi):
+    special = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+    return st.one_of(st.floats(lo, hi), special).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# Cheap commands only, and sizes, grids and sample counts from small
+# ranges, so that no draw allocates large arrays: the reflection sweep
+# solves 2 * window / step + 1 systems, so positive steps stay >= 0.01.
+OVERRIDES = {
+    "j": _floats(-0.5, 3.0),
+    "je": _floats(-0.5, 2.0),
+    "kappa": _floats(-0.1, 1.0),
+    "delta0": _floats(-3.0, 3.0),
+    "sites": _ints(-2, 12),
+    "density.theta1": _floats(-7.0, 7.0),
+    "density.theta2": _floats(-7.0, 7.0),
+    "reflection.theta1": _floats(-7.0, 7.0),
+    "reflection.theta2": _floats(-7.0, 7.0),
+    "reflection.window": _floats(-1.0, 2.0),
+    "reflection.step": st.one_of(
+        st.floats(0.01, 0.1).map(repr), st.sampled_from(["0", "-0.01", "nan"])
+    ),
+    "winding.weyl": _ints(-1, 6),
+    "winding.theta_r": _floats(-0.5, 2.0),
+    "winding.samples": _ints(0, 300),
+}
+SETS = st.lists(
+    st.one_of(
+        [st.tuples(st.just(k), v) for k, v in OVERRIDES.items()]
+        + [st.tuples(st.sampled_from(sorted(OVERRIDES)), st.just("junk"))]
+    ),
+    max_size=4,
+)
+
+
+@given(st.sampled_from(["weyl-points", "density", "reflection", "winding"]), SETS)
+@settings(max_examples=400)
+def test_random_overrides_keep_exit_contract(command, sets):
+    args = [command]
+    for key, value in sets:
+        args += ["--set", f"{key}={value}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main([*args, "--out", out])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 def _counting(monkeypatch, module, name):

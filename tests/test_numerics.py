@@ -9,8 +9,9 @@ from weyllab.numerics import (
     TridiagonalSym,
     UndersampledLoopError,
     eigh_tridiagonal,
+    _shifted_singular_values,
     solid_angle,
-    solve_complex,
+    solve_shifted,
     unwrap_winding,
 )
 
@@ -66,40 +67,93 @@ class TestEighTridiagonal:
             TridiagonalSym([0.0, 0.0], [1.0, 2.0])
 
 
-class TestSolveComplex:
+def random_symmetric(rng, shape):
+    a = rng.normal(size=shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
+class TestSolveShifted:
     def test_identity(self):
         b = np.array([1.0, 1.0j, -2.0])
-        assert solve_complex(np.eye(3), b) == pytest.approx(b)
+        assert solve_shifted(np.zeros((3, 3)), 1.0, b) == pytest.approx(b)
 
     def test_scalar_division(self):
-        x = solve_complex(np.array([[-0.5j]]), np.array([1.0]))
+        x = solve_shifted(np.zeros((1, 1)), -0.5j, np.array([1.0]))
         assert x == pytest.approx([2.0j])
 
     def test_two_by_two_adjugate(self):
-        # A = [[1, i], [-i, 1+i]] has det = i; the adjugate solution of
-        # A x = (1, 0) is x = ((1+i)/i, -(-i)/i) = (1-i, 1).
-        a = np.array([[1.0, 1.0j], [-1.0j, 1.0 + 1.0j]])
-        x = solve_complex(a, np.array([1.0, 0.0]))
-        assert x == pytest.approx([1.0 - 1.0j, 1.0], abs=1e-12)
+        # T + z = [[i, 1], [1, i]] has det = -2 and adjugate
+        # [[i, -1], [-1, i]], so (T + z) x = (1, 0) gives x = (-i/2, 1/2).
+        t = np.array([[0.0, 1.0], [1.0, 0.0]])
+        x = solve_shifted(t, 1.0j, np.array([1.0, 0.0]))
+        assert x == pytest.approx([-0.5j, 0.5], abs=1e-12)
 
     def test_singular_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        t = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
-            solve_complex(a, np.array([1.0, 0.0]))
+            solve_shifted(t, 0.0, np.array([1.0, 0.0]))
+
+    def test_one_singular_shift_fails_the_stack(self):
+        # T has eigenvalues +/-1; only the shift z = 1 is singular.
+        t = np.array([[0.0, 1.0], [1.0, 0.0]])
+        shifts = np.array([0.5, 1.0, 1.5])
+        with pytest.raises(SingularMatrixError):
+            solve_shifted(t, shifts, np.array([1.0, 0.0]))
+        assert solve_shifted(t, shifts[[0, 2]], np.array([1.0, 0.0])).shape == (2, 2)
+
+    def test_stacked_matrices_share_a_shift(self):
+        t = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]]])
+        x = solve_shifted(t, 1.0j, np.array([1.0, 0.0]))
+        ref = np.array([[-0.5j, 0.5], [1 / (2 + 1j), 0.0]])
+        assert x == pytest.approx(ref, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            solve_complex(np.eye(3), np.ones(2))
+            solve_shifted(np.zeros((3, 3)), 1.0, np.ones(2))
+        with pytest.raises(ValueError):
+            solve_shifted(np.zeros((4, 3, 3)), np.ones(5), np.ones(3))
+        with pytest.raises(ValueError):
+            solve_shifted(np.zeros((3, 2)), 1.0, np.ones(2))
 
-    @given(st.integers(2, 20), st.integers(0, 2**32 - 1))
-    def test_residual_bound_random(self, n, seed):
+    def test_rejects_nonfinite_and_complex_matrices(self):
+        with pytest.raises(ValueError):
+            solve_shifted(np.zeros((2, 2)), np.nan, np.ones(2))
+        with pytest.raises(ValueError):
+            solve_shifted(1j * np.eye(2), 1.0, np.ones(2))
+
+    @given(st.integers(1, 4), st.integers(2, 20), st.integers(0, 2**32 - 1))
+    def test_residual_bound_random(self, k, n, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * n * np.eye(n)
+        t = random_symmetric(rng, (k, n, n))
+        z = rng.normal(size=k) + 1j * (0.5 + rng.random(size=k))
+        b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+        x = solve_shifted(t, z, b)
+        assert x.shape == (k, n)
+        for ti, zi, bi, xi in zip(t, z, b, x):
+            a = ti + zi * np.eye(n)
+            norm_a = np.abs(a).sum(axis=1).max()
+            scale = norm_a * np.linalg.norm(xi) + np.linalg.norm(bi)
+            assert np.linalg.norm(a @ xi - bi) <= SOLVE_TOL * scale
+
+    @given(st.integers(1, 36), st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference_bit_for_bit(self, n, seed):
+        # The stack must give exactly what a per-shift solve of the dense
+        # T + z * I gives, since every dataset digest rests on those bits.
+        rng = np.random.default_rng(seed)
+        t = random_symmetric(rng, (n, n))
+        z = rng.normal(size=7) - 0.5j * (0.1 + rng.random())
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = solve_complex(a, b)
-        norm_a = np.abs(a).sum(axis=1).max()
-        scale = norm_a * np.linalg.norm(x) + np.linalg.norm(b)
-        assert np.linalg.norm(a @ x - b) <= SOLVE_TOL * scale
+        ref = [np.linalg.solve(t + zi * np.eye(n), b) for zi in z]
+        assert np.array_equal(solve_shifted(t, z, b), ref)
+
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+    def test_condition_number_matches_svd(self, n, seed, im):
+        rng = np.random.default_rng(seed)
+        t = random_symmetric(rng, (n, n))
+        z = complex(rng.normal(), im * rng.choice([-1.0, 1.0]))
+        sv = _shifted_singular_values(t, np.asarray(z))
+        ref = np.linalg.cond(t + z * np.eye(n))
+        assert sv.max() / sv.min() == pytest.approx(ref, rel=1e-10)
 
 
 class TestUnwrapWinding:

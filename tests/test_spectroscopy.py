@@ -115,6 +115,20 @@ class TestReflection:
         p = chain(8, Delta0=1e6)
         assert reflection(0.4, 0.9, p) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p: reflection(np.pi / 2, np.pi / 2, p),
+            lambda p: reflection_spectrum(np.pi / 2, np.pi / 2, [0.5, 1.0, 1.5], p),
+        ],
+        ids=["reflection", "reflection_spectrum"],
+    )
+    def test_undamped_resonance_is_singular(self, solve):
+        # The same resonance as TestSteadyState's: every path that solves
+        # for the response applies the same singular-response rule.
+        with pytest.raises(SingularMatrixError):
+            solve(ModelParams(N=1, kappa=0.0, Delta0=1.0))
+
     def test_drive_amplitude_cancels(self):
         p = chain(8, Delta0=-0.2)
         r = reflection(0.5, 1.2, p)
@@ -222,6 +236,16 @@ class TestWindingMeasurement:
             winding_measurement(ws[0], 0.25 * np.pi, 128, chain(4, kappa=0.0))
 
 
+SCALE_GRID = np.arange(-25, 26) * 0.02 * np.pi
+
+
+@pytest.fixture(scope="module")
+def unit_scale_arc():
+    det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, 1.0, chain(4))
+    assert not det.flagged and not det.empty
+    return det
+
+
 class TestDetectArcEndpoint:
     @pytest.mark.parametrize(
         "sites,reported", [(4, 0.20), (8, 0.35), (12, 0.40)]
@@ -240,6 +264,19 @@ class TestDetectArcEndpoint:
             assert det.disagreement_count == 0
             assert det.theta1c_plus == pytest.approx(det.oracle.theta1c_plus)
             assert det.theta1c_minus == pytest.approx(det.oracle.theta1c_minus)
+
+    @pytest.mark.parametrize("j", [0.1, 0.5, 2.0, 10.0, 100.0])
+    def test_endpoints_invariant_under_energy_scale(self, unit_scale_arc, j):
+        # Every energy in units of J: the detector must read the same
+        # arc on the scaled model as at J = 1.
+        scaled = chain(4, J=j, Je=j, kappa=0.1 * j, Delta0=-0.1 * j)
+        det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, 1.0, scaled)
+        assert not det.flagged
+        ref = unit_scale_arc
+        assert (det.theta1c_minus, det.theta1c_plus) == (
+            ref.theta1c_minus,
+            ref.theta1c_plus,
+        )
 
     def test_requires_damping(self):
         with pytest.raises(ValueError):
