@@ -38,6 +38,7 @@ from .spectroscopy import (
     detuning_grid,
     loop_reflection,
     reflection_spectrum,
+    symmetric_grid,
 )
 from .topology import (
     DegenerateGroundStateError,
@@ -304,10 +305,8 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
 
 
 def _theta1_grid(cfg) -> np.ndarray:
-    step = cfg["fermi_arc.grid_step"] * math.pi
-    span = cfg["fermi_arc.span"] * math.pi
-    n = int(round(span / step))
-    return np.arange(-n, n + 1) * step
+    span, step = cfg["fermi_arc.span"], cfg["fermi_arc.grid_step"]
+    return symmetric_grid(span * math.pi, step * math.pi)
 
 
 def cmd_fermi_arc(cfg, out: _OutputSet) -> int:

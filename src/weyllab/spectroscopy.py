@@ -9,6 +9,13 @@ All response quantities derive from the linear steady state
 a = -(Delta0 + T - i kappa/2)^{-1} Omega, so they are independent of
 the drive amplitude; the left-port reflection is
 r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.
+
+Arc detection solves each theta1 point only on the fit window
+|Delta0| <= FIT_WINDOW J and fits all traces at once: the resonance-pair
+model is linear except in the pair energy e, so its linear weights are
+projected out (variable projection), the coarse scan over e projects
+every trace on one SVD-factored stack of candidate models, and a
+golden-section search refines all traces in lockstep.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import ModelParams, WeylPoint, open_chain_hamiltonian
 from .numerics import solve_shifted, unwrap_winding
@@ -38,6 +44,7 @@ __all__ = [
     "transient_oracle",
     "reflection",
     "reflection_spectrum",
+    "symmetric_grid",
     "detuning_grid",
     "loop_reflection",
     "winding_measurement",
@@ -46,8 +53,20 @@ __all__ = [
 
 # Drive-detuning scan step for arc detection, in units of J.
 DELTA0_STEP = 0.01
+# Most points of a symmetric detuning or theta1 grid.
+MAX_GRID_POINTS = 10_001
 # Samples with |Delta0| up to this many J feed the resonance fit.
 FIT_WINDOW = 0.12
+# Pair energies of the fit's coarse scan over [0, FIT_WINDOW J].
+COARSE_CANDIDATES = 61
+# Width, in units of J, at which the fit's refinement bracket stops.
+REFINE_TOL = 1e-9
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps that shrink a two-candidate bracket below REFINE_TOL.
+_REFINE_STEPS = math.ceil(
+    math.log(REFINE_TOL * (COARSE_CANDIDATES - 1) / (2.0 * FIT_WINDOW))
+    / math.log(_INVPHI)
+)
 
 
 @dataclass(frozen=True)
@@ -193,13 +212,28 @@ def reflection_spectrum(
     return ReflectionTrace(grid, 1.0 + 1j * p.kappa * g11)
 
 
+def symmetric_grid(half_width: float, step: float) -> np.ndarray:
+    """Grid k * step for |k| <= round(half_width / step).
+
+    Raises ValueError, before allocating anything, for a non-positive
+    step or a grid of more than MAX_GRID_POINTS points.
+    """
+    if not step > 0:
+        raise ValueError("grid step must be positive")
+    half = half_width / step  # inf for a denormal step
+    if not half <= (MAX_GRID_POINTS - 1) / 2:
+        raise ValueError(
+            f"grid of {2 * half + 1:.3g} points exceeds {MAX_GRID_POINTS}; "
+            "use a coarser step"
+        )
+    nstep = int(round(half))
+    return np.arange(-nstep, nstep + 1) * step
+
+
 def detuning_grid(window: float, step: float, p: ModelParams) -> np.ndarray:
     """Symmetric drive-detuning grid over [-window, window] in steps of
     `step`, both in units of J."""
-    if not step > 0:
-        raise ValueError("detuning step must be positive")
-    nstep = int(round(window / step))
-    return np.arange(-nstep, nstep + 1) * step * p.J
+    return symmetric_grid(window, step) * p.J
 
 
 def loop_reflection(
@@ -248,56 +282,80 @@ def winding_measurement(
     return unwrap_winding(np.angle(trace.r_values)).winding
 
 
-def _pair_fit_residual(e: float, d: np.ndarray, g: np.ndarray, kappa: float):
-    """Least-squares misfit of a symmetric resonance pair at +/-e.
+def _pair_bases(e: np.ndarray, d: np.ndarray, kappa: float):
+    """Range bases of the resonance-pair model at stacked pair energies e.
 
     Model: g(d) = w+/(d + e - i kappa/2) + w-/(d - e - i kappa/2)
-    + quadratic background; linear in everything but e.
+    + quadratic background; linear in everything but e.  Returns the
+    SVD (u, 1/s, vh) of the (..., m, 5) model matrices under lstsq's rank
+    rule: singular values at or below eps max(m, 5) s_max are dropped
+    (zeroed in u and 1/s), as at e = 0, where the two pole columns
+    coincide.
     """
-    cols = np.column_stack(
-        [
-            1.0 / (d + e - 0.5j * kappa),
-            1.0 / (d - e - 0.5j * kappa),
-            np.ones_like(d),
-            d,
-            d * d,
-        ]
-    )
-    coef, *_ = np.linalg.lstsq(cols, g, rcond=None)
-    resid = float(np.linalg.norm(cols @ coef - g))
-    return resid, coef
+    e = np.asarray(e, dtype=float)[..., None]
+    cols = np.empty(e.shape[:-1] + (d.size, 5), dtype=complex)
+    cols[..., 0] = 1.0 / (d + e - 0.5j * kappa)
+    cols[..., 1] = 1.0 / (d - e - 0.5j * kappa)
+    cols[..., 2] = 1.0
+    cols[..., 3] = d
+    cols[..., 4] = d * d
+    u, s, vh = np.linalg.svd(cols, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(d.size, 5) * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return u * keep[..., None, :], inv_s, vh
 
 
-def _fit_zero_pair(trace: ReflectionTrace, p: ModelParams) -> tuple[float, float]:
-    """Extract the near-zero mode energy and port weight from a trace.
+def _pair_misfit(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """||g - u u^H g|| for stacked bases u (..., m, r) and traces g (..., m)."""
+    g = g[..., None]
+    fit = u @ (u.conj().swapaxes(-1, -2) @ g)
+    return np.linalg.norm((g - fit)[..., 0], axis=-1)
 
-    The complex trace determines the resolvent g = (r - 1)/(i kappa)
-    exactly, and the mode energies are its pole positions, which a
-    known-linewidth fit recovers far below the kappa/2 blurring of any
-    local lineshape statistic.  Returns (energy, total pair weight).
+
+def _fit_zero_pairs(
+    d: np.ndarray, g: np.ndarray, p: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Near-zero mode energies and port weights of P resolvent traces.
+
+    g (P, m) holds g = (r - 1)/(i kappa) on the detunings d (m,), which
+    the complex reflection determines exactly.  The mode energies are
+    its pole positions, which a known-linewidth fit recovers far below
+    the kappa/2 blurring of any local lineshape statistic.  The fit is a
+    variable projection (Golub & Pereyra 1973): the linear weights are
+    projected out, leaving a misfit in e alone.  Every trace is scanned
+    against one factored stack of COARSE_CANDIDATES energies in
+    [0, FIT_WINDOW J], then refined in lockstep by golden-section search
+    inside the bracket of the best candidate's neighbours, to a width of
+    REFINE_TOL J.  Returns (energies, total pair weights), each (P,).
     """
-    e_max = FIT_WINDOW * p.J
-    sel = np.abs(trace.parameter_samples) <= e_max + 1e-12 * p.J
-    d = trace.parameter_samples[sel]
-    g = (trace.r_values[sel] - 1.0) / (1j * p.kappa)
-    coarse = np.linspace(0.0, e_max, 61)
-    resids = [_pair_fit_residual(e, d, g, p.kappa)[0] for e in coarse]
-    i0 = int(np.argmin(resids))
-    lo = coarse[max(i0 - 1, 0)]
-    hi = coarse[min(i0 + 1, coarse.size - 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            lambda e: _pair_fit_residual(e, d, g, p.kappa)[0],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-9},
+    coarse = np.linspace(0.0, FIT_WINDOW * p.J, COARSE_CANDIDATES)
+    u = _pair_bases(coarse, d, p.kappa)[0]
+    i0 = np.argmin(_pair_misfit(u, g[:, None, :]), axis=1)
+    lo = coarse[np.maximum(i0 - 1, 0)]
+    hi = coarse[np.minimum(i0 + 1, coarse.size - 1)]
+
+    def misfit(e):
+        return _pair_misfit(_pair_bases(e, d, p.kappa)[0], g)
+
+    a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fa, fb = misfit(a), misfit(b)
+    for _ in range(_REFINE_STEPS):
+        left = fa < fb  # the minimum is bracketed by [lo, b]
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        new = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        fnew = misfit(new)
+        a, b, fa, fb = (
+            np.where(left, new, b),
+            np.where(left, a, new),
+            np.where(left, fnew, fb),
+            np.where(left, fa, fnew),
         )
-        e_hat = float(res.x)
-    else:
-        e_hat = float(coarse[i0])
-    _, coef = _pair_fit_residual(e_hat, d, g, p.kappa)
-    weight = float(coef[0].real + coef[1].real)
-    return e_hat, weight
+    e_hat = 0.5 * (lo + hi)
+    u, inv_s, vh = _pair_bases(e_hat, d, p.kappa)
+    # The minimum-norm lstsq coefficients V diag(1/s) U^H g.
+    uh_g = u.conj().swapaxes(-1, -2) @ g[..., None]
+    coef = vh.conj().swapaxes(-1, -2) @ (inv_s[..., None] * uh_g)
+    return e_hat, (coef[:, 0, 0] + coef[:, 1, 0]).real
 
 
 def detect_arc_endpoint(
@@ -309,13 +367,17 @@ def detect_arc_endpoint(
     """Arc endpoints from reflection spectra, cross-checked against the
     diagonalization oracle.
 
-    For each theta1 the complex reflection trace over
-    [-delta0_window, +delta0_window] (in units of J, at least FIT_WINDOW;
-    step 0.01 J) is reduced to the near-zero resonance energy and port
-    weight; the point is inside the arc when the energy is below 0.02 J and the weight exceeds the
-    edge-label threshold.  Endpoints are the maximal symmetric interval
-    of inside points.  Disagreement with the oracle beyond single
-    boundary-adjacent grid points flags the result as inconsistent.
+    For each theta1 the complex reflection is solved only on the fit
+    window, the points of detuning_grid(delta0_window, DELTA0_STEP) with
+    |Delta0| <= FIT_WINDOW J; delta0_window (in units of J) is only
+    validated to be at least FIT_WINDOW, so every window >= FIT_WINDOW
+    gives the same result.  One batched fit over all traces reduces them
+    to the near-zero resonance energy and port weight; the point is
+    inside the arc when the energy is below ZTOL_DEFAULT J and the
+    weight exceeds the edge-label threshold.  Endpoints are the maximal
+    symmetric interval of inside points.  Disagreement with the oracle
+    beyond single boundary-adjacent grid points flags the result as
+    inconsistent.
     """
     if p is None:
         raise ValueError("model parameters required")
@@ -325,16 +387,17 @@ def detect_arc_endpoint(
         raise ValueError(f"delta0_window must be at least {FIT_WINDOW} J")
     grid = np.sort(np.asarray(theta1_grid, dtype=float))
     dgrid = detuning_grid(delta0_window, DELTA0_STEP, p)
-    ztol = ZTOL_DEFAULT * p.J
+    dfit = dgrid[np.abs(dgrid) <= FIT_WINDOW * p.J + 1e-12 * p.J]
 
     inside = np.zeros(grid.size, dtype=bool)
     # A single-cell chain has no distinct end cells, so nothing can be
     # edge-localized; the port-weight proxy only makes sense for N >= 2.
-    if p.N >= 2:
-        for i, t1 in enumerate(grid):
-            trace = reflection_spectrum(float(t1), theta2, dgrid, p)
-            e_hat, weight = _fit_zero_pair(trace, p)
-            inside[i] = (e_hat < ztol) and (weight > EDGE_WEIGHT_MIN)
+    if p.N >= 2 and grid.size:
+        r = np.array(
+            [reflection_spectrum(float(t1), theta2, dfit, p).r_values for t1 in grid]
+        )
+        e_hat, weight = _fit_zero_pairs(dfit, (r - 1.0) / (1j * p.kappa), p)
+        inside = (e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN)
 
     measured = max_symmetric_interval(grid, inside)
     oracle_ok = arc_membership(theta2, grid, ZTOL_DEFAULT, p)

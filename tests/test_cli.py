@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +289,9 @@ MISUSES = [
     ("fermi-arc", ["fermi_arc.window=0.02"]),
     ("reflection", ["reflection.window=-1"]),
     ("fermi-arc", ["fermi_arc.span=-0.5"]),
+    ("reflection", ["reflection.step=5e-324"]),
+    ("reflection", ["reflection.step=1e-9"]),
+    ("fermi-arc", ["fermi_arc.grid_step=1e-12"]),
 ]
 
 
@@ -319,8 +326,9 @@ def _ints(lo, hi):
 
 
 # Cheap commands only, and sizes, grids and sample counts from small
-# ranges, so that no draw allocates large arrays: the reflection sweep
-# solves 2 * window / step + 1 systems, so positive steps stay >= 0.01.
+# ranges, so that no draw allocates large arrays.  The reflection sweep
+# solves 2 * window / step + 1 systems, at most MAX_GRID_POINTS, so
+# steps down to the smallest denormal are drawn too.
 OVERRIDES = {
     "j": _floats(-0.5, 3.0),
     "je": _floats(-0.5, 2.0),
@@ -333,7 +341,8 @@ OVERRIDES = {
     "reflection.theta2": _floats(-7.0, 7.0),
     "reflection.window": _floats(-1.0, 2.0),
     "reflection.step": st.one_of(
-        st.floats(0.01, 0.1).map(repr), st.sampled_from(["0", "-0.01", "nan"])
+        st.floats(0.0, 0.1, exclude_min=True).map(repr),
+        st.sampled_from(["5e-324", "0", "-0.01", "nan"]),
     ),
     "winding.weyl": _ints(-1, 6),
     "winding.theta_r": _floats(-0.5, 2.0),
@@ -364,6 +373,19 @@ def test_random_overrides_keep_exit_contract(command, sets):
         assert err.getvalue() == ""
 
 
+def test_cli_import_skips_scipy_optimize():
+    # The arc fit needs only NumPy; importing scipy.optimize would add
+    # its own import time to the start of every CLI run.
+    src = Path(spectroscopy.__file__).resolve().parents[1]
+    code = "import sys, weyllab.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -392,14 +414,22 @@ class TestSinglePass:
         assert len(calls) == 2 * points
 
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
+        # The spectra span the detector's detuning grid; the detector
+        # solves only its fit window, |Delta0| <= FIT_WINDOW J, of it.
         calls = _counting(monkeypatch, spectroscopy, "reflection_spectrum")
         args = ["--set", "j=2", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["fermi-arc", "--out", str(tmp_path), *args]) == 0
-        detector_grid = calls[0][2]
+        p = ModelParams(J=2.0)
+        window = spectroscopy.detuning_grid(
+            DEFAULTS["fermi_arc.window"], spectroscopy.DELTA0_STEP, p
+        )
         _, rows = read_csv(tmp_path / "fermi_arc_spectra.csv")
         written = [float(d) for t1, d, _ in rows if float(t1) == 0.0]
-        assert np.array_equal(written, detector_grid)
+        assert np.array_equal(written, window)
         assert written[-1] == pytest.approx(2.0)
+        fit = window[np.abs(window) <= spectroscopy.FIT_WINDOW * p.J]
+        assert fit.size == 25
+        assert np.array_equal(calls[0][2], fit)
 
     @pytest.mark.parametrize("kx", [math.pi / 2, 0.7, 2.9, -1.3])
     def test_bulk_sheet_matches_scalar_bands(self, tmp_path, kx):

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from weyllab.model import ModelParams, weyl_points
 from weyllab.numerics import SingularMatrixError, UndersampledLoopError
+from weyllab.openchain import EDGE_WEIGHT_MIN, ZTOL_DEFAULT
 from weyllab.spectroscopy import (
+    DELTA0_STEP,
+    FIT_WINDOW,
     ReflectionTrace,
+    _fit_zero_pairs,
+    _pair_bases,
+    _pair_misfit,
     detect_arc_endpoint,
+    detuning_grid,
     left_drive,
     reflection,
     reflection_spectrum,
@@ -281,3 +289,99 @@ class TestDetectArcEndpoint:
     def test_requires_damping(self):
         with pytest.raises(ValueError):
             detect_arc_endpoint(np.pi / 2, [0.0], 1.0, chain(4, kappa=0.0))
+
+
+def _reference_residual(e, d, g, kappa):
+    cols = np.column_stack(
+        [
+            1.0 / (d + e - 0.5j * kappa),
+            1.0 / (d - e - 0.5j * kappa),
+            np.ones_like(d),
+            d,
+            d * d,
+        ]
+    )
+    coef, *_ = np.linalg.lstsq(cols, g, rcond=None)
+    return float(np.linalg.norm(cols @ coef - g)), coef
+
+
+def _reference_pair_fit(d, g, p):
+    """The per-trace fit that _fit_zero_pairs replaced: one lstsq per
+    coarse candidate, then bounded Brent minimisation in the bracket of
+    the best candidate's neighbours.  Returns (energy, pair weight)."""
+    coarse = np.linspace(0.0, FIT_WINDOW * p.J, 61)
+    i0 = int(np.argmin([_reference_residual(e, d, g, p.kappa)[0] for e in coarse]))
+    res = minimize_scalar(
+        lambda e: _reference_residual(e, d, g, p.kappa)[0],
+        bounds=(coarse[max(i0 - 1, 0)], coarse[min(i0 + 1, 60)]),
+        method="bounded",
+        options={"xatol": 1e-9},
+    )
+    _, coef = _reference_residual(float(res.x), d, g, p.kappa)
+    return float(res.x), float(coef[0].real + coef[1].real)
+
+
+# theta1 >= 0 half of the Table-1 grid: spectra are even in theta1, so
+# it holds every distinct arc-boundary point.
+HALF_TABLE1_GRID = np.arange(0, 51) * 0.01 * np.pi
+
+
+@pytest.fixture(scope="module", params=[4, 6, 8, 10, 12, 20, 36])
+def fit_window_traces(request):
+    """(p, fit-window detunings, r solved on them, r solved on the full
+    detuning grid and cut to them) on HALF_TABLE1_GRID."""
+    p = chain(request.param)
+    full = detuning_grid(1.0, DELTA0_STEP, p)
+    sel = np.abs(full) <= FIT_WINDOW * p.J + 1e-12 * p.J
+    r_fit, r_full = (
+        np.array(
+            [
+                reflection_spectrum(t, np.pi / 2, grid, p).r_values
+                for t in HALF_TABLE1_GRID
+            ]
+        )
+        for grid in (full[sel], full)
+    )
+    return p, full[sel], r_fit, r_full[:, sel]
+
+
+class TestBatchedPairFit:
+    def test_fit_window_solve_is_bitwise(self, fit_window_traces):
+        _, d, r_fit, r_full = fit_window_traces
+        assert d.size == 25
+        assert np.array_equal(r_fit, r_full)
+
+    def test_matches_per_trace_reference(self, fit_window_traces):
+        p, d, r, _ = fit_window_traces
+        g = (r - 1.0) / (1j * p.kappa)
+        e_hat, weight = _fit_zero_pairs(d, g, p)
+        e_ref, w_ref = np.array([_reference_pair_fit(d, gi, p) for gi in g]).T
+
+        def verdicts(e, w):
+            return (e < ZTOL_DEFAULT * p.J) & (w > EDGE_WEIGHT_MIN)
+
+        assert np.array_equal(verdicts(e_hat, weight), verdicts(e_ref, w_ref))
+        assert np.abs(e_hat - e_ref).max() <= 1e-7 * p.J
+
+    def test_misfit_equals_lstsq_residual(self, rng):
+        # Every coarse candidate, including e = 0, where the two pole
+        # columns coincide and lstsq's rank rule drops one of them.
+        p = chain(12)
+        d = np.arange(-12, 13) * DELTA0_STEP
+        g = rng.normal(size=(3, d.size)) + 1j * rng.normal(size=(3, d.size))
+        coarse = np.linspace(0.0, FIT_WINDOW, 61)
+        u, inv_s, _ = _pair_bases(coarse, d, p.kappa)
+        assert np.count_nonzero(inv_s[0]) == 4
+        assert np.count_nonzero(inv_s[1:], axis=-1).min() == 5
+        got = _pair_misfit(u, g[:, None, :])
+        ref = [[_reference_residual(e, d, gi, p.kappa)[0] for e in coarse] for gi in g]
+        assert got == pytest.approx(np.array(ref), rel=1e-9)
+
+    def test_detection_independent_of_window(self):
+        grid = np.arange(-25, 26) * 0.02 * np.pi
+        dets = [
+            detect_arc_endpoint(np.pi / 2, grid, window, chain(12))
+            for window in (FIT_WINDOW, 1.0, 3.0)
+        ]
+        assert not dets[0].empty
+        assert dets[0] == dets[1] == dets[2]
