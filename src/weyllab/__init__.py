@@ -23,6 +23,7 @@ from .model import (
     weyl_points,
 )
 from .numerics import (
+    EigenNonConvergenceError,
     NumericsError,
     SingularMatrixError,
     TridiagonalSym,
@@ -36,7 +37,6 @@ from .numerics import (
 from .openchain import (
     ArcInterval,
     DensityProfile,
-    EdgeSpectrumPoint,
     arc_interval_oracle,
     classify_localization,
     density_profile,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -77,10 +78,27 @@ class _OutputSet:
         return path
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        return self.write_text(name, "\n".join(lines) + "\n")
+        """Stream a header line and one line per row to the file.
+
+        Rows, each as wide as the header, are formatted and written
+        CSV_BLOCK_ROWS at a time, one column of a block at once, each
+        cell as _fmt formats it.
+        """
+        path = self.outdir / name
+        rows = iter(rows)
+        try:
+            with path.open("w") as f:
+                f.write(",".join(header) + "\n")
+                while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+                    if set(map(len, block)) != {len(header)}:
+                        raise ValueError(f"{name}: every row needs {len(header)} cells")
+                    cols = [_fmt_column(col) for col in zip(*block)]
+                    f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        except BaseException:
+            path.unlink(missing_ok=True)  # no partial file from a failed run
+            raise
+        self.paths.append(path)
+        return path
 
     def write_json(self, name: str, payload) -> Path:
         return self.write_text(
@@ -104,10 +122,26 @@ class _OutputSet:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# Rows per block of write_csv.
+CSV_BLOCK_ROWS = 4096
+
+
 def _fmt(x) -> str:
+    """One CSV cell: repr of the Python float for any float, else str."""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _fmt_column(col: tuple):
+    """_fmt over one column of a block, without a call per cell where
+    every cell is a str or every cell is a Python or NumPy float64."""
+    types = set(map(type, col))
+    if types == {str}:
+        return col
+    if all(issubclass(t, float) for t in types):
+        return map(float.__repr__, col)
+    return map(_fmt, col)
 
 
 def _params(cfg: dict, sites: int | None = None) -> ModelParams:
@@ -219,10 +253,19 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
 def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
     grid = _angle_grid(cfg["edge_spectrum.grid"])
-    rows = (
-        (pt.theta1, pt.theta2, idx, energy, label)
-        for pt in edge_spectrum(grid, grid, p)
-        for idx, (energy, label) in enumerate(zip(pt.eigenvalues, pt.labels))
+    energies, labels = edge_spectrum(grid, grid, p)
+    # Rows run theta1, then theta2, then the index fastest.  Each repeats
+    # two grid values and an index, so those are formatted once.
+    angles = [_fmt(t) for t in grid]
+    indices = [str(idx) for idx in range(p.sites)]
+    chain = itertools.chain.from_iterable
+    repeat = itertools.repeat
+    rows = zip(
+        chain(repeat(t1, grid.size * p.sites) for t1 in angles),
+        chain(repeat(t2, p.sites) for _ in angles for t2 in angles),
+        chain(repeat(indices, grid.size**2)),
+        energies.ravel().tolist(),
+        labels.ravel().tolist(),
     )
     out.write_csv(
         "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], rows

@@ -11,15 +11,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dstev
 
 __all__ = [
     "NumericsError",
     "SingularMatrixError",
+    "EigenNonConvergenceError",
     "UndersampledLoopError",
     "TridiagonalSym",
     "WindingResult",
     "eigh_tridiagonal",
+    "eigh_bands",
     "solve_shifted",
     "unwrap_winding",
     "solid_angle",
@@ -40,6 +42,10 @@ class NumericsError(Exception):
 
 class SingularMatrixError(NumericsError):
     """Linear system is singular to working precision."""
+
+
+class EigenNonConvergenceError(NumericsError):
+    """The tridiagonal QL/QR iteration did not converge."""
 
 
 class UndersampledLoopError(NumericsError):
@@ -104,11 +110,29 @@ def eigh_tridiagonal(h: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     iteration on the tridiagonal form (LAPACK stev); matrices here are
     desk-scale, so no blocking or MRRR subtleties are needed.
     """
-    if h.dim == 1:
-        return h.diag.copy(), np.ones((1, 1))
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        h.diag, h.offdiag, lapack_driver="stev"
-    )
+    return eigh_bands(h.diag, h.offdiag)
+
+
+def eigh_bands(
+    diag: np.ndarray, offdiag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """eigh_tridiagonal on bands the caller has already validated.
+
+    diag and offdiag must satisfy TridiagonalSym's rules (float arrays
+    of lengths n and n - 1, finite).  One LAPACK dstev call, the driver
+    scipy.linalg.eigh_tridiagonal(..., lapack_driver="stev") runs, so the
+    results are bit for bit the same; EigenNonConvergenceError if it
+    does not converge.
+    """
+    if diag.size == 1:
+        return diag.copy(), np.ones((1, 1))
+    vals, vecs, info = dstev(diag, offdiag)
+    if info > 0:
+        raise EigenNonConvergenceError(
+            f"tridiagonal eigensolver: {info} off-diagonal entries did not converge"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dstev")
     return vals, vecs
 
 

@@ -10,6 +10,9 @@ eigenvectors come out of the solver as even/odd combinations with
 equal weight on both ends.  Labeling is made basis-stable by rotating
 each such +/-E pair to the combination that maximizes end-site weight
 before classifying (the physical left/right quasi-modes).
+
+A label reads only the two end cells of a vector, so one vectorised
+rule (_labels) labels a single vector, one chain, or a whole sheet.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, open_chain_hamiltonian
-from .numerics import eigh_tridiagonal
+from .model import ModelParams, coupling_profile, onsite_profile, open_chain_hamiltonian
+from .numerics import eigh_bands, eigh_tridiagonal
 
 __all__ = [
-    "EdgeSpectrumPoint",
     "DensityProfile",
     "ArcInterval",
     "edge_spectrum",
@@ -40,18 +42,12 @@ ZTOL_DEFAULT = 0.02
 EDGE_WEIGHT_MIN = 0.25
 # +/-E pairs below this energy are mirror-rotated before labeling.
 PAIR_WINDOW = 0.1
-
-
-@dataclass(frozen=True)
-class EdgeSpectrumPoint:
-    theta1: float
-    theta2: float
-    eigenvalues: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != self.eigenvalues.size:
-            raise ValueError("labels must align with eigenvalues")
+# Rows of a chain's eigenvector matrix that the labels read: the first
+# unit cell, then the last.
+END_ROWS = [0, 1, -2, -1]
+# Label of code 0, 1, 2 in _labels; shared str objects, so a label array
+# costs one reference per state.
+LABEL_NAMES = np.array(["Bulk", "Left", "Right"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -78,25 +74,37 @@ class ArcInterval:
     empty: bool = False
 
 
-def _cell_weights(v: np.ndarray) -> tuple[float, float]:
-    first = float(v[0] ** 2 + v[1] ** 2)
-    last = float(v[-2] ** 2 + v[-1] ** 2)
-    return first, last
+def _end_weights(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First- and last-unit-cell weights of the vectors whose END_ROWS
+    entries are the columns of ends, shape (..., 4, n).
+
+    Squares go through C pow (np.float_power), as a scalar v[0] ** 2
+    does; array ** 2 rounds some squares the other way, and at
+    mirror-symmetric points the two weights tie to the last bit, so the
+    labels there depend on it.
+    """
+    w = np.float_power(ends, 2)
+    return w[..., 0, :] + w[..., 1, :], w[..., 2, :] + w[..., 3, :]
+
+
+def _labels(ends: np.ndarray) -> np.ndarray:
+    """Left/Right/Bulk labels, a str object array, of the vectors whose
+    END_ROWS entries are the columns of ends, shape (..., 4, n).
+
+    Left means the first-unit-cell weight exceeds EDGE_WEIGHT_MIN and
+    the weight on the last cell; Right is the mirror rule; anything else
+    is Bulk.
+    """
+    first, last = _end_weights(ends)
+    left = (first > EDGE_WEIGHT_MIN) & (first > last)
+    right = (last > EDGE_WEIGHT_MIN) & (last > first)
+    return LABEL_NAMES[left + 2 * right]
 
 
 def classify_localization(v: np.ndarray) -> str:
-    """Label a normalized eigenvector as Left, Right, or Bulk.
-
-    Left means the first-unit-cell weight exceeds 0.25 and the weight
-    on the last cell; Right is the mirror rule; anything else is Bulk.
-    """
+    """Label a normalized eigenvector as Left, Right, or Bulk (see _labels)."""
     v = np.asarray(v, dtype=float)
-    first, last = _cell_weights(v)
-    if first > EDGE_WEIGHT_MIN and first > last:
-        return "Left"
-    if last > EDGE_WEIGHT_MIN and last > first:
-        return "Right"
-    return "Bulk"
+    return str(_labels(v[END_ROWS, None])[0])
 
 
 def density_profile(v: np.ndarray) -> DensityProfile:
@@ -119,11 +127,24 @@ def _rotate_end_localized(v1: np.ndarray, v2: np.ndarray):
     m = vecs.T @ (d[:, None] * vecs)
     _, rot = np.linalg.eigh(m)
     out = vecs @ rot
-    w0 = _cell_weights(out[:, 0])
-    w1 = _cell_weights(out[:, 1])
-    if w0[0] - w0[1] >= w1[0] - w1[1]:
+    first, last = _end_weights(out[END_ROWS])
+    if first[0] - last[0] >= first[1] - last[1]:
         return out[:, 0], out[:, 1]
     return out[:, 1], out[:, 0]
+
+
+def _rotate_pairs(vals: np.ndarray, vecs: np.ndarray, window: float) -> None:
+    """Replace the vectors of mirror-mixed +/-E pairs inside the window
+    by their end-localized rotations, in place.
+
+    The i-th smallest eigenvalue with |E| < window pairs with the i-th
+    largest; for the chiral-symmetric chain these are the +/-E partners.
+    """
+    candidates = np.flatnonzero(np.abs(vals) < window)
+    k = candidates.size
+    for a in range(k // 2):
+        i, j = candidates[a], candidates[k - 1 - a]
+        vecs[:, i], vecs[:, j] = _rotate_end_localized(vecs[:, i], vecs[:, j])
 
 
 def diagonalize_chain(theta1: float, theta2: float, p: ModelParams):
@@ -133,41 +154,45 @@ def diagonalize_chain(theta1: float, theta2: float, p: ModelParams):
     vectors of mirror-mixed near-zero +/-E pairs are replaced by their
     end-localized rotations; eigenvalues are reported unrotated.
     """
-    h = open_chain_hamiltonian(theta1, theta2, p)
-    vals, vecs = eigh_tridiagonal(h)
-    vecs = vecs.copy()
-    n = vals.size
-    window = PAIR_WINDOW * p.J
-    candidates = [i for i in range(n) if abs(vals[i]) < window]
-    # Pair i-th smallest with i-th largest inside the window; for the
-    # chiral-symmetric chain these are the +/-E partners.
-    k = len(candidates)
-    for a in range(k // 2):
-        i, j = candidates[a], candidates[k - 1 - a]
-        if i == j:
-            continue
-        vl, vr = _rotate_end_localized(vecs[:, i], vecs[:, j])
-        vecs[:, i], vecs[:, j] = vl, vr
-    labels = tuple(classify_localization(vecs[:, i]) for i in range(n))
-    return vals, vecs, labels
+    vals, vecs = eigh_tridiagonal(open_chain_hamiltonian(theta1, theta2, p))
+    _rotate_pairs(vals, vecs, PAIR_WINDOW * p.J)
+    return vals, vecs, tuple(_labels(vecs[END_ROWS]).tolist())
 
 
-def edge_spectrum(
-    theta1_grid, theta2_grid, p: ModelParams
-) -> list[EdgeSpectrumPoint]:
+def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     """Open-chain spectrum with localization labels over a surface grid.
 
-    One EdgeSpectrumPoint per (theta1, theta2) pair, in grid order
-    (theta2 fastest).
+    Returns (energies, labels), both of shape (T1, T2, n): entry [i, j]
+    is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
+    theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
+    in C order.  The off-diagonal band is filled once per theta1 and the
+    diagonal once per theta2, and only the four END_ROWS of each
+    point's (pair-rotated) vectors are kept for the labels.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
-    out = []
-    for t1 in np.atleast_1d(theta1_grid):
-        for t2 in np.atleast_1d(theta2_grid):
-            vals, _, labels = diagonalize_chain(float(t1), float(t2), p)
-            out.append(EdgeSpectrumPoint(float(t1), float(t2), vals, labels))
-    return out
+    t1s, t2s = np.atleast_1d(theta1_grid), np.atleast_1d(theta2_grid)
+    n, window = p.sites, PAIR_WINDOW * p.J
+    offs = np.empty((t1s.size, n - 1))
+    for row, t1 in zip(offs, t1s):
+        row[0::2], row[1::2] = coupling_profile(float(t1), p)
+    diags = np.empty((t2s.size, n))
+    for row, t2 in zip(diags, t2s):
+        row[0::2], row[1::2] = onsite_profile(float(t2), p)
+    if not (np.isfinite(offs).all() and np.isfinite(diags).all()):
+        raise ValueError("non-finite entries in tridiagonal matrix")
+    energies = np.empty((t1s.size, t2s.size, n))
+    ends = np.empty((t1s.size, t2s.size, 4, n))
+    vecs = np.empty((t2s.size, n, n))  # one theta1 row of full vectors
+    for i, off in enumerate(offs):
+        for j, diag in enumerate(diags):
+            energies[i, j], vecs[j] = eigh_bands(diag, off)
+        # Only points with two or more near-zero states have a pair to rotate.
+        near = np.count_nonzero(np.abs(energies[i]) < window, axis=1)
+        for j in np.flatnonzero(near > 1):
+            _rotate_pairs(energies[i, j], vecs[j], window)
+        ends[i] = vecs[:, END_ROWS]
+    return energies, _labels(ends)
 
 
 def _qualifies(theta1: float, theta2: float, ztol: float, p: ModelParams) -> bool:

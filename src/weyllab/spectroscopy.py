@@ -175,17 +175,24 @@ def transient_oracle(
     if t_end == 0:
         return a
 
-    def f(y):
-        return -1j * (m @ y + drive)
-
     nsteps = int(np.ceil(t_end / dt))
     h = t_end / nsteps
+
+    def rk4_step(y, g):
+        """One RK4 step of dy/dt = -i (m y + g) from y."""
+        k1 = -1j * (m @ y + g)
+        k2 = -1j * (m @ (y + 0.5 * h * k1) + g)
+        k3 = -1j * (m @ (y + 0.5 * h * k2) + g)
+        k4 = -1j * (m @ (y + h * k3) + g)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    # The equation is linear and autonomous, so every step is the same
+    # affine map a <- P a + c, P = I + hA + ... + (hA)^4/24: P is the
+    # undriven step of each unit vector, c the driven step from a = 0.
+    step = rk4_step(np.eye(p.sites, dtype=complex), 0.0)
+    offset = rk4_step(np.zeros(p.sites, dtype=complex), drive)
     for _ in range(nsteps):
-        k1 = f(a)
-        k2 = f(a + 0.5 * h * k1)
-        k3 = f(a + 0.5 * h * k2)
-        k4 = f(a + h * k3)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a = step @ a + offset
     return a
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyllab import openchain, spectroscopy
+from weyllab import cli, numerics, openchain, spectroscopy
 from weyllab.cli import main
 from weyllab.config import DEFAULTS, ConfigError, load_config
 from weyllab.model import ModelParams, SyntheticMomentum, bulk_bands
@@ -314,6 +314,98 @@ def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
     assert main([*args, "--set", "reflection.window=0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+
+
+def test_eigensolver_failure_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    def not_converged(d, e):
+        return d.copy(), np.eye(d.size), 1
+
+    monkeypatch.setattr(numerics, "dstev", not_converged)
+    args = ["edge-spectrum", "--out", str(tmp_path), "--set", "edge_spectrum.grid=3"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The per-cell CSV writer write_csv must match byte for byte."""
+
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(x)
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(x) for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e16, 0.1
+]
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.sampled_from(_SPECIAL_FLOATS).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.text(alphabet="abcLeftRightBulk-._ 0123456789e", max_size=6),
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.tuples(
+            st.lists(
+                st.sampled_from([float, str, None]), min_size=width, max_size=width
+            ),
+            st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=12),
+        )
+    ),
+    st.integers(1, 4),
+)
+@settings(max_examples=150)
+def test_write_csv_matches_per_cell_writer(columns, block_rows):
+    # Some columns hold one type throughout (float, str), the others mix
+    # every kind of cell; blocks of 1-4 rows put block edges everywhere.
+    kinds, rows = columns
+    rows = [
+        tuple(
+            (float(np.float64(x)) if isinstance(x, (float, np.floating)) else 0.5)
+            if kind is float
+            else (str(x) if kind is str else x)
+            for kind, x in zip(kinds, row)
+        )
+        for row in rows
+    ]
+    header = [f"c{k}" for k in range(len(kinds))]
+    with tempfile.TemporaryDirectory() as d:
+        out = cli._OutputSet(Path(d))
+        saved = cli.CSV_BLOCK_ROWS
+        cli.CSV_BLOCK_ROWS = block_rows
+        try:
+            path = out.write_csv("t.csv", header, iter(rows))
+        finally:
+            cli.CSV_BLOCK_ROWS = saved
+        assert path.read_bytes() == _reference_csv(header, rows)
+        assert out.paths == [path]
+
+
+def test_write_csv_numpy_columns(tmp_path):
+    # Array columns as the commands pass them: NumPy scalars throughout.
+    a = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 1e22])
+    rows = list(
+        zip(a, a.astype(np.float32), np.arange(a.size), a.tolist(), map(str, a))
+    )
+    path = cli._OutputSet(tmp_path).write_csv("t.csv", list("abcde"), rows)
+    assert path.read_bytes() == _reference_csv(list("abcde"), rows)
+    assert cli._OutputSet(tmp_path).write_csv("e.csv", ["x"], []).read_bytes() == b"x\n"
+    with pytest.raises(ValueError):
+        cli._OutputSet(tmp_path).write_csv("r.csv", ["x", "y"], [(1, 2), (3,)])
+    assert not (tmp_path / "r.csv").exists()
 
 
 def _floats(lo, hi):

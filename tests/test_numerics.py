@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from weyllab import numerics
 from weyllab.numerics import (
     EIG_TOL,
     SOLVE_TOL,
+    EigenNonConvergenceError,
     SingularMatrixError,
     TridiagonalSym,
     UndersampledLoopError,
@@ -65,6 +69,32 @@ class TestEighTridiagonal:
     def test_rejects_inconsistent_lengths(self):
         with pytest.raises(ValueError):
             TridiagonalSym([0.0, 0.0], [1.0, 2.0])
+
+    @given(
+        st.integers(2, 48).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)),
+                hnp.arrays(float, n - 1, elements=st.floats(-1e3, 1e3)),
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_bitwise_equal_to_scipy_stev(self, bands):
+        d, e = bands
+        vals, vecs = eigh_tridiagonal(TridiagonalSym(d, e))
+        ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stev")
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+    @pytest.mark.parametrize("info", [1, -2])
+    def test_lapack_failure_raises(self, monkeypatch, info):
+        def failing(d, e):
+            return d.copy(), np.eye(d.size), info
+
+        monkeypatch.setattr(numerics, "dstev", failing)
+        error = EigenNonConvergenceError if info > 0 else ValueError
+        with pytest.raises(error):
+            eigh_tridiagonal(TridiagonalSym([0.0, 0.0], [1.0]))
 
 
 def random_symmetric(rng, shape):

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from weyllab.model import ModelParams
 from weyllab.openchain import (
+    EDGE_WEIGHT_MIN,
     ArcInterval,
+    _end_weights,
     arc_interval_oracle,
     classify_localization,
     density_profile,
@@ -48,6 +50,30 @@ class TestClassifyLocalization:
         v = np.zeros(8)
         v[0] = v[-1] = 1 / np.sqrt(2)
         assert classify_localization(v) == "Bulk"
+
+    def test_weights_match_scalar_squares(self, rng):
+        # About one square in a thousand rounds differently under an
+        # exact multiply than under the scalar v ** 2.
+        ends = rng.normal(size=(4, 5000))
+        first, last = _end_weights(ends)
+        for k, v in enumerate(ends.T):
+            assert first[k] == v[0] ** 2 + v[1] ** 2
+            assert last[k] == v[2] ** 2 + v[3] ** 2
+
+    def test_mirror_tie_follows_scalar_rule(self):
+        # At theta2 = -pi/2 the first- and last-cell weights of some states
+        # agree to the last bit, so their labels depend on how the squares
+        # round; they must be those of the scalar v ** 2 rule.
+        def scalar_label(v):
+            first, last = v[0] ** 2 + v[1] ** 2, v[-2] ** 2 + v[-1] ** 2
+            if first > EDGE_WEIGHT_MIN and first > last:
+                return "Left"
+            if last > EDGE_WEIGHT_MIN and last > first:
+                return "Right"
+            return "Bulk"
+
+        _, vecs, labels = diagonalize_chain(-2.553637113442417, -np.pi / 2, chain(6))
+        assert labels == tuple(scalar_label(v) for v in vecs.T)
 
 
 class TestDensityProfile:
@@ -105,14 +131,44 @@ class TestEdgeSpectrum:
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_grid_ordering(self):
-        pts = edge_spectrum([0.0, 0.3], [0.1, 0.2], chain(8))
-        assert [(q.theta1, q.theta2) for q in pts] == [
-            (0.0, 0.1),
-            (0.0, 0.2),
-            (0.3, 0.1),
-            (0.3, 0.2),
-        ]
-        assert all(q.eigenvalues.size == 8 for q in pts)
+        energies, labels = edge_spectrum([0.0, 0.3], [0.1, 0.2], chain(8))
+        assert energies.shape == labels.shape == (2, 2, 8)
+        # C order runs theta2 fastest: flat point k is the k-th pair below.
+        points = [(0.0, 0.1), (0.0, 0.2), (0.3, 0.1), (0.3, 0.2)]
+        for got, (theta1, theta2) in zip(energies.reshape(-1, 8), points):
+            want = diagonalize_chain(theta1, theta2, chain(8))[0]
+            assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.integers(2, 12),
+        st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=4),
+        st.lists(
+            st.one_of(
+                st.sampled_from([np.pi / 2, -np.pi / 2]), st.floats(-np.pi, np.pi)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_sheet_equals_per_point_chain(self, cells, theta1s, theta2s):
+        # Includes the mirror-symmetric rows theta2 = +/-pi/2, where the
+        # +/-E pairs are rotated and end-cell weights tie to the last bit.
+        p = chain(2 * cells)
+        energies, labels = edge_spectrum(theta1s, theta2s, p)
+        for i, theta1 in enumerate(theta1s):
+            for j, theta2 in enumerate(theta2s):
+                vals, _, want = diagonalize_chain(theta1, theta2, p)
+                assert energies[i, j].tobytes() == vals.tobytes()
+                assert tuple(labels[i, j]) == want
+
+    def test_sheet_on_the_cli_grid(self):
+        grid = np.linspace(-np.pi, np.pi, 21)
+        energies, labels = edge_spectrum(grid, grid, chain(10))
+        for i, j in np.ndindex(grid.size, grid.size):
+            vals, _, want = diagonalize_chain(float(grid[i]), float(grid[j]), chain(10))
+            assert energies[i, j].tobytes() == vals.tobytes()
+            assert tuple(labels[i, j]) == want
 
     def test_needs_two_cells(self):
         with pytest.raises(ValueError):

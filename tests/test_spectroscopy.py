@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from weyllab.model import ModelParams, weyl_points
+from weyllab.model import ModelParams, open_chain_hamiltonian, weyl_points
 from weyllab.numerics import SingularMatrixError, UndersampledLoopError
 from weyllab.openchain import EDGE_WEIGHT_MIN, ZTOL_DEFAULT
 from weyllab.spectroscopy import (
@@ -105,6 +105,36 @@ class TestTransientOracle:
         p = chain(4)
         with pytest.raises(ValueError):
             transient_oracle(0.0, 0.0, left_drive(p), p, t_end=1.0, dt=0.5)
+
+    @pytest.mark.parametrize(
+        "sites,kappa,t_end", [(4, 0.1, 30.0), (12, 0.7, 8.0), (6, 0.0, 12.0)]
+    )
+    def test_affine_step_matches_stage_loop(self, rng, sites, kappa, t_end):
+        # Reference: the four RK4 stages evaluated afresh at every step.
+        # The same map, rounded differently: allow 8 eps of |a| per step.
+        p = chain(sites, kappa=kappa)
+        drive = left_drive(p)
+        a0 = rng.normal(size=p.sites) + 1j * rng.normal(size=p.sites)
+        got = transient_oracle(0.3, 0.8, drive, p, t_end=t_end, a0=a0)
+        m = open_chain_hamiltonian(0.3, 0.8, p).to_dense() + (
+            p.Delta0 - 0.5j * p.kappa
+        ) * np.eye(p.sites)
+        dt_max = 0.05 / max(abs(p.Delta0) + 4.0 * p.J + p.Je, p.kappa)
+        nsteps = int(np.ceil(t_end / dt_max))
+        h = t_end / nsteps
+
+        def f(y):
+            return -1j * (m @ y + drive)
+
+        a = a0.copy()
+        for _ in range(nsteps):
+            k1 = f(a)
+            k2 = f(a + 0.5 * h * k1)
+            k3 = f(a + 0.5 * h * k2)
+            k4 = f(a + h * k3)
+            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        eps = np.finfo(float).eps
+        assert np.abs(got - a).max() <= 8 * nsteps * eps * np.abs(a).max()
 
 
 class TestReflection:
