@@ -5,8 +5,8 @@ machine-readable CSV/JSON, plus a run manifest recording the command,
 the effective configuration, and content digests of every output.
 No plotting: the files are plot-ready arrays.
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure,
-4 oracle-inconsistency in arc detection.
+Exit codes: 0 success, 2 usage/config error or out of memory,
+3 numerical failure, 4 oracle-inconsistency in arc detection.
 """
 
 from __future__ import annotations
@@ -69,10 +69,13 @@ class _OutputSet:
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.paths: list[Path] = []
-        outdir.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, name: str) -> Path:
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        return self.outdir / name
 
     def write_text(self, name: str, text: str) -> Path:
-        path = self.outdir / name
+        path = self._path(name)
         path.write_text(text)
         self.paths.append(path)
         return path
@@ -84,7 +87,7 @@ class _OutputSet:
         CSV_BLOCK_ROWS at a time, one column of a block at once, each
         cell as _fmt formats it.
         """
-        path = self.outdir / name
+        path = self._path(name)
         rows = iter(rows)
         try:
             with path.open("w") as f:
@@ -118,7 +121,7 @@ class _OutputSet:
             "artifact_version": __version__,
             "outputs": outputs,
         }
-        path = self.outdir / f"{command}_manifest.json"
+        path = self._path(f"{command}_manifest.json")
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -320,8 +323,6 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     ws = weyl_points(p)
     idx = cfg["winding.weyl"]
-    if not 1 <= idx <= 4:
-        raise ConfigError("winding.weyl must be 1..4")
     w = ws[idx - 1]
     theta_r = cfg["winding.theta_r"]
     samples = cfg["winding.samples"]
@@ -446,6 +447,9 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](cfg, out)
     except (ConfigError, ValueError) as exc:
         print(f"weyllab: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"weyllab: usage error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NUMERIC_ERRORS as exc:
         print(f"weyllab: numerical failure: {exc}", file=sys.stderr)

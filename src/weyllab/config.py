@@ -1,11 +1,14 @@
 """Flat key-value run configuration.
 
-Defaults are embedded here; a config file (KEY=VALUE lines, '#'
-comments) overrides them and repeatable --set KEY=VALUE flags override
-the file (later occurrences win).  Values are coerced to the type of
-the default for the same key.  Angles are plain radians; energies are
-in units of the hopping J; `sites` counts resonators (the chain has
-two per unit cell, so it must be even).
+KEYS has one row per key: its default, the parser of its text value and,
+where it has one, the rule the value must meet.  A config file
+(KEY=VALUE lines, '#' comments) overrides the defaults and repeatable
+--set KEY=VALUE flags override the file (later occurrences win); both go
+through one KEY=VALUE parser, which applies the key's rule.  The rules
+are only those no library call applies: every other bad value is
+rejected, before anything is written, by the call that uses it.  Angles
+are plain radians; energies are in units of the hopping J; `sites`
+counts resonators (the chain has two per unit cell, so it must be even).
 """
 
 from __future__ import annotations
@@ -13,140 +16,108 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-__all__ = ["ConfigError", "DEFAULTS", "load_config", "format_config"]
+__all__ = ["ConfigError", "KEYS", "DEFAULTS", "load_config", "format_config"]
 
 
 class ConfigError(Exception):
     """Malformed configuration input."""
 
 
-DEFAULTS = {
+def _sizes(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
+
+
+# Rules: (predicate on the parsed value, what it asks for).
+FINITE = (math.isfinite, "finite")
+EVEN = (lambda n: n % 2 == 0, "even")
+GRID = (lambda n: n >= 1, "at least 1")
+SIZES = (lambda v: v and all(n % 2 == 0 for n in v), "a non-empty list of even sizes")
+NODE = (lambda n: 1 <= n <= 4, "a node index 1..4")
+
+KEYS = {
     # model knobs
-    "j": 1.0,
-    "je": 1.0,
-    "kappa": 0.1,
-    "delta0": -0.1,
-    "sites": 4,
+    "j": (1.0, float, FINITE),
+    "je": (1.0, float, FINITE),
+    "kappa": (0.1, float, FINITE),
+    "delta0": (-0.1, float, FINITE),
+    "sites": (4, int, EVEN),
     # bulk band sheet
-    "bulk_bands.kx": math.pi / 2,
-    "bulk_bands.grid": 101,
+    "bulk_bands.kx": (math.pi / 2, float, FINITE),
+    "bulk_bands.grid": (101, int, GRID),
     # monopole charges
-    "chern.radius": 0.2,
-    "chern.mesh": 24,
-    "chern.theta_r": 0.25 * math.pi,
-    "chern.torus_grid": 40,
+    "chern.radius": (0.2, float, FINITE),
+    "chern.mesh": (24, int, None),
+    "chern.theta_r": (0.25 * math.pi, float, FINITE),
+    "chern.torus_grid": (40, int, None),
     # curvature field map
-    "berry_field.grid": 41,
-    "berry_field.step": 1e-3,
-    "berry_field.exclude": 0.15,
+    "berry_field.grid": (41, int, GRID),
+    "berry_field.step": (1e-3, float, FINITE),
+    "berry_field.exclude": (0.15, float, FINITE),
     # open-chain surface spectrum
-    "edge_spectrum.sites": 20,
-    "edge_spectrum.grid": 41,
-    "edge_spectrum.densities": 0,
+    "edge_spectrum.sites": (20, int, EVEN),
+    "edge_spectrum.grid": (41, int, GRID),
+    "edge_spectrum.densities": (0, int, None),
     # single-point densities
-    "density.theta1": 0.0,
-    "density.theta2": math.pi / 2,
+    "density.theta1": (0.0, float, FINITE),
+    "density.theta2": (math.pi / 2, float, FINITE),
     # reflection trace
-    "reflection.theta1": 0.0,
-    "reflection.theta2": math.pi / 2,
-    "reflection.window": 1.0,
-    "reflection.step": 0.01,
+    "reflection.theta1": (0.0, float, FINITE),
+    "reflection.theta2": (math.pi / 2, float, FINITE),
+    "reflection.window": (1.0, float, FINITE),
+    "reflection.step": (0.01, float, FINITE),
     # winding readout
-    "winding.weyl": 1,
-    "winding.theta_r": 0.25 * math.pi,
-    "winding.samples": 128,
+    "winding.weyl": (1, int, NODE),
+    "winding.theta_r": (0.25 * math.pi, float, FINITE),
+    "winding.samples": (128, int, None),
     # arc detection
-    "fermi_arc.window": 1.0,
-    "fermi_arc.span": 0.5,
-    "fermi_arc.grid_step": 0.01,
+    "fermi_arc.window": (1.0, float, FINITE),
+    "fermi_arc.span": (0.5, float, FINITE),
+    "fermi_arc.grid_step": (0.01, float, FINITE),
     # size sweep
-    "table1.sizes": [4, 6, 8, 12, 20, 36],
+    "table1.sizes": ([4, 6, 8, 12, 20, 36], _sizes, SIZES),
 }
 
+DEFAULTS = {key: default for key, (default, _, _) in KEYS.items()}
 
-def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
+
+def _pair(item: str, where: str) -> tuple[str, object]:
+    """Parse one KEY=VALUE pair and apply its key's rule; `where` starts
+    every error message."""
+    key, eq, raw = (tok.strip() for tok in item.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: expected KEY=VALUE, got {item!r}")
+    if key not in KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    _, parse, rule = KEYS[key]
     try:
-        if isinstance(default, list):
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return raw
-
-
-def _parse_file(path: Path) -> dict:
-    out = {}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE")
-        key, raw = (tok.strip() for tok in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
-    return out
+        value = parse(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: bad value for {key}: {raw!r}") from None
+    if rule and not rule[0](value):
+        raise ConfigError(f"{where}: {key} must be {rule[1]}, got {raw!r}")
+    return key, value
 
 
 def load_config(config_path=None, sets=()) -> dict:
     """Effective configuration: defaults, then file, then --set pairs."""
     cfg = dict(DEFAULTS)
     if config_path is not None:
-        cfg.update(_parse_file(Path(config_path)))
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = (tok.strip() for tok in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown key {key!r}")
-        cfg[key] = _coerce(key, raw)
-    _validate(cfg)
+        path = Path(config_path)
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if line := line.split("#", 1)[0].strip():
+                key, value = _pair(line, f"{path}:{lineno}")
+                cfg[key] = value
+    cfg.update(_pair(item, "--set") for item in sets)
     return cfg
 
 
-def _validate(cfg: dict):
-    for key, value in cfg.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    if cfg["j"] <= 0:
-        raise ConfigError("j must be positive")
-    if cfg["je"] < 0 or cfg["kappa"] < 0:
-        raise ConfigError("je and kappa must be nonnegative")
-    for key, least in (("sites", 2), ("edge_spectrum.sites", 4)):
-        s = cfg[key]
-        if s < least or s % 2:
-            raise ConfigError(f"{key} must be an even integer >= {least}, got {s}")
-    for s in cfg["table1.sizes"]:
-        if s < 2 or s % 2:
-            raise ConfigError(f"table1.sizes entries must be even and >= 2, got {s}")
-    if not cfg["table1.sizes"]:
-        raise ConfigError("table1.sizes must not be empty")
-    for key in ("bulk_bands.grid", "edge_spectrum.grid", "berry_field.grid"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    for key in ("fermi_arc.grid_step", "reflection.step"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
-    for key in ("reflection.window", "fermi_arc.span"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be nonnegative")
-
-
 def format_config(cfg: dict) -> str:
-    lines = []
-    for key in sorted(cfg):
-        v = cfg[key]
-        if isinstance(v, list):
-            lines.append(f"{key}={','.join(str(x) for x in v)}")
-        else:
-            lines.append(f"{key}={v!r}" if isinstance(v, float) else f"{key}={v}")
-    return "\n".join(lines) + "\n"
+    """One KEY=VALUE line per key, sorted, in the form load_config reads."""
+    return "".join(
+        f"{key}={','.join(map(str, v)) if isinstance(v, list) else repr(v)}\n"
+        for key, v in sorted(cfg.items())
+    )

@@ -223,10 +223,13 @@ def symmetric_grid(half_width: float, step: float) -> np.ndarray:
     """Grid k * step for |k| <= round(half_width / step).
 
     Raises ValueError, before allocating anything, for a non-positive
-    step or a grid of more than MAX_GRID_POINTS points.
+    step, a negative or non-finite half_width, or a grid of more than
+    MAX_GRID_POINTS points.
     """
     if not step > 0:
         raise ValueError("grid step must be positive")
+    if not 0 <= half_width < math.inf:
+        raise ValueError(f"grid half-width must be finite and >= 0, got {half_width}")
     half = half_width / step  # inf for a denormal step
     if not half <= (MAX_GRID_POINTS - 1) / 2:
         raise ValueError(

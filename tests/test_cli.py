@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from weyllab import cli, numerics, openchain, spectroscopy
 from weyllab.cli import main
-from weyllab.config import DEFAULTS, ConfigError, load_config
+from weyllab.config import DEFAULTS, KEYS, ConfigError, format_config, load_config
 from weyllab.model import ModelParams, SyntheticMomentum, bulk_bands
 
 
@@ -44,6 +45,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(f)
 
+    def test_unreadable_file_is_named(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_bytes(b"kappa=0.2\n\xff\n")
+        for path in (f, tmp_path, tmp_path / "missing.cfg"):
+            with pytest.raises(ConfigError, match=re.escape(f"config file {path}:")):
+                load_config(path)
+
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             load_config(None, ["sites=batman"])
@@ -56,13 +64,32 @@ class TestConfig:
         cfg = load_config(None, ["table1.sizes=4,12"])
         assert cfg["table1.sizes"] == [4, 12]
 
+    def test_format_reads_back(self, tmp_path):
+        # show-config's output is a config file giving the same values.
+        f = tmp_path / "run.cfg"
+        cfg = load_config(None, ["kappa=1", "sites=12", "table1.sizes=4,6"])
+        f.write_text(format_config(cfg))
+        assert load_config(f) == cfg
+
+    def test_rules_hold_in_file_and_set(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("kappa=0.2\n\nsites=5  # odd\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: sites must be even"):
+            load_config(f)
+        for bad in ("winding.weyl=0", "winding.weyl=5", "table1.sizes=", "je=inf"):
+            with pytest.raises(ConfigError, match="must be"):
+                load_config(None, [bad])
+
 
 class TestCommands:
-    def test_show_config(self, capsys):
+    def test_show_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("WEYLLAB_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
         assert main(["show-config"]) == 0
         out = capsys.readouterr().out
         assert "kappa=0.1" in out
         assert "table1.sizes=4,6,8,12,20,36" in out
+        assert not list(tmp_path.iterdir())  # no output directory
 
     def test_bulk_bands_gap_structure(self, tmp_path):
         out = tmp_path / "run"
@@ -280,6 +307,7 @@ class TestManifestAndDeterminism:
 
 MISUSES = [
     ("winding", ["winding.samples=10"]),
+    ("winding", ["winding.weyl=5"]),
     ("winding", ["kappa=0"]),
     ("chern", ["chern.mesh=4"]),
     ("winding", ["delta0=nan"]),
@@ -299,12 +327,13 @@ MISUSES = [
     "command,sets", MISUSES, ids=[f"{c}:{','.join(s)}" for c, s in MISUSES]
 )
 def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
-    args = [command, "--out", str(tmp_path)]
+    args = [command, "--out", str(tmp_path / "run")]
     for item in sets:
         args += ["--set", item]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("weyllab: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
@@ -325,6 +354,32 @@ def test_eigensolver_failure_is_numeric_failure(tmp_path, capsys, monkeypatch):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+
+
+def _no_memory(*args):
+    raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+
+@pytest.mark.parametrize("command", ["density", "edge-spectrum"])
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # density fails before it writes; edge-spectrum fails in its second
+    # CSV block, after the first was written to the file.
+    if command == "density":
+        monkeypatch.setattr(numerics, "dstev", _no_memory)
+    else:
+        fmt, columns = cli._fmt_column, iter(range(5))  # one block of five
+
+        def fmt_one_block(col):
+            return fmt(col) if next(columns, None) is not None else _no_memory()
+
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)
+        monkeypatch.setattr(cli, "_fmt_column", fmt_one_block)
+    out = tmp_path / "run"
+    args = [command, "--out", str(out), "--set", "edge_spectrum.grid=3"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: usage error: out of memory") and err.count("\n") == 1
+    assert not out.exists() or not list(out.iterdir())
 
 
 def _reference_csv(header, rows) -> bytes:
@@ -408,55 +463,53 @@ def test_write_csv_numpy_columns(tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
-def _floats(lo, hi):
-    special = st.sampled_from([0.0, -1.0, math.nan, math.inf])
-    return st.one_of(st.floats(lo, hi), special).map(repr)
-
-
-def _ints(lo, hi):
-    return st.integers(lo, hi).map(str)
-
-
-# Cheap commands only, and sizes, grids and sample counts from small
-# ranges, so that no draw allocates large arrays.  The reflection sweep
-# solves 2 * window / step + 1 systems, at most MAX_GRID_POINTS, so
-# steps down to the smallest denormal are drawn too.
-OVERRIDES = {
-    "j": _floats(-0.5, 3.0),
-    "je": _floats(-0.5, 2.0),
-    "kappa": _floats(-0.1, 1.0),
-    "delta0": _floats(-3.0, 3.0),
-    "sites": _ints(-2, 12),
-    "density.theta1": _floats(-7.0, 7.0),
-    "density.theta2": _floats(-7.0, 7.0),
-    "reflection.theta1": _floats(-7.0, 7.0),
-    "reflection.theta2": _floats(-7.0, 7.0),
-    "reflection.window": _floats(-1.0, 2.0),
-    "reflection.step": st.one_of(
-        st.floats(0.0, 0.1, exclude_min=True).map(repr),
-        st.sampled_from(["5e-324", "0", "-0.01", "nan"]),
-    ),
-    "winding.weyl": _ints(-1, 6),
-    "winding.theta_r": _floats(-0.5, 2.0),
-    "winding.samples": _ints(0, 300),
+# Every run starts from small sizes and grids, and each key's draws stay
+# within a few times its starting value (of either sign for floats, from
+# -2 up for ints) or are special values, so that no draw allocates much.
+SMALL = {
+    "bulk_bands.grid": 5,
+    "berry_field.grid": 5,
+    "edge_spectrum.sites": 4,
+    "edge_spectrum.grid": 3,
+    "winding.samples": 64,
+    "fermi_arc.grid_step": 0.1,
+    "table1.sizes": [4],
 }
+SMALL_ARGS = [a for line in format_config(SMALL).splitlines() for a in ("--set", line)]
+
+
+def _draws(start):
+    """Text values for a key that starts at `start`."""
+    if isinstance(start, list):
+        return st.lists(st.integers(-2, 12), max_size=3).map(
+            lambda sizes: ",".join(map(str, sizes))
+        )
+    if isinstance(start, int):
+        return st.integers(-2, 2 * start + 4).map(str)
+    scale = abs(start) or 1.0
+    near = st.floats(scale / 4, 4 * scale)
+    special = st.sampled_from([0.0, 5e-324, math.nan, math.inf, -math.inf])
+    return st.one_of(near, near.map(lambda x: -x), special).map(repr)
+
+
 SETS = st.lists(
     st.one_of(
-        [st.tuples(st.just(k), v) for k, v in OVERRIDES.items()]
-        + [st.tuples(st.sampled_from(sorted(OVERRIDES)), st.just("junk"))]
+        [st.tuples(st.just(k), _draws({**DEFAULTS, **SMALL}[k])) for k in KEYS]
+        + [st.tuples(st.sampled_from(sorted(KEYS)), st.just("junk"))]
     ),
     max_size=4,
 )
 
 
-@given(st.sampled_from(["weyl-points", "density", "reflection", "winding"]), SETS)
+@given(st.sampled_from(sorted(cli.COMMANDS)), SETS)
 @settings(max_examples=400)
 def test_random_overrides_keep_exit_contract(command, sets):
-    args = [command]
+    args = [command, *SMALL_ARGS]
     for key, value in sets:
         args += ["--set", f"{key}={value}"]
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
         code = main([*args, "--out", out])
     assert code in (0, 2, 3, 4)
     if code:

@@ -19,6 +19,7 @@ from weyllab.spectroscopy import (
     reflection,
     reflection_spectrum,
     steady_state,
+    symmetric_grid,
     transient_oracle,
     winding_measurement,
 )
@@ -234,6 +235,17 @@ class TestReflectionSpectrum:
     def test_trace_validation(self):
         with pytest.raises(ValueError):
             ReflectionTrace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("half_width", [-1.0, -5e-324, -np.inf, np.inf, np.nan])
+    def test_grid_rejects_bad_half_width(self, half_width):
+        with pytest.raises(ValueError, match="half-width"):
+            symmetric_grid(half_width, 0.1)
+        with pytest.raises(ValueError, match="half-width"):
+            detuning_grid(half_width, 0.01, chain(4))
+
+    def test_grid_of_zero_half_width(self):
+        assert symmetric_grid(0.0, 0.1).tolist() == [0.0]
+        assert symmetric_grid(0.04, 0.1).tolist() == [0.0]
 
 
 class TestWindingMeasurement:
