@@ -51,6 +51,7 @@ from .spectroscopy import (
     left_drive,
     reflection,
     reflection_spectrum,
+    reflections,
     steady_state,
     transient_oracle,
     winding_measurement,

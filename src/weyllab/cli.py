@@ -39,6 +39,7 @@ from .spectroscopy import (
     detuning_grid,
     loop_reflection,
     reflection_spectrum,
+    reflections,
     symmetric_grid,
 )
 from .topology import (
@@ -321,12 +322,10 @@ def cmd_reflection(cfg, out: _OutputSet) -> int:
 
 def cmd_winding(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
-    ws = weyl_points(p)
     idx = cfg["winding.weyl"]
-    w = ws[idx - 1]
     theta_r = cfg["winding.theta_r"]
     samples = cfg["winding.samples"]
-    trace = loop_reflection(w, theta_r, samples, p)
+    trace = loop_reflection(weyl_points(p)[idx - 1], theta_r, samples, p)
     r = trace.r_values
     phases = np.angle(r)
     rows = zip(trace.parameter_samples, phases, r.real, r.imag)
@@ -362,11 +361,8 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     if not det.empty:
         edge = det.theta1c_plus
         probe = [0.0, 0.5 * edge, -0.5 * edge, edge + 0.1 * math.pi, -edge - 0.1 * math.pi]
-    rows = []
-    for t1 in probe:
-        trace = reflection_spectrum(float(t1), math.pi / 2, dgrid, p)
-        for d, rr in zip(trace.parameter_samples, trace.magnitudes_squared()):
-            rows.append((t1, d, rr))
+    spectra = np.abs(reflections(probe, math.pi / 2, dgrid, p)) ** 2
+    rows = ((t1, d, rr) for t1, row in zip(probe, spectra) for d, rr in zip(dgrid, row))
     out.write_csv("fermi_arc_spectra.csv", ["theta1", "delta0", "R"], rows)
     out.write_json(
         "fermi_arc.json",
@@ -416,29 +412,23 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="weyllab",
         description="Synthetic-dimension Weyl lattice simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cp = sub.add_parser(name, help=f"run the {name} computation")
-        cp.add_argument("--config", metavar="PATH", help="key=value config file")
-        cp.add_argument(
-            "--set",
-            metavar="KEY=VALUE",
-            action="append",
-            default=[],
-            dest="sets",
-            help="override one config key (repeatable, later wins)",
-        )
-        cp.add_argument("--out", metavar="DIR", help="output directory")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS, help="the computation to run")
+    parser.add_argument("--config", metavar="PATH", help="key=value config file")
+    parser.add_argument(
+        "--set",
+        metavar="KEY=VALUE",
+        action="append",
+        default=[],
+        dest="sets",
+        help="override one config key (repeatable, later wins)",
+    )
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.sets)
         out = _OutputSet(

@@ -36,6 +36,7 @@ __all__ = [
     "bulk_bands",
     "weyl_points",
     "linearize",
+    "chain_bands",
     "open_chain_hamiltonian",
 ]
 
@@ -256,23 +257,27 @@ def linearize(w: SyntheticMomentum, p: ModelParams) -> WeylPoint:
     return WeylPoint(w, v, chirality)
 
 
+def chain_bands(theta1s, theta2s, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Open-chain bands (diags, offs): a diagonal row per theta2 and an
+    off-diagonal row per theta1, each from the scalar profile functions.
+
+    Site order a1, b1, a2, b2, ...; the diagonal alternates
+    (+Je cos theta2, -Je cos theta2) and the off-diagonal (J1, J2, J1,
+    ...) starts with the intra-cell J1.  Delta0 is left to consumers.
+    """
+    diags = np.empty((np.size(theta2s), p.sites))
+    for row, t2 in zip(diags, np.ravel(theta2s)):
+        row[0::2], row[1::2] = onsite_profile(float(t2), p)
+    offs = np.empty((np.size(theta1s), p.sites - 1))
+    for row, t1 in zip(offs, np.ravel(theta1s)):
+        row[0::2], row[1::2] = coupling_profile(float(t1), p)
+    return diags, offs
+
+
 def open_chain_hamiltonian(
     theta1: float, theta2: float, p: ModelParams
 ) -> TridiagonalSym:
-    """Open-boundary chain Hamiltonian at (theta1, theta2), without Delta0.
-
-    Site order a1, b1, a2, b2, ...; the diagonal alternates
-    (+Je cos theta2, -Je cos theta2) and the off-diagonal alternates
-    (J1, J2, J1, ...) starting with the intra-cell J1.  The drive
-    detuning Delta0 is a uniform shift applied by consumers.
-    """
-    n = p.sites
-    j1, j2 = coupling_profile(theta1, p)
-    sa, sb = onsite_profile(theta2, p)
-    diag = np.empty(n)
-    diag[0::2] = sa
-    diag[1::2] = sb
-    off = np.empty(n - 1)
-    off[0::2] = j1
-    off[1::2] = j2
-    return TridiagonalSym(diag, off)
+    """Open-boundary chain Hamiltonian at (theta1, theta2), without
+    Delta0: the one-point chain_bands."""
+    diags, offs = chain_bands(theta1, theta2, p)
+    return TridiagonalSym(diags[0], offs[0])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, coupling_profile, onsite_profile, open_chain_hamiltonian
+from .model import ModelParams, chain_bands, open_chain_hamiltonian
 from .numerics import eigh_bands, eigh_tridiagonal
 
 __all__ = [
@@ -165,25 +165,19 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     Returns (energies, labels), both of shape (T1, T2, n): entry [i, j]
     is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
     theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
-    in C order.  The off-diagonal band is filled once per theta1 and the
-    diagonal once per theta2, and only the four END_ROWS of each
+    in C order.  chain_bands fills the off-diagonal band once per theta1
+    and the diagonal once per theta2, and only the four END_ROWS of each
     point's (pair-rotated) vectors are kept for the labels.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
-    t1s, t2s = np.atleast_1d(theta1_grid), np.atleast_1d(theta2_grid)
     n, window = p.sites, PAIR_WINDOW * p.J
-    offs = np.empty((t1s.size, n - 1))
-    for row, t1 in zip(offs, t1s):
-        row[0::2], row[1::2] = coupling_profile(float(t1), p)
-    diags = np.empty((t2s.size, n))
-    for row, t2 in zip(diags, t2s):
-        row[0::2], row[1::2] = onsite_profile(float(t2), p)
+    diags, offs = chain_bands(theta1_grid, theta2_grid, p)
     if not (np.isfinite(offs).all() and np.isfinite(diags).all()):
         raise ValueError("non-finite entries in tridiagonal matrix")
-    energies = np.empty((t1s.size, t2s.size, n))
-    ends = np.empty((t1s.size, t2s.size, 4, n))
-    vecs = np.empty((t2s.size, n, n))  # one theta1 row of full vectors
+    energies = np.empty((len(offs), len(diags), n))
+    ends = np.empty((len(offs), len(diags), 4, n))
+    vecs = np.empty((len(diags), n, n))  # one theta1 row of full vectors
     for i, off in enumerate(offs):
         for j, diag in enumerate(diags):
             energies[i, j], vecs[j] = eigh_bands(diag, off)
@@ -195,22 +189,20 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     return energies, _labels(ends)
 
 
-def _qualifies(theta1: float, theta2: float, ztol: float, p: ModelParams) -> bool:
-    vals, _, labels = diagonalize_chain(theta1, theta2, p)
-    near = np.abs(vals) < ztol
-    return any(near[i] and labels[i] in ("Left", "Right") for i in range(vals.size))
-
-
 def arc_membership(
     theta2: float, theta1_grid, ztol: float, p: ModelParams
 ) -> np.ndarray:
     """Per-grid-point arc membership from direct diagonalization.
 
-    True where some eigenvalue has |E| < ztol * J and its
-    (rotation-stabilized) eigenvector is labeled Left or Right.
+    True where some state of the edge_spectrum sheet at (theta1, theta2)
+    has |E| < ztol * J and is labeled Left or Right.  A single-cell chain
+    has no distinct end cells, so no point of it is a member.
     """
     grid = np.asarray(theta1_grid, dtype=float)
-    return np.array([_qualifies(float(t), theta2, ztol * p.J, p) for t in grid])
+    if p.N < 2:
+        return np.zeros(grid.shape, dtype=bool)
+    energies, labels = edge_spectrum(grid, [theta2], p)
+    return ((np.abs(energies) < ztol * p.J) & (labels != "Bulk")).any(axis=-1)[:, 0]
 
 
 def max_symmetric_interval(theta1_grid, ok) -> ArcInterval:

@@ -8,7 +8,9 @@ the zero-energy-arc endpoint extraction from those spectra.
 All response quantities derive from the linear steady state
 a = -(Delta0 + T - i kappa/2)^{-1} Omega, so they are independent of
 the drive amplitude; the left-port reflection is
-r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.
+r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel,
+reflections, solves it for a stack of chains in bounded blocks; a
+point, a spectrum, a winding loop and an arc scan are one call each.
 
 Arc detection solves each theta1 point only on the fit window
 |Delta0| <= FIT_WINDOW J and fits all traces at once: the resonance-pair
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, WeylPoint, open_chain_hamiltonian
+from .model import ModelParams, WeylPoint, chain_bands, open_chain_hamiltonian
 from .numerics import solve_shifted, unwrap_winding
 from .openchain import (
     ZTOL_DEFAULT,
@@ -42,6 +44,7 @@ __all__ = [
     "left_drive",
     "steady_state",
     "transient_oracle",
+    "reflections",
     "reflection",
     "reflection_spectrum",
     "symmetric_grid",
@@ -51,6 +54,9 @@ __all__ = [
     "detect_arc_endpoint",
 ]
 
+# Most matrix entries that one block of a reflections stack solves at
+# once (2 MB of complex systems); it bounds the kernel's memory.
+BLOCK_ENTRIES = 2**17
 # Drive-detuning scan step for arc detection, in units of J.
 DELTA0_STEP = 0.01
 # Most points of a symmetric detuning or theta1 grid.
@@ -196,27 +202,46 @@ def transient_oracle(
     return a
 
 
-def reflection(theta1: float, theta2: float, p: ModelParams) -> complex:
-    """Left-port reflection r_L = 1 + i kappa [(Delta0+T-i kappa/2)^{-1}]_11.
+def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
+    """r_L of a stack of chains over a detuning grid, shape (chains, detunings).
 
-    The one-point reflection_spectrum at p.Delta0, so it is manifestly
-    drive-amplitude independent.  Singular solves (kappa = 0 exactly on
-    resonance) propagate as SingularMatrixError.
+    Chain k is the open chain at (theta1s[k], theta2s[k]), the angle
+    arrays broadcast, and each detuning replaces p.Delta0.  solve_shifted
+    solves the dense chains in blocks of at most BLOCK_ENTRIES matrix
+    entries (one system at least); a singular system anywhere, such as
+    kappa = 0 exactly on resonance, raises SingularMatrixError.
     """
-    return complex(reflection_spectrum(theta1, theta2, [p.Delta0], p).r_values[0])
+    t1s, t2s = np.broadcast_arrays(np.ravel(theta1s), np.ravel(theta2s))
+    z = np.asarray(delta0_grid, dtype=float) - 0.5j * p.kappa
+    diags, offs = chain_bands(t1s, t2s, p)
+    n, i = p.sites, np.arange(p.sites)
+    systems = max(1, BLOCK_ENTRIES // (n * n))
+    chains = max(1, systems // max(1, z.size))
+    r = np.empty((t1s.size, z.size), dtype=complex)
+    for k in range(0, t1s.size, chains):
+        block = slice(k, k + chains)
+        t = np.zeros((len(diags[block]), n, n))
+        t[:, i, i] = diags[block]
+        t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = offs[block]
+        t += 0.0  # -0.0 entries become 0.0, as in TridiagonalSym.to_dense
+        for j in range(0, z.size, systems):
+            g11 = solve_shifted(t[:, None], z[j : j + systems], left_drive(p))[..., 0]
+            r[block, j : j + systems] = 1.0 + 1j * p.kappa * g11
+    return r
+
+
+def reflection(theta1: float, theta2: float, p: ModelParams) -> complex:
+    """Left-port reflection at p.Delta0: the one-point reflections, so it
+    is manifestly drive-amplitude independent."""
+    return complex(reflections(theta1, theta2, [p.Delta0], p)[0, 0])
 
 
 def reflection_spectrum(
     theta1: float, theta2: float, delta0_grid, p: ModelParams
 ) -> ReflectionTrace:
-    """r_L over a drive-detuning grid, from one stacked shifted solve.
-
-    Each grid value replaces p.Delta0; consumers form R = |r|^2.
-    """
+    """r_L over the sorted drive-detuning grid: the one-chain reflections."""
     grid = np.sort(np.asarray(delta0_grid, dtype=float))
-    t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
-    g11 = solve_shifted(t, grid - 0.5j * p.kappa, left_drive(p))[:, 0]
-    return ReflectionTrace(grid, 1.0 + 1j * p.kappa * g11)
+    return ReflectionTrace(grid, reflections(theta1, theta2, grid, p)[0])
 
 
 def symmetric_grid(half_width: float, step: float) -> np.ndarray:
@@ -267,15 +292,10 @@ def loop_reflection(
     if not (0.0 < theta_r < np.pi / 2):
         raise ValueError("theta_r must lie in (0, pi/2)")
     theta = offset + 2.0 * np.pi * np.arange(samples) / samples
-    r = [
-        reflection(
-            w.location.theta1 + theta_r * math.cos(th),
-            w.location.theta2 + theta_r * math.sin(th),
-            p,
-        )
-        for th in theta
-    ]
-    return ReflectionTrace(theta, r)
+    # Scalar cos and sin, which the loop points have always used.
+    theta1s = w.location.theta1 + theta_r * np.array([math.cos(th) for th in theta])
+    theta2s = w.location.theta2 + theta_r * np.array([math.sin(th) for th in theta])
+    return ReflectionTrace(theta, reflections(theta1s, theta2s, [p.Delta0], p)[:, 0])
 
 
 def winding_measurement(
@@ -403,9 +423,7 @@ def detect_arc_endpoint(
     # A single-cell chain has no distinct end cells, so nothing can be
     # edge-localized; the port-weight proxy only makes sense for N >= 2.
     if p.N >= 2 and grid.size:
-        r = np.array(
-            [reflection_spectrum(float(t1), theta2, dfit, p).r_values for t1 in grid]
-        )
+        r = reflections(grid, theta2, dfit, p)
         e_hat, weight = _fit_zero_pairs(dfit, (r - 1.0) / (1j * p.kappa), p)
         inside = (e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN)
 
@@ -413,29 +431,18 @@ def detect_arc_endpoint(
     oracle_ok = arc_membership(theta2, grid, ZTOL_DEFAULT, p)
     oracle = max_symmetric_interval(grid, oracle_ok)
 
-    mism = np.nonzero(inside != oracle_ok)[0]
+    mism = grid[inside != oracle_ok]
     step = np.min(np.diff(grid)) if grid.size > 1 else 1.0
-    bounds = [
-        abs(iv.theta1c_plus)
-        for iv in (measured, oracle)
-        if not iv.empty and np.isfinite(iv.theta1c_plus)
-    ]
-    flagged = False
-    per_side = {-1: 0, 1: 0}
-    for i in mism:
-        t = grid[i]
-        near_boundary = any(abs(abs(t) - b) <= 1.5 * step for b in bounds)
-        if not near_boundary:
-            flagged = True
-        side = 1 if t >= 0 else -1
-        per_side[side] += 1
-    if per_side[-1] > 1 or per_side[1] > 1:
-        flagged = True
+    # Flagged unless each mismatch is within 1.5 steps of an endpoint (an
+    # empty interval's NaN one is near nothing), at most one per side of 0.
+    bounds = [abs(measured.theta1c_plus), abs(oracle.theta1c_plus)]
+    near = (np.abs(np.abs(mism)[:, None] - bounds) <= 1.5 * step).any(axis=1)
+    flagged = not near.all() or max(np.sum(mism >= 0), np.sum(mism < 0)) > 1
     return ArcDetection(
         measured.theta1c_minus,
         measured.theta1c_plus,
         measured.empty,
-        flagged,
+        bool(flagged),
         oracle,
-        int(mism.size),
+        mism.size,
     )

@@ -14,6 +14,7 @@ velocity matrix.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,10 @@ def berry_curvature_numeric(
     corners[2, i] += step
     corners[2, j] += step
     corners[3, j] += step
+    # A step lost against k, or whose square underflows, spans no area.
+    q = (k.kx, k.theta1, k.theta2)
+    if q[i] + step == q[i] or q[j] + step == q[j] or step**2 < sys.float_info.min:
+        raise ValueError(f"plaquette step {step!r} vanishes in floating point at {k}")
     psi, gap = _ground_states(
         *bloch_vectors(corners[:, 0], corners[:, 1], corners[:, 2], p),
         gauge_rng=gauge_rng,

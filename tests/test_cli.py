@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 from weyllab import cli, numerics, openchain, spectroscopy
 from weyllab.cli import main
 from weyllab.config import DEFAULTS, KEYS, ConfigError, format_config, load_config
-from weyllab.model import ModelParams, SyntheticMomentum, bulk_bands
+from weyllab.model import (
+    ModelParams,
+    SyntheticMomentum,
+    bulk_bands,
+    open_chain_hamiltonian,
+    weyl_points,
+)
 
 
 def read_csv(path):
@@ -320,6 +326,8 @@ MISUSES = [
     ("reflection", ["reflection.step=5e-324"]),
     ("reflection", ["reflection.step=1e-9"]),
     ("fermi-arc", ["fermi_arc.grid_step=1e-12"]),
+    ("berry-field", ["berry_field.step=1e-170"]),
+    ("berry-field", ["berry_field.step=1e-160"]),
 ]
 
 
@@ -545,14 +553,33 @@ def _counting(monkeypatch, module, name):
 
 class TestSinglePass:
     def test_winding_reflects_once_per_sample(self, tmp_path, monkeypatch):
-        calls = _counting(monkeypatch, spectroscopy, "reflection")
+        # The systems handed to the resolvent are the loop's chains at
+        # Delta0, each sample exactly once, in loop order.
+        calls = _counting(monkeypatch, spectroscopy, "solve_shifted")
         assert main(
             ["winding", "--out", str(tmp_path), "--set", "winding.samples=96"]
         ) == 0
-        assert len(calls) == 96
+        p = ModelParams()
+        n, eye = p.sites, np.eye(p.sites)
+        systems = np.concatenate(
+            [(t + np.asarray(z)[..., None, None] * eye).reshape(-1, n, n)
+             for t, z, _ in calls]
+        )
+        w = weyl_points(p)[DEFAULTS["winding.weyl"] - 1]
+        theta_r = DEFAULTS["winding.theta_r"]
+        expected = [
+            open_chain_hamiltonian(
+                w.location.theta1 + theta_r * math.cos(th),
+                w.location.theta2 + theta_r * math.sin(th),
+                p,
+            ).to_dense()
+            + (p.Delta0 - 0.5j * p.kappa) * eye
+            for th in 2.0 * np.pi * np.arange(96) / 96
+        ]
+        assert np.array_equal(systems, expected)
 
     def test_table1_diagonalizes_once_per_point(self, tmp_path, monkeypatch):
-        calls = _counting(monkeypatch, openchain, "diagonalize_chain")
+        calls = _counting(monkeypatch, openchain, "eigh_bands")
         args = ["--set", "table1.sizes=4,6", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["table1", "--out", str(tmp_path), *args]) == 0
         points = 21  # theta1 in [-pi/2, pi/2] at step pi/20
@@ -561,7 +588,7 @@ class TestSinglePass:
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
         # The spectra span the detector's detuning grid; the detector
         # solves only its fit window, |Delta0| <= FIT_WINDOW J, of it.
-        calls = _counting(monkeypatch, spectroscopy, "reflection_spectrum")
+        calls = _counting(monkeypatch, spectroscopy, "reflections")
         args = ["--set", "j=2", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["fermi-arc", "--out", str(tmp_path), *args]) == 0
         p = ModelParams(J=2.0)
@@ -574,6 +601,7 @@ class TestSinglePass:
         assert written[-1] == pytest.approx(2.0)
         fit = window[np.abs(window) <= spectroscopy.FIT_WINDOW * p.J]
         assert fit.size == 25
+        assert len(calls) == 1  # the detector's; cli calls its own import
         assert np.array_equal(calls[0][2], fit)
 
     @pytest.mark.parametrize("kx", [math.pi / 2, 0.7, 2.9, -1.3])

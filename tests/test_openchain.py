@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,51 @@ class TestArcIntervalOracle:
             arc_interval_oracle(np.pi / 2, ARC_GRID, ztol=0.0, p=chain(4))
         with pytest.raises(ValueError):
             arc_interval_oracle(np.pi / 2, ARC_GRID)
+
+
+def _ssh_edge_energy(v: float, w: float, cells: int) -> float:
+    """Closed-form edge-pair energy of an SSH chain of `cells` cells with
+    intra-cell hopping v and inter-cell hopping w, for cells w > (cells
+    + 1) v (Asboth, Oroszlany and Palyi, Lect. Notes Phys. 919, ch. 1).
+
+    The open-chain condition v sin((N+1)k) + w sin(Nk) = 0 at
+    k = pi + iq reads v sinh((N+1)q) = w sinh(Nq); its root q > 0 is
+    bracketed by (0, ln(w/v) + 2] and found by bisection.
+    """
+    n = cells
+
+    def f(q):
+        return v * math.sinh((n + 1) * q) - w * math.sinh(n * q)
+
+    lo, hi = 0.0, math.log(w / v) + 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    q = 0.5 * (lo + hi)
+    decay = math.exp(-(n + 1) * q) * math.sinh(q) / math.sinh((n + 1) * q)
+    return math.sqrt(w * decay * (w * math.exp(q) - v))
+
+
+class TestSSHClosedForm:
+    @pytest.mark.parametrize("cells", range(2, 21))
+    def test_edge_pair_energy(self, cells):
+        # At theta2 = pi/2 the on-site terms vanish (to cos(pi/2) ~ 6e-17)
+        # and the chain is an SSH chain with v = J(1 - cos theta1) and
+        # w = J(1 + cos theta1).  Where the edge pair exists, it is the
+        # sheet's smallest |E|.
+        p = ModelParams(N=cells, J=1.0)
+        energies, _ = edge_spectrum(ARC_GRID, [np.pi / 2], p)
+        smallest = np.abs(energies[:, 0]).min(axis=-1)
+        checked = 0
+        for theta1, got in zip(ARC_GRID, smallest):
+            v, w = p.J * (1 - math.cos(theta1)), p.J * (1 + math.cos(theta1))
+            if not cells * w > (cells + 1) * v or v == 0:
+                continue
+            expect = _ssh_edge_energy(v, w, cells)
+            if expect >= 1e-10 * p.J:
+                assert got == pytest.approx(expect, rel=1e-4)
+                checked += 1
+        assert checked >= 10
 
 
 class TestMaxSymmetricInterval:

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from weyllab.model import ModelParams, open_chain_hamiltonian, weyl_points
-from weyllab.numerics import SingularMatrixError, UndersampledLoopError
+from weyllab import spectroscopy
+from weyllab.numerics import SingularMatrixError, UndersampledLoopError, solve_shifted
 from weyllab.openchain import EDGE_WEIGHT_MIN, ZTOL_DEFAULT
 from weyllab.spectroscopy import (
     DELTA0_STEP,
@@ -18,6 +21,7 @@ from weyllab.spectroscopy import (
     left_drive,
     reflection,
     reflection_spectrum,
+    reflections,
     steady_state,
     symmetric_grid,
     transient_oracle,
@@ -175,6 +179,72 @@ class TestReflection:
             ss = steady_state(0.5, 1.2, left_drive(p, omega), p)
             r_from_drive = 1.0 - 1j * p.kappa * ss.amplitudes[0] / omega
             assert r_from_drive == pytest.approx(r, abs=1e-12)
+
+
+def _dense_chain(theta1, theta2, p):
+    """The chain matrix written out from the hopping and on-site rules,
+    without the model's band builder."""
+    h = np.zeros((p.sites, p.sites))
+    for s in range(p.sites):
+        h[s, s] = (-1) ** s * p.Je * np.cos(theta2)
+        if s + 1 < p.sites:
+            h[s, s + 1] = h[s + 1, s] = p.J * (1 - (-1) ** s * np.cos(theta1))
+    return h
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2]), st.floats(-np.pi, np.pi)
+)
+
+
+class TestReflections:
+    @given(
+        cells=st.integers(1, 20),
+        angles=st.lists(st.tuples(_ANGLES, _ANGLES), min_size=1, max_size=9),
+        detunings=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+        je=st.sampled_from([0.0, 0.4, 1.0]),
+        kappa=st.floats(0.05, 1.0),
+        budget=st.sampled_from([1, 3000, spectroscopy.BLOCK_ENTRIES]),
+    )
+    @settings(max_examples=60)
+    def test_stack_equals_per_chain_solves(
+        self, cells, angles, detunings, je, kappa, budget
+    ):
+        # Budgets of one system and of a few chains split the stack over
+        # chains and over detunings.
+        p = ModelParams(N=cells, Je=je, kappa=kappa)
+        t1s, t2s = np.array(angles).T
+        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", budget):
+            r = reflections(t1s, t2s, detunings, p)
+        assert r.shape == (len(angles), len(detunings))
+        z = np.array(detunings) - 0.5j * kappa
+        for row, t1, t2 in zip(r, t1s, t2s):
+            t = open_chain_hamiltonian(t1, t2, p).to_dense()
+            g11 = solve_shifted(t, z, left_drive(p))[:, 0]
+            assert np.array_equal(row, 1.0 + 1j * kappa * g11)
+            assert np.abs(row).max() <= 1.0 + 1e-12  # the port is passive
+            dense = _dense_chain(t1, t2, p) + z[:, None, None] * np.eye(p.sites)
+            g = np.linalg.solve(dense, np.eye(p.sites)[0])[:, 0]
+            assert np.abs(row - (1.0 + 1j * kappa * g)).max() <= 1e-12
+
+    def test_angles_broadcast(self):
+        p = chain(6)
+        grid = np.linspace(-1.0, 1.0, 5)
+        r = reflections(grid, 0.7, [-0.1, 0.2], p)
+        assert np.array_equal(r, reflections(grid, np.full(5, 0.7), [-0.1, 0.2], p))
+        trace = reflection_spectrum(grid[3], 0.7, [-0.1, 0.2], p)
+        assert np.array_equal(r[3], trace.r_values)
+
+    @pytest.mark.parametrize("budget", [1, spectroscopy.BLOCK_ENTRIES])
+    def test_one_singular_chain_fails_the_stack(self, budget):
+        # Undamped at zero detuning, the theta1 = 0 chain at theta2 = pi/2
+        # has a decoupled end site at zero energy; the gapped theta2 = 0
+        # chains do not.
+        p = chain(8, kappa=0.0)
+        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", budget):
+            assert np.isfinite(reflections([0.3, 0.5], [0.0, 0.0], [0.0], p)).all()
+            with pytest.raises(SingularMatrixError):
+                reflections([0.3, 0.0, 0.5], [0.0, np.pi / 2, 0.0], [0.0], p)
 
 
 class TestReflectionSpectrum:

@@ -89,6 +89,17 @@ class TestPlaquetteCurvature:
             -berry_curvature_numeric(k, (1, 0), 1e-3, p)
         )
 
+    @pytest.mark.parametrize(
+        "theta,step",
+        [(0.3, 1e-160), (0.3, 1e-170), (0.3, 5e-324), (0.0, 1e-170), (0.0, 5e-324)],
+    )
+    def test_vanishing_step_rejected(self, params, theta, step):
+        # At theta = 0.3 the step is lost against the angle; at theta = 0
+        # it is not, but its square underflows.
+        k = SyntheticMomentum(0.7, theta, theta)
+        with pytest.raises(ValueError, match="vanishes in floating point"):
+            berry_curvature_numeric(k, (1, 2), step, params)
+
     def test_degeneracy_rejected(self, params):
         node = weyl_points(params)[0]
         with pytest.raises(DegenerateGroundStateError):
