@@ -64,6 +64,7 @@ from .topology import (
     berry_curvature_weyl,
     chern_mapped_torus,
     chern_sphere,
+    monopole_sum,
 )
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from .config import ConfigError, load_config, format_config
 from .model import (
     DegenerateModelError,
     ModelParams,
-    SyntheticMomentum,
     bulk_band_sheet,
+    reduce_angle,
     weyl_points,
 )
 from .numerics import NumericsError, unwrap_winding
@@ -46,9 +46,9 @@ from .topology import (
     DegenerateGroundStateError,
     NonConvergedChernError,
     berry_curvature_numeric,
-    berry_curvature_weyl,
     chern_mapped_torus,
     chern_sphere,
+    monopole_sum,
 )
 
 EXIT_OK = 0
@@ -222,30 +222,13 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
     sphere_charges = [chern_sphere(w, cfg["chern.radius"], cfg["chern.mesh"], p).value
                       for w in ws]
     grid = _angle_grid(cfg["berry_field.grid"])
-    kx = math.pi / 2
-    step = cfg["berry_field.step"]
-    exclude = cfg["berry_field.exclude"]
-    rows = []
-    for t1 in grid:
-        for t2 in grid:
-            k = SyntheticMomentum(kx, t1, t2)
-            offsets = []
-            for w in ws:
-                d = k.as_array() - w.location.as_array()
-                offsets.append((d + math.pi) % (2.0 * math.pi) - math.pi)
-            dmin = min(float(np.linalg.norm(d)) for d in offsets)
-            if dmin < 1e-9:
-                # on a node: the field is singular there
-                analytic = np.full(3, math.nan)
-            else:
-                analytic = np.zeros(3)
-                for d, c in zip(offsets, sphere_charges):
-                    analytic += berry_curvature_weyl(d, c)
-            if dmin > exclude:
-                numeric = berry_curvature_numeric(k, (1, 2), step, p)
-            else:
-                numeric = math.nan
-            rows.append((t1, t2, analytic[0], analytic[1], analytic[2], numeric))
+    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
+    q = np.stack([reduce_angle(a) for a in np.broadcast_arrays(math.pi / 2, t1, t2)], -1)
+    analytic, dmin = monopole_sum(q, ws, sphere_charges)
+    numeric = np.full(t1.shape, math.nan)
+    far = dmin > cfg["berry_field.exclude"]
+    numeric[far] = berry_curvature_numeric(q[far], (1, 2), cfg["berry_field.step"], p)
+    rows = zip(t1.ravel(), t2.ravel(), *analytic.reshape(-1, 3).T, numeric.ravel())
     out.write_csv(
         "berry_field.csv",
         ["theta1", "theta2", "F_kx", "F_theta1", "F_theta2", "F_kx_numeric"],
@@ -275,34 +258,38 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
         "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], rows
     )
     if cfg["edge_spectrum.densities"]:
-        dens_rows = []
-        for t1 in grid:
-            vals, vecs, labels = diagonalize_chain(float(t1), math.pi / 2, p)
-            for idx in range(vals.size):
-                if labels[idx] == "Bulk" or abs(vals[idx]) > 0.1 * p.J:
-                    continue
-                dens = density_profile(vecs[:, idx]).site_densities
-                for site, d in enumerate(dens, 1):
-                    dens_rows.append((t1, idx, vals[idx], labels[idx], site, d))
+        rows = (
+            (t1, *row)
+            for t1 in grid
+            for row in _density_rows(
+                diagonalize_chain(float(t1), math.pi / 2, p),
+                lambda energy, label: label != "Bulk" and abs(energy) <= 0.1 * p.J,
+            )
+        )
         out.write_csv(
             "edge_densities.csv",
             ["theta1", "index", "energy", "label", "site", "density"],
-            dens_rows,
+            rows,
         )
     return EXIT_OK
 
 
+def _density_rows(chain, keep=lambda energy, label: True):
+    """(index, energy, label, site, density) rows of each state of a
+    diagonalize_chain result whose energy and label `keep` accepts."""
+    vals, vecs, labels = chain
+    for idx in range(vals.size):
+        if keep(vals[idx], labels[idx]):
+            dens = density_profile(vecs[:, idx]).site_densities
+            for site, d in enumerate(dens, 1):
+                yield idx, vals[idx], labels[idx], site, d
+
+
 def cmd_density(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
-    vals, vecs, labels = diagonalize_chain(cfg["density.theta1"], cfg["density.theta2"], p)
-    rows = []
-    for idx in range(vals.size):
-        dens = density_profile(vecs[:, idx]).site_densities
-        for site, d in enumerate(dens, 1):
-            rows.append((idx, vals[idx], labels[idx], site, d))
-    out.write_csv(
-        "density.csv", ["index", "energy", "label", "site", "density"], rows
-    )
+    chain = diagonalize_chain(cfg["density.theta1"], cfg["density.theta2"], p)
+    header = ["index", "energy", "label", "site", "density"]
+    out.write_csv("density.csv", header, _density_rows(chain))
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ EVEN = (lambda n: n % 2 == 0, "even")
 GRID = (lambda n: n >= 1, "at least 1")
 SIZES = (lambda v: v and all(n % 2 == 0 for n in v), "a non-empty list of even sizes")
 NODE = (lambda n: 1 <= n <= 4, "a node index 1..4")
+SWITCH = (lambda n: n in (0, 1), "0 or 1")
 
 KEYS = {
     # model knobs
@@ -56,7 +57,7 @@ KEYS = {
     # open-chain surface spectrum
     "edge_spectrum.sites": (20, int, EVEN),
     "edge_spectrum.grid": (41, int, GRID),
-    "edge_spectrum.densities": (0, int, None),
+    "edge_spectrum.densities": (0, int, SWITCH),
     # single-point densities
     "density.theta1": (0.0, float, FINITE),
     "density.theta2": (math.pi / 2, float, FINITE),

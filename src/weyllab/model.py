@@ -27,6 +27,7 @@ __all__ = [
     "DVector",
     "WeylPoint",
     "DegenerateModelError",
+    "reduce_angle",
     "coupling_profile",
     "onsite_profile",
     "dispersive_map",
@@ -45,7 +46,7 @@ class DegenerateModelError(Exception):
     """Model parameters degenerate the band-touching structure."""
 
 
-def _reduce_angle(x):
+def reduce_angle(x):
     """Reduce an angle, or an array of angles, to (-pi, pi]."""
     return np.pi - np.fmod(np.pi - x, 2.0 * np.pi)
 
@@ -102,7 +103,7 @@ class SyntheticMomentum:
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, float(_reduce_angle(v)))
+            object.__setattr__(self, name, float(reduce_angle(v)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.kx, self.theta1, self.theta2])
@@ -201,7 +202,7 @@ def d_vector(k: SyntheticMomentum, p: ModelParams) -> DVector:
 def bulk_band_sheet(kx, theta1, theta2, p: ModelParams):
     """Bulk bands (E-, E+) = Delta0 -/+ |h| on broadcastable angle arrays,
     which are reduced to (-pi, pi] as SyntheticMomentum stores them."""
-    hx, hy, hz = bloch_vectors(*(_reduce_angle(a) for a in (kx, theta1, theta2)), p)
+    hx, hy, hz = bloch_vectors(*(reduce_angle(a) for a in (kx, theta1, theta2)), p)
     h = np.sqrt(hx**2 + hy**2 + hz**2)
     return p.Delta0 - h, p.Delta0 + h
 

@@ -4,7 +4,9 @@ Monopole charges are computed two independent ways: geometrically, as
 the degree of the unit-Bloch-vector map on a small sphere around a
 node, and via gauge-invariant link variables (plaquette products) on
 the mapped two-dimensional zone swept by a circle around the node's
-(theta1, theta2) projection.
+(theta1, theta2) projection.  The curvature field itself has two
+stacked kernels over points of shape (..., 3): the wrapped monopole sum
+and the plaquette value.
 
 Orientation convention, used consistently everywhere: spheres are
 outward-oriented, plaquette loops run counterclockwise in right-handed
@@ -27,6 +29,7 @@ __all__ = [
     "NonConvergedChernError",
     "DegenerateGroundStateError",
     "berry_curvature_weyl",
+    "monopole_sum",
     "berry_curvature_numeric",
     "chern_sphere",
     "chern_mapped_torus",
@@ -34,6 +37,8 @@ __all__ = [
 
 # Accept a raw surface integral as an integer only this close to one.
 ROUNDING_TOL = 0.05
+# A point this close to a node is on it.
+NODE_RADIUS = 1e-9
 
 
 class NonConvergedChernError(Exception):
@@ -52,25 +57,38 @@ class ChernResult:
 
 
 def berry_curvature_weyl(q, charge: int) -> np.ndarray:
-    """Analytic monopole field charge * q / (2 |q|^3) at offset q from a node."""
+    """Analytic monopole field charge * q / (2 |q|^3) at offsets q, shape
+    (..., 3), from a node; |q| as a matmul dot and |q|^3 as float_power
+    are bit for bit np.linalg.norm and ** of one offset."""
     if charge not in (-1, 1):
         raise ValueError("charge must be +1 or -1")
     q = np.asarray(q, dtype=float)
-    if q.shape != (3,):
-        raise ValueError("q must be a 3-vector")
-    r = np.linalg.norm(q)
-    if r == 0.0:
+    if q.shape[-1:] != (3,):
+        raise ValueError("q must be a stack of 3-vectors")
+    r = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    if np.any(r == 0.0):
         raise ZeroDivisionError("Berry curvature is singular at the monopole")
-    return charge * q / (2.0 * r**3)
+    return charge * q / (2.0 * np.float_power(r, 3))
+
+
+def monopole_sum(q, nodes: list[WeylPoint], charges) -> tuple[np.ndarray, np.ndarray]:
+    """Monopole fields of `nodes` summed at stacked points q, shape (..., 3),
+    with offsets wrapped to [-pi, pi), and each point's distance to the
+    nearest node.  The field is NaN within NODE_RADIUS of a node."""
+    q = np.asarray(q, dtype=float)
+    locs = np.array([w.location.as_array() for w in nodes])
+    off = (q[..., None, :] - locs + np.pi) % (2.0 * np.pi) - np.pi
+    dmin = np.sqrt(off[..., None, :] @ off[..., :, None])[..., 0, 0].min(axis=-1)
+    away = dmin >= NODE_RADIUS
+    field = np.full(q.shape, np.nan)
+    field[away] = sum(map(berry_curvature_weyl, np.moveaxis(off[away], -2, 0), charges))
+    return field, dmin
 
 
 def _ground_states(hx, hy, hz, gauge_rng=None):
-    """Lower-band spinors of h . sigma on a stacked grid, shape (..., 2).
-
-    An optional RNG multiplies each spinor by a random phase; all
-    downstream quantities are built from gauge-invariant products, so
-    this must (and does) leave results unchanged.
-    """
+    """Lower-band spinors of h . sigma on a stacked grid, shape (..., 2),
+    and the band splittings.  An optional RNG multiplies each spinor by a
+    random phase, which the gauge-invariant products built on them cancel."""
     shape = hx.shape
     mats = np.empty(shape + (2, 2), dtype=complex)
     mats[..., 0, 0] = hz
@@ -84,51 +102,42 @@ def _ground_states(hx, hy, hz, gauge_rng=None):
     return psi, vals[..., 1] - vals[..., 0]
 
 
-def berry_curvature_numeric(
-    k: SyntheticMomentum,
-    plane: tuple[int, int],
-    step: float,
-    p: ModelParams,
-    gauge_rng=None,
-) -> float:
-    """Lower-band Berry curvature component normal to `plane` at k.
+def berry_curvature_numeric(q, plane: tuple[int, int], step: float, p: ModelParams,
+                            gauge_rng=None):
+    """Lower-band Berry curvature component normal to `plane` at stacked
+    points q, shape (..., 3), or at one SyntheticMomentum.
 
-    Computed from the phase of the product of the four normalized
-    ground-state overlaps around a step x step plaquette spanned by the
-    two axes in `plane` (0 = kx, 1 = theta1, 2 = theta2), divided by
-    the plaquette area.  The returned component is the one completing
-    the right-handed axis triple.
+    The phase of the product of the four normalized ground-state
+    overlaps around a step x step plaquette spanned by the two axes in
+    `plane` (0 = kx, 1 = theta1, 2 = theta2), over the plaquette area;
+    the component is the one completing the right-handed axis triple.
+    Matmul overlaps, hypot moduli and a real-arithmetic loop product keep
+    each value bit for bit that of a scalar vdot/abs/complex loop.
     """
     i, j = plane
     if i == j or not {i, j} <= {0, 1, 2}:
         raise ValueError("plane must be a pair of distinct axes from {0, 1, 2}")
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
-    q0 = k.as_array()
-    corners = np.tile(q0, (4, 1))
-    corners[1, i] += step
-    corners[2, i] += step
-    corners[2, j] += step
-    corners[3, j] += step
-    # A step lost against k, or whose square underflows, spans no area.
-    q = (k.kx, k.theta1, k.theta2)
-    if q[i] + step == q[i] or q[j] + step == q[j] or step**2 < sys.float_info.min:
-        raise ValueError(f"plaquette step {step!r} vanishes in floating point at {k}")
-    psi, gap = _ground_states(
-        *bloch_vectors(corners[:, 0], corners[:, 1], corners[:, 2], p),
-        gauge_rng=gauge_rng,
-    )
-    if gap.min() < 1e-6:
-        raise DegenerateGroundStateError(
-            f"band splitting {gap.min():.2e} below 1e-6 near {k}"
-        )
-    prod = 1.0 + 0.0j
-    for a in range(4):
-        ov = np.vdot(psi[a], psi[(a + 1) % 4])
-        prod *= ov / abs(ov)
+    q = np.asarray(q.as_array() if isinstance(q, SyntheticMomentum) else q, float)
+    # A step whose square underflows, or lost against a point, spans no area.
+    if step**2 < sys.float_info.min or np.any(q[..., [i, j]] + step == q[..., [i, j]]):
+        raise ValueError(f"plaquette step {step!r} vanishes in floating point")
+    corners = np.repeat(q[..., None, :], 4, axis=-2)
+    corners[..., 1:3, i] += step
+    corners[..., 2:4, j] += step
+    psi, gap = _ground_states(*bloch_vectors(*np.moveaxis(corners, -1, 0), p),
+                              gauge_rng=gauge_rng)
+    if np.any(gap < 1e-6):
+        raise DegenerateGroundStateError(f"band splitting {gap.min():.2e} below 1e-6")
+    ov = (psi.conj()[..., None, :] @ np.roll(psi, -1, axis=-2)[..., :, None])[..., 0, 0]
+    u = ov / np.hypot(ov.real, ov.imag)
+    re, im = np.ones(q.shape[:-1]), np.zeros(q.shape[:-1])
+    for ur, ui in zip(np.moveaxis(u.real, -1, 0), np.moveaxis(u.imag, -1, 0)):
+        re, im = re * ur - im * ui, re * ui + im * ur
     # Sign fixed so that the flux of this field through an outward
     # sphere around a node is 2 pi times the node's degree (chern_sphere).
-    return -float(np.angle(prod)) / step**2
+    return -np.arctan2(im, re) / step**2
 
 
 def chern_sphere(

@@ -328,6 +328,9 @@ MISUSES = [
     ("fermi-arc", ["fermi_arc.grid_step=1e-12"]),
     ("berry-field", ["berry_field.step=1e-170"]),
     ("berry-field", ["berry_field.step=1e-160"]),
+    ("berry-field", ["berry_field.step=-1", "berry_field.exclude=100"]),
+    ("berry-field", ["berry_field.step=1e-170", "berry_field.exclude=100"]),
+    ("edge-spectrum", ["edge_spectrum.densities=7"]),
 ]
 
 

@@ -1,7 +1,14 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weyllab.model import ModelParams, SyntheticMomentum, weyl_points
+from weyllab.cli import main
+from weyllab.config import DEFAULTS
+from weyllab.model import ModelParams, SyntheticMomentum, bloch_vectors, weyl_points
 from weyllab.topology import (
     DegenerateGroundStateError,
     NonConvergedChernError,
@@ -9,6 +16,7 @@ from weyllab.topology import (
     berry_curvature_weyl,
     chern_mapped_torus,
     chern_sphere,
+    monopole_sum,
 )
 
 
@@ -128,6 +136,162 @@ class TestPlaquetteCurvature:
                 )
                 flux += comp @ n * r**2 * np.sin(t) * (np.pi / nth) * (2 * np.pi / nph)
         assert flux / (2 * np.pi) == pytest.approx(charge, rel=0.02)
+
+
+# The per-point scalar code the stacked kernels replaced, kept as the
+# bit-for-bit references of the field map.
+
+
+def reference_monopole(q, charge):
+    """One node's field at one offset, as np.linalg.norm and ** give it."""
+    r = np.linalg.norm(q)
+    return charge * q / (2.0 * r**3)
+
+
+def reference_plaquette(k, plane, step, p):
+    """One plaquette value from vdot overlaps, abs and a complex product."""
+    i, j = plane
+    corners = np.tile(k.as_array(), (4, 1))
+    corners[1, i] += step
+    corners[2, i] += step
+    corners[2, j] += step
+    corners[3, j] += step
+    hx, hy, hz = bloch_vectors(corners[:, 0], corners[:, 1], corners[:, 2], p)
+    mats = np.empty((4, 2, 2), dtype=complex)
+    mats[:, 0, 0] = hz
+    mats[:, 1, 1] = -hz
+    mats[:, 0, 1] = hx - 1j * hy
+    mats[:, 1, 0] = hx + 1j * hy
+    vals, vecs = np.linalg.eigh(mats)
+    if (vals[:, 1] - vals[:, 0]).min() < 1e-6:
+        raise DegenerateGroundStateError("reference plaquette on a node")
+    psi = vecs[:, :, 0]
+    prod = 1.0 + 0.0j
+    for a in range(4):
+        ov = np.vdot(psi[a], psi[(a + 1) % 4])
+        prod *= ov / abs(ov)
+    return -float(np.angle(prod)) / step**2
+
+
+def reference_berry_field(grid, step, exclude, p):
+    """berry_field.csv rows from the per-point loop over the grid."""
+    ws = weyl_points(p)
+    charges = [
+        chern_sphere(w, DEFAULTS["chern.radius"], DEFAULTS["chern.mesh"], p).value
+        for w in ws
+    ]
+    rows = []
+    for t1 in grid:
+        for t2 in grid:
+            k = SyntheticMomentum(math.pi / 2, t1, t2)
+            offsets = []
+            for w in ws:
+                d = k.as_array() - w.location.as_array()
+                offsets.append((d + math.pi) % (2.0 * math.pi) - math.pi)
+            dmin = min(float(np.linalg.norm(d)) for d in offsets)
+            if dmin < 1e-9:
+                analytic = np.full(3, math.nan)
+            else:
+                analytic = np.zeros(3)
+                for d, c in zip(offsets, charges):
+                    analytic += reference_monopole(d, c)
+            if dmin > exclude:
+                numeric = reference_plaquette(k, (1, 2), step, p)
+            else:
+                numeric = math.nan
+            rows.append((t1, t2, analytic[0], analytic[1], analytic[2], numeric))
+    return rows
+
+
+PLANES = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+
+
+def _random_points(rng, n, p, clearance=0.05):
+    """n random zone points at least `clearance` from every node."""
+    ks = [SyntheticMomentum(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(3 * n)]
+    q = np.array([k.as_array() for k in ks])
+    _, dmin = monopole_sum(q, weyl_points(p), [1, -1, 1, -1])
+    return q[dmin > clearance][:n]
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_plaquette_bits_match_scalar_loop(self, plane, rng):
+        for p, step in [(ModelParams(), 1e-3), (ModelParams(J=0.5, Je=2.0), 1e-2),
+                        (ModelParams(J=3.0, Je=0.3), 1e-4)]:
+            q = _random_points(rng, 300, p)
+            got = berry_curvature_numeric(q, plane, step, p)
+            want = [reference_plaquette(SyntheticMomentum(*x), plane, step, p)
+                    for x in q]
+            assert got.shape == (len(q),)
+            assert got.tobytes() == np.array(want).tobytes()
+            # Stacking is free: any leading shape, and the one-point form.
+            grid = berry_curvature_numeric(q[:294].reshape(7, 42, 3), plane, step, p)
+            assert grid.tobytes() == got[:294].tobytes()
+            one = berry_curvature_numeric(SyntheticMomentum(*q[0]), plane, step, p)
+            assert np.float64(one).tobytes() == got[:1].tobytes()
+
+    def test_stacked_gauge_invariance(self, params, rng):
+        q = _random_points(rng, 200, params)
+        for plane in PLANES:
+            ref = berry_curvature_numeric(q, plane, 1e-3, params)
+            got = berry_curvature_numeric(q, plane, 1e-3, params, gauge_rng=rng)
+            assert got == pytest.approx(ref, abs=1e-8)
+
+    def test_monopole_sum_bits_match_scalar_loop(self, params, rng):
+        nodes = weyl_points(params)
+        charges = [w.chirality for w in nodes]
+        locs = np.array([w.location.as_array() for w in nodes])
+        # Random points, the nodes themselves and their 2 pi images.
+        q = np.concatenate([rng.uniform(-4.0, 4.0, (2000, 3)), locs, locs - 2 * np.pi])
+        field, dmin = monopole_sum(q, nodes, charges)
+        for x, f, r in zip(q, field, dmin):
+            offsets = [(x - loc + np.pi) % (2 * np.pi) - np.pi for loc in locs]
+            assert r == min(float(np.linalg.norm(d)) for d in offsets)
+            if r < 1e-9:
+                assert np.isnan(f).all()
+                continue
+            want = np.zeros(3)
+            for d, c in zip(offsets, charges):
+                want += reference_monopole(d, c)
+            assert f.tobytes() == want.tobytes()
+
+    def test_step_checked_before_points(self, params):
+        # With no points at all, a bad step is still rejected.
+        empty = np.empty((0, 3))
+        assert berry_curvature_numeric(empty, (1, 2), 1e-3, params).shape == (0,)
+        with pytest.raises(ValueError, match="positive"):
+            berry_curvature_numeric(empty, (1, 2), -1.0, params)
+        with pytest.raises(ValueError, match="vanishes in floating point"):
+            berry_curvature_numeric(empty, (1, 2), 1e-170, params)
+
+
+@given(
+    st.integers(1, 21),
+    st.floats(1e-4, 1e-2),
+    st.floats(0.0, 0.6),
+    st.sampled_from([0.3, 1.0, 2.0]),
+    st.sampled_from([0.5, 1.0, 3.0]),
+)
+@settings(max_examples=30)
+def test_berry_field_csv_matches_per_point_loop(grid, step, exclude, je, j):
+    sets = {"berry_field.grid": grid, "berry_field.step": step,
+            "berry_field.exclude": exclude, "je": je, "j": j}
+    args = [a for key, v in sets.items() for a in ("--set", f"{key}={v!r}")]
+    p = ModelParams(J=j, Je=je, Delta0=DEFAULTS["delta0"], kappa=DEFAULTS["kappa"])
+    axis = np.linspace(-math.pi, math.pi, grid)
+    with tempfile.TemporaryDirectory() as d:
+        code = main(["berry-field", "--out", d, *args])
+        try:
+            rows = reference_berry_field(axis, step, exclude, p)
+        except DegenerateGroundStateError:
+            assert code == 3
+            return
+        assert code == 0
+        lines = (Path(d) / "berry_field.csv").read_text().splitlines()
+    assert lines[0] == "theta1,theta2,F_kx,F_theta1,F_theta2,F_kx_numeric"
+    want = [[repr(float(x)) for x in row] for row in rows]
+    assert [line.split(",") for line in lines[1:]] == want
 
 
 class TestChernSphere:
