@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -25,7 +24,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config, format_config
 from .model import (
-    DegenerateModelError,
     ModelParams,
     bulk_band_sheet,
     reduce_angle,
@@ -43,8 +41,6 @@ from .spectroscopy import (
     symmetric_grid,
 )
 from .topology import (
-    DegenerateGroundStateError,
-    NonConvergedChernError,
     berry_curvature_numeric,
     chern_mapped_torus,
     chern_sphere,
@@ -55,14 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INCONSISTENT = 4
-
-NUMERIC_ERRORS = (
-    NumericsError,
-    DegenerateModelError,
-    DegenerateGroundStateError,
-    NonConvergedChernError,
-)
-
 
 class _OutputSet:
     """Collects written files so the manifest can digest them."""
@@ -81,22 +69,25 @@ class _OutputSet:
         self.paths.append(path)
         return path
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
+    def write_csv(self, name: str, header: list[str], columns) -> Path:
         """Stream a header line and one line per row to the file.
 
-        Rows, each as wide as the header, are formatted and written
-        CSV_BLOCK_ROWS at a time, one column of a block at once, each
-        cell as _fmt formats it.
+        `columns` holds one equal-length 1-D array per header name.  Rows
+        are written CSV_BLOCK_ROWS at a time: a float64 cell as its
+        shortest round-trip repr, any other cell with str.
         """
+        columns = [np.asarray(col) for col in columns]
+        size = columns[0].size if columns else 0
+        if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
+            raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
+        fmts = [float.__repr__ if c.dtype == np.float64 else str for c in columns]
         path = self._path(name)
-        rows = iter(rows)
         try:
             with path.open("w") as f:
                 f.write(",".join(header) + "\n")
-                while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
-                    if set(map(len, block)) != {len(header)}:
-                        raise ValueError(f"{name}: every row needs {len(header)} cells")
-                    cols = [_fmt_column(col) for col in zip(*block)]
+                for start in range(0, size, CSV_BLOCK_ROWS):
+                    block = slice(start, start + CSV_BLOCK_ROWS)
+                    cols = [map(f, c[block].tolist()) for f, c in zip(fmts, columns)]
                     f.write("\n".join(map(",".join, zip(*cols))) + "\n")
         except BaseException:
             path.unlink(missing_ok=True)  # no partial file from a failed run
@@ -130,24 +121,6 @@ class _OutputSet:
 CSV_BLOCK_ROWS = 4096
 
 
-def _fmt(x) -> str:
-    """One CSV cell: repr of the Python float for any float, else str."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _fmt_column(col: tuple):
-    """_fmt over one column of a block, without a call per cell where
-    every cell is a str or every cell is a Python or NumPy float64."""
-    types = set(map(type, col))
-    if types == {str}:
-        return col
-    if all(issubclass(t, float) for t in types):
-        return map(float.__repr__, col)
-    return map(_fmt, col)
-
-
 def _params(cfg: dict, sites: int | None = None) -> ModelParams:
     n_sites = cfg["sites"] if sites is None else sites
     return ModelParams(
@@ -167,8 +140,10 @@ def cmd_bulk_bands(cfg, out: _OutputSet) -> int:
     grid = _angle_grid(cfg["bulk_bands.grid"])
     t1, t2 = np.meshgrid(grid, grid, indexing="ij")
     em, ep = bulk_band_sheet(cfg["bulk_bands.kx"], t1, t2, _params(cfg))
-    rows = zip(t1.ravel(), t2.ravel(), em.ravel(), ep.ravel())
-    out.write_csv("bulk_bands.csv", ["theta1", "theta2", "E_minus", "E_plus"], rows)
+    out.write_csv(
+        "bulk_bands.csv", ["theta1", "theta2", "E_minus", "E_plus"],
+        [t1.ravel(), t2.ravel(), em.ravel(), ep.ravel()],
+    )
     return EXIT_OK
 
 
@@ -228,11 +203,10 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
     numeric = np.full(t1.shape, math.nan)
     far = dmin > cfg["berry_field.exclude"]
     numeric[far] = berry_curvature_numeric(q[far], (1, 2), cfg["berry_field.step"], p)
-    rows = zip(t1.ravel(), t2.ravel(), *analytic.reshape(-1, 3).T, numeric.ravel())
     out.write_csv(
         "berry_field.csv",
         ["theta1", "theta2", "F_kx", "F_theta1", "F_theta2", "F_kx_numeric"],
-        rows,
+        [t1.ravel(), t2.ravel(), *analytic.reshape(-1, 3).T, numeric.ravel()],
     )
     return EXIT_OK
 
@@ -243,53 +217,56 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     energies, labels = edge_spectrum(grid, grid, p)
     # Rows run theta1, then theta2, then the index fastest.  Each repeats
     # two grid values and an index, so those are formatted once.
-    angles = [_fmt(t) for t in grid]
-    indices = [str(idx) for idx in range(p.sites)]
-    chain = itertools.chain.from_iterable
-    repeat = itertools.repeat
-    rows = zip(
-        chain(repeat(t1, grid.size * p.sites) for t1 in angles),
-        chain(repeat(t2, p.sites) for _ in angles for t2 in angles),
-        chain(repeat(indices, grid.size**2)),
-        energies.ravel().tolist(),
-        labels.ravel().tolist(),
-    )
+    angles = np.array([repr(t) for t in grid.tolist()], dtype=object)
+    indices = np.array([str(k) for k in range(p.sites)], dtype=object)
+    n = grid.size
+    columns = [
+        np.repeat(angles, n * p.sites),
+        np.tile(np.repeat(angles, p.sites), n),
+        np.tile(indices, n * n),
+        energies.ravel(),
+        labels.ravel(),
+    ]
     out.write_csv(
-        "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], rows
+        "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], columns
     )
     if cfg["edge_spectrum.densities"]:
-        rows = (
-            (t1, *row)
-            for t1 in grid
-            for row in _density_rows(
-                diagonalize_chain(float(t1), math.pi / 2, p),
-                lambda energy, label: label != "Bulk" and abs(energy) <= 0.1 * p.J,
-            )
-        )
+        sheets = []
+        for t1 in grid:
+            vals, vecs, labels = diagonalize_chain(float(t1), math.pi / 2, p)
+            keep = (np.asarray(labels) != "Bulk") & (np.abs(vals) <= 0.1 * p.J)
+            cols = _density_columns((vals, vecs, labels), keep)
+            sheets.append([np.full(cols[0].size, t1), *cols])
         out.write_csv(
             "edge_densities.csv",
             ["theta1", "index", "energy", "label", "site", "density"],
-            rows,
+            [np.concatenate(col) for col in zip(*sheets)],
         )
     return EXIT_OK
 
 
-def _density_rows(chain, keep=lambda energy, label: True):
-    """(index, energy, label, site, density) rows of each state of a
-    diagonalize_chain result whose energy and label `keep` accepts."""
+def _density_columns(chain, keep=None) -> list[np.ndarray]:
+    """index, energy, label, site and density columns, one row per site of
+    each state of a diagonalize_chain result that the mask `keep` selects
+    (every state by default)."""
     vals, vecs, labels = chain
-    for idx in range(vals.size):
-        if keep(vals[idx], labels[idx]):
-            dens = density_profile(vecs[:, idx]).site_densities
-            for site, d in enumerate(dens, 1):
-                yield idx, vals[idx], labels[idx], site, d
+    idx = np.arange(vals.size) if keep is None else np.flatnonzero(keep)
+    sites = vecs.shape[0]
+    dens = [density_profile(vecs[:, i]).site_densities for i in idx]
+    return [
+        np.repeat(idx, sites),
+        np.repeat(vals[idx], sites),
+        np.repeat(np.asarray(labels)[idx], sites),
+        np.tile(np.arange(1, sites + 1), idx.size),
+        np.ravel(dens),
+    ]
 
 
 def cmd_density(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     chain = diagonalize_chain(cfg["density.theta1"], cfg["density.theta2"], p)
     header = ["index", "energy", "label", "site", "density"]
-    out.write_csv("density.csv", header, _density_rows(chain))
+    out.write_csv("density.csv", header, _density_columns(chain))
     return EXIT_OK
 
 
@@ -299,11 +276,14 @@ def cmd_reflection(cfg, out: _OutputSet) -> int:
     trace = reflection_spectrum(
         cfg["reflection.theta1"], cfg["reflection.theta2"], dgrid, p
     )
-    rows = [
-        (d, r.real, r.imag, abs(r) ** 2)
-        for d, r in zip(trace.parameter_samples, trace.r_values)
-    ]
-    out.write_csv("reflection.csv", ["delta0", "r_re", "r_im", "R"], rows)
+    r = trace.r_values
+    # hypot and float_power round as the scalar abs(r) ** 2 does, sample
+    # for sample; np.abs(r) ** 2 does not.
+    R = np.float_power(np.hypot(r.real, r.imag), 2)
+    out.write_csv(
+        "reflection.csv", ["delta0", "r_re", "r_im", "R"],
+        [trace.parameter_samples, r.real, r.imag, R],
+    )
     return EXIT_OK
 
 
@@ -315,9 +295,9 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     trace = loop_reflection(weyl_points(p)[idx - 1], theta_r, samples, p)
     r = trace.r_values
     phases = np.angle(r)
-    rows = zip(trace.parameter_samples, phases, r.real, r.imag)
     trace_path = out.write_csv(
-        "winding_phases.csv", ["theta", "phase", "r_re", "r_im"], rows
+        "winding_phases.csv", ["theta", "phase", "r_re", "r_im"],
+        [trace.parameter_samples, phases, r.real, r.imag],
     )
     out.write_json(
         "winding.json",
@@ -349,8 +329,10 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
         edge = det.theta1c_plus
         probe = [0.0, 0.5 * edge, -0.5 * edge, edge + 0.1 * math.pi, -edge - 0.1 * math.pi]
     spectra = np.abs(reflections(probe, math.pi / 2, dgrid, p)) ** 2
-    rows = ((t1, d, rr) for t1, row in zip(probe, spectra) for d, rr in zip(dgrid, row))
-    out.write_csv("fermi_arc_spectra.csv", ["theta1", "delta0", "R"], rows)
+    out.write_csv(
+        "fermi_arc_spectra.csv", ["theta1", "delta0", "R"],
+        [np.repeat(probe, dgrid.size), np.tile(dgrid, len(probe)), spectra.ravel()],
+    )
     out.write_json(
         "fermi_arc.json",
         {
@@ -367,15 +349,16 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
 
 def cmd_table1(cfg, out: _OutputSet) -> int:
     grid = _theta1_grid(cfg)
-    rows = []
+    sizes = cfg["table1.sizes"]
+    theta1c = np.full(len(sizes), math.nan)
     flagged = False
-    for sites in cfg["table1.sizes"]:
+    for k, sites in enumerate(sizes):
         p = _params(cfg, sites=sites)
         det = detect_arc_endpoint(math.pi / 2, grid, cfg["fermi_arc.window"], p)
         flagged |= det.flagged
-        theta1c = math.nan if det.empty else det.theta1c_plus
-        rows.append((sites, theta1c))
-    out.write_csv("table1.csv", ["N", "theta1c"], rows)
+        if not det.empty:
+            theta1c[k] = det.theta1c_plus
+    out.write_csv("table1.csv", ["N", "theta1c"], [np.array(sizes), theta1c])
     return EXIT_INCONSISTENT if flagged else EXIT_OK
 
 
@@ -428,7 +411,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"weyllab: usage error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NUMERIC_ERRORS as exc:
+    except NumericsError as exc:
         print(f"weyllab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.command != "show-config":

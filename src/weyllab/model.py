@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TridiagonalSym
+from .numerics import NumericsError, TridiagonalSym
 
 __all__ = [
     "ModelParams",
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class DegenerateModelError(Exception):
+class DegenerateModelError(NumericsError):
     """Model parameters degenerate the band-touching structure."""
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, SyntheticMomentum, WeylPoint, bloch_vectors
-from .numerics import solid_angle_batch
+from .numerics import NumericsError, solid_angle_batch
 
 __all__ = [
     "ChernResult",
@@ -39,13 +39,16 @@ __all__ = [
 ROUNDING_TOL = 0.05
 # A point this close to a node is on it.
 NODE_RADIUS = 1e-9
+# Points per block of berry_curvature_numeric, which bounds its plaquette
+# temporaries (about 1 kB a point) whatever the number of points.
+BLOCK_POINTS = 8192
 
 
-class NonConvergedChernError(Exception):
+class NonConvergedChernError(NumericsError):
     """Surface integral did not land near an integer."""
 
 
-class DegenerateGroundStateError(Exception):
+class DegenerateGroundStateError(NumericsError):
     """Ground state ill-defined: band splitting below tolerance."""
 
 
@@ -112,7 +115,8 @@ def berry_curvature_numeric(q, plane: tuple[int, int], step: float, p: ModelPara
     `plane` (0 = kx, 1 = theta1, 2 = theta2), over the plaquette area;
     the component is the one completing the right-handed axis triple.
     Matmul overlaps, hypot moduli and a real-arithmetic loop product keep
-    each value bit for bit that of a scalar vdot/abs/complex loop.
+    each value bit for bit that of a scalar vdot/abs/complex loop.  The
+    points are evaluated BLOCK_POINTS at a time.
     """
     i, j = plane
     if i == j or not {i, j} <= {0, 1, 2}:
@@ -123,6 +127,12 @@ def berry_curvature_numeric(q, plane: tuple[int, int], step: float, p: ModelPara
     # A step whose square underflows, or lost against a point, spans no area.
     if step**2 < sys.float_info.min or np.any(q[..., [i, j]] + step == q[..., [i, j]]):
         raise ValueError(f"plaquette step {step!r} vanishes in floating point")
+    if q[..., 0].size > BLOCK_POINTS:
+        pts = q.reshape(-1, 3)
+        return np.concatenate([
+            berry_curvature_numeric(pts[k:k + BLOCK_POINTS], plane, step, p, gauge_rng)
+            for k in range(0, len(pts), BLOCK_POINTS)
+        ]).reshape(q.shape[:-1])
     corners = np.repeat(q[..., None, :], 4, axis=-2)
     corners[..., 1:3, i] += step
     corners[..., 2:4, j] += step

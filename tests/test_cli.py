@@ -229,6 +229,16 @@ class TestCommands:
                 float(rre) ** 2 + float(rim) ** 2, abs=1e-12
             )
 
+    @pytest.mark.parametrize("sites", [4, 36])
+    def test_reflection_R_rounds_as_scalar_abs(self, tmp_path, sites):
+        # R is the scalar abs(r) ** 2 of each sample, bit for bit; the
+        # array np.abs(r) ** 2 differs in the last place on about half.
+        out = tmp_path / "run"
+        assert main(["reflection", "--out", str(out), "--set", f"sites={sites}"]) == 0
+        _, rows = read_csv(out / "reflection.csv")
+        for _, rre, rim, rr in rows:
+            assert rr == repr(float(abs(complex(float(rre), float(rim))) ** 2))
+
     def test_winding_json_and_trace(self, tmp_path):
         out = tmp_path / "run"
         assert main(["winding", "--out", str(out)]) == 0
@@ -371,6 +381,13 @@ def _no_memory(*args):
     raise MemoryError("Unable to allocate 1.16 TiB for an array")
 
 
+class _NoMemoryLabel:
+    """A label whose text cannot be allocated."""
+
+    def __str__(self):
+        _no_memory()
+
+
 @pytest.mark.parametrize("command", ["density", "edge-spectrum"])
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch, command):
     # density fails before it writes; edge-spectrum fails in its second
@@ -378,13 +395,16 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch, command):
     if command == "density":
         monkeypatch.setattr(numerics, "dstev", _no_memory)
     else:
-        fmt, columns = cli._fmt_column, iter(range(5))  # one block of five
+        sheet = cli.edge_spectrum
 
-        def fmt_one_block(col):
-            return fmt(col) if next(columns, None) is not None else _no_memory()
+        def sheet_without_memory(*args):
+            energies, labels = sheet(*args)
+            labels = labels.copy()
+            labels.flat[1] = _NoMemoryLabel()  # the second row's label
+            return energies, labels
 
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)
-        monkeypatch.setattr(cli, "_fmt_column", fmt_one_block)
+        monkeypatch.setattr(cli, "edge_spectrum", sheet_without_memory)
     out = tmp_path / "run"
     args = [command, "--out", str(out), "--set", "edge_spectrum.grid=3"]
     assert main(args) == 2
@@ -410,68 +430,62 @@ def _reference_csv(header, rows) -> bytes:
 _SPECIAL_FLOATS = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e16, 0.1
 ]
-_CELLS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(_SPECIAL_FLOATS),
-    st.sampled_from(_SPECIAL_FLOATS).map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.integers(-(10**20), 10**20),
-    st.booleans(),
-    st.text(alphabet="abcLeftRightBulk-._ 0123456789e", max_size=6),
-)
+# One kind of cell per column: the cells' strategy and the array they make.
+_COLUMN_KINDS = [
+    (st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+     lambda cells: np.array(cells, dtype=np.float64)),
+    (st.floats(width=32), lambda cells: np.array(cells, dtype=np.float32)),
+    (st.integers(-(2**63), 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
+    (st.integers(-(10**20), 10**20), lambda cells: np.array(cells, dtype=object)),
+    (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    (st.text(alphabet="abcLeftRightBulk-._ 0123456789e", max_size=6),
+     lambda cells: np.array(cells, dtype=object)),
+]
 
 
-@given(
-    st.integers(1, 5).flatmap(
-        lambda width: st.tuples(
-            st.lists(
-                st.sampled_from([float, str, None]), min_size=width, max_size=width
-            ),
-            st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=12),
-        )
-    ),
-    st.integers(1, 4),
-)
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5))
+    return [
+        make(draw(st.lists(cells, min_size=rows, max_size=rows)))
+        for cells, make in kinds
+    ]
+
+
+@given(_columns(), st.integers(1, 4))
 @settings(max_examples=150)
 def test_write_csv_matches_per_cell_writer(columns, block_rows):
-    # Some columns hold one type throughout (float, str), the others mix
-    # every kind of cell; blocks of 1-4 rows put block edges everywhere.
-    kinds, rows = columns
-    rows = [
-        tuple(
-            (float(np.float64(x)) if isinstance(x, (float, np.floating)) else 0.5)
-            if kind is float
-            else (str(x) if kind is str else x)
-            for kind, x in zip(kinds, row)
-        )
-        for row in rows
-    ]
-    header = [f"c{k}" for k in range(len(kinds))]
+    # Blocks of 1-4 rows put block edges everywhere.
+    header = [f"c{k}" for k in range(len(columns))]
     with tempfile.TemporaryDirectory() as d:
         out = cli._OutputSet(Path(d))
         saved = cli.CSV_BLOCK_ROWS
         cli.CSV_BLOCK_ROWS = block_rows
         try:
-            path = out.write_csv("t.csv", header, iter(rows))
+            path = out.write_csv("t.csv", header, columns)
         finally:
             cli.CSV_BLOCK_ROWS = saved
-        assert path.read_bytes() == _reference_csv(header, rows)
+        assert path.read_bytes() == _reference_csv(header, zip(*columns))
         assert out.paths == [path]
 
 
 def test_write_csv_numpy_columns(tmp_path):
-    # Array columns as the commands pass them: NumPy scalars throughout.
+    # Columns as the commands pass them: float64 arrays, int indices, str
+    # labels as object and unicode arrays; a list is taken as its array.
     a = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 1e22])
-    rows = list(
-        zip(a, a.astype(np.float32), np.arange(a.size), a.tolist(), map(str, a))
-    )
-    path = cli._OutputSet(tmp_path).write_csv("t.csv", list("abcde"), rows)
-    assert path.read_bytes() == _reference_csv(list("abcde"), rows)
-    assert cli._OutputSet(tmp_path).write_csv("e.csv", ["x"], []).read_bytes() == b"x\n"
-    with pytest.raises(ValueError):
-        cli._OutputSet(tmp_path).write_csv("r.csv", ["x", "y"], [(1, 2), (3,)])
-    assert not (tmp_path / "r.csv").exists()
+    labels = np.array(["Bulk", "Left", "Right", "Bulk"] * 2, dtype=object)
+    columns = [a, a.astype(np.float32), np.arange(a.size), a.tolist(), labels,
+               labels.astype(str)]
+    path = cli._OutputSet(tmp_path).write_csv("t.csv", list("abcdef"), columns)
+    assert path.read_bytes() == _reference_csv(list("abcdef"), zip(*columns))
+    empty = cli._OutputSet(tmp_path).write_csv("e.csv", ["x"], [np.array([])])
+    assert empty.read_bytes() == b"x\n"
+    for bad in ([np.arange(2), np.arange(1)], [np.arange(2)],
+                [np.arange(2), np.zeros((2, 1))]):
+        with pytest.raises(ValueError):
+            cli._OutputSet(tmp_path).write_csv("r.csv", ["x", "y"], bad)
+        assert not (tmp_path / "r.csv").exists()
 
 
 # Every run starts from small sizes and grids, and each key's draws stay

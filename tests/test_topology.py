@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weyllab import topology
 from weyllab.cli import main
 from weyllab.config import DEFAULTS
 from weyllab.model import ModelParams, SyntheticMomentum, bloch_vectors, weyl_points
@@ -255,6 +256,15 @@ class TestStackedKernels:
             for d, c in zip(offsets, charges):
                 want += reference_monopole(d, c)
             assert f.tobytes() == want.tobytes()
+
+    def test_blocks_match_one_block(self, params, rng, monkeypatch):
+        # Block edges fall inside the stack and inside a leading axis.
+        q = _random_points(rng, 50, params)
+        whole = berry_curvature_numeric(q, (1, 2), 1e-3, params)
+        monkeypatch.setattr(topology, "BLOCK_POINTS", 7)
+        got = berry_curvature_numeric(q.reshape(5, 10, 3), (1, 2), 1e-3, params)
+        assert got.shape == (5, 10)
+        assert got.tobytes() == whole.tobytes()
 
     def test_step_checked_before_points(self, params):
         # With no points at all, a bad step is still rejected.
