@@ -19,17 +19,14 @@ from .model import (
     dispersive_map,
     linearize,
     onsite_profile,
-    open_chain_hamiltonian,
     weyl_points,
 )
 from .numerics import (
     EigenNonConvergenceError,
     NumericsError,
     SingularMatrixError,
-    TridiagonalSym,
     UndersampledLoopError,
     WindingResult,
-    eigh_tridiagonal,
     solid_angle,
     solve_shifted,
     unwrap_winding,

@@ -5,8 +5,9 @@ machine-readable CSV/JSON, plus a run manifest recording the command,
 the effective configuration, and content digests of every output.
 No plotting: the files are plot-ready arrays.
 
-Exit codes: 0 success, 2 usage/config error or out of memory,
-3 numerical failure, 4 oracle-inconsistency in arc detection.
+Exit codes: 0 success, 2 usage/config error, unwritable output path or
+out of memory, 3 numerical failure, 4 oracle-inconsistency in arc
+detection.
 """
 
 from __future__ import annotations
@@ -53,21 +54,39 @@ EXIT_NUMERIC = 3
 EXIT_INCONSISTENT = 4
 
 class _OutputSet:
-    """Collects written files so the manifest can digest them."""
+    """Collects written files, each with the SHA-256 of the bytes written,
+    for the manifest."""
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.paths: list[Path] = []
+        self.digests: list[str] = []
 
     def _path(self, name: str) -> Path:
         self.outdir.mkdir(parents=True, exist_ok=True)
         return self.outdir / name
 
-    def write_text(self, name: str, text: str) -> Path:
-        path = self._path(name)
-        path.write_text(text)
+    def _write(self, name: str, chunks) -> Path:
+        """Write the text chunks to the file, digesting their bytes as they
+        go; a failed write removes its file, and only its own."""
+        path, digest = self._path(name), hashlib.sha256()
+        f = path.open("wb")  # if this fails, there is no file of ours to remove
+        try:
+            with f:
+                for chunk in chunks:
+                    data = chunk.encode()
+                    f.write(data)
+                    digest.update(data)
+                    del chunk, data  # free this block before the next is built
+        except BaseException:
+            path.unlink(missing_ok=True)  # no partial file from a failed run
+            raise
         self.paths.append(path)
+        self.digests.append(digest.hexdigest())
         return path
+
+    def write_text(self, name: str, text: str) -> Path:
+        return self._write(name, [text])
 
     def write_csv(self, name: str, header: list[str], columns) -> Path:
         """Stream a header line and one line per row to the file.
@@ -81,19 +100,15 @@ class _OutputSet:
         if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
             raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
         fmts = [float.__repr__ if c.dtype == np.float64 else str for c in columns]
-        path = self._path(name)
-        try:
-            with path.open("w") as f:
-                f.write(",".join(header) + "\n")
-                for start in range(0, size, CSV_BLOCK_ROWS):
-                    block = slice(start, start + CSV_BLOCK_ROWS)
-                    cols = [map(f, c[block].tolist()) for f, c in zip(fmts, columns)]
-                    f.write("\n".join(map(",".join, zip(*cols))) + "\n")
-        except BaseException:
-            path.unlink(missing_ok=True)  # no partial file from a failed run
-            raise
-        self.paths.append(path)
-        return path
+
+        def blocks():
+            yield ",".join(header) + "\n"
+            for start in range(0, size, CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                cols = [map(f, c[block].tolist()) for f, c in zip(fmts, columns)]
+                yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+        return self._write(name, blocks())
 
     def write_json(self, name: str, payload) -> Path:
         return self.write_text(
@@ -101,10 +116,10 @@ class _OutputSet:
         )
 
     def manifest(self, command: str, cfg: dict):
-        outputs = []
-        for path in self.paths:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            outputs.append({"path": path.name, "sha256": digest})
+        outputs = [
+            {"path": path.name, "sha256": digest}
+            for path, digest in zip(self.paths, self.digests)
+        ]
         payload = {
             "command": command,
             "parameters": {
@@ -231,34 +246,31 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
         "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], columns
     )
     if cfg["edge_spectrum.densities"]:
-        sheets = []
-        for t1 in grid:
-            vals, vecs, labels = diagonalize_chain(float(t1), math.pi / 2, p)
-            keep = (np.asarray(labels) != "Bulk") & (np.abs(vals) <= 0.1 * p.J)
-            cols = _density_columns((vals, vecs, labels), keep)
-            sheets.append([np.full(cols[0].size, t1), *cols])
+        chains = diagonalize_chain(grid, math.pi / 2, p)
+        vals, _, labels = chains
+        keep = (labels != "Bulk") & (np.abs(vals) <= 0.1 * p.J)
+        rows, *columns = _density_columns(chains, keep)
         out.write_csv(
             "edge_densities.csv",
             ["theta1", "index", "energy", "label", "site", "density"],
-            [np.concatenate(col) for col in zip(*sheets)],
+            [grid[rows], *columns],
         )
     return EXIT_OK
 
 
-def _density_columns(chain, keep=None) -> list[np.ndarray]:
-    """index, energy, label, site and density columns, one row per site of
-    each state of a diagonalize_chain result that the mask `keep` selects
-    (every state by default)."""
-    vals, vecs, labels = chain
-    idx = np.arange(vals.size) if keep is None else np.flatnonzero(keep)
-    sites = vecs.shape[0]
-    dens = [density_profile(vecs[:, i]).site_densities for i in idx]
+def _density_columns(chains, keep) -> list[np.ndarray]:
+    """Columns with one row per site of each state of a stacked
+    diagonalize_chain result that the mask `keep` selects, in C order: the
+    selected states' positions, one column per axis of keep (the last is
+    the state index), then energy, label, site and density."""
+    vals, vecs, labels = chains
+    states = np.nonzero(keep)
+    sites = vecs.shape[-1]
+    dens = density_profile(np.swapaxes(vecs, -1, -2)[states]).site_densities
     return [
-        np.repeat(idx, sites),
-        np.repeat(vals[idx], sites),
-        np.repeat(np.asarray(labels)[idx], sites),
-        np.tile(np.arange(1, sites + 1), idx.size),
-        np.ravel(dens),
+        *(np.repeat(col, sites) for col in (*states, vals[states], labels[states])),
+        np.tile(np.arange(1, sites + 1), states[0].size),
+        dens.ravel(),
     ]
 
 
@@ -266,7 +278,8 @@ def cmd_density(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     chain = diagonalize_chain(cfg["density.theta1"], cfg["density.theta2"], p)
     header = ["index", "energy", "label", "site", "density"]
-    out.write_csv("density.csv", header, _density_columns(chain))
+    every = np.ones(p.sites, dtype=bool)
+    out.write_csv("density.csv", header, _density_columns(chain, every))
     return EXIT_OK
 
 
@@ -405,7 +418,9 @@ def main(argv=None) -> int:
             Path(args.out or os.environ.get("WEYLLAB_OUT") or "weyllab_out")
         )
         code = COMMANDS[args.command](cfg, out)
-    except (ConfigError, ValueError) as exc:
+        if args.command != "show-config":
+            out.manifest(args.command, cfg)
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: the output path
         print(f"weyllab: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
@@ -414,8 +429,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"weyllab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if args.command != "show-config":
-        out.manifest(args.command, cfg)
     return code
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericsError, TridiagonalSym
+from .numerics import NumericsError
 
 __all__ = [
     "ModelParams",
@@ -38,7 +38,6 @@ __all__ = [
     "weyl_points",
     "linearize",
     "chain_bands",
-    "open_chain_hamiltonian",
 ]
 
 
@@ -265,6 +264,8 @@ def chain_bands(theta1s, theta2s, p: ModelParams) -> tuple[np.ndarray, np.ndarra
     Site order a1, b1, a2, b2, ...; the diagonal alternates
     (+Je cos theta2, -Je cos theta2) and the off-diagonal (J1, J2, J1,
     ...) starts with the intra-cell J1.  Delta0 is left to consumers.
+    This is the one guard of every chain: non-finite entries, as from a
+    NaN angle, raise ValueError.
     """
     diags = np.empty((np.size(theta2s), p.sites))
     for row, t2 in zip(diags, np.ravel(theta2s)):
@@ -272,13 +273,7 @@ def chain_bands(theta1s, theta2s, p: ModelParams) -> tuple[np.ndarray, np.ndarra
     offs = np.empty((np.size(theta1s), p.sites - 1))
     for row, t1 in zip(offs, np.ravel(theta1s)):
         row[0::2], row[1::2] = coupling_profile(float(t1), p)
+    if not (np.isfinite(diags).all() and np.isfinite(offs).all()):
+        raise ValueError("non-finite entries in tridiagonal matrix")
     return diags, offs
 
-
-def open_chain_hamiltonian(
-    theta1: float, theta2: float, p: ModelParams
-) -> TridiagonalSym:
-    """Open-boundary chain Hamiltonian at (theta1, theta2), without
-    Delta0: the one-point chain_bands."""
-    diags, offs = chain_bands(theta1, theta2, p)
-    return TridiagonalSym(diags[0], offs[0])

@@ -7,7 +7,6 @@ Everything here is a pure function of its inputs; no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,9 +17,7 @@ __all__ = [
     "SingularMatrixError",
     "EigenNonConvergenceError",
     "UndersampledLoopError",
-    "TridiagonalSym",
     "WindingResult",
-    "eigh_tridiagonal",
     "eigh_bands",
     "solve_shifted",
     "unwrap_winding",
@@ -52,75 +49,23 @@ class UndersampledLoopError(NumericsError):
     """Phase loop sampled too coarsely to unwrap reliably."""
 
 
-@dataclass(frozen=True)
-class TridiagonalSym:
-    """Real symmetric tridiagonal matrix stored as its two bands.
-
-    diag has length n, offdiag has length n - 1.  Entries are in units
-    of the hopping energy scale of whatever model produced them.
-    """
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
-        if d.ndim != 1 or e.ndim != 1:
-            raise ValueError("diag and offdiag must be one-dimensional")
-        if d.size < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if e.size != d.size - 1:
-            raise ValueError(
-                f"offdiag length {e.size} inconsistent with diag length {d.size}"
-            )
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ValueError("non-finite entries in tridiagonal matrix")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def to_dense(self) -> np.ndarray:
-        h = np.diag(self.diag)
-        if self.offdiag.size:
-            h += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return h
-
-    def inf_norm(self) -> float:
-        """Largest absolute row sum."""
-        rows = np.abs(self.diag)
-        rows[:-1] += np.abs(self.offdiag)
-        rows[1:] += np.abs(self.offdiag)
-        return float(rows.max())
-
-
 class WindingResult(NamedTuple):
     winding: int
     residual: float
 
 
-def eigh_tridiagonal(h: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a real symmetric tridiagonal matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  Uses the implicit-shift QL/QR
-    iteration on the tridiagonal form (LAPACK stev); matrices here are
-    desk-scale, so no blocking or MRRR subtleties are needed.
-    """
-    return eigh_bands(h.diag, h.offdiag)
-
-
 def eigh_bands(
     diag: np.ndarray, offdiag: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eigh_tridiagonal on bands the caller has already validated.
+    """Full eigendecomposition of the real symmetric tridiagonal matrix
+    with bands diag and offdiag.
 
-    diag and offdiag must satisfy TridiagonalSym's rules (float arrays
-    of lengths n and n - 1, finite).  One LAPACK dstev call, the driver
-    scipy.linalg.eigh_tridiagonal(..., lapack_driver="stev") runs, so the
+    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
+    eigenvectors as orthonormal columns.  The bands come validated:
+    float arrays of lengths n >= 1 and n - 1, finite, as
+    model.chain_bands checks every chain's.  One LAPACK dstev call (the
+    implicit-shift QL/QR iteration), the driver that scipy.linalg's
+    tridiagonal eigensolver runs with lapack_driver="stev", so the
     results are bit for bit the same; EigenNonConvergenceError if it
     does not converge.
     """

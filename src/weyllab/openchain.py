@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, chain_bands, open_chain_hamiltonian
-from .numerics import eigh_bands, eigh_tridiagonal
+from .model import ModelParams, chain_bands
+from .numerics import eigh_bands
 
 __all__ = [
     "DensityProfile",
@@ -52,11 +52,13 @@ LABEL_NAMES = np.array(["Bulk", "Left", "Right"], dtype=object)
 
 @dataclass(frozen=True)
 class DensityProfile:
+    """Site densities (..., sites): one profile per last-axis row."""
+
     site_densities: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.site_densities, dtype=float)
-        if np.any(d < 0) or abs(d.sum() - 1.0) > 1e-10:
+        if np.any(d < 0) or np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-10):
             raise ValueError("densities must be nonnegative and sum to 1")
         object.__setattr__(self, "site_densities", d)
 
@@ -108,7 +110,8 @@ def classify_localization(v: np.ndarray) -> str:
 
 
 def density_profile(v: np.ndarray) -> DensityProfile:
-    """Entrywise squared magnitudes of a normalized eigenvector."""
+    """Entrywise squared magnitudes of normalized vectors (..., sites),
+    one vector per last-axis row."""
     v = np.asarray(v)
     return DensityProfile(np.abs(v) ** 2)
 
@@ -147,16 +150,43 @@ def _rotate_pairs(vals: np.ndarray, vecs: np.ndarray, window: float) -> None:
         vecs[:, i], vecs[:, j] = _rotate_end_localized(vecs[:, i], vecs[:, j])
 
 
-def diagonalize_chain(theta1: float, theta2: float, p: ModelParams):
-    """Eigenvalues, labeling-ready eigenvectors, and labels of the chain.
+def _eigensystems(diags, offs, window: float):
+    """Eigenvalues (..., n) and labeling-ready vectors (..., n, n) of the
+    chains with bands diags (..., n) and offs (..., n - 1), which broadcast.
 
-    Returns (eigenvalues ascending, vectors as columns, labels).  The
+    One eigh_bands per chain; the vectors of chains with two or more
+    states inside the window then get their +/-E pairs rotated.
+    """
+    shape = np.broadcast_shapes(diags.shape[:-1], offs.shape[:-1])
+    n = diags.shape[-1]
+    diags = np.broadcast_to(diags, shape + (n,))
+    offs = np.broadcast_to(offs, shape + (n - 1,))
+    vals, vecs = np.empty(shape + (n,)), np.empty(shape + (n, n))
+    for k in np.ndindex(shape):
+        vals[k], vecs[k] = eigh_bands(diags[k], offs[k])
+    # argwhere, not nonzero: a single chain's count is a 0-d array.
+    for k in np.argwhere(np.count_nonzero(np.abs(vals) < window, axis=-1) > 1):
+        _rotate_pairs(vals[tuple(k)], vecs[tuple(k)], window)
+    return vals, vecs
+
+
+def diagonalize_chain(theta1, theta2, p: ModelParams):
+    """Eigenvalues, labeling-ready eigenvectors, and labels of the chains
+    at broadcastable angle arrays theta1 and theta2.
+
+    Returns (values, vectors, labels) of shapes (..., n), (..., n, n)
+    and (..., n), where ... is the angles' broadcast shape: eigenvalues
+    ascending, vectors as columns, and labels a str object array.  The
     vectors of mirror-mixed near-zero +/-E pairs are replaced by their
     end-localized rotations; eigenvalues are reported unrotated.
     """
-    vals, vecs = eigh_tridiagonal(open_chain_hamiltonian(theta1, theta2, p))
-    _rotate_pairs(vals, vecs, PAIR_WINDOW * p.J)
-    return vals, vecs, tuple(_labels(vecs[END_ROWS]).tolist())
+    diags, offs = chain_bands(theta1, theta2, p)
+    vals, vecs = _eigensystems(
+        diags.reshape(np.shape(theta2) + diags.shape[-1:]),
+        offs.reshape(np.shape(theta1) + offs.shape[-1:]),
+        PAIR_WINDOW * p.J,
+    )
+    return vals, vecs, _labels(vecs[..., END_ROWS, :])
 
 
 def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
@@ -166,25 +196,16 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
     theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
     in C order.  chain_bands fills the off-diagonal band once per theta1
-    and the diagonal once per theta2, and only the four END_ROWS of each
-    point's (pair-rotated) vectors are kept for the labels.
+    and the diagonal once per theta2; one theta1 row of full vectors is
+    held at a time, and only their four END_ROWS are kept for the labels.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
-    n, window = p.sites, PAIR_WINDOW * p.J
     diags, offs = chain_bands(theta1_grid, theta2_grid, p)
-    if not (np.isfinite(offs).all() and np.isfinite(diags).all()):
-        raise ValueError("non-finite entries in tridiagonal matrix")
-    energies = np.empty((len(offs), len(diags), n))
-    ends = np.empty((len(offs), len(diags), 4, n))
-    vecs = np.empty((len(diags), n, n))  # one theta1 row of full vectors
+    energies = np.empty((len(offs), len(diags), p.sites))
+    ends = np.empty((len(offs), len(diags), 4, p.sites))
     for i, off in enumerate(offs):
-        for j, diag in enumerate(diags):
-            energies[i, j], vecs[j] = eigh_bands(diag, off)
-        # Only points with two or more near-zero states have a pair to rotate.
-        near = np.count_nonzero(np.abs(energies[i]) < window, axis=1)
-        for j in np.flatnonzero(near > 1):
-            _rotate_pairs(energies[i, j], vecs[j], window)
+        energies[i], vecs = _eigensystems(diags, off, PAIR_WINDOW * p.J)
         ends[i] = vecs[:, END_ROWS]
     return energies, _labels(ends)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, WeylPoint, chain_bands, open_chain_hamiltonian
+from .model import ModelParams, WeylPoint, chain_bands
 from .numerics import solve_shifted, unwrap_winding
 from .openchain import (
     ZTOL_DEFAULT,
@@ -125,6 +125,17 @@ def left_drive(p: ModelParams, amplitude: complex = 1.0) -> np.ndarray:
     return drive
 
 
+def _dense_chains(diags: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Dense (..., n, n) matrices of the chains with bands diags (..., n)
+    and offs (..., n - 1); -0.0 entries become 0.0."""
+    i = np.arange(diags.shape[-1])
+    t = np.zeros(diags.shape + i.shape)
+    t[..., i, i] = diags
+    t[..., i[1:], i[:-1]] = t[..., i[:-1], i[1:]] = offs
+    t += 0.0
+    return t
+
+
 def steady_state(
     theta1: float, theta2: float, drive: np.ndarray, p: ModelParams
 ) -> SteadyState:
@@ -136,7 +147,7 @@ def steady_state(
     drive = np.asarray(drive, dtype=complex)
     if drive.shape != (p.sites,):
         raise ValueError(f"drive must have {p.sites} amplitudes")
-    t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
+    t = _dense_chains(*chain_bands(theta1, theta2, p))[0]
     z = p.Delta0 - 0.5j * p.kappa
     amps = solve_shifted(t, z, -drive)
     resid = float(np.linalg.norm(t @ amps + z * amps + drive))
@@ -170,7 +181,7 @@ def transient_oracle(
         dt = dt_max
     elif dt <= 0 or dt > dt_max:
         raise ValueError(f"dt must lie in (0, {dt_max:.4g}] for RK4 stability")
-    t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
+    t = _dense_chains(*chain_bands(theta1, theta2, p))[0]
     m = t + (p.Delta0 - 0.5j * p.kappa) * np.eye(p.sites)
     if a0 is None:
         a = np.zeros(p.sites, dtype=complex)
@@ -214,16 +225,13 @@ def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
     t1s, t2s = np.broadcast_arrays(np.ravel(theta1s), np.ravel(theta2s))
     z = np.asarray(delta0_grid, dtype=float) - 0.5j * p.kappa
     diags, offs = chain_bands(t1s, t2s, p)
-    n, i = p.sites, np.arange(p.sites)
+    n = p.sites
     systems = max(1, BLOCK_ENTRIES // (n * n))
     chains = max(1, systems // max(1, z.size))
     r = np.empty((t1s.size, z.size), dtype=complex)
     for k in range(0, t1s.size, chains):
         block = slice(k, k + chains)
-        t = np.zeros((len(diags[block]), n, n))
-        t[:, i, i] = diags[block]
-        t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = offs[block]
-        t += 0.0  # -0.0 entries become 0.0, as in TridiagonalSym.to_dense
+        t = _dense_chains(diags[block], offs[block])
         for j in range(0, z.size, systems):
             g11 = solve_shifted(t[:, None], z[j : j + systems], left_drive(p))[..., 0]
             r[block, j : j + systems] = 1.0 + 1j * p.kappa * g11

@@ -21,7 +21,7 @@ from weyllab.model import (
     ModelParams,
     SyntheticMomentum,
     bulk_bands,
-    open_chain_hamiltonian,
+    chain_bands,
     weyl_points,
 )
 
@@ -288,9 +288,12 @@ class TestCommands:
 
 
 class TestManifestAndDeterminism:
-    def test_manifest_digests(self, tmp_path):
+    def test_manifest_digests(self, tmp_path, monkeypatch):
+        # 7-row blocks write the 128-row phase trace in 19 blocks; the
+        # digest of the bytes written must be that of the file read back.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
         out = tmp_path / "run"
-        main(["winding", "--out", str(out)])
+        main(["winding", "--out", str(out), "--set", "winding.samples=128"])
         manifest = json.loads((out / "winding_manifest.json").read_text())
         assert manifest["command"] == "winding"
         assert manifest["artifact_version"]
@@ -355,6 +358,33 @@ def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
     err = capsys.readouterr().err
     assert err.startswith("weyllab: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+# Output paths that cannot be written: (arguments, WEYLLAB_OUT), relative
+# to a directory holding the file "afile" and the directory
+# "taken/bulk_bands.csv".
+OUTPUT_MISUSES = {
+    "out-is-a-file": (["--out", "afile"], None),
+    "out-below-a-file": (["--out", "afile/sub"], None),
+    "env-out-is-a-file": ([], "afile"),
+    "output-name-is-a-directory": (["--out", "taken"], None),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_MISUSES)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch, case):
+    args, env_out = OUTPUT_MISUSES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep\n")
+    (tmp_path / "taken" / "bulk_bands.csv").mkdir(parents=True)
+    if env_out is not None:
+        monkeypatch.setenv("WEYLLAB_OUT", env_out)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["bulk-bands", "--set", "bulk_bands.grid=3", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: usage error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before  # no partial file
+    assert (tmp_path / "afile").read_text() == "keep\n"
 
 
 def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
@@ -584,15 +614,15 @@ class TestSinglePass:
         )
         w = weyl_points(p)[DEFAULTS["winding.weyl"] - 1]
         theta_r = DEFAULTS["winding.theta_r"]
-        expected = [
-            open_chain_hamiltonian(
+        expected = []
+        for th in 2.0 * np.pi * np.arange(96) / 96:
+            (d,), (e,) = chain_bands(
                 w.location.theta1 + theta_r * math.cos(th),
                 w.location.theta2 + theta_r * math.sin(th),
                 p,
-            ).to_dense()
-            + (p.Delta0 - 0.5j * p.kappa) * eye
-            for th in 2.0 * np.pi * np.arange(96) / 96
-        ]
+            )
+            t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            expected.append(t + (p.Delta0 - 0.5j * p.kappa) * eye)
         assert np.array_equal(systems, expected)
 
     def test_table1_diagonalizes_once_per_point(self, tmp_path, monkeypatch):

@@ -8,14 +8,15 @@ from weyllab.model import (
     SyntheticMomentum,
     bulk_band_sheet,
     bulk_bands,
+    chain_bands,
     coupling_profile,
     d_vector,
     dispersive_map,
     linearize,
     onsite_profile,
-    open_chain_hamiltonian,
     weyl_points,
 )
+from weyllab.numerics import eigh_bands
 
 angles = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
 
@@ -154,20 +155,23 @@ class TestWeylPoints:
             linearize(SyntheticMomentum(0.3, 0.1, 0.2), params)
 
 
+def one_chain(theta1, theta2, p):
+    """The bands (diag, offdiag) of the chain at one angle pair."""
+    diags, offs = chain_bands(theta1, theta2, p)
+    return diags[0], offs[0]
+
+
 class TestOpenChain:
     def test_single_cell(self):
         p = ModelParams(N=1)
-        h = open_chain_hamiltonian(np.pi / 2, np.pi / 2, p)
-        assert h.diag == pytest.approx([0.0, 0.0], abs=1e-15)
-        assert h.offdiag == pytest.approx([1.0])
+        diag, offdiag = one_chain(np.pi / 2, np.pi / 2, p)
+        assert diag == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert offdiag == pytest.approx([1.0])
 
     def test_decoupled_first_site(self):
         p = ModelParams(N=4)
         theta2 = 0.7
-        h = open_chain_hamiltonian(0.0, theta2, p)
-        from weyllab.numerics import eigh_tridiagonal
-
-        vals, vecs = eigh_tridiagonal(h)
+        vals, vecs = eigh_bands(*one_chain(0.0, theta2, p))
         target = p.Je * np.cos(theta2)
         i = int(np.argmin(np.abs(vals - target)))
         assert vals[i] == pytest.approx(target, abs=1e-12)
@@ -178,7 +182,8 @@ class TestOpenChain:
         # diagonal alternates the on-site shifts, with no Delta0.
         p = ModelParams(N=3)
         theta1, theta2 = 0.4, 1.1
-        t = open_chain_hamiltonian(theta1, theta2, p).to_dense()
+        diag, offdiag = one_chain(theta1, theta2, p)
+        t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
         j1, j2 = coupling_profile(theta1, p)
         sa, sb = onsite_profile(theta2, p)
         for n in range(p.N):
@@ -194,12 +199,25 @@ class TestOpenChain:
     def test_chiral_symmetry_at_half_pi(self, theta1, extra):
         # theta2 = pi/2 kills the on-site terms; the bipartite chain
         # spectrum is then symmetric under E -> -E.
-        from weyllab.numerics import eigh_tridiagonal
-
         p = ModelParams(N=5)
-        h = open_chain_hamiltonian(theta1, np.pi / 2, p)
-        vals, _ = eigh_tridiagonal(h)
+        vals, _ = eigh_bands(*one_chain(theta1, np.pi / 2, p))
         assert vals == pytest.approx(-vals[::-1], abs=1e-10)
+
+    def test_bands_of_each_angle(self):
+        # One diagonal row per theta2 and one off-diagonal row per theta1,
+        # in the order of the raveled angles.
+        p = ModelParams(N=3)
+        diags, offs = chain_bands([[0.1, 0.2]], [0.3, 0.4, 0.5], p)
+        assert diags.shape == (3, 6) and offs.shape == (2, 5)
+        for row, theta2 in zip(diags, (0.3, 0.4, 0.5)):
+            assert np.array_equal(row, one_chain(0.0, theta2, p)[0])
+        for row, theta1 in zip(offs, (0.1, 0.2)):
+            assert np.array_equal(row, one_chain(theta1, 0.0, p)[1])
+
+    @pytest.mark.parametrize("theta1,theta2", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nonfinite_angle_is_rejected(self, theta1, theta2):
+        with pytest.raises(ValueError, match="non-finite entries in tridiagonal"):
+            chain_bands([0.0, theta1], theta2, ModelParams())
 
 
 class TestModelParams:

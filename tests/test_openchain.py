@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from weyllab.model import ModelParams
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
+    ZTOL_DEFAULT,
     ArcInterval,
     _end_weights,
     arc_interval_oracle,
+    arc_membership,
     classify_localization,
     density_profile,
     diagonalize_chain,
     edge_spectrum,
     max_symmetric_interval,
 )
+from weyllab.spectroscopy import detect_arc_endpoint
 
 ARC_GRID = np.arange(-50, 51) * 0.01 * np.pi
 
@@ -75,7 +78,7 @@ class TestClassifyLocalization:
             return "Bulk"
 
         _, vecs, labels = diagonalize_chain(-2.553637113442417, -np.pi / 2, chain(6))
-        assert labels == tuple(scalar_label(v) for v in vecs.T)
+        assert labels.tolist() == [scalar_label(v) for v in vecs.T]
 
 
 class TestDensityProfile:
@@ -94,6 +97,20 @@ class TestDensityProfile:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             density_profile(np.ones(4))
+
+    def test_stacked_vectors(self, rng):
+        v = rng.normal(size=(2, 3, 5))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        got = density_profile(v).site_densities
+        assert got.shape == (2, 3, 5)
+        for k in np.ndindex(2, 3):
+            assert np.array_equal(got[k], density_profile(v[k]).site_densities)
+
+    def test_checks_every_stacked_vector(self):
+        v = np.eye(4)
+        v[2] *= 2.0
+        with pytest.raises(ValueError):
+            density_profile(v)
 
 
 class TestEdgeSpectrum:
@@ -162,7 +179,7 @@ class TestEdgeSpectrum:
             for j, theta2 in enumerate(theta2s):
                 vals, _, want = diagonalize_chain(theta1, theta2, p)
                 assert energies[i, j].tobytes() == vals.tobytes()
-                assert tuple(labels[i, j]) == want
+                assert labels[i, j].tolist() == want.tolist()
 
     def test_sheet_on_the_cli_grid(self):
         grid = np.linspace(-np.pi, np.pi, 21)
@@ -170,7 +187,27 @@ class TestEdgeSpectrum:
         for i, j in np.ndindex(grid.size, grid.size):
             vals, _, want = diagonalize_chain(float(grid[i]), float(grid[j]), chain(10))
             assert energies[i, j].tobytes() == vals.tobytes()
-            assert tuple(labels[i, j]) == want
+            assert labels[i, j].tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "theta1,theta2",
+        [(0.3, np.pi / 2), (ARC_GRID[::10], np.pi / 2), (0.2, [-np.pi / 2, 0.4]),
+         ([[0.0], [0.7]], [np.pi / 2, -np.pi / 2, 1.1])],
+    )
+    def test_stacked_chains_equal_single_chains(self, theta1, theta2):
+        # Broadcast angles, the 0-d case included, give the single chains
+        # bit for bit.
+        p = chain(10)
+        vals, vecs, labels = diagonalize_chain(theta1, theta2, p)
+        shape = np.broadcast_shapes(np.shape(theta1), np.shape(theta2))
+        assert vals.shape == labels.shape == shape + (10,)
+        assert vecs.shape == shape + (10, 10)
+        t1s, t2s = np.broadcast_arrays(theta1, theta2)
+        for k in np.ndindex(shape):
+            one = diagonalize_chain(float(t1s[k]), float(t2s[k]), p)
+            assert vals[k].tobytes() == one[0].tobytes()
+            assert vecs[k].tobytes() == one[1].tobytes()
+            assert labels[k].tolist() == one[2].tolist()
 
     def test_needs_two_cells(self):
         with pytest.raises(ValueError):
@@ -289,6 +326,39 @@ class TestSSHClosedForm:
                 assert got == pytest.approx(expect, rel=1e-4)
                 checked += 1
         assert checked >= 10
+
+
+def _closed_form_inside(theta1: float, p: ModelParams) -> bool:
+    """Arc membership at theta2 = pi/2 from the SSH closed form: an edge
+    pair below ZTOL_DEFAULT J whose geometric profile, ratio r = v/w per
+    cell, puts more than EDGE_WEIGHT_MIN on the first cell.  At v = 0 the
+    edge states are exact zero modes on the end sites."""
+    v, w = p.J * (1 - math.cos(theta1)), p.J * (1 + math.cos(theta1))
+    if v == 0:
+        return True
+    if not p.N * w > (p.N + 1) * v:
+        return False
+    r = v / w
+    weight = (1 - r**2) / (1 - r ** (2 * p.N))
+    return _ssh_edge_energy(v, w, p.N) < ZTOL_DEFAULT * p.J and weight > EDGE_WEIGHT_MIN
+
+
+class TestTable1ThreeLegs:
+    @pytest.mark.parametrize("sites", range(4, 41, 2))
+    def test_detector_oracle_and_closed_form_agree(self, sites):
+        # A third leg beside criterion 6: the reflection detector, the
+        # diagonalization oracle and the closed form pick the same points.
+        p = chain(sites)
+        det = detect_arc_endpoint(np.pi / 2, ARC_GRID, 1.0, p)
+        assert not det.flagged and det.disagreement_count == 0
+        closed = [_closed_form_inside(t, p) for t in ARC_GRID]
+        assert arc_membership(np.pi / 2, ARC_GRID, ZTOL_DEFAULT, p).tolist() == closed
+        ends = max_symmetric_interval(ARC_GRID, closed)
+        assert not ends.empty
+        for arc in (det, det.oracle):
+            assert (arc.theta1c_minus, arc.theta1c_plus) == (
+                ends.theta1c_minus, ends.theta1c_plus
+            )
 
 
 class TestMaxSymmetricInterval:

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from weyllab.model import ModelParams, open_chain_hamiltonian, weyl_points
+from weyllab.model import ModelParams, chain_bands, weyl_points
 from weyllab import spectroscopy
 from weyllab.numerics import SingularMatrixError, UndersampledLoopError, solve_shifted
-from weyllab.openchain import EDGE_WEIGHT_MIN, ZTOL_DEFAULT
+from weyllab.openchain import (
+    EDGE_WEIGHT_MIN,
+    ZTOL_DEFAULT,
+    diagonalize_chain,
+    edge_spectrum,
+)
 from weyllab.spectroscopy import (
     DELTA0_STEP,
     FIT_WINDOW,
@@ -34,6 +39,32 @@ def chain(sites: int, **kw) -> ModelParams:
 
 
 DGRID = np.arange(-100, 101) * 0.01
+
+
+def banded_chain(theta1, theta2, p):
+    """The dense chain matrix of the model's bands at one angle pair,
+    built here rather than by the package."""
+    (diag,), (offdiag,) = chain_bands(theta1, theta2, p)
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+NAN_PATHS = {
+    "diagonalize_chain": lambda p: diagonalize_chain(np.nan, 0.3, p),
+    "edge_spectrum": lambda p: edge_spectrum([0.1, np.nan], [0.3], p),
+    "reflections": lambda p: reflections([0.1, np.nan], 0.3, [0.0], p),
+    "steady_state": lambda p: steady_state(0.1, np.nan, left_drive(p), p),
+    "transient_oracle": lambda p: transient_oracle(
+        np.nan, 0.3, left_drive(p), p, t_end=1.0
+    ),
+    "detect_arc_endpoint": lambda p: detect_arc_endpoint(np.nan, [-0.1, 0.0, 0.1], p=p),
+}
+
+
+@pytest.mark.parametrize("path", NAN_PATHS)
+def test_nan_angle_meets_the_band_guard(path):
+    # Every chain path reaches the one finiteness check of model.chain_bands.
+    with pytest.raises(ValueError, match="^non-finite entries in tridiagonal matrix$"):
+        NAN_PATHS[path](chain(4))
 
 
 class TestSteadyState:
@@ -121,7 +152,7 @@ class TestTransientOracle:
         drive = left_drive(p)
         a0 = rng.normal(size=p.sites) + 1j * rng.normal(size=p.sites)
         got = transient_oracle(0.3, 0.8, drive, p, t_end=t_end, a0=a0)
-        m = open_chain_hamiltonian(0.3, 0.8, p).to_dense() + (
+        m = banded_chain(0.3, 0.8, p) + (
             p.Delta0 - 0.5j * p.kappa
         ) * np.eye(p.sites)
         dt_max = 0.05 / max(abs(p.Delta0) + 4.0 * p.J + p.Je, p.kappa)
@@ -219,7 +250,7 @@ class TestReflections:
         assert r.shape == (len(angles), len(detunings))
         z = np.array(detunings) - 0.5j * kappa
         for row, t1, t2 in zip(r, t1s, t2s):
-            t = open_chain_hamiltonian(t1, t2, p).to_dense()
+            t = banded_chain(t1, t2, p)
             g11 = solve_shifted(t, z, left_drive(p))[:, 0]
             assert np.array_equal(row, 1.0 + 1j * kappa * g11)
             assert np.abs(row).max() <= 1.0 + 1e-12  # the port is passive
