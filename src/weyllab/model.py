@@ -265,15 +265,19 @@ def chain_bands(theta1s, theta2s, p: ModelParams) -> tuple[np.ndarray, np.ndarra
     (+Je cos theta2, -Je cos theta2) and the off-diagonal (J1, J2, J1,
     ...) starts with the intra-cell J1.  Delta0 is left to consumers.
     This is the one guard of every chain: non-finite entries, as from a
-    NaN angle, raise ValueError.
+    NaN or infinite angle, raise ValueError; angles are checked before
+    math.cos, which rejects an infinity with a message of its own.
     """
     diags = np.empty((np.size(theta2s), p.sites))
-    for row, t2 in zip(diags, np.ravel(theta2s)):
-        row[0::2], row[1::2] = onsite_profile(float(t2), p)
     offs = np.empty((np.size(theta1s), p.sites - 1))
-    for row, t1 in zip(offs, np.ravel(theta1s)):
-        row[0::2], row[1::2] = coupling_profile(float(t1), p)
-    if not (np.isfinite(diags).all() and np.isfinite(offs).all()):
+    finite = np.isfinite(theta1s).all() and np.isfinite(theta2s).all()
+    if finite:
+        for row, t2 in zip(diags, np.ravel(theta2s)):
+            row[0::2], row[1::2] = onsite_profile(float(t2), p)
+        for row, t1 in zip(offs, np.ravel(theta1s)):
+            row[0::2], row[1::2] = coupling_profile(float(t1), p)
+        finite = np.isfinite(diags).all() and np.isfinite(offs).all()
+    if not finite:
         raise ValueError("non-finite entries in tridiagonal matrix")
     return diags, offs
 

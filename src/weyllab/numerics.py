@@ -85,9 +85,28 @@ def _shifted_singular_values(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Singular values |lam + z| of T + z for stacked real symmetric T.
 
     T + z is normal, so they follow from the eigenvalues lam of T: one
-    real eigvalsh per T, however many shifts, and no SVD.
+    real eigvalsh per T, however many shifts, and no SVD.  solve_shifted
+    needs them only where _cond_bound cannot vouch for a system, such as
+    at Im z = 0.
     """
     return np.abs(np.linalg.eigvalsh(t) + z[..., None])
+
+
+def _cond_bound(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(||T||_inf + |z|) / |Im z| for stacked real symmetric T and shifts z.
+
+    T + z is normal with singular values |lam + z|, and each of them lies
+    between |Im z| and ||T||_inf + |z|, so this bounds the 2-norm
+    condition number from above.  inf or NaN where Im z = 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.abs(t).sum(axis=-1).max(axis=-1) + np.abs(z)) / np.abs(z.imag)
+    return np.asarray(bound)
+
+
+def _norm_lower_bound(m: np.ndarray) -> np.ndarray:
+    """Largest column 2-norm of stacked matrices m, a lower bound on ||m||_2."""
+    return np.linalg.norm(m, axis=-2).max(axis=-1)
 
 
 def solve_shifted(t, z, b) -> np.ndarray:
@@ -97,8 +116,12 @@ def solve_shifted(t, z, b) -> np.ndarray:
     stacked pivoted LU solves every system, and each gets one rule:
     SingularMatrixError when the LU fails, x is not finite, the residual
     exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or the condition number
-    exceeds 1e14, all in the 2-norm.  Mis-shaped or non-finite input:
-    ValueError.
+    exceeds 1e14, all in the 2-norm.  Bounds settle it without a second
+    factorization: ||T + z|| is taken as its largest column norm, which
+    only tightens the residual test, and the condition number as
+    _cond_bound, except where that exceeds 1e14 or is not finite (Im z =
+    0): those systems get the exact value, and the message says "cond"
+    rather than "cond bound".  Mis-shaped or non-finite input: ValueError.
     """
     t = np.asarray(t)
     z, b = np.asarray(z, dtype=complex), np.asarray(b, dtype=complex)
@@ -114,18 +137,25 @@ def solve_shifted(t, z, b) -> np.ndarray:
         x = np.linalg.solve(m, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    sv = _shifted_singular_values(t, z)
-    with np.errstate(all="ignore"):  # singular systems give inf and NaN here
-        # A backward-stable LU happily "solves" a singular system with a
-        # huge x and a tiny residual, so check conditioning as well.
-        norm_m = sv.max(axis=-1)
-        cond = norm_m / sv.min(axis=-1)
+    # A backward-stable LU happily "solves" a singular system with a
+    # huge x and a tiny residual, so check conditioning as well.
+    cond = _cond_bound(t, z)
+    exact = ~(cond <= 1e14)
+    if exact.any():
+        sv = _shifted_singular_values(
+            np.broadcast_to(t, m.shape)[exact], np.broadcast_to(z, exact.shape)[exact]
+        )
+        with np.errstate(all="ignore"):  # singular systems give inf and NaN
+            cond[exact] = sv.max(axis=-1) / sv.min(axis=-1)
+    with np.errstate(all="ignore"):
         resid = np.linalg.norm((m @ x[..., None])[..., 0] - b, axis=-1)
         norm_x, norm_b = np.linalg.norm(x, axis=-1), np.linalg.norm(b, axis=-1)
-        scale = norm_m * norm_x + norm_b
+        scale = _norm_lower_bound(m) * norm_x + norm_b
     if not ((resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()):
+        worst = np.argmax(cond)  # the first NaN, if any
+        kind = "cond" if exact.flat[worst] else "cond bound"
         raise SingularMatrixError(
-            f"system singular to working precision (cond {np.max(cond):.3e}, "
+            f"system singular to working precision ({kind} {cond.flat[worst]:.3e}, "
             f"residual {np.max(resid):.3e})"
         )
     return x

@@ -15,9 +15,11 @@ point, a spectrum, a winding loop and an arc scan are one call each.
 Arc detection solves each theta1 point only on the fit window
 |Delta0| <= FIT_WINDOW J and fits all traces at once: the resonance-pair
 model is linear except in the pair energy e, so its linear weights are
-projected out (variable projection), the coarse scan over e projects
-every trace on one SVD-factored stack of candidate models, and a
-golden-section search refines all traces in lockstep.
+projected out (variable projection).  The e-independent background is
+projected out of every trace once; each candidate e adds two pole
+columns, orthonormalised by Gram-Schmidt.  A coarse scan over e and a
+golden-section search refine all traces in lockstep, and one SVD at the
+fitted energies gives the port weights.
 """
 
 from __future__ import annotations
@@ -321,7 +323,8 @@ def winding_measurement(
 
 
 def _pair_bases(e: np.ndarray, d: np.ndarray, kappa: float):
-    """Range bases of the resonance-pair model at stacked pair energies e.
+    """SVD of the resonance-pair model at stacked pair energies e, from
+    which _fit_zero_pairs takes the weights at its fitted energies.
 
     Model: g(d) = w+/(d + e - i kappa/2) + w-/(d - e - i kappa/2)
     + quadratic background; linear in everything but e.  Returns the
@@ -343,11 +346,35 @@ def _pair_bases(e: np.ndarray, d: np.ndarray, kappa: float):
     return u * keep[..., None, :], inv_s, vh
 
 
-def _pair_misfit(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """||g - u u^H g|| for stacked bases u (..., m, r) and traces g (..., m)."""
-    g = g[..., None]
-    fit = u @ (u.conj().swapaxes(-1, -2) @ g)
-    return np.linalg.norm((g - fit)[..., 0], axis=-1)
+def _pair_misfits(
+    e: np.ndarray, d: np.ndarray, q: np.ndarray, g: np.ndarray, kappa: float
+) -> np.ndarray:
+    """lstsq residual norms of the resonance-pair model at pair energies e.
+
+    q (m, 3) is an orthonormal basis of the background (1, d, d^2), which
+    is already projected out of the traces g (..., m); e broadcasts against
+    g's stack.  The pole columns enter as s = a+ + a- and t = a+ - a-.
+    Gram-Schmidt, applied twice, orthonormalises s against q, then t
+    against q and s; lstsq's rank rule drops t when at most eps max(m, 5)
+    ||s|| of it is left, as at e = 0.  The residual is formed, not taken as
+    ||g||^2 - ||projection||^2, which cancels.
+    """
+    e = np.asarray(e, dtype=float)[..., None]
+    plus, minus = 1.0 / (d + e - 0.5j * kappa), 1.0 / (d - e - 0.5j * kappa)
+    s, t = plus + minus, plus - minus
+    for _ in range(2):
+        s -= (s @ q) @ q.T
+    norm_s = np.linalg.norm(s, axis=-1, keepdims=True)
+    s /= norm_s
+    for _ in range(2):
+        t -= (t @ q) @ q.T
+        t -= s * np.sum(s.conj() * t, axis=-1, keepdims=True)
+    norm_t = np.linalg.norm(t, axis=-1, keepdims=True)
+    keep = norm_t > np.finfo(float).eps * max(d.size, 5) * norm_s
+    t = np.divide(t, norm_t, out=np.zeros_like(t), where=keep)
+    r = g - s * np.sum(s.conj() * g, axis=-1, keepdims=True)
+    r -= t * np.sum(t.conj() * r, axis=-1, keepdims=True)
+    return np.linalg.norm(r, axis=-1)
 
 
 def _fit_zero_pairs(
@@ -360,20 +387,26 @@ def _fit_zero_pairs(
     its pole positions, which a known-linewidth fit recovers far below
     the kappa/2 blurring of any local lineshape statistic.  The fit is a
     variable projection (Golub & Pereyra 1973): the linear weights are
-    projected out, leaving a misfit in e alone.  Every trace is scanned
-    against one factored stack of COARSE_CANDIDATES energies in
-    [0, FIT_WINDOW J], then refined in lockstep by golden-section search
-    inside the bracket of the best candidate's neighbours, to a width of
-    REFINE_TOL J.  Returns (energies, total pair weights), each (P,).
+    projected out, leaving a misfit in e alone.  The quadratic
+    background does not depend on e, so one QR of its real (m, 3)
+    columns projects it out of every trace once; _pair_misfits handles
+    the two pole columns per e.  Every trace is scanned against
+    COARSE_CANDIDATES energies in [0, FIT_WINDOW J], then refined in
+    lockstep by golden-section search inside the bracket of the best
+    candidate's neighbours, to a width of REFINE_TOL J.  The weights come
+    from one SVD of the full model at the fitted energies.  Returns
+    (energies, total pair weights), each (P,).
     """
+    q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
+    g_off = g - (g @ q) @ q.T  # the traces with the background projected out
+
     coarse = np.linspace(0.0, FIT_WINDOW * p.J, COARSE_CANDIDATES)
-    u = _pair_bases(coarse, d, p.kappa)[0]
-    i0 = np.argmin(_pair_misfit(u, g[:, None, :]), axis=1)
+    i0 = np.argmin(_pair_misfits(coarse, d, q, g_off[:, None, :], p.kappa), axis=1)
     lo = coarse[np.maximum(i0 - 1, 0)]
     hi = coarse[np.minimum(i0 + 1, coarse.size - 1)]
 
     def misfit(e):
-        return _pair_misfit(_pair_bases(e, d, p.kappa)[0], g)
+        return _pair_misfits(e, d, q, g_off, p.kappa)
 
     a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fa, fb = misfit(a), misfit(b)

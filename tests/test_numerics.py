@@ -191,6 +191,35 @@ class TestSolveShifted:
         ref = np.linalg.cond(t + z * np.eye(n))
         assert sv.max() / sv.min() == pytest.approx(ref, rel=1e-10)
 
+    @given(
+        st.integers(1, 24),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-6, 10.0),
+        st.floats(-10.0, 10.0),
+    )
+    def test_bounds_bracket_the_exact_norms(self, n, seed, im, re):
+        # The condition bound may only overestimate and the residual
+        # scale only underestimate, so neither loosens the solve's rule.
+        # Both column and 2-norm are |t + z| when n = 1: a few ulps of
+        # slack allow for their different rounding.
+        rng = np.random.default_rng(seed)
+        t = random_symmetric(rng, (n, n))
+        z = complex(re, im * rng.choice([-1.0, 1.0]))
+        m = t + z * np.eye(n)
+        assert numerics._cond_bound(t, np.asarray(z)) >= np.linalg.cond(m)
+        norm2 = np.linalg.norm(m, 2)
+        assert numerics._norm_lower_bound(m) <= norm2 * (1 + 4 * np.finfo(float).eps)
+
+    def test_singular_message_says_cond_bound(self, monkeypatch):
+        # A well-conditioned system whose residual check fails reports
+        # the bound, the only condition number it computed.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 2.0 * solve(a, b))
+        with pytest.raises(SingularMatrixError, match=r"\(cond bound \d") as err:
+            solve_shifted(np.diag([1.0, -1.0]), [0.5j, 1.0 + 2j], np.ones(2))
+        # max((1 + 0.5) / 0.5, (1 + sqrt 5) / 2) = 3
+        assert "(cond bound 3.000e+00, " in str(err.value)
+
 
 class TestUnwrapWinding:
     def test_quarter_steps(self):

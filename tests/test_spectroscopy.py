@@ -20,7 +20,7 @@ from weyllab.spectroscopy import (
     ReflectionTrace,
     _fit_zero_pairs,
     _pair_bases,
-    _pair_misfit,
+    _pair_misfits,
     detect_arc_endpoint,
     detuning_grid,
     left_drive,
@@ -49,22 +49,28 @@ def banded_chain(theta1, theta2, p):
 
 
 NAN_PATHS = {
-    "diagonalize_chain": lambda p: diagonalize_chain(np.nan, 0.3, p),
-    "edge_spectrum": lambda p: edge_spectrum([0.1, np.nan], [0.3], p),
-    "reflections": lambda p: reflections([0.1, np.nan], 0.3, [0.0], p),
-    "steady_state": lambda p: steady_state(0.1, np.nan, left_drive(p), p),
-    "transient_oracle": lambda p: transient_oracle(
-        np.nan, 0.3, left_drive(p), p, t_end=1.0
+    "diagonalize_chain": lambda p, bad: diagonalize_chain(bad, 0.3, p),
+    "edge_spectrum": lambda p, bad: edge_spectrum([0.1, bad], [0.3], p),
+    "reflections": lambda p, bad: reflections([0.1, bad], 0.3, [0.0], p),
+    "steady_state": lambda p, bad: steady_state(0.1, bad, left_drive(p), p),
+    "transient_oracle": lambda p, bad: transient_oracle(
+        bad, 0.3, left_drive(p), p, t_end=1.0
     ),
-    "detect_arc_endpoint": lambda p: detect_arc_endpoint(np.nan, [-0.1, 0.0, 0.1], p=p),
+    "detect_arc_endpoint": lambda p, bad: detect_arc_endpoint(
+        bad, [-0.1, 0.0, 0.1], p=p
+    ),
 }
 
 
 @pytest.mark.parametrize("path", NAN_PATHS)
 def test_nan_angle_meets_the_band_guard(path):
-    # Every chain path reaches the one finiteness check of model.chain_bands.
-    with pytest.raises(ValueError, match="^non-finite entries in tridiagonal matrix$"):
-        NAN_PATHS[path](chain(4))
+    # Every chain path reaches the one finiteness check of model.chain_bands,
+    # infinite angles too, which math.cos would reject with its own message.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(
+            ValueError, match="^non-finite entries in tridiagonal matrix$"
+        ):
+            NAN_PATHS[path](chain(4), bad)
 
 
 class TestSteadyState:
@@ -265,6 +271,22 @@ class TestReflections:
         assert np.array_equal(r, reflections(grid, np.full(5, 0.7), [-0.1, 0.2], p))
         trace = reflection_spectrum(grid[3], 0.7, [-0.1, 0.2], p)
         assert np.array_equal(r[3], trace.r_values)
+
+    def test_damped_stack_needs_no_eigenvalues(self):
+        # kappa > 0 bounds every condition number; undamped systems get
+        # the exact one, from eigenvalues.
+        grid = np.linspace(-1.0, 1.0, 9)
+        with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            reflections(grid, 0.3, DGRID, chain(12))
+            assert eig.call_count == 0
+            reflections(grid, 0.3, [0.05], chain(12, kappa=0.0))
+            assert eig.call_count > 0
+
+    def test_singular_message_reports_the_exact_cond(self):
+        # Undamped on resonance, Im z = 0 leaves no bound.
+        p = ModelParams(N=1, kappa=0.0, Delta0=1.0)
+        with pytest.raises(SingularMatrixError, match=r"\(cond \d"):
+            steady_state(np.pi / 2, np.pi / 2, left_drive(p), p)
 
     @pytest.mark.parametrize("budget", [1, spectroscopy.BLOCK_ENTRIES])
     def test_one_singular_chain_fails_the_stack(self, budget):
@@ -513,12 +535,24 @@ class TestBatchedPairFit:
         d = np.arange(-12, 13) * DELTA0_STEP
         g = rng.normal(size=(3, d.size)) + 1j * rng.normal(size=(3, d.size))
         coarse = np.linspace(0.0, FIT_WINDOW, 61)
-        u, inv_s, _ = _pair_bases(coarse, d, p.kappa)
+        inv_s = _pair_bases(coarse, d, p.kappa)[1]
         assert np.count_nonzero(inv_s[0]) == 4
         assert np.count_nonzero(inv_s[1:], axis=-1).min() == 5
-        got = _pair_misfit(u, g[:, None, :])
+        q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
+        g_off = g - (g @ q) @ q.T
+        got = _pair_misfits(coarse, d, q, g_off[:, None, :], p.kappa)
         ref = [[_reference_residual(e, d, gi, p.kappa)[0] for e in coarse] for gi in g]
+        assert got.shape == (3, 61)
         assert got == pytest.approx(np.array(ref), rel=1e-9)
+
+    def test_detection_runs_at_most_one_svd(self):
+        # The scan and the refinement need no SVD; only the port weight
+        # at the fitted energies takes one, for all theta1 points at once.
+        grid = np.arange(-25, 26) * 0.02 * np.pi
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            det = detect_arc_endpoint(np.pi / 2, grid, p=chain(12))
+        assert not det.empty and not det.flagged
+        assert svd.call_count <= 1
 
     def test_detection_independent_of_window(self):
         grid = np.arange(-25, 26) * 0.02 * np.pi
