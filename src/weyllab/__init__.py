@@ -16,7 +16,6 @@ from .model import (
     bulk_bands,
     coupling_profile,
     d_vector,
-    dispersive_map,
     linearize,
     onsite_profile,
     weyl_points,
@@ -27,7 +26,6 @@ from .numerics import (
     SingularMatrixError,
     UndersampledLoopError,
     WindingResult,
-    solid_angle,
     solve_shifted,
     unwrap_winding,
 )
@@ -35,7 +33,6 @@ from .openchain import (
     ArcInterval,
     DensityProfile,
     arc_interval_oracle,
-    classify_localization,
     density_profile,
     diagonalize_chain,
     edge_spectrum,

@@ -93,19 +93,30 @@ class _OutputSet:
 
         `columns` holds one equal-length 1-D array per header name.  Rows
         are written CSV_BLOCK_ROWS at a time: a float64 cell as its
-        shortest round-trip repr, any other cell with str.
+        shortest round-trip repr, any other cell with str.  Within a
+        block each distinct cell of a column is formatted once, floats
+        told apart by their bits (so 0.0 and -0.0 keep their signs);
+        object cells are formatted one by one.
         """
         columns = [np.asarray(col) for col in columns]
         size = columns[0].size if columns else 0
         if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
             raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
-        fmts = [float.__repr__ if c.dtype == np.float64 else str for c in columns]
+
+        def cells(c: np.ndarray) -> list[str]:
+            if c.dtype == object:
+                return list(map(str, c.tolist()))
+            key = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            fmt = float.__repr__ if c.dtype == np.float64 else str
+            distinct = np.array(list(map(fmt, c[first].tolist())), dtype=object)
+            return distinct[inverse].tolist()
 
         def blocks():
             yield ",".join(header) + "\n"
             for start in range(0, size, CSV_BLOCK_ROWS):
                 block = slice(start, start + CSV_BLOCK_ROWS)
-                cols = [map(f, c[block].tolist()) for f, c in zip(fmts, columns)]
+                cols = [cells(c[block]) for c in columns]
                 yield "\n".join(map(",".join, zip(*cols))) + "\n"
 
         return self._write(name, blocks())
@@ -230,15 +241,12 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
     grid = _angle_grid(cfg["edge_spectrum.grid"])
     energies, labels = edge_spectrum(grid, grid, p)
-    # Rows run theta1, then theta2, then the index fastest.  Each repeats
-    # two grid values and an index, so those are formatted once.
-    angles = np.array([repr(t) for t in grid.tolist()], dtype=object)
-    indices = np.array([str(k) for k in range(p.sites)], dtype=object)
+    # Rows run theta1, then theta2, then the index fastest.
     n = grid.size
     columns = [
-        np.repeat(angles, n * p.sites),
-        np.tile(np.repeat(angles, p.sites), n),
-        np.tile(indices, n * n),
+        np.repeat(grid, n * p.sites),
+        np.tile(np.repeat(grid, p.sites), n),
+        np.tile(np.arange(p.sites), n * n),
         energies.ravel(),
         labels.ravel(),
     ]

@@ -30,7 +30,6 @@ __all__ = [
     "reduce_angle",
     "coupling_profile",
     "onsite_profile",
-    "dispersive_map",
     "bloch_vectors",
     "d_vector",
     "bulk_band_sheet",
@@ -123,15 +122,6 @@ class DVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.hx, self.hy, self.hz])
 
-    def matrix(self) -> np.ndarray:
-        """The Hermitian 2x2 Bloch matrix delta0 + h . sigma."""
-        return np.array(
-            [
-                [self.delta0 + self.hz, self.hx - 1j * self.hy],
-                [self.hx + 1j * self.hy, self.delta0 - self.hz],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class WeylPoint:
@@ -170,18 +160,6 @@ def onsite_profile(theta2: float, p: ModelParams) -> tuple[float, float]:
     """Staggered on-site shifts (relative to Delta0) at angle theta2."""
     m = p.Je * math.cos(theta2)
     return m, -m
-
-
-def dispersive_map(g: float, Delta: float) -> float:
-    """Qubit-mediated photon hopping rate -g^2 / Delta.
-
-    g and Delta are physical frequencies (e.g. GHz); this is the only
-    place physical units enter.  Delta = 0 means the dispersive
-    approximation is invalid.
-    """
-    if Delta == 0:
-        raise ValueError("zero qubit detuning: dispersive regime invalid")
-    return -(g * g) / Delta
 
 
 def bloch_vectors(kx, theta1, theta2, p: ModelParams):

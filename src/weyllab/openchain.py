@@ -28,7 +28,6 @@ __all__ = [
     "DensityProfile",
     "ArcInterval",
     "edge_spectrum",
-    "classify_localization",
     "density_profile",
     "arc_interval_oracle",
     "arc_membership",
@@ -101,12 +100,6 @@ def _labels(ends: np.ndarray) -> np.ndarray:
     left = (first > EDGE_WEIGHT_MIN) & (first > last)
     right = (last > EDGE_WEIGHT_MIN) & (last > first)
     return LABEL_NAMES[left + 2 * right]
-
-
-def classify_localization(v: np.ndarray) -> str:
-    """Label a normalized eigenvector as Left, Right, or Bulk (see _labels)."""
-    v = np.asarray(v, dtype=float)
-    return str(_labels(v[END_ROWS, None])[0])
 
 
 def density_profile(v: np.ndarray) -> DensityProfile:
@@ -189,25 +182,38 @@ def diagonalize_chain(theta1, theta2, p: ModelParams):
     return vals, vecs, _labels(vecs[..., END_ROWS, :])
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a float64 band array (m, n) and the inverse index
+    that rebuilds it, keyed on their bits, so 0.0 and -0.0 stay apart."""
+    _, first, inverse = np.unique(
+        a.view(np.uint64), axis=0, return_index=True, return_inverse=True
+    )
+    return a[first], inverse
+
+
 def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     """Open-chain spectrum with localization labels over a surface grid.
 
     Returns (energies, labels), both of shape (T1, T2, n): entry [i, j]
     is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
     theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
-    in C order.  chain_bands fills the off-diagonal band once per theta1
-    and the diagonal once per theta2; one theta1 row of full vectors is
-    held at a time, and only their four END_ROWS are kept for the labels.
+    in C order.  A chain depends on its angles only through their
+    cosines, so chain_bands' rows repeat; each distinct chain (distinct
+    off-diagonal row times distinct diagonal row) is solved once, giving
+    the same bits, and only the four END_ROWS of its vectors are kept.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
     diags, offs = chain_bands(theta1_grid, theta2_grid, p)
+    diags, col = _distinct_rows(diags)
+    offs, row = _distinct_rows(offs)
     energies = np.empty((len(offs), len(diags), p.sites))
     ends = np.empty((len(offs), len(diags), 4, p.sites))
     for i, off in enumerate(offs):
         energies[i], vecs = _eigensystems(diags, off, PAIR_WINDOW * p.J)
         ends[i] = vecs[:, END_ROWS]
-    return energies, _labels(ends)
+    every = np.ix_(row, col)
+    return energies[every], _labels(ends)[every]
 
 
 def arc_membership(

@@ -100,9 +100,6 @@ class ReflectionTrace:
         object.__setattr__(self, "parameter_samples", s)
         object.__setattr__(self, "r_values", r)
 
-    def magnitudes_squared(self) -> np.ndarray:
-        return np.abs(self.r_values) ** 2
-
 
 @dataclass(frozen=True)
 class ArcDetection:

@@ -518,6 +518,34 @@ def test_write_csv_numpy_columns(tmp_path):
         assert not (tmp_path / "r.csv").exists()
 
 
+def _repeating_columns():
+    """Columns whose blocks repeat cells: signed zeros in float64 and
+    float32, NaN and infinities, ints, bools, str and object labels."""
+    f64 = np.array([0.0, -0.0, 0.1, np.nan, 0.1, -0.0, np.inf, -np.inf, 0.0, np.inf,
+                    -np.nan, 1 / 3, 1 / 3])
+    labels = ["Bulk", "Left", "Bulk", "Right"] * 3 + ["Bulk"]
+    return [
+        f64,
+        f64.astype(np.float32),
+        np.array([5, 5, -1, 5, 7, -1, 5, 0, 0, 5, 7, 7, 5]),
+        np.arange(13) % 3 == 0,
+        np.array(labels),
+        np.array(labels, dtype=object),
+    ]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 4096])
+def test_write_csv_repeated_cells(tmp_path, monkeypatch, block_rows):
+    # Cells repeat inside one block (4096 rows) and across block edges
+    # (1 and 3 rows): each must still be written as the per-cell writer
+    # writes it, -0.0 and float32 values included.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    columns = _repeating_columns()
+    header = list("abcdef")
+    path = cli._OutputSet(tmp_path).write_csv("t.csv", header, columns)
+    assert path.read_bytes() == _reference_csv(header, zip(*columns))
+
+
 # Every run starts from small sizes and grids, and each key's draws stay
 # within a few times its starting value (of either sign for floats, from
 # -2 up for ints) or are special values, so that no draw allocates much.
@@ -629,8 +657,9 @@ class TestSinglePass:
         calls = _counting(monkeypatch, openchain, "eigh_bands")
         args = ["--set", "table1.sizes=4,6", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["table1", "--out", str(tmp_path), *args]) == 0
-        points = 21  # theta1 in [-pi/2, pi/2] at step pi/20
-        assert len(calls) == 2 * points
+        # theta1 in [-pi/2, pi/2] at step pi/20 is an exactly symmetric
+        # grid, so its 21 points are 11 distinct chains per size.
+        assert len(calls) == 2 * 11
 
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
         # The spectra span the detector's detuning grid; the detector

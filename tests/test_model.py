@@ -11,7 +11,6 @@ from weyllab.model import (
     chain_bands,
     coupling_profile,
     d_vector,
-    dispersive_map,
     linearize,
     onsite_profile,
     weyl_points,
@@ -43,13 +42,6 @@ class TestProfiles:
     )
     def test_onsite_values(self, theta2, expect, params):
         assert onsite_profile(theta2, params) == pytest.approx(expect, abs=1e-12)
-
-    def test_dispersive_map(self):
-        assert dispersive_map(0.3, 2.0) == pytest.approx(-0.045)
-        assert dispersive_map(0.0, 1.0) == 0.0
-        assert dispersive_map(1.0, -1.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            dispersive_map(0.3, 0.0)
 
 
 class TestDVector:
@@ -85,7 +77,9 @@ class TestDVector:
     def test_bloch_matrix_hermitian_and_bands(self, kx, t1, t2):
         p = ModelParams(Delta0=0.3)
         d = d_vector(SyntheticMomentum(kx, t1, t2), p)
-        m = d.matrix()
+        m = np.array(
+            [[d.delta0 + d.hz, d.hx - 1j * d.hy], [d.hx + 1j * d.hy, d.delta0 - d.hz]]
+        )
         assert np.allclose(m, m.conj().T)
         em, ep = bulk_bands(SyntheticMomentum(kx, t1, t2), p)
         assert np.linalg.eigvalsh(m) == pytest.approx([em, ep])

@@ -13,7 +13,7 @@ from weyllab.numerics import (
     UndersampledLoopError,
     eigh_bands,
     _shifted_singular_values,
-    solid_angle,
+    solid_angle_batch,
     solve_shifted,
     unwrap_winding,
 )
@@ -210,6 +210,19 @@ class TestSolveShifted:
         norm2 = np.linalg.norm(m, 2)
         assert numerics._norm_lower_bound(m) <= norm2 * (1 + 4 * np.finfo(float).eps)
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 7), (3, 2, 12, 12), (101, 1, 36, 36)]
+    )
+    def test_residual_scale_is_largest_column_norm(self, rng, shape):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m *= 10.0 ** rng.uniform(-3, 3, size=shape[:-2] + (1, 1))
+        want = np.linalg.norm(m, axis=-2).max(axis=-1)
+        got = numerics._norm_lower_bound(m)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-15 * want).all()
+        norm2 = np.linalg.norm(m, 2, axis=(-2, -1))
+        assert (got <= norm2 * (1 + 4 * np.finfo(float).eps)).all()
+
     def test_singular_message_says_cond_bound(self, monkeypatch):
         # A well-conditioned system whose residual check fails reports
         # the bound, the only condition number it computed.
@@ -259,43 +272,36 @@ class TestUnwrapWinding:
 class TestSolidAngle:
     def test_octant(self):
         x, y, z = np.eye(3)
-        assert solid_angle(x, y, z) == pytest.approx(np.pi / 2)
+        assert solid_angle_batch(x, y, z) == pytest.approx(np.pi / 2)
 
     def test_orientation_flip(self):
         x, y, z = np.eye(3)
-        assert solid_angle(y, x, z) == pytest.approx(-np.pi / 2)
+        assert solid_angle_batch(y, x, z) == pytest.approx(-np.pi / 2)
 
     def test_degenerate(self):
         x, _, z = np.eye(3)
-        assert solid_angle(x, x, z) == 0.0
+        assert solid_angle_batch(x, x, z) == 0.0
 
     def test_coplanar_through_origin(self):
         v1 = np.array([1.0, 0.0, 0.0])
         v2 = np.array([np.cos(2.9), np.sin(2.9), 0.0])
         v3 = np.array([np.cos(3.4), np.sin(3.4), 0.0])
-        assert solid_angle(v1, v2, v3) == 0.0
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            solid_angle([0, 0, 0], [0, 1, 0], [0, 0, 1])
+        assert solid_angle_batch(v1, v2, v3) == 0.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
     def test_antisymmetry(self, seed):
         rng = np.random.default_rng(seed)
         v1, v2, v3 = rng.normal(size=(3, 3))
-        assert solid_angle(v1, v2, v3) == pytest.approx(
-            -solid_angle(v2, v1, v3), abs=1e-12
+        v1, v2, v3 = (v / np.linalg.norm(v) for v in (v1, v2, v3))
+        assert solid_angle_batch(v1, v2, v3) == pytest.approx(
+            -solid_angle_batch(v2, v1, v3), abs=1e-12
         )
 
     def test_octahedron_tiles_sphere(self):
-        # Eight consistently oriented octants cover the sphere once.
-        x, y, z = np.eye(3)
-        total = 0.0
-        for sx in (1, -1):
-            for sy in (1, -1):
-                for sz in (1, -1):
-                    tri = (sx * x, sy * y, sz * z)
-                    orient = sx * sy * sz
-                    total += solid_angle(*tri) * orient
+        # Eight consistently oriented octants cover the sphere once; the
+        # octants go in as one stack.
+        signs = np.array(np.meshgrid([1, -1], [1, -1], [1, -1])).reshape(3, -1).T
+        x, y, z = (signs[:, [k]] * np.eye(3)[k] for k in range(3))
+        total = (solid_angle_batch(x, y, z) * signs.prod(axis=1)).sum()
         assert total == pytest.approx(4 * np.pi, abs=1e-8)

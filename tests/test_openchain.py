@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyllab.model import ModelParams
+from weyllab import openchain
+from weyllab.model import ModelParams, chain_bands
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
+    END_ROWS,
     ZTOL_DEFAULT,
     ArcInterval,
+    _distinct_rows,
     _end_weights,
+    _labels,
     arc_interval_oracle,
     arc_membership,
-    classify_localization,
     density_profile,
     diagonalize_chain,
     edge_spectrum,
@@ -31,6 +34,11 @@ TABLE1_ORACLE = {4: 0.20, 6: 0.28, 8: 0.34, 12: 0.39, 20: 0.44, 36: 0.47}
 
 def chain(sites: int, **kw) -> ModelParams:
     return ModelParams(N=sites // 2, **kw)
+
+
+def classify_localization(v) -> str:
+    """The label _labels gives one normalized vector."""
+    return str(_labels(np.asarray(v, dtype=float)[END_ROWS, None])[0])
 
 
 class TestClassifyLocalization:
@@ -212,6 +220,55 @@ class TestEdgeSpectrum:
     def test_needs_two_cells(self):
         with pytest.raises(ValueError):
             edge_spectrum([0.0], [0.0], ModelParams(N=1))
+
+    @pytest.mark.parametrize(
+        "theta1s,theta2s",
+        [(np.linspace(-np.pi, np.pi, 21),) * 2, (ARC_GRID, [np.pi / 2]),
+         ([0.3, -0.3, 0.3], [0.0, -0.0, np.pi / 2, -np.pi / 2])],
+    )
+    def test_one_solve_per_distinct_chain(self, monkeypatch, theta1s, theta2s):
+        p = chain(8)
+        calls, solve = [], openchain.eigh_bands
+
+        def counted(diag, off):
+            calls.append((diag.tobytes(), off.tobytes()))
+            return solve(diag, off)
+
+        monkeypatch.setattr(openchain, "eigh_bands", counted)
+        energies, _ = edge_spectrum(theta1s, theta2s, p)
+        diags, offs = chain_bands(theta1s, theta2s, p)
+        distinct_diags = {row.tobytes() for row in diags}
+        distinct_offs = {row.tobytes() for row in offs}
+        assert len(calls) == len(set(calls))
+        assert len(calls) == len(distinct_diags) * len(distinct_offs)
+        assert energies.shape == (len(theta1s), len(theta2s), p.sites)
+
+    def test_symmetric_arc_grid_has_51_distinct_chains(self):
+        _, offs = chain_bands(ARC_GRID, np.pi / 2, chain(8))
+        assert len(_distinct_rows(offs)[0]) == 51
+
+    @pytest.mark.parametrize("points", [21, 41, 81])
+    def test_sheet_is_even_where_cosines_match(self, points):
+        # linspace(-pi, pi) is not exactly symmetric, but wherever the
+        # mirror points' cosines agree bit for bit their chains are one.
+        grid = np.linspace(-np.pi, np.pi, points)
+        energies, labels = edge_spectrum(grid, grid, chain(6))
+        cos = [math.cos(t) for t in grid]
+        mirror = [k for k in range(points) if cos[k] == cos[-1 - k]]
+        assert len(mirror) > points // 2
+        for k in mirror:
+            for a, b in ((energies[k], energies[-1 - k]),
+                         (energies[:, k], energies[:, -1 - k])):
+                assert a.tobytes() == b.tobytes()
+            assert labels[k].tolist() == labels[-1 - k].tolist()
+            assert labels[:, k].tolist() == labels[:, -1 - k].tolist()
+
+    def test_distinct_rows_keep_signed_zeros_apart(self):
+        a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [2.0, 1.0]])
+        rows, inverse = _distinct_rows(a)
+        assert len(rows) == 3
+        assert rows[inverse].tobytes() == a.tobytes()
+        assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
 
     def test_penetration_grows_toward_projection(self):
         # The arc-center edge state sits entirely on the first cell; at

@@ -319,7 +319,7 @@ class TestReflectionSpectrum:
         # Inside the arc the near-zero edge mode leaves a reflection
         # feature exactly at zero detuning.
         trace = reflection_spectrum(0.1 * np.pi, np.pi / 2, DGRID, chain(4))
-        R = trace.magnitudes_squared()
+        R = np.abs(trace.r_values) ** 2
         i0 = np.argmin(np.abs(trace.parameter_samples))
         assert np.argmin(R) == i0
         assert R[i0] < R[i0 - 1] < 1.0
@@ -327,7 +327,7 @@ class TestReflectionSpectrum:
 
     def test_split_features_outside_arc(self):
         trace = reflection_spectrum(0.4 * np.pi, np.pi / 2, DGRID, chain(4))
-        R = trace.magnitudes_squared()
+        R = np.abs(trace.r_values) ** 2
         d = trace.parameter_samples
         i0 = np.argmin(np.abs(d))
         ileft = np.argmin(R[:i0])
@@ -341,8 +341,8 @@ class TestReflectionSpectrum:
     def test_even_in_theta1(self, theta1):
         p = chain(8)
         grid = np.linspace(-1, 1, 21)
-        ra = reflection_spectrum(theta1, np.pi / 2, grid, p).magnitudes_squared()
-        rb = reflection_spectrum(-theta1, np.pi / 2, grid, p).magnitudes_squared()
+        ra = np.abs(reflection_spectrum(theta1, np.pi / 2, grid, p).r_values) ** 2
+        rb = np.abs(reflection_spectrum(-theta1, np.pi / 2, grid, p).r_values) ** 2
         assert ra == pytest.approx(rb, abs=1e-12)
 
     def test_center_depth_grows_toward_arc_edge(self):
@@ -352,7 +352,7 @@ class TestReflectionSpectrum:
         for theta1 in (0.0, 0.1 * np.pi, 0.15 * np.pi):
             trace = reflection_spectrum(theta1, np.pi / 2, DGRID, chain(4))
             i0 = np.argmin(np.abs(trace.parameter_samples))
-            values.append(trace.magnitudes_squared()[i0])
+            values.append(abs(trace.r_values[i0]) ** 2)
         assert values[0] > values[1] > values[2]
 
     def test_trace_validation(self):
