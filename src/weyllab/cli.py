@@ -34,6 +34,7 @@ from .numerics import NumericsError, unwrap_winding
 from .openchain import density_profile, diagonalize_chain, edge_spectrum
 from .spectroscopy import (
     DELTA0_STEP,
+    FIT_WINDOW,
     detect_arc_endpoint,
     detuning_grid,
     loop_reflection,
@@ -336,6 +337,8 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
 
 
 def _theta1_grid(cfg) -> np.ndarray:
+    if not cfg["fermi_arc.window"] >= FIT_WINDOW:
+        raise ValueError(f"fermi_arc.window must be at least {FIT_WINDOW} J")
     span, step = cfg["fermi_arc.span"], cfg["fermi_arc.grid_step"]
     return symmetric_grid(span * math.pi, step * math.pi)
 
@@ -343,7 +346,7 @@ def _theta1_grid(cfg) -> np.ndarray:
 def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     grid = _theta1_grid(cfg)
-    det = detect_arc_endpoint(math.pi / 2, grid, cfg["fermi_arc.window"], p)
+    det = detect_arc_endpoint(math.pi / 2, grid, p)
     dgrid = detuning_grid(cfg["fermi_arc.window"], DELTA0_STEP, p)
     probe = [0.0]
     if not det.empty:
@@ -375,7 +378,7 @@ def cmd_table1(cfg, out: _OutputSet) -> int:
     flagged = False
     for k, sites in enumerate(sizes):
         p = _params(cfg, sites=sites)
-        det = detect_arc_endpoint(math.pi / 2, grid, cfg["fermi_arc.window"], p)
+        det = detect_arc_endpoint(math.pi / 2, grid, p)
         flagged |= det.flagged
         if not det.empty:
             theta1c[k] = det.theta1c_plus

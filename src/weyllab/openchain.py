@@ -256,8 +256,8 @@ def max_symmetric_interval(theta1_grid, ok) -> ArcInterval:
 def arc_interval_oracle(
     theta2: float,
     theta1_grid,
+    p: ModelParams,
     ztol: float = ZTOL_DEFAULT,
-    p: ModelParams = None,
 ) -> ArcInterval:
     """Maximal symmetric theta1 interval carrying an edge-localized
     near-zero state, from direct diagonalization.
@@ -266,8 +266,6 @@ def arc_interval_oracle(
     are the extremes of the largest all-qualifying interval [-t, t],
     at grid resolution.
     """
-    if p is None:
-        raise ValueError("model parameters required")
     if ztol <= 0:
         raise ValueError("ztol must be positive")
     return max_symmetric_interval(

@@ -18,8 +18,8 @@ model is linear except in the pair energy e, so its linear weights are
 projected out (variable projection).  The e-independent background is
 projected out of every trace once; each candidate e adds two pole
 columns, orthonormalised by Gram-Schmidt.  A coarse scan over e and a
-golden-section search refine all traces in lockstep, and one SVD at the
-fitted energies gives the port weights.
+golden-section search refine all traces in lockstep; the same
+projection at the fitted energies gives the port weights.
 """
 
 from __future__ import annotations
@@ -319,42 +319,23 @@ def winding_measurement(
     return unwrap_winding(np.angle(trace.r_values)).winding
 
 
-def _pair_bases(e: np.ndarray, d: np.ndarray, kappa: float):
-    """SVD of the resonance-pair model at stacked pair energies e, from
-    which _fit_zero_pairs takes the weights at its fitted energies.
-
-    Model: g(d) = w+/(d + e - i kappa/2) + w-/(d - e - i kappa/2)
-    + quadratic background; linear in everything but e.  Returns the
-    SVD (u, 1/s, vh) of the (..., m, 5) model matrices under lstsq's rank
-    rule: singular values at or below eps max(m, 5) s_max are dropped
-    (zeroed in u and 1/s), as at e = 0, where the two pole columns
-    coincide.
-    """
-    e = np.asarray(e, dtype=float)[..., None]
-    cols = np.empty(e.shape[:-1] + (d.size, 5), dtype=complex)
-    cols[..., 0] = 1.0 / (d + e - 0.5j * kappa)
-    cols[..., 1] = 1.0 / (d - e - 0.5j * kappa)
-    cols[..., 2] = 1.0
-    cols[..., 3] = d
-    cols[..., 4] = d * d
-    u, s, vh = np.linalg.svd(cols, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(d.size, 5) * s[..., :1]
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return u * keep[..., None, :], inv_s, vh
-
-
-def _pair_misfits(
+def _pair_fit(
     e: np.ndarray, d: np.ndarray, q: np.ndarray, g: np.ndarray, kappa: float
-) -> np.ndarray:
-    """lstsq residual norms of the resonance-pair model at pair energies e.
+) -> tuple[np.ndarray, np.ndarray]:
+    """lstsq residual norms and pair weights of the resonance-pair model
+    at pair energies e.
 
-    q (m, 3) is an orthonormal basis of the background (1, d, d^2), which
-    is already projected out of the traces g (..., m); e broadcasts against
-    g's stack.  The pole columns enter as s = a+ + a- and t = a+ - a-.
-    Gram-Schmidt, applied twice, orthonormalises s against q, then t
-    against q and s; lstsq's rank rule drops t when at most eps max(m, 5)
-    ||s|| of it is left, as at e = 0.  The residual is formed, not taken as
-    ||g||^2 - ||projection||^2, which cancels.
+    Model: g(d) = w+ a+ + w- a- + quadratic background, with the poles
+    a+- = 1/(d +- e - i kappa/2); linear in everything but e.  q (m, 3) is
+    an orthonormal basis of the background (1, d, d^2), which is already
+    projected out of the traces g (..., m); e broadcasts against g's stack.
+    The pole columns enter as s = a+ + a- and t = a+ - a-.  Gram-Schmidt,
+    applied twice, orthonormalises s against q, then t against q and s;
+    lstsq's rank rule drops t when at most eps max(m, 5) ||s|| of it is
+    left, as at e = 0.  The residual is formed, not taken as ||g||^2 -
+    ||projection||^2, which cancels.  Back substitution in the same basis
+    gives g = c_s s + c_t t + background, c_t = 0 where t is dropped
+    (lstsq's minimum-norm solution), and the weight w+ + w- = 2 Re c_s.
     """
     e = np.asarray(e, dtype=float)[..., None]
     plus, minus = 1.0 / (d + e - 0.5j * kappa), 1.0 / (d - e - 0.5j * kappa)
@@ -363,15 +344,25 @@ def _pair_misfits(
         s -= (s @ q) @ q.T
     norm_s = np.linalg.norm(s, axis=-1, keepdims=True)
     s /= norm_s
+    s_t = 0.0  # <s, t> with the background projected out of t
     for _ in range(2):
         t -= (t @ q) @ q.T
-        t -= s * np.sum(s.conj() * t, axis=-1, keepdims=True)
+        proj = np.sum(s.conj() * t, axis=-1, keepdims=True)
+        t -= s * proj
+        s_t += proj
     norm_t = np.linalg.norm(t, axis=-1, keepdims=True)
     keep = norm_t > np.finfo(float).eps * max(d.size, 5) * norm_s
     t = np.divide(t, norm_t, out=np.zeros_like(t), where=keep)
-    r = g - s * np.sum(s.conj() * g, axis=-1, keepdims=True)
-    r -= t * np.sum(t.conj() * r, axis=-1, keepdims=True)
-    return np.linalg.norm(r, axis=-1)
+    s_g = np.sum(s.conj() * g, axis=-1, keepdims=True)
+    r = g - s * s_g
+    t_g = np.sum(t.conj() * r, axis=-1, keepdims=True)
+    r -= t * t_g
+    # The norm's two trace-sized temporaries come before the small weight
+    # arrays, which would otherwise fragment the heap and lift peak RSS.
+    misfit = np.linalg.norm(r, axis=-1)
+    c_t = np.divide(t_g, norm_t, out=np.zeros_like(t_g), where=keep)
+    c_s = (s_g - c_t * s_t) / norm_s
+    return misfit, 2.0 * c_s[..., 0].real
 
 
 def _fit_zero_pairs(
@@ -386,24 +377,24 @@ def _fit_zero_pairs(
     variable projection (Golub & Pereyra 1973): the linear weights are
     projected out, leaving a misfit in e alone.  The quadratic
     background does not depend on e, so one QR of its real (m, 3)
-    columns projects it out of every trace once; _pair_misfits handles
+    columns projects it out of every trace once; _pair_fit handles
     the two pole columns per e.  Every trace is scanned against
     COARSE_CANDIDATES energies in [0, FIT_WINDOW J], then refined in
     lockstep by golden-section search inside the bracket of the best
     candidate's neighbours, to a width of REFINE_TOL J.  The weights come
-    from one SVD of the full model at the fitted energies.  Returns
-    (energies, total pair weights), each (P,).
+    from _pair_fit at the fitted energies.  Returns (energies, total pair
+    weights), each (P,).
     """
     q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
     g_off = g - (g @ q) @ q.T  # the traces with the background projected out
 
     coarse = np.linspace(0.0, FIT_WINDOW * p.J, COARSE_CANDIDATES)
-    i0 = np.argmin(_pair_misfits(coarse, d, q, g_off[:, None, :], p.kappa), axis=1)
+    i0 = np.argmin(_pair_fit(coarse, d, q, g_off[:, None, :], p.kappa)[0], axis=1)
     lo = coarse[np.maximum(i0 - 1, 0)]
     hi = coarse[np.minimum(i0 + 1, coarse.size - 1)]
 
     def misfit(e):
-        return _pair_misfits(e, d, q, g_off, p.kappa)
+        return _pair_fit(e, d, q, g_off, p.kappa)[0]
 
     a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fa, fb = misfit(a), misfit(b)
@@ -419,43 +410,26 @@ def _fit_zero_pairs(
             np.where(left, fa, fnew),
         )
     e_hat = 0.5 * (lo + hi)
-    u, inv_s, vh = _pair_bases(e_hat, d, p.kappa)
-    # The minimum-norm lstsq coefficients V diag(1/s) U^H g.
-    uh_g = u.conj().swapaxes(-1, -2) @ g[..., None]
-    coef = vh.conj().swapaxes(-1, -2) @ (inv_s[..., None] * uh_g)
-    return e_hat, (coef[:, 0, 0] + coef[:, 1, 0]).real
+    return e_hat, _pair_fit(e_hat, d, q, g_off, p.kappa)[1]
 
 
-def detect_arc_endpoint(
-    theta2: float,
-    theta1_grid,
-    delta0_window: float = 1.0,
-    p: ModelParams = None,
-) -> ArcDetection:
+def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetection:
     """Arc endpoints from reflection spectra, cross-checked against the
     diagonalization oracle.
 
     For each theta1 the complex reflection is solved only on the fit
-    window, the points of detuning_grid(delta0_window, DELTA0_STEP) with
-    |Delta0| <= FIT_WINDOW J; delta0_window (in units of J) is only
-    validated to be at least FIT_WINDOW, so every window >= FIT_WINDOW
-    gives the same result.  One batched fit over all traces reduces them
-    to the near-zero resonance energy and port weight; the point is
-    inside the arc when the energy is below ZTOL_DEFAULT J and the
-    weight exceeds the edge-label threshold.  Endpoints are the maximal
-    symmetric interval of inside points.  Disagreement with the oracle
-    beyond single boundary-adjacent grid points flags the result as
-    inconsistent.
+    window, detuning_grid(FIT_WINDOW, DELTA0_STEP).  One batched fit over
+    all traces reduces them to the near-zero resonance energy and port
+    weight; the point is inside the arc when the energy is below
+    ZTOL_DEFAULT J and the weight exceeds the edge-label threshold.
+    Endpoints are the maximal symmetric interval of inside points.
+    Disagreement with the oracle beyond single boundary-adjacent grid
+    points flags the result as inconsistent.
     """
-    if p is None:
-        raise ValueError("model parameters required")
     if p.kappa <= 0:
         raise ValueError("arc detection needs kappa > 0")
-    if not delta0_window >= FIT_WINDOW:
-        raise ValueError(f"delta0_window must be at least {FIT_WINDOW} J")
     grid = np.sort(np.asarray(theta1_grid, dtype=float))
-    dgrid = detuning_grid(delta0_window, DELTA0_STEP, p)
-    dfit = dgrid[np.abs(dgrid) <= FIT_WINDOW * p.J + 1e-12 * p.J]
+    dfit = detuning_grid(FIT_WINDOW, DELTA0_STEP, p)
 
     inside = np.zeros(grid.size, dtype=bool)
     # A single-cell chain has no distinct end cells, so nothing can be

@@ -167,7 +167,7 @@ def test_criterion_6_oracle_equivalence():
     grid = np.arange(-50, 51) * 0.01 * math.pi
     for sites in TABLE1:
         p = chain(sites)
-        det = detect_arc_endpoint(math.pi / 2, grid, 1.0, p)
+        det = detect_arc_endpoint(math.pi / 2, grid, p)
         oracle = arc_interval_oracle(math.pi / 2, grid, p=p)
         assert not det.flagged
         assert det.empty == oracle.empty

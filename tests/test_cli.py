@@ -334,6 +334,7 @@ MISUSES = [
     ("reflection", ["reflection.step=0"]),
     ("edge-spectrum", ["edge_spectrum.sites=2"]),
     ("fermi-arc", ["fermi_arc.window=0.02"]),
+    ("table1", ["fermi_arc.window=0.02"]),
     ("reflection", ["reflection.window=-1"]),
     ("fermi-arc", ["fermi_arc.span=-0.5"]),
     ("reflection", ["reflection.step=5e-324"]),

@@ -336,8 +336,6 @@ class TestArcIntervalOracle:
     def test_ztol_validation(self):
         with pytest.raises(ValueError):
             arc_interval_oracle(np.pi / 2, ARC_GRID, ztol=0.0, p=chain(4))
-        with pytest.raises(ValueError):
-            arc_interval_oracle(np.pi / 2, ARC_GRID)
 
 
 def _ssh_edge_energy(v: float, w: float, cells: int) -> float:
@@ -406,7 +404,7 @@ class TestTable1ThreeLegs:
         # A third leg beside criterion 6: the reflection detector, the
         # diagonalization oracle and the closed form pick the same points.
         p = chain(sites)
-        det = detect_arc_endpoint(np.pi / 2, ARC_GRID, 1.0, p)
+        det = detect_arc_endpoint(np.pi / 2, ARC_GRID, p)
         assert not det.flagged and det.disagreement_count == 0
         closed = [_closed_form_inside(t, p) for t in ARC_GRID]
         assert arc_membership(np.pi / 2, ARC_GRID, ZTOL_DEFAULT, p).tolist() == closed

@@ -19,8 +19,7 @@ from weyllab.spectroscopy import (
     FIT_WINDOW,
     ReflectionTrace,
     _fit_zero_pairs,
-    _pair_bases,
-    _pair_misfits,
+    _pair_fit,
     detect_arc_endpoint,
     detuning_grid,
     left_drive,
@@ -414,7 +413,7 @@ SCALE_GRID = np.arange(-25, 26) * 0.02 * np.pi
 
 @pytest.fixture(scope="module")
 def unit_scale_arc():
-    det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, 1.0, chain(4))
+    det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, chain(4))
     assert not det.flagged and not det.empty
     return det
 
@@ -425,7 +424,7 @@ class TestDetectArcEndpoint:
     )
     def test_endpoints_match_reported(self, sites, reported):
         grid = np.arange(-50, 51) * 0.01 * np.pi
-        det = detect_arc_endpoint(np.pi / 2, grid, 1.0, chain(sites))
+        det = detect_arc_endpoint(np.pi / 2, grid, chain(sites))
         assert not det.flagged
         got = det.theta1c_plus / np.pi
         assert abs(got - reported) <= 0.02 + 1e-9
@@ -433,7 +432,7 @@ class TestDetectArcEndpoint:
     def test_agrees_with_oracle(self):
         grid = np.arange(-50, 51) * 0.01 * np.pi
         for sites in (4, 12):
-            det = detect_arc_endpoint(np.pi / 2, grid, 1.0, chain(sites))
+            det = detect_arc_endpoint(np.pi / 2, grid, chain(sites))
             assert det.disagreement_count == 0
             assert det.theta1c_plus == pytest.approx(det.oracle.theta1c_plus)
             assert det.theta1c_minus == pytest.approx(det.oracle.theta1c_minus)
@@ -443,7 +442,7 @@ class TestDetectArcEndpoint:
         # Every energy in units of J: the detector must read the same
         # arc on the scaled model as at J = 1.
         scaled = chain(4, J=j, Je=j, kappa=0.1 * j, Delta0=-0.1 * j)
-        det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, 1.0, scaled)
+        det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, scaled)
         assert not det.flagged
         ref = unit_scale_arc
         assert (det.theta1c_minus, det.theta1c_plus) == (
@@ -453,7 +452,7 @@ class TestDetectArcEndpoint:
 
     def test_requires_damping(self):
         with pytest.raises(ValueError):
-            detect_arc_endpoint(np.pi / 2, [0.0], 1.0, chain(4, kappa=0.0))
+            detect_arc_endpoint(np.pi / 2, [0.0], chain(4, kappa=0.0))
 
 
 def _reference_residual(e, d, g, kappa):
@@ -512,8 +511,9 @@ def fit_window_traces(request):
 
 class TestBatchedPairFit:
     def test_fit_window_solve_is_bitwise(self, fit_window_traces):
-        _, d, r_fit, r_full = fit_window_traces
+        p, d, r_fit, r_full = fit_window_traces
         assert d.size == 25
+        assert np.array_equal(d, detuning_grid(FIT_WINDOW, DELTA0_STEP, p))
         assert np.array_equal(r_fit, r_full)
 
     def test_matches_per_trace_reference(self, fit_window_traces):
@@ -527,38 +527,31 @@ class TestBatchedPairFit:
 
         assert np.array_equal(verdicts(e_hat, weight), verdicts(e_ref, w_ref))
         assert np.abs(e_hat - e_ref).max() <= 1e-7 * p.J
+        assert np.abs(weight - w_ref).max() <= 1e-6
 
     def test_misfit_equals_lstsq_residual(self, rng):
-        # Every coarse candidate, including e = 0, where the two pole
-        # columns coincide and lstsq's rank rule drops one of them.
+        # Misfit and pair weight at every coarse candidate, including
+        # e = 0, where the two pole columns coincide and lstsq's rank rule
+        # drops one of them for the minimum-norm solution.
         p = chain(12)
         d = np.arange(-12, 13) * DELTA0_STEP
         g = rng.normal(size=(3, d.size)) + 1j * rng.normal(size=(3, d.size))
         coarse = np.linspace(0.0, FIT_WINDOW, 61)
-        inv_s = _pair_bases(coarse, d, p.kappa)[1]
-        assert np.count_nonzero(inv_s[0]) == 4
-        assert np.count_nonzero(inv_s[1:], axis=-1).min() == 5
         q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
         g_off = g - (g @ q) @ q.T
-        got = _pair_misfits(coarse, d, q, g_off[:, None, :], p.kappa)
-        ref = [[_reference_residual(e, d, gi, p.kappa)[0] for e in coarse] for gi in g]
-        assert got.shape == (3, 61)
-        assert got == pytest.approx(np.array(ref), rel=1e-9)
+        misfit, weight = _pair_fit(coarse, d, q, g_off[:, None, :], p.kappa)
+        ref = [[_reference_residual(e, d, gi, p.kappa) for e in coarse] for gi in g]
+        ref_misfit = np.array([[r for r, _ in row] for row in ref])
+        ref_weight = np.array([[(c[0] + c[1]).real for _, c in row] for row in ref])
+        assert misfit.shape == weight.shape == (3, 61)
+        assert misfit == pytest.approx(ref_misfit, rel=1e-9, abs=1e-12)
+        assert weight == pytest.approx(ref_weight, rel=1e-9, abs=1e-12)
 
-    def test_detection_runs_at_most_one_svd(self):
-        # The scan and the refinement need no SVD; only the port weight
-        # at the fitted energies takes one, for all theta1 points at once.
+    def test_detection_runs_no_svd(self):
+        # The scan, the refinement and the port weights all come from the
+        # one Gram-Schmidt projection.
         grid = np.arange(-25, 26) * 0.02 * np.pi
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
             det = detect_arc_endpoint(np.pi / 2, grid, p=chain(12))
         assert not det.empty and not det.flagged
-        assert svd.call_count <= 1
-
-    def test_detection_independent_of_window(self):
-        grid = np.arange(-25, 26) * 0.02 * np.pi
-        dets = [
-            detect_arc_endpoint(np.pi / 2, grid, window, chain(12))
-            for window in (FIT_WINDOW, 1.0, 3.0)
-        ]
-        assert not dets[0].empty
-        assert dets[0] == dets[1] == dets[2]
+        assert svd.call_count == 0
