@@ -2,15 +2,25 @@
 
 Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b,
 phase-loop winding extraction, and signed spherical solid angles.
-Everything here is a pure function of its inputs; no shared state.
+Everything here is a pure function of its inputs.
+
+numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
+ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
+scipy_dstev_64_ (numpy 2) or dstev_64_ (numpy 1.x), with 64-bit
+integers.  Where numpy's build exports neither (conda, MKL and distro
+builds), dstev is scipy.linalg.lapack.dstev, imported on its first call.
+The ctypes path keeps one scratch workspace per chain size and thread;
+every call overwrites it whole and returns copies, so no state passes
+from one call to the next.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dstev
 
 __all__ = [
     "NumericsError",
@@ -53,6 +63,87 @@ class WindingResult(NamedTuple):
     residual: float
 
 
+def _bundled_lapack_dstev():
+    """numpy's bundled ILP64 dstev as a ctypes function, or None.
+
+    dlsym on the handle of a numpy extension module also searches the
+    libraries it links, which include the bundled OpenBLAS."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_dstev_64_", "dstev_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            # Pointers to JOBZ, N, D, E, Z, LDZ, WORK and INFO, then JOBZ's
+            # length.  All eight as c_void_p: ctypes converts those
+            # fastest, and _DstevWorkspace fixes what they point to.
+            fn.argtypes = (ctypes.c_void_p,) * 8 + (ctypes.c_size_t,)
+            fn.restype = None
+            return fn
+    return None
+
+
+class _DstevWorkspace:
+    """Buffers and the ready argument tuple of dstev for one chain size n.
+
+    Everything the arguments point to is owned here, so it outlives
+    every call; N, LDZ and INFO are 64-bit integers, and z is
+    Fortran-ordered with leading dimension n."""
+
+    def __init__(self, n: int):
+        self.d, self.e = np.empty(n), np.empty(n - 1)
+        self.z, self.work = np.empty((n, n), order="F"), np.empty(max(2 * n - 2, 1))
+        self.jobz = ctypes.create_string_buffer(b"V")
+        self.n, self.info = ctypes.c_int64(n), ctypes.c_int64()
+        addresses = (
+            ctypes.addressof(self.jobz), ctypes.addressof(self.n), self.d.ctypes.data,
+            self.e.ctypes.data, self.z.ctypes.data, ctypes.addressof(self.n),
+            self.work.ctypes.data, ctypes.addressof(self.info),
+        )
+        self.args = tuple(map(ctypes.c_void_p, addresses)) + (ctypes.c_size_t(1),)
+
+
+class _Workspaces(threading.local):
+    """Each thread's dstev workspaces, by chain size."""
+
+    def __init__(self):
+        self.by_size: dict[int, _DstevWorkspace] = {}
+
+
+_LAPACK_DSTEV = _bundled_lapack_dstev()
+_workspaces = _Workspaces()
+
+
+def _bundled_dstev(d: np.ndarray, e: np.ndarray):
+    """scipy.linalg.lapack.dstev(d, e) through numpy's bundled LAPACK:
+    (eigenvalues, Fortran-ordered eigenvectors, info) of 1-D float bands
+    d (n,) and e (n - 1,), n >= 1."""
+    n = d.size
+    if d.ndim != 1 or e.shape != (n - 1,):
+        raise ValueError(f"dstev needs bands of shapes (n,), (n - 1,); got {d.shape}, {e.shape}")
+    work = _workspaces.by_size.get(n)
+    if work is None:
+        work = _workspaces.by_size[n] = _DstevWorkspace(n)
+    work.d[:] = d
+    work.e[:] = e
+    _LAPACK_DSTEV(*work.args)
+    return work.d.copy(), work.z.copy(order="F"), work.info.value
+
+
+def _scipy_dstev(d: np.ndarray, e: np.ndarray):
+    """scipy.linalg.lapack.dstev(d, e), imported on the first call."""
+    from scipy.linalg.lapack import dstev as scipy_dstev
+
+    return scipy_dstev(d, e)
+
+
+# The one dstev that eigh_bands calls.
+dstev = _scipy_dstev if _LAPACK_DSTEV is None else _bundled_dstev
+
+
 def eigh_bands(
     diag: np.ndarray, offdiag: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +156,10 @@ def eigh_bands(
     model.chain_bands checks every chain's.  One LAPACK dstev call (the
     implicit-shift QL/QR iteration), the driver that scipy.linalg's
     tridiagonal eigensolver runs with lapack_driver="stev", so the
-    results are bit for bit the same; EigenNonConvergenceError if it
-    does not converge.
+    results are bit for bit the same.  The call goes to numpy's bundled
+    LAPACK, or to scipy's where numpy's build does not export dstev
+    (module docstring).  EigenNonConvergenceError if it does not
+    converge.
     """
     if diag.size == 1:
         return diag.copy(), np.ones((1, 1))

@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 # Most matrix entries that one block of a reflections stack solves at
-# once (2 MB of complex systems); it bounds the kernel's memory.
+# once (2 MB of complex systems); it bounds the kernel's memory, and
+# that of the pair fit's coarse scan.
 BLOCK_ENTRIES = 2**17
 # Drive-detuning scan step for arc detection, in units of J.
 DELTA0_STEP = 0.01
@@ -379,17 +380,24 @@ def _fit_zero_pairs(
     background does not depend on e, so one QR of its real (m, 3)
     columns projects it out of every trace once; _pair_fit handles
     the two pole columns per e.  Every trace is scanned against
-    COARSE_CANDIDATES energies in [0, FIT_WINDOW J], then refined in
-    lockstep by golden-section search inside the bracket of the best
-    candidate's neighbours, to a width of REFINE_TOL J.  The weights come
-    from _pair_fit at the fitted energies.  Returns (energies, total pair
-    weights), each (P,).
+    COARSE_CANDIDATES energies in [0, FIT_WINDOW J], a block of traces
+    at a time, then refined in lockstep by golden-section search inside
+    the bracket of the best candidate's neighbours, to a width of
+    REFINE_TOL J.  The weights come from _pair_fit at the fitted
+    energies.  Returns (energies, total pair weights), each (P,).
     """
     q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
     g_off = g - (g @ q) @ q.T  # the traces with the background projected out
 
     coarse = np.linspace(0.0, FIT_WINDOW * p.J, COARSE_CANDIDATES)
-    i0 = np.argmin(_pair_fit(coarse, d, q, g_off[:, None, :], p.kappa)[0], axis=1)
+    # A block of traces at a time: _pair_fit holds up to three arrays of
+    # the block's (traces, candidates, m) shape at once (the residual and
+    # two temporaries), together at most BLOCK_ENTRIES entries.
+    traces = max(1, BLOCK_ENTRIES // (3 * coarse.size * d.size))
+    i0 = np.empty(len(g_off), dtype=np.intp)
+    for k in range(0, len(g_off), traces):
+        block = g_off[k : k + traces, None, :]
+        i0[k : k + traces] = np.argmin(_pair_fit(coarse, d, q, block, p.kappa)[0], axis=1)
     lo = coarse[np.maximum(i0 - 1, 0)]
     hi = coarse[np.minimum(i0 + 1, coarse.size - 1)]
 

@@ -602,11 +602,11 @@ def test_random_overrides_keep_exit_contract(command, sets):
         assert err.getvalue() == ""
 
 
-def test_cli_import_skips_scipy_optimize():
-    # The arc fit needs only NumPy; importing scipy.optimize would add
-    # its own import time to the start of every CLI run.
+def test_cli_import_skips_scipy():
+    # The package needs only NumPy at import; scipy, the eigensolver's
+    # fallback, would add its import time and memory to every CLI run.
     src = Path(spectroscopy.__file__).resolve().parents[1]
-    code = "import sys, weyllab.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, weyllab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,

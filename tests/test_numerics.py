@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from weyllab import numerics
@@ -84,13 +87,63 @@ class TestEighTridiagonal:
             )
         )
     )
-    @settings(max_examples=200)
-    def test_bitwise_equal_to_scipy_stev(self, bands):
+    # monkeypatch sets the same dstev for every example.
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("path", ["bundled", "scipy"])
+    def test_bitwise_equal_to_scipy_stev(self, monkeypatch, path, bands):
+        # Both dstev paths: numpy's bundled LAPACK, and the scipy fallback
+        # that numpy builds without the symbol use.
+        if path == "bundled":
+            if numerics._LAPACK_DSTEV is None:
+                pytest.skip("this numpy build exports no dstev")
+            monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        else:
+            monkeypatch.setattr(numerics, "dstev", numerics._scipy_dstev)
         d, e = bands
         vals, vecs = eigh_bands(d, e)
         ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stev")
         assert vals.tobytes() == ref_vals.tobytes()
         assert vecs.tobytes() == ref_vecs.tobytes()
+
+    def test_missing_symbol_means_no_binding(self, monkeypatch):
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+        monkeypatch.setattr(numerics.ctypes, "CDLL", NoSymbols)
+        assert numerics._bundled_lapack_dstev() is None
+
+    def test_threads_of_one_size_keep_their_results(self, rng):
+        # The bundled path releases the interpreter lock inside LAPACK;
+        # threads that shared one workspace per size would read each
+        # other's eigenpairs.
+        chains = [random_tridiag(rng, 16) for _ in range(6)]
+        expected = [eigh_bands(*h) for h in chains]
+        wrong = []
+
+        def solve(h, ref):
+            for _ in range(300):
+                vals, vecs = eigh_bands(*h)
+                if vals.tobytes() != ref[0].tobytes() or vecs.tobytes() != ref[1].tobytes():
+                    wrong.append(1)
+
+        threads = [threading.Thread(target=solve, args=pair) for pair in zip(chains, expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    def test_bundled_dstev_rejects_mismatched_bands(self):
+        # A length-1 offdiag would broadcast into the workspace unnoticed.
+        with pytest.raises(ValueError):
+            numerics._bundled_dstev(np.zeros(5), np.zeros(1))
 
     @pytest.mark.parametrize("info", [1, -2])
     def test_lapack_failure_raises(self, monkeypatch, info):

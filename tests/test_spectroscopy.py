@@ -529,6 +529,17 @@ class TestBatchedPairFit:
         assert np.abs(e_hat - e_ref).max() <= 1e-7 * p.J
         assert np.abs(weight - w_ref).max() <= 1e-6
 
+    def test_scan_blocks_do_not_change_the_fit(self, fit_window_traces):
+        # Every trace's scan is independent of the others, so one trace
+        # per block gives the bits of the default blocks.
+        p, d, r, _ = fit_window_traces
+        g = (r - 1.0) / (1j * p.kappa)
+        fit = _fit_zero_pairs(d, g, p)
+        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", 1):
+            per_trace = _fit_zero_pairs(d, g, p)
+        for a, b in zip(fit, per_trace):
+            assert a.tobytes() == b.tobytes()
+
     def test_misfit_equals_lstsq_residual(self, rng):
         # Misfit and pair weight at every coarse candidate, including
         # e = 0, where the two pole columns coincide and lstsq's rank rule
