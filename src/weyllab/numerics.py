@@ -9,15 +9,13 @@ ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
 scipy_dstev_64_ (numpy 2) or dstev_64_ (numpy 1.x), with 64-bit
 integers.  Where numpy's build exports neither (conda, MKL and distro
 builds), dstev is scipy.linalg.lapack.dstev, imported on its first call.
-The ctypes path keeps one scratch workspace per chain size and thread;
-every call overwrites it whole and returns copies, so no state passes
-from one call to the next.
+Either way one eigh_bands call solves a whole stack of chains in place
+in arrays that call allocates, so calls share no state.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -77,100 +75,93 @@ def _bundled_lapack_dstev():
     for name in ("scipy_dstev_64_", "dstev_64_"):
         fn = getattr(lib, name, None)
         if fn is not None:
-            # Pointers to JOBZ, N, D, E, Z, LDZ, WORK and INFO, then JOBZ's
-            # length.  All eight as c_void_p: ctypes converts those
-            # fastest, and _DstevWorkspace fixes what they point to.
+            # Addresses of JOBZ, N, D, E, Z, LDZ, WORK and INFO, where N,
+            # LDZ and INFO are 64-bit integers, then JOBZ's length.
             fn.argtypes = (ctypes.c_void_p,) * 8 + (ctypes.c_size_t,)
             fn.restype = None
             return fn
     return None
 
 
-class _DstevWorkspace:
-    """Buffers and the ready argument tuple of dstev for one chain size n.
-
-    Everything the arguments point to is owned here, so it outlives
-    every call; N, LDZ and INFO are 64-bit integers, and z is
-    Fortran-ordered with leading dimension n."""
-
-    def __init__(self, n: int):
-        self.d, self.e = np.empty(n), np.empty(n - 1)
-        self.z, self.work = np.empty((n, n), order="F"), np.empty(max(2 * n - 2, 1))
-        self.jobz = ctypes.create_string_buffer(b"V")
-        self.n, self.info = ctypes.c_int64(n), ctypes.c_int64()
-        addresses = (
-            ctypes.addressof(self.jobz), ctypes.addressof(self.n), self.d.ctypes.data,
-            self.e.ctypes.data, self.z.ctypes.data, ctypes.addressof(self.n),
-            self.work.ctypes.data, ctypes.addressof(self.info),
-        )
-        self.args = tuple(map(ctypes.c_void_p, addresses)) + (ctypes.c_size_t(1),)
-
-
-class _Workspaces(threading.local):
-    """Each thread's dstev workspaces, by chain size."""
-
-    def __init__(self):
-        self.by_size: dict[int, _DstevWorkspace] = {}
-
-
 _LAPACK_DSTEV = _bundled_lapack_dstev()
-_workspaces = _Workspaces()
 
 
-def _bundled_dstev(d: np.ndarray, e: np.ndarray):
-    """scipy.linalg.lapack.dstev(d, e) through numpy's bundled LAPACK:
-    (eigenvalues, Fortran-ordered eigenvectors, info) of 1-D float bands
-    d (n,) and e (n - 1,), n >= 1."""
-    n = d.size
-    if d.ndim != 1 or e.shape != (n - 1,):
-        raise ValueError(f"dstev needs bands of shapes (n,), (n - 1,); got {d.shape}, {e.shape}")
-    work = _workspaces.by_size.get(n)
-    if work is None:
-        work = _workspaces.by_size[n] = _DstevWorkspace(n)
-    work.d[:] = d
-    work.e[:] = e
-    _LAPACK_DSTEV(*work.args)
-    return work.d.copy(), work.z.copy(order="F"), work.info.value
+def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> int:
+    """LAPACK dstev in place on each chain of C-contiguous float stacks d
+    (m, n), e (m, n - 1) and z (m, n, n), n >= 2, through numpy's bundled
+    LAPACK: d[k] becomes chain k's eigenvalues and z[k] its eigenvectors
+    in column-major order, e[k] is destroyed.  Returns the first nonzero
+    INFO, or 0."""
+    m, n = d.shape
+    if e.shape != (m, n - 1) or z.shape != (m, n, n) or not all(
+        a.dtype == np.float64 and a.flags.c_contiguous for a in (d, e, z)
+    ):
+        raise ValueError("dstev needs C-contiguous float stacks (m, n), (m, n - 1), (m, n, n)")
+    work = np.empty(2 * n - 2)
+    jobz, size, info = ctypes.c_char(b"V"), ctypes.c_int64(n), ctypes.c_int64()
+    jobz_p, size_p, info_p = map(ctypes.addressof, (jobz, size, info))
+    d_p, e_p, z_p, work_p = (a.ctypes.data for a in (d, e, z, work))
+    for k in range(m):
+        _LAPACK_DSTEV(
+            jobz_p, size_p, d_p + 8 * n * k, e_p + 8 * (n - 1) * k,
+            z_p + 8 * n * n * k, size_p, work_p, info_p, 1,
+        )
+        if info.value:
+            return info.value
+    return 0
 
 
-def _scipy_dstev(d: np.ndarray, e: np.ndarray):
-    """scipy.linalg.lapack.dstev(d, e), imported on the first call."""
+def _scipy_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> int:
+    """_bundled_dstev through scipy.linalg.lapack.dstev, imported on the
+    first call."""
     from scipy.linalg.lapack import dstev as scipy_dstev
 
-    return scipy_dstev(d, e)
+    for d_k, e_k, z_k in zip(d, e, z):
+        vals, vecs, info = scipy_dstev(d_k, e_k)
+        if info:
+            return info
+        d_k[:], z_k[:] = vals, vecs.T
+    return 0
 
 
 # The one dstev that eigh_bands calls.
 dstev = _scipy_dstev if _LAPACK_DSTEV is None else _bundled_dstev
 
 
-def eigh_bands(
-    diag: np.ndarray, offdiag: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of the real symmetric tridiagonal matrix
-    with bands diag and offdiag.
+def eigh_bands(diags: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of the real symmetric tridiagonal chains with
+    bands diags (..., n) and offs (..., n - 1), which broadcast.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  The bands come validated:
-    float arrays of lengths n >= 1 and n - 1, finite, as
-    model.chain_bands checks every chain's.  One LAPACK dstev call (the
-    implicit-shift QL/QR iteration), the driver that scipy.linalg's
-    tridiagonal eigensolver runs with lapack_driver="stev", so the
-    results are bit for bit the same.  The call goes to numpy's bundled
-    LAPACK, or to scipy's where numpy's build does not export dstev
-    (module docstring).  EigenNonConvergenceError if it does not
-    converge.
+    Returns eigenvalues (..., n), ascending, and eigenvectors (..., n, n)
+    as orthonormal columns.  The bands come validated: float, n >= 1 and
+    finite, as model.chain_bands checks every chain's.  LAPACK dstev, the
+    driver of scipy.linalg.eigh_tridiagonal(lapack_driver="stev"), so bit
+    for bit its results, solves every chain in place in one C-ordered copy
+    of the bands and one eigenvector stack (module docstring).  ValueError
+    if the band lengths do not form a chain; EigenNonConvergenceError if
+    a chain does not converge.
     """
-    if diag.size == 1:
-        return diag.copy(), np.ones((1, 1))
-    vals, vecs, info = dstev(diag, offdiag)
+    n = diags.shape[-1]
+    if offs.shape[-1] != n - 1:
+        raise ValueError(f"bands of lengths {n} and {offs.shape[-1]} do not form a chain")
+    shape = np.broadcast_shapes(diags.shape[:-1], offs.shape[:-1])
+    # order="C": the default "K" keeps a broadcast's stride order, and
+    # dstev needs each chain's bands contiguous and in stack order.
+    vals = np.array(np.broadcast_to(diags, shape + (n,)), dtype=float, order="C")
+    if n == 1:
+        return vals, np.ones(shape + (1, 1))
+    e = np.array(np.broadcast_to(offs, shape + (n - 1,)), dtype=float, order="C")
+    # Chain k's vectors, column-major, fill z[k]; the swapped view has
+    # them as columns.
+    z = np.empty(shape + (n, n))
+    info = dstev(vals.reshape(-1, n), e.reshape(-1, n - 1), z.reshape(-1, n, n))
     if info > 0:
         raise EigenNonConvergenceError(
             f"tridiagonal eigensolver: {info} off-diagonal entries did not converge"
         )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dstev")
-    return vals, vecs
+    return vals, np.swapaxes(z, -1, -2)
 
 
 def _shifted_singular_values(t: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -196,13 +187,24 @@ def _cond_bound(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.asarray(bound)
 
 
-def _norm_lower_bound(m: np.ndarray) -> np.ndarray:
-    """Largest column 2-norm of stacked complex matrices m, a lower bound on
-    ||m||_2.  Squares are summed over the float view, real and imaginary
-    parts in alternate columns, with no conjugate product temporary."""
+def _max_column_norm(m: np.ndarray) -> np.ndarray:
+    """Largest column 2-norm of stacked complex matrices m: a lower bound
+    on ||m||_2, and the 2-norm of column vectors (..., n, 1).  Squares are
+    summed over the float view, real and imaginary parts in alternate
+    columns, with no conjugate product temporary, and rescaled only where
+    a sum over- or underflows."""
     v = m.view(np.float64)
-    s = np.einsum("...ij,...ij->...j", v, v)
-    return np.sqrt((s[..., 0::2] + s[..., 1::2]).max(axis=-1))
+    sq = np.einsum("...ij,...ij->...j", v, v)
+    norm2 = (sq[..., 0::2] + sq[..., 1::2]).max(axis=-1)
+    if ((2.0**-900 < norm2) & (norm2 < np.inf)).all():
+        return np.sqrt(norm2)
+    # Dividing each matrix by the power of two just above its largest part
+    # (1 for zeros) is exact, and then no square over- or underflows unless
+    # it is negligible.
+    s = np.ldexp(1.0, np.frexp(np.maximum(v.max(axis=(-2, -1)), -v.min(axis=(-2, -1))))[1])
+    v = v / s[..., None, None]
+    sq = np.einsum("...ij,...ij->...j", v, v)
+    return s * np.sqrt((sq[..., 0::2] + sq[..., 1::2]).max(axis=-1))
 
 
 def solve_shifted(t, z, b) -> np.ndarray:
@@ -229,8 +231,9 @@ def solve_shifted(t, z, b) -> np.ndarray:
     m = np.empty(np.broadcast_shapes(t.shape[:-2], z.shape) + t.shape[-2:], complex)
     np.multiply(z[..., None, None], np.eye(t.shape[-1]), out=m)
     m += t
+    b = b[..., None]  # x and b as columns (..., n, 1)
     try:
-        x = np.linalg.solve(m, b[..., None])[..., 0]
+        x = np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     # A backward-stable LU happily "solves" a singular system with a
@@ -244,9 +247,8 @@ def solve_shifted(t, z, b) -> np.ndarray:
         with np.errstate(all="ignore"):  # singular systems give inf and NaN
             cond[exact] = sv.max(axis=-1) / sv.min(axis=-1)
     with np.errstate(all="ignore"):
-        resid = np.linalg.norm((m @ x[..., None])[..., 0] - b, axis=-1)
-        norm_x, norm_b = np.linalg.norm(x, axis=-1), np.linalg.norm(b, axis=-1)
-        scale = _norm_lower_bound(m) * norm_x + norm_b
+        resid = _max_column_norm(m @ x - b)
+        scale = _max_column_norm(m) * _max_column_norm(x) + _max_column_norm(b)
     if not ((resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()):
         worst = np.argmax(cond)  # the first NaN, if any
         kind = "cond" if exact.flat[worst] else "cond bound"
@@ -254,7 +256,7 @@ def solve_shifted(t, z, b) -> np.ndarray:
             f"system singular to working precision ({kind} {cond.flat[worst]:.3e}, "
             f"residual {np.max(resid):.3e})"
         )
-    return x
+    return x[..., 0]
 
 
 def _principal(phi: np.ndarray) -> np.ndarray:

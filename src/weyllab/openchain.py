@@ -147,16 +147,10 @@ def _eigensystems(diags, offs, window: float):
     """Eigenvalues (..., n) and labeling-ready vectors (..., n, n) of the
     chains with bands diags (..., n) and offs (..., n - 1), which broadcast.
 
-    One eigh_bands per chain; the vectors of chains with two or more
+    One stacked eigh_bands; the vectors of chains with two or more
     states inside the window then get their +/-E pairs rotated.
     """
-    shape = np.broadcast_shapes(diags.shape[:-1], offs.shape[:-1])
-    n = diags.shape[-1]
-    diags = np.broadcast_to(diags, shape + (n,))
-    offs = np.broadcast_to(offs, shape + (n - 1,))
-    vals, vecs = np.empty(shape + (n,)), np.empty(shape + (n, n))
-    for k in np.ndindex(shape):
-        vals[k], vecs[k] = eigh_bands(diags[k], offs[k])
+    vals, vecs = eigh_bands(diags, offs)
     # argwhere, not nonzero: a single chain's count is a 0-d array.
     for k in np.argwhere(np.count_nonzero(np.abs(vals) < window, axis=-1) > 1):
         _rotate_pairs(vals[tuple(k)], vecs[tuple(k)], window)

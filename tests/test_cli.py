@@ -257,6 +257,11 @@ class TestCommands:
         w4 = json.loads((b / "winding.json").read_text())["winding"]
         assert w1 == -w4
 
+    def test_winding_huge_damping(self, tmp_path):
+        # Every loop system is well conditioned at kappa = 1e200; only its
+        # residual norms need scaling to avoid over- and underflow.
+        assert main(["winding", "--out", str(tmp_path), "--set", "kappa=1e200"]) == 0
+
     def test_fermi_arc_sites4(self, tmp_path):
         out = tmp_path / "run"
         assert main(["fermi-arc", "--out", str(out)]) == 0
@@ -398,8 +403,8 @@ def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
 
 
 def test_eigensolver_failure_is_numeric_failure(tmp_path, capsys, monkeypatch):
-    def not_converged(d, e):
-        return d.copy(), np.eye(d.size), 1
+    def not_converged(d, e, z):
+        return 1
 
     monkeypatch.setattr(numerics, "dstev", not_converged)
     args = ["edge-spectrum", "--out", str(tmp_path), "--set", "edge_spectrum.grid=3"]

@@ -80,30 +80,41 @@ class TestEighTridiagonal:
             check_eig(random_tridiag(rng, n))
 
     @given(
-        st.integers(2, 48).flatmap(
+        st.integers(1, 48).flatmap(
             lambda n: st.tuples(
-                hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)),
-                hnp.arrays(float, n - 1, elements=st.floats(-1e3, 1e3)),
+                st.sampled_from(["chain", "stacks", "diag row", "off row"]),
+                hnp.arrays(float, (3, n), elements=st.floats(-1e3, 1e3)),
+                hnp.arrays(float, (3, n - 1), elements=st.floats(-1e3, 1e3)),
             )
         )
     )
     # monkeypatch sets the same dstev for every example.
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @pytest.mark.parametrize("path", ["bundled", "scipy"])
-    def test_bitwise_equal_to_scipy_stev(self, monkeypatch, path, bands):
+    def test_bitwise_equal_to_scipy_stev(self, monkeypatch, path, case):
         # Both dstev paths: numpy's bundled LAPACK, and the scipy fallback
-        # that numpy builds without the symbol use.
+        # that numpy builds without the symbol use.  A stack is one chain
+        # (a 0-d stack), three, or one band row broadcast against three of
+        # the other; every chain must come out as scipy solves it alone.
         if path == "bundled":
             if numerics._LAPACK_DSTEV is None:
                 pytest.skip("this numpy build exports no dstev")
             monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
         else:
             monkeypatch.setattr(numerics, "dstev", numerics._scipy_dstev)
-        d, e = bands
+        layout, d, e = case
+        if layout in ("chain", "diag row"):
+            d = d[0]
+        if layout in ("chain", "off row"):
+            e = e[0]
         vals, vecs = eigh_bands(d, e)
-        ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stev")
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert vecs.tobytes() == ref_vecs.tobytes()
+        stack = vals.shape[:-1]
+        assert stack == (() if layout == "chain" else (3,))
+        d, e = np.broadcast_to(d, vals.shape), np.broadcast_to(e, stack + e.shape[-1:])
+        for k in np.ndindex(stack):
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d[k], e[k], lapack_driver="stev")
+            assert vals[k].tobytes() == ref_vals.tobytes()
+            assert vecs[k].tobytes() == ref_vecs.tobytes()
 
     def test_missing_symbol_means_no_binding(self, monkeypatch):
         class NoSymbols:
@@ -140,15 +151,15 @@ class TestEighTridiagonal:
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
 
-    def test_bundled_dstev_rejects_mismatched_bands(self):
-        # A length-1 offdiag would broadcast into the workspace unnoticed.
+    def test_eigh_bands_rejects_mismatched_bands(self):
+        # A length-1 offdiag row would broadcast against the chain unnoticed.
         with pytest.raises(ValueError):
-            numerics._bundled_dstev(np.zeros(5), np.zeros(1))
+            eigh_bands(np.zeros(5), np.zeros(1))
 
     @pytest.mark.parametrize("info", [1, -2])
     def test_lapack_failure_raises(self, monkeypatch, info):
-        def failing(d, e):
-            return d.copy(), np.eye(d.size), info
+        def failing(d, e, z):
+            return info
 
         monkeypatch.setattr(numerics, "dstev", failing)
         error = EigenNonConvergenceError if info > 0 else ValueError
@@ -261,20 +272,32 @@ class TestSolveShifted:
         m = t + z * np.eye(n)
         assert numerics._cond_bound(t, np.asarray(z)) >= np.linalg.cond(m)
         norm2 = np.linalg.norm(m, 2)
-        assert numerics._norm_lower_bound(m) <= norm2 * (1 + 4 * np.finfo(float).eps)
+        assert numerics._max_column_norm(m) <= norm2 * (1 + 4 * np.finfo(float).eps)
 
     @pytest.mark.parametrize(
-        "shape", [(1, 1), (7, 7), (3, 2, 12, 12), (101, 1, 36, 36)]
+        "shape", [(1, 1), (7, 7), (3, 2, 12, 12), (101, 1, 36, 36), (512, 1, 12, 1)]
     )
     def test_residual_scale_is_largest_column_norm(self, rng, shape):
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         m *= 10.0 ** rng.uniform(-3, 3, size=shape[:-2] + (1, 1))
         want = np.linalg.norm(m, axis=-2).max(axis=-1)
-        got = numerics._norm_lower_bound(m)
+        got = numerics._max_column_norm(m)
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-15 * want).all()
         norm2 = np.linalg.norm(m, 2, axis=(-2, -1))
         assert (got <= norm2 * (1 + 4 * np.finfo(float).eps)).all()
+        for k in (700, -700):  # squares over- or underflow unless rescaled
+            assert np.array_equal(numerics._max_column_norm(m * 2.0**k), got * 2.0**k)
+
+    def test_huge_shift_is_not_refused(self):
+        # x is about 2e-200 and T + z about 5e199, a well-conditioned
+        # system: unscaled, ||x||^2 underflows to 0 and the column norms
+        # of T + z overflow, so the residual scale is NaN.
+        t = np.array([[0.0, 1.0], [1.0, 0.0]])
+        z, b = -0.1 - 0.5e200j, np.array([1.0, 0.0])
+        x = solve_shifted(t, z, b)
+        assert np.array_equal(x, np.linalg.solve(t + z * np.eye(2), b))
+        assert abs(x[0]) == pytest.approx(2e-200)
 
     def test_singular_message_says_cond_bound(self, monkeypatch):
         # A well-conditioned system whose residual check fails reports

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyllab import openchain
+from weyllab import numerics
 from weyllab.model import ModelParams, chain_bands
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
@@ -228,19 +228,19 @@ class TestEdgeSpectrum:
     )
     def test_one_solve_per_distinct_chain(self, monkeypatch, theta1s, theta2s):
         p = chain(8)
-        calls, solve = [], openchain.eigh_bands
+        chains, solve = [], numerics.dstev
 
-        def counted(diag, off):
-            calls.append((diag.tobytes(), off.tobytes()))
-            return solve(diag, off)
+        def counted(d, e, z):
+            chains.extend(zip(map(bytes, d), map(bytes, e)))
+            return solve(d, e, z)
 
-        monkeypatch.setattr(openchain, "eigh_bands", counted)
+        monkeypatch.setattr(numerics, "dstev", counted)
         energies, _ = edge_spectrum(theta1s, theta2s, p)
         diags, offs = chain_bands(theta1s, theta2s, p)
         distinct_diags = {row.tobytes() for row in diags}
         distinct_offs = {row.tobytes() for row in offs}
-        assert len(calls) == len(set(calls))
-        assert len(calls) == len(distinct_diags) * len(distinct_offs)
+        assert len(chains) == len(set(chains))
+        assert len(chains) == len(distinct_diags) * len(distinct_offs)
         assert energies.shape == (len(theta1s), len(theta2s), p.sites)
 
     def test_symmetric_arc_grid_has_51_distinct_chains(self):
