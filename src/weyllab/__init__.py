@@ -14,10 +14,8 @@ from .model import (
     SyntheticMomentum,
     WeylPoint,
     bulk_bands,
-    coupling_profile,
     d_vector,
     linearize,
-    onsite_profile,
     weyl_points,
 )
 from .numerics import (

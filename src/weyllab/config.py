@@ -31,6 +31,7 @@ def _sizes(raw: str) -> list[int]:
 FINITE = (math.isfinite, "finite")
 EVEN = (lambda n: n % 2 == 0, "even")
 GRID = (lambda n: n >= 1, "at least 1")
+NONNEGATIVE = (lambda x: 0 <= x < math.inf, "finite and at least 0")
 SIZES = (lambda v: v and all(n % 2 == 0 for n in v), "a non-empty list of even sizes")
 NODE = (lambda n: 1 <= n <= 4, "a node index 1..4")
 SWITCH = (lambda n: n in (0, 1), "0 or 1")
@@ -53,7 +54,7 @@ KEYS = {
     # curvature field map
     "berry_field.grid": (41, int, GRID),
     "berry_field.step": (1e-3, float, FINITE),
-    "berry_field.exclude": (0.15, float, FINITE),
+    "berry_field.exclude": (0.15, float, NONNEGATIVE),
     # open-chain surface spectrum
     "edge_spectrum.sites": (20, int, EVEN),
     "edge_spectrum.grid": (41, int, GRID),

@@ -28,8 +28,6 @@ __all__ = [
     "WeylPoint",
     "DegenerateModelError",
     "reduce_angle",
-    "coupling_profile",
-    "onsite_profile",
     "bloch_vectors",
     "d_vector",
     "bulk_band_sheet",
@@ -146,22 +144,6 @@ class WeylPoint:
             raise ValueError("chirality must equal sign(det velocity)")
 
 
-def coupling_profile(theta1: float, p: ModelParams) -> tuple[float, float]:
-    """Alternating hopping pair (J1, J2) at control angle theta1.
-
-    J1 = J (1 - cos theta1) couples the two resonators inside a cell,
-    J2 = J (1 + cos theta1) couples neighboring cells; J1 + J2 = 2J.
-    """
-    c = math.cos(theta1)
-    return p.J * (1.0 - c), p.J * (1.0 + c)
-
-
-def onsite_profile(theta2: float, p: ModelParams) -> tuple[float, float]:
-    """Staggered on-site shifts (relative to Delta0) at angle theta2."""
-    m = p.Je * math.cos(theta2)
-    return m, -m
-
-
 def bloch_vectors(kx, theta1, theta2, p: ModelParams):
     """Bloch vector components (hx, hy, hz) on broadcastable angle arrays."""
     hx = 2.0 * p.J * np.cos(kx)
@@ -237,25 +219,26 @@ def linearize(w: SyntheticMomentum, p: ModelParams) -> WeylPoint:
 
 def chain_bands(theta1s, theta2s, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Open-chain bands (diags, offs): a diagonal row per theta2 and an
-    off-diagonal row per theta1, each from the scalar profile functions.
+    off-diagonal row per theta1, in the order of the raveled angles.
 
     Site order a1, b1, a2, b2, ...; the diagonal alternates
     (+Je cos theta2, -Je cos theta2) and the off-diagonal (J1, J2, J1,
-    ...) starts with the intra-cell J1.  Delta0 is left to consumers.
+    ...) starts with the intra-cell J1 = J (1 - cos theta1), followed by
+    the inter-cell J2 = J (1 + cos theta1).  Delta0 is left to consumers.
     This is the one guard of every chain: non-finite entries, as from a
-    NaN or infinite angle, raise ValueError; angles are checked before
-    math.cos, which rejects an infinity with a message of its own.
+    NaN or infinite angle or an overflowing J, raise ValueError; angles
+    are checked before np.cos, which would warn on an infinity.
     """
-    diags = np.empty((np.size(theta2s), p.sites))
-    offs = np.empty((np.size(theta1s), p.sites - 1))
-    finite = np.isfinite(theta1s).all() and np.isfinite(theta2s).all()
+    t1, t2 = np.ravel(theta1s), np.ravel(theta2s)
+    finite = np.isfinite(t1).all() and np.isfinite(t2).all()
     if finite:
-        for row, t2 in zip(diags, np.ravel(theta2s)):
-            row[0::2], row[1::2] = onsite_profile(float(t2), p)
-        for row, t1 in zip(offs, np.ravel(theta1s)):
-            row[0::2], row[1::2] = coupling_profile(float(t1), p)
+        c1, m = np.cos(t1)[:, None], p.Je * np.cos(t2)[:, None]
+        diags = np.empty((t2.size, p.sites))
+        offs = np.empty((t1.size, p.sites - 1))
+        diags[:, 0::2], diags[:, 1::2] = m, -m
+        with np.errstate(over="ignore"):
+            offs[:, 0::2], offs[:, 1::2] = p.J * (1.0 - c1), p.J * (1.0 + c1)
         finite = np.isfinite(diags).all() and np.isfinite(offs).all()
     if not finite:
         raise ValueError("non-finite entries in tridiagonal matrix")
     return diags, offs
-

@@ -9,7 +9,8 @@ At theta2 = +/-pi/2 the chain is mirror symmetric, so near-zero
 eigenvectors come out of the solver as even/odd combinations with
 equal weight on both ends.  Labeling is made basis-stable by rotating
 each such +/-E pair to the combination that maximizes end-site weight
-before classifying (the physical left/right quasi-modes).
+before classifying (the physical left/right quasi-modes); the pairs of
+every chain of a stack are rotated together, as array operations.
 
 A label reads only the two end cells of a vector, so one vectorised
 rule (_labels) labels a single vector, one chain, or a whole sheet.
@@ -109,52 +110,36 @@ def density_profile(v: np.ndarray) -> DensityProfile:
     return DensityProfile(np.abs(v) ** 2)
 
 
-def _rotate_end_localized(v1: np.ndarray, v2: np.ndarray):
-    """Rotate a 2D subspace to extremize end-cell weight difference.
-
-    Diagonalizes the (first-cell minus last-cell) projector restricted
-    to span{v1, v2}; returns (left-leaning, right-leaning) combinations.
-    Deterministic regardless of the arbitrary basis the solver picked.
-    """
-    vecs = np.column_stack([v1, v2])
-    d = np.zeros(vecs.shape[0])
-    d[:2] = 1.0
-    d[-2:] -= 1.0
-    m = vecs.T @ (d[:, None] * vecs)
-    _, rot = np.linalg.eigh(m)
-    out = vecs @ rot
-    first, last = _end_weights(out[END_ROWS])
-    if first[0] - last[0] >= first[1] - last[1]:
-        return out[:, 0], out[:, 1]
-    return out[:, 1], out[:, 0]
-
-
-def _rotate_pairs(vals: np.ndarray, vecs: np.ndarray, window: float) -> None:
-    """Replace the vectors of mirror-mixed +/-E pairs inside the window
-    by their end-localized rotations, in place.
-
-    The i-th smallest eigenvalue with |E| < window pairs with the i-th
-    largest; for the chiral-symmetric chain these are the +/-E partners.
-    """
-    candidates = np.flatnonzero(np.abs(vals) < window)
-    k = candidates.size
-    for a in range(k // 2):
-        i, j = candidates[a], candidates[k - 1 - a]
-        vecs[:, i], vecs[:, j] = _rotate_end_localized(vecs[:, i], vecs[:, j])
-
-
 def _eigensystems(diags, offs, window: float):
     """Eigenvalues (..., n) and labeling-ready vectors (..., n, n) of the
     chains with bands diags (..., n) and offs (..., n - 1), which broadcast.
 
-    One stacked eigh_bands; the vectors of chains with two or more
-    states inside the window then get their +/-E pairs rotated.
+    One stacked eigh_bands, then one stacked rotation of every +/-E pair
+    inside the window.  A chain's in-window eigenvalues, ascending, are
+    one run lo, ..., lo + count - 1; pair a is (lo + a, lo + count - 1 - a),
+    the +/-E partners of the chiral-symmetric chain.  Each pair's span is
+    rotated to the eigenvectors of the (first-cell minus last-cell)
+    projector restricted to it, the left-leaning one first, so the labels
+    do not depend on the arbitrary basis the solver picked.
     """
     vals, vecs = eigh_bands(diags, offs)
-    # argwhere, not nonzero: a single chain's count is a 0-d array.
-    for k in np.argwhere(np.count_nonzero(np.abs(vals) < window, axis=-1) > 1):
-        _rotate_pairs(vals[tuple(k)], vecs[tuple(k)], window)
-    return vals, vecs
+    n = vals.shape[-1]
+    # Rotated in place; returned reshaped in case the reshape copied.
+    flat = vecs.reshape(-1, n, n)
+    inside = np.abs(vals.reshape(-1, n)) < window
+    lo, count = np.argmax(inside, axis=-1), np.count_nonzero(inside, axis=-1)
+    chain, a = np.nonzero(np.arange(n // 2) < count[:, None] // 2)
+    i, j = lo[chain] + a, (lo + count - 1)[chain] - a
+    d = np.zeros(n)
+    d[:2] = 1.0
+    d[-2:] -= 1.0
+    v = np.stack([flat[chain, :, i], flat[chain, :, j]], axis=-1)
+    out = v @ np.linalg.eigh(v.swapaxes(-1, -2) @ (d[:, None] * v))[1]
+    first, last = _end_weights(out[:, END_ROWS])
+    swap = ~(first[:, 0] - last[:, 0] >= first[:, 1] - last[:, 1])
+    out[swap] = out[swap, :, ::-1]
+    flat[chain, :, i], flat[chain, :, j] = out[..., 0], out[..., 1]
+    return vals, flat.reshape(vecs.shape)
 
 
 def diagonalize_chain(theta1, theta2, p: ModelParams):
@@ -195,6 +180,8 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     cosines, so chain_bands' rows repeat; each distinct chain (distinct
     off-diagonal row times distinct diagonal row) is solved once, giving
     the same bits, and only the four END_ROWS of its vectors are kept.
+    One stacked solve per distinct diagonal row takes every distinct
+    off-diagonal row, so a single theta2 is one eigh_bands call.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
@@ -203,9 +190,9 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     offs, row = _distinct_rows(offs)
     energies = np.empty((len(offs), len(diags), p.sites))
     ends = np.empty((len(offs), len(diags), 4, p.sites))
-    for i, off in enumerate(offs):
-        energies[i], vecs = _eigensystems(diags, off, PAIR_WINDOW * p.J)
-        ends[i] = vecs[:, END_ROWS]
+    for k, diag in enumerate(diags):
+        energies[:, k], vecs = _eigensystems(diag, offs, PAIR_WINDOW * p.J)
+        ends[:, k] = vecs[:, END_ROWS]
     every = np.ix_(row, col)
     return energies[every], _labels(ends)[every]
 

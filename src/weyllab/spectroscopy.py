@@ -300,9 +300,8 @@ def loop_reflection(
     if not (0.0 < theta_r < np.pi / 2):
         raise ValueError("theta_r must lie in (0, pi/2)")
     theta = offset + 2.0 * np.pi * np.arange(samples) / samples
-    # Scalar cos and sin, which the loop points have always used.
-    theta1s = w.location.theta1 + theta_r * np.array([math.cos(th) for th in theta])
-    theta2s = w.location.theta2 + theta_r * np.array([math.sin(th) for th in theta])
+    theta1s = w.location.theta1 + theta_r * np.cos(theta)
+    theta2s = w.location.theta2 + theta_r * np.sin(theta)
     return ReflectionTrace(theta, reflections(theta1s, theta2s, [p.Delta0], p)[:, 0])
 
 

@@ -350,6 +350,8 @@ MISUSES = [
     ("berry-field", ["berry_field.step=-1", "berry_field.exclude=100"]),
     ("berry-field", ["berry_field.step=1e-170", "berry_field.exclude=100"]),
     ("edge-spectrum", ["edge_spectrum.densities=7"]),
+    ("berry-field", ["berry_field.exclude=-1"]),
+    ("edge-spectrum", ["j=1e308"]),
 ]
 
 
@@ -664,8 +666,10 @@ class TestSinglePass:
         args = ["--set", "table1.sizes=4,6", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["table1", "--out", str(tmp_path), *args]) == 0
         # theta1 in [-pi/2, pi/2] at step pi/20 is an exactly symmetric
-        # grid, so its 21 points are 11 distinct chains per size.
-        assert len(calls) == 2 * 11
+        # grid, so its 21 points are 11 distinct chains per size, all
+        # solved in one call.
+        chains = [np.broadcast_shapes(d.shape[:-1], e.shape[:-1]) for d, e, *_ in calls]
+        assert chains == [(11,), (11,)]
 
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
         # The spectra span the detector's detuning grid; the detector

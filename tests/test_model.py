@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,15 +11,40 @@ from weyllab.model import (
     bulk_band_sheet,
     bulk_bands,
     chain_bands,
-    coupling_profile,
     d_vector,
     linearize,
-    onsite_profile,
     weyl_points,
 )
 from weyllab.numerics import eigh_bands
 
 angles = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
+
+
+# Datasets and their recorded digests come from these bands; a mismatch
+# means numpy's vectorised trig differs from the C library's here.
+LIBM_MISMATCH = (
+    "chain_bands differs from the libm (math.cos) profiles bit for bit: "
+    "numpy's trig differs from libm on this platform, so datasets will "
+    "differ from the recorded digests"
+)
+
+
+def libm_bands(theta1s, theta2s, p):
+    """chain_bands' rows from scalar math.cos, one angle at a time."""
+    diags, offs = [], []
+    for t2 in theta2s:
+        m = p.Je * math.cos(t2)
+        diags.append([m, -m] * p.N)
+    for t1 in theta1s:
+        c = math.cos(t1)
+        offs.append(([p.J * (1.0 - c), p.J * (1.0 + c)] * p.N)[:-1])
+    return np.array(diags), np.array(offs)
+
+
+def assert_libm_rows(theta1s, theta2s, p):
+    got = chain_bands(theta1s, theta2s, p)
+    for a, b in zip(got, libm_bands(theta1s, theta2s, p)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), LIBM_MISMATCH
 
 
 class TestProfiles:
@@ -26,12 +53,14 @@ class TestProfiles:
         [(0.0, (0.0, 2.0)), (np.pi / 2, (1.0, 1.0)), (np.pi, (2.0, 0.0))],
     )
     def test_coupling_values(self, theta1, expect, params):
-        assert coupling_profile(theta1, params) == pytest.approx(expect, abs=1e-12)
+        _, off = chain_bands(theta1, 0.0, params)
+        assert tuple(off[0, :2]) == pytest.approx(expect, abs=1e-12)
 
     @given(angles)
     def test_coupling_bounds_and_sum(self, theta1):
         p = ModelParams(J=1.7)
-        j1, j2 = coupling_profile(theta1, p)
+        _, off = chain_bands(theta1, 0.0, p)
+        j1, j2 = off[0, :2]
         assert 0.0 <= j1 <= 2 * p.J + 1e-12
         assert 0.0 <= j2 <= 2 * p.J + 1e-12
         assert j1 + j2 == pytest.approx(2 * p.J)
@@ -41,7 +70,20 @@ class TestProfiles:
         [(np.pi / 2, (0.0, 0.0)), (0.0, (1.0, -1.0)), (np.pi, (-1.0, 1.0))],
     )
     def test_onsite_values(self, theta2, expect, params):
-        assert onsite_profile(theta2, params) == pytest.approx(expect, abs=1e-12)
+        diag, _ = chain_bands(0.0, theta2, params)
+        assert tuple(diag[0, :2]) == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [41, 81, 201])
+    def test_cli_grids_match_libm(self, n):
+        # The CLI's angle grids; each row is J (1 -/+ cos theta1) or
+        # +/-Je cos theta2 with libm's cos, bit for bit.
+        grid = np.linspace(-math.pi, math.pi, n)
+        assert_libm_rows(grid, grid, ModelParams(J=1.7, Je=0.6, N=3))
+
+    @given(st.lists(angles, min_size=1, max_size=8),
+           st.lists(angles, min_size=1, max_size=8))
+    def test_angles_match_libm(self, theta1s, theta2s):
+        assert_libm_rows(theta1s, theta2s, ModelParams(J=0.9, Je=1.3, N=2))
 
 
 class TestDVector:
@@ -178,8 +220,8 @@ class TestOpenChain:
         theta1, theta2 = 0.4, 1.1
         diag, offdiag = one_chain(theta1, theta2, p)
         t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-        j1, j2 = coupling_profile(theta1, p)
-        sa, sb = onsite_profile(theta2, p)
+        j1, j2 = p.J * (1 - math.cos(theta1)), p.J * (1 + math.cos(theta1))
+        sa, sb = p.Je * math.cos(theta2), -p.Je * math.cos(theta2)
         for n in range(p.N):
             assert t[2 * n, 2 * n + 1] == pytest.approx(j1)
             assert t[2 * n + 1, 2 * n] == pytest.approx(j1)

@@ -9,9 +9,11 @@ from weyllab.model import ModelParams, chain_bands
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
     END_ROWS,
+    PAIR_WINDOW,
     ZTOL_DEFAULT,
     ArcInterval,
     _distinct_rows,
+    _eigensystems,
     _end_weights,
     _labels,
     arc_interval_oracle,
@@ -39,6 +41,26 @@ def chain(sites: int, **kw) -> ModelParams:
 def classify_localization(v) -> str:
     """The label _labels gives one normalized vector."""
     return str(_labels(np.asarray(v, dtype=float)[END_ROWS, None])[0])
+
+
+def rotated_pairs_reference(vals, vecs, window):
+    """One chain's vectors with each +/-E pair inside the window rotated
+    to its end-localized combinations, one pair at a time: the i-th
+    smallest in-window eigenvalue pairs with the i-th largest."""
+    vecs = vecs.copy()
+    inside = np.flatnonzero(np.abs(vals) < window)
+    d = np.zeros(vals.size)
+    d[:2] = 1.0
+    d[-2:] -= 1.0
+    for a in range(inside.size // 2):
+        i, j = inside[a], inside[-1 - a]
+        v = np.column_stack([vecs[:, i], vecs[:, j]])
+        out = v @ np.linalg.eigh(v.T @ (d[:, None] * v))[1]
+        first, last = _end_weights(out[END_ROWS])
+        if not first[0] - last[0] >= first[1] - last[1]:
+            out = out[:, ::-1]
+        vecs[:, i], vecs[:, j] = out[:, 0], out[:, 1]
+    return vecs
 
 
 class TestClassifyLocalization:
@@ -216,6 +238,48 @@ class TestEdgeSpectrum:
             assert vals[k].tobytes() == one[0].tobytes()
             assert vecs[k].tobytes() == one[1].tobytes()
             assert labels[k].tolist() == one[2].tolist()
+
+    @staticmethod
+    def assert_stack_is_per_chain(sites, theta1s, theta2s):
+        # Every chain of one stacked _eigensystems call gets the bits of
+        # a call on that chain alone, and of the per-pair rotation rule.
+        p = chain(sites)
+        window = PAIR_WINDOW * p.J
+        diags, offs = chain_bands(theta1s, theta2s, p)
+        vals, vecs = _eigensystems(diags[:, None], offs, window)
+        assert vecs.shape == (len(diags), len(offs), sites, sites)
+        rotated = 0
+        for j, i in np.ndindex(vals.shape[:-1]):
+            one = _eigensystems(diags[j], offs[i], window)
+            assert vals[j, i].tobytes() == one[0].tobytes()
+            assert vecs[j, i].tobytes() == one[1].tobytes()
+            plain = numerics.eigh_bands(diags[j], offs[i])
+            ref = rotated_pairs_reference(*plain, window)
+            assert vecs[j, i].tobytes() == ref.tobytes()
+            rotated += ref.tobytes() != plain[1].tobytes()
+        return rotated
+
+    @pytest.mark.parametrize("sites", [4, 12, 36])
+    def test_stacked_rotation_is_per_chain(self, sites):
+        # theta2 = +/-pi/2 has mirror pairs; pi/2 + 0.05 still has pairs
+        # in the window, and 1.0 has none.
+        theta2s = [np.pi / 2, -np.pi / 2, np.pi / 2 + 0.05, 1.0]
+        assert self.assert_stack_is_per_chain(sites, ARC_GRID[::5], theta2s) > 0
+
+    @given(
+        st.integers(2, 18),
+        st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=4),
+        st.lists(
+            st.one_of(
+                st.sampled_from([np.pi / 2, -np.pi / 2]), st.floats(-np.pi, np.pi)
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=30)
+    def test_stacked_rotation_is_per_chain_anywhere(self, cells, theta1s, theta2s):
+        self.assert_stack_is_per_chain(2 * cells, theta1s, theta2s)
 
     def test_needs_two_cells(self):
         with pytest.raises(ValueError):

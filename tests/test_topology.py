@@ -304,6 +304,34 @@ def test_berry_field_csv_matches_per_point_loop(grid, step, exclude, je, j):
     assert [line.split(",") for line in lines[1:]] == want
 
 
+@pytest.mark.parametrize("grid,exclude,je", [(41, 0.15, 1.0), (41, 0.6, 2.0), (20, 0.3, 0.5)])
+def test_berry_field_csv_is_the_monopole_closed_form(tmp_path, grid, exclude, je):
+    # The analytic columns are sum_w chirality_w d_w / (2 |d_w|^3) over the
+    # wrapped offsets d_w from the four nodes, to 1e-12 of the field's
+    # magnitude, and the numeric column is NaN exactly within `exclude`
+    # of a node.
+    sets = {"berry_field.grid": grid, "berry_field.exclude": exclude, "je": je}
+    args = [a for key, v in sets.items() for a in ("--set", f"{key}={v!r}")]
+    assert main(["berry-field", "--out", str(tmp_path), *args]) == 0
+    data = np.loadtxt(tmp_path / "berry_field.csv", delimiter=",", skiprows=1)
+    q = np.stack([np.full(len(data), math.pi / 2), data[:, 0], data[:, 1]], -1)
+    want = np.zeros((len(data), 3))
+    dmin = np.full(len(data), np.inf)
+    for w in weyl_points(ModelParams(Je=je)):
+        d = (q - w.location.as_array() + math.pi) % (2 * math.pi) - math.pi
+        r = np.linalg.norm(d, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want += w.chirality * d / (2 * r[:, None] ** 3)
+        dmin = np.minimum(dmin, r)
+    at_node = dmin < 1e-9
+    got = data[:, 2:5]
+    assert np.isnan(got[at_node]).all() and not np.isnan(got[~at_node]).any()
+    err = np.linalg.norm(got - want, axis=-1)[~at_node]
+    assert (err <= 1e-12 * np.linalg.norm(want, axis=-1)[~at_node]).all()
+    assert np.array_equal(np.isnan(data[:, 5]), dmin <= exclude)
+    assert 0 < np.count_nonzero(dmin <= exclude) < len(data)
+
+
 class TestChernSphere:
     def test_unit_charges_grouping_and_sum(self, params):
         values = [chern_sphere(w, 0.2, 24, params).value for w in weyl_points(params)]
