@@ -115,10 +115,16 @@ class DVector:
     hz: float
 
     def magnitude(self) -> float:
-        return math.sqrt(self.hx**2 + self.hy**2 + self.hz**2)
+        return math.hypot(self.hx, self.hy, self.hz)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.hx, self.hy, self.hz])
+
+
+def _det_sign(v: np.ndarray) -> int:
+    """Sign of det v, -1, 0 or 1, from slogdet: the determinant itself
+    overflows for entries of about 1e103 and more."""
+    return int(np.linalg.slogdet(v)[0])
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,7 @@ class WeylPoint:
         if v.shape != (3, 3):
             raise ValueError("velocity must be a 3x3 matrix")
         object.__setattr__(self, "velocity", v)
-        det = np.linalg.det(v)
-        if self.chirality not in (-1, 1) or np.sign(det) != self.chirality:
+        if self.chirality not in (-1, 1) or _det_sign(v) != self.chirality:
             raise ValueError("chirality must equal sign(det velocity)")
 
 
@@ -160,9 +165,13 @@ def d_vector(k: SyntheticMomentum, p: ModelParams) -> DVector:
 
 def bulk_band_sheet(kx, theta1, theta2, p: ModelParams):
     """Bulk bands (E-, E+) = Delta0 -/+ |h| on broadcastable angle arrays,
-    which are reduced to (-pi, pi] as SyntheticMomentum stores them."""
+    which are reduced to (-pi, pi] as SyntheticMomentum stores them.
+    Non-finite bands, as from an overflowing J, raise ValueError."""
     hx, hy, hz = bloch_vectors(*(reduce_angle(a) for a in (kx, theta1, theta2)), p)
-    h = np.sqrt(hx**2 + hy**2 + hz**2)
+    with np.errstate(over="ignore"):
+        h = np.sqrt(hx**2 + hy**2 + hz**2)
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite entries in bulk band sheet")
     return p.Delta0 - h, p.Delta0 + h
 
 
@@ -211,7 +220,7 @@ def linearize(w: SyntheticMomentum, p: ModelParams) -> WeylPoint:
             [0.0, 0.0, -p.Je * math.sin(w.theta2)],
         ]
     )
-    chirality = int(np.sign(np.linalg.det(v)))
+    chirality = _det_sign(v)
     if chirality == 0:
         raise DegenerateModelError("vanishing velocity determinant at the node")
     return WeylPoint(w, v, chirality)

@@ -1,8 +1,10 @@
-"""Dense numerical kernels.
+"""Numerical kernels.
 
-Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b,
-phase-loop winding extraction, and signed spherical solid angles.
-Everything here is a pure function of its inputs.
+Symmetric tridiagonal eigensolver and shifted complex solves (T + z) x = b,
+both on broadcastable stacks of a chain's two bands, phase-loop winding
+extraction, and signed spherical solid angles.  Everything here is a
+pure function of its inputs.  The shifted solve factors the dense T + z,
+but checks each system's residual and conditioning from the bands.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
 ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
@@ -175,88 +177,134 @@ def _shifted_singular_values(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(t) + z[..., None])
 
 
-def _cond_bound(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(||T||_inf + |z|) / |Im z| for stacked real symmetric T and shifts z.
+def _cond_bound(diags: np.ndarray, offs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(||T||_inf + |z|) / |Im z| for the chains T with bands diags (..., n)
+    and offs (..., n - 1) and shifts z, which broadcast.
 
     T + z is normal with singular values |lam + z|, and each of them lies
     between |Im z| and ||T||_inf + |z|, so this bounds the 2-norm
     condition number from above.  inf or NaN where Im z = 0.
     """
+    e = np.abs(offs)
+    rows = np.abs(diags) + np.zeros(e.shape[:-1] + (1,))
+    rows[..., 1:] += e
+    rows[..., :-1] += e
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (np.abs(t).sum(axis=-1).max(axis=-1) + np.abs(z)) / np.abs(z.imag)
-    return np.asarray(bound)
+        return (rows.max(axis=-1) + np.abs(z)) / np.abs(z.imag)
 
 
-def _max_column_norm(m: np.ndarray) -> np.ndarray:
-    """Largest column 2-norm of stacked complex matrices m: a lower bound
-    on ||m||_2, and the 2-norm of column vectors (..., n, 1).  Squares are
-    summed over the float view, real and imaginary parts in alternate
-    columns, with no conjugate product temporary, and rescaled only where
-    a sum over- or underflows."""
-    v = m.view(np.float64)
-    sq = np.einsum("...ij,...ij->...j", v, v)
-    norm2 = (sq[..., 0::2] + sq[..., 1::2]).max(axis=-1)
+def _max_norm(v: np.ndarray) -> np.ndarray:
+    """Largest 2-norm among the rows v[..., i, :] of a real stack.  Squares
+    are summed unscaled and rescaled only where a sum over- or underflows."""
+    norm2 = np.einsum("...ij,...ij->...i", v, v).max(axis=-1)
     if ((2.0**-900 < norm2) & (norm2 < np.inf)).all():
         return np.sqrt(norm2)
-    # Dividing each matrix by the power of two just above its largest part
-    # (1 for zeros) is exact, and then no square over- or underflows unless
-    # it is negligible.
-    s = np.ldexp(1.0, np.frexp(np.maximum(v.max(axis=(-2, -1)), -v.min(axis=(-2, -1))))[1])
+    # Dividing each stack entry by the power of two just above its largest
+    # part (1 for zeros) is exact, and then no square over- or underflows
+    # unless it is negligible.
+    s = np.ldexp(1.0, np.frexp(np.abs(v).max(axis=(-2, -1)))[1])
     v = v / s[..., None, None]
-    sq = np.einsum("...ij,...ij->...j", v, v)
-    return s * np.sqrt((sq[..., 0::2] + sq[..., 1::2]).max(axis=-1))
+    return s * np.sqrt(np.einsum("...ij,...ij->...i", v, v).max(axis=-1))
 
 
-def solve_shifted(t, z, b) -> np.ndarray:
-    """Solve (T + z) x = b for stacked real symmetric T and complex shifts z.
+def _max_column_norm_of_bands(dz: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Largest column 2-norm sqrt(|dz_j|^2 + e_{j-1}^2 + e_j^2) of the
+    complex tridiagonal matrices with diagonal dz (..., n) and real
+    off-diagonal offs (..., n - 1): a lower bound on their 2-norm."""
+    parts = np.zeros(np.broadcast_shapes(dz.shape, offs.shape[:-1] + (1,)) + (4,))
+    parts[..., 0], parts[..., 1] = dz.real, dz.imag
+    parts[..., 1:, 2] = parts[..., :-1, 3] = offs
+    return _max_norm(parts)
 
-    t is (..., n, n); z and b (..., n) broadcast against its stack.  One
-    stacked pivoted LU solves every system, and each gets one rule:
-    SingularMatrixError when the LU fails, x is not finite, the residual
-    exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or the condition number
-    exceeds 1e14, all in the 2-norm.  Bounds settle it without a second
-    factorization: ||T + z|| is taken as its largest column norm, which
-    only tightens the residual test, and the condition number as
-    _cond_bound, except where that exceeds 1e14 or is not finite (Im z =
-    0): those systems get the exact value, and the message says "cond"
-    rather than "cond bound".  Mis-shaped or non-finite input: ValueError.
+
+def _vector_norm(x: np.ndarray) -> np.ndarray:
+    """2-norms of stacked complex vectors x (..., n), rescaled as _max_norm."""
+    return _max_norm(np.ascontiguousarray(x).view(np.float64)[..., None, :])
+
+
+def _ldexp(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """c * 2**k for complex c and integer k, which broadcast, with no
+    complex product: exact unless a part over- or underflows."""
+    out = np.empty(np.broadcast_shapes(c.shape, k.shape), complex)
+    out.real, out.imag = np.ldexp(c.real, k), np.ldexp(c.imag, k)
+    return out
+
+
+def solve_shifted(diags, offs, z, b) -> np.ndarray:
+    """Solve (T + z) x = b for real symmetric tridiagonal chains T and
+    complex shifts z.
+
+    T has bands diags (..., n) and offs (..., n - 1); they, z (...) and
+    b (..., n) broadcast, like eigh_bands' bands.  One stacked pivoted LU
+    solves the dense T + z, whose diagonal is d + z, whose off-diagonals
+    are the offs and whose other entries are +0.0 (-0.0 entries of the
+    bands become 0.0).  Each system gets one rule, checked on its bands
+    in O(n): SingularMatrixError when the LU fails, x is not finite, the
+    residual exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or the condition
+    number exceeds 1e14, all in the 2-norm.  ||T + z|| is taken as its
+    largest column norm, which only tightens the residual test, and the
+    condition number as _cond_bound, except where that exceeds 1e14 or is
+    not finite (Im z = 0): those systems get the exact value, and the
+    message says "cond" rather than "cond bound".  Where the largest part
+    of b lies outside [2**-900, 2**900], b is divided by its power of two
+    before the LU and x multiplied by it after, which is exact.
+    Mis-shaped, complex-banded or non-finite input: ValueError.
     """
-    t = np.asarray(t)
+    d, e = np.asarray(diags), np.asarray(offs)
     z, b = np.asarray(z, dtype=complex), np.asarray(b, dtype=complex)
-    if t.dtype.kind == "c" or t.ndim < 2 or t.shape[-1] != t.shape[-2]:
-        raise ValueError(f"need real square matrices, got {t.dtype} {t.shape}")
-    if not (np.isfinite(t).all() and np.isfinite(z).all() and np.isfinite(b).all()):
+    if d.dtype.kind == "c" or e.dtype.kind == "c" or d.ndim < 1 or e.ndim < 1:
+        raise ValueError(f"need real bands, got {d.dtype} {d.shape} and {e.dtype} {e.shape}")
+    n = d.shape[-1]
+    if e.shape[-1] != n - 1 or b.shape[-1:] != (n,):
+        raise ValueError(f"bands of lengths {n} and {e.shape[-1]} do not fit b of {b.shape}")
+    if not all(np.isfinite(a).all() for a in (d, e, z, b)):
         raise ValueError("non-finite entries in linear system")
-    # T + z I bit for bit, in one stack-sized allocation instead of two.
-    m = np.empty(np.broadcast_shapes(t.shape[:-2], z.shape) + t.shape[-2:], complex)
-    np.multiply(z[..., None, None], np.eye(t.shape[-1]), out=m)
-    m += t
-    b = b[..., None]  # x and b as columns (..., n, 1)
+    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], z.shape, b.shape[:-1])
+    # + 0.0 turns -0.0 into 0.0, so that each entry of T + z is the one
+    # of z I + T for the dense T of these bands with every zero 0.0.
+    d, e = d + 0.0, e + 0.0
+    dz = d + z[..., None]
+    m = np.zeros(shape + (n, n), complex)
+    flat = m.reshape(shape + (n * n,))
+    flat[..., :: n + 1] = dz
+    flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = e
+    exponent = None
+    big = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=-1)
+    if not ((2.0**-900 <= big) & (big <= 2.0**900)).all():
+        exponent = np.frexp(big)[1][..., None]
+        b = _ldexp(b, -exponent)
     try:
-        x = np.linalg.solve(m, b)
+        x = np.linalg.solve(m, b[..., None])[..., 0]  # b as a column (..., n, 1)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     # A backward-stable LU happily "solves" a singular system with a
     # huge x and a tiny residual, so check conditioning as well.
-    cond = _cond_bound(t, z)
+    cond = np.array(np.broadcast_to(_cond_bound(d, e, z), shape))
     exact = ~(cond <= 1e14)
     if exact.any():
-        sv = _shifted_singular_values(
-            np.broadcast_to(t, m.shape)[exact], np.broadcast_to(z, exact.shape)[exact]
-        )
+        t = m.real[exact]  # T + Re z, then T itself
+        t.reshape(len(t), -1)[:, :: n + 1] = np.broadcast_to(d, shape + (n,))[exact]
+        sv = _shifted_singular_values(t, np.broadcast_to(z, shape)[exact])
         with np.errstate(all="ignore"):  # singular systems give inf and NaN
             cond[exact] = sv.max(axis=-1) / sv.min(axis=-1)
     with np.errstate(all="ignore"):
-        resid = _max_column_norm(m @ x - b)
-        scale = _max_column_norm(m) * _max_column_norm(x) + _max_column_norm(b)
-    if not ((resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()):
+        r = dz * x - b  # the residual (T + z) x - b as a band product
+        r[..., 1:] += e * x[..., :-1]
+        r[..., :-1] += e * x[..., 1:]
+        resid = _vector_norm(r)
+        scale = _max_column_norm_of_bands(dz, e) * _vector_norm(x) + _vector_norm(b)
+        ok = (resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()
+        if ok and exponent is not None:
+            x = _ldexp(x, exponent)
+            ok = np.isfinite(x).all()
+    if not ok:
         worst = np.argmax(cond)  # the first NaN, if any
         kind = "cond" if exact.flat[worst] else "cond bound"
         raise SingularMatrixError(
             f"system singular to working precision ({kind} {cond.flat[worst]:.3e}, "
             f"residual {np.max(resid):.3e})"
         )
-    return x[..., 0]
+    return x
 
 
 def _principal(phi: np.ndarray) -> np.ndarray:

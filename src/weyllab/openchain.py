@@ -223,14 +223,17 @@ def max_symmetric_interval(theta1_grid, ok) -> ArcInterval:
     order = np.argsort(grid)
     grid, ok = grid[order], np.asarray(ok, dtype=bool)[order]
     eps = 1e-9
-    best = None
-    for t in grid[grid >= -eps]:
-        if not np.any(np.abs(grid + t) < eps):
-            continue
-        if ok[np.abs(grid) <= t + eps].all():
-            best = float(t)
-    if best is None:
+    t = grid[grid >= -eps]
+    # A candidate t needs a grid point within eps of -t (the nearest are
+    # the two that enclose -t) and no failing point with |theta1| <= t +
+    # eps; the largest such t is the endpoint.
+    i = np.searchsorted(grid, -t)
+    mirror = grid[np.stack([np.maximum(i - 1, 0), np.minimum(i, grid.size - 1)])]
+    good = (np.abs(mirror + t) < eps).any(axis=0)
+    good &= t + eps < np.abs(grid[~ok]).min(initial=np.inf)
+    if not good.any():
         return ArcInterval(np.nan, np.nan, empty=True)
+    best = float(t[good][-1])
     return ArcInterval(-best, best)
 
 

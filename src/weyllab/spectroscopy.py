@@ -8,18 +8,20 @@ the zero-energy-arc endpoint extraction from those spectra.
 All response quantities derive from the linear steady state
 a = -(Delta0 + T - i kappa/2)^{-1} Omega, so they are independent of
 the drive amplitude; the left-port reflection is
-r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel,
-reflections, solves it for a stack of chains in bounded blocks; a
-point, a spectrum, a winding loop and an arc scan are one call each.
+r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel
+solves it for a stack of chains, from their bands, in bounded blocks;
+a point, a spectrum, a winding loop and an arc scan are one call each.
 
-Arc detection solves each theta1 point only on the fit window
-|Delta0| <= FIT_WINDOW J and fits all traces at once: the resonance-pair
-model is linear except in the pair energy e, so its linear weights are
-projected out (variable projection).  The e-independent background is
-projected out of every trace once; each candidate e adds two pole
-columns, orthonormalised by Gram-Schmidt.  A coarse scan over e and a
-golden-section search refine all traces in lockstep; the same
-projection at the fitted energies gives the port weights.
+Arc detection solves each distinct chain of its theta1 grid once, only
+on the fit window |Delta0| <= FIT_WINDOW J, and fits all those traces
+at once, scattering each verdict back to every grid point of its chain.
+The resonance-pair model is linear except in the pair energy e, so its
+linear weights are projected out (variable projection).  The
+e-independent background is projected out of every trace once; each
+candidate e adds two pole columns, orthonormalised by Gram-Schmidt.  A
+coarse scan over e and a golden-section search refine all traces in
+lockstep; the same projection at the fitted energies gives the port
+weights.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
     ArcInterval,
+    _distinct_rows,
     arc_membership,
     max_symmetric_interval,
 )
@@ -125,17 +128,6 @@ def left_drive(p: ModelParams, amplitude: complex = 1.0) -> np.ndarray:
     return drive
 
 
-def _dense_chains(diags: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Dense (..., n, n) matrices of the chains with bands diags (..., n)
-    and offs (..., n - 1); -0.0 entries become 0.0."""
-    i = np.arange(diags.shape[-1])
-    t = np.zeros(diags.shape + i.shape)
-    t[..., i, i] = diags
-    t[..., i[1:], i[:-1]] = t[..., i[:-1], i[1:]] = offs
-    t += 0.0
-    return t
-
-
 def steady_state(
     theta1: float, theta2: float, drive: np.ndarray, p: ModelParams
 ) -> SteadyState:
@@ -147,11 +139,13 @@ def steady_state(
     drive = np.asarray(drive, dtype=complex)
     if drive.shape != (p.sites,):
         raise ValueError(f"drive must have {p.sites} amplitudes")
-    t = _dense_chains(*chain_bands(theta1, theta2, p))[0]
+    (d,), (e,) = chain_bands(theta1, theta2, p)
     z = p.Delta0 - 0.5j * p.kappa
-    amps = solve_shifted(t, z, -drive)
-    resid = float(np.linalg.norm(t @ amps + z * amps + drive))
-    return SteadyState(amps, resid)
+    amps = solve_shifted(d, e, z, -drive)
+    resid = (d + z) * amps + drive
+    resid[1:] += e * amps[:-1]
+    resid[:-1] += e * amps[1:]
+    return SteadyState(amps, float(np.linalg.norm(resid)))
 
 
 def transient_oracle(
@@ -181,8 +175,8 @@ def transient_oracle(
         dt = dt_max
     elif dt <= 0 or dt > dt_max:
         raise ValueError(f"dt must lie in (0, {dt_max:.4g}] for RK4 stability")
-    t = _dense_chains(*chain_bands(theta1, theta2, p))[0]
-    m = t + (p.Delta0 - 0.5j * p.kappa) * np.eye(p.sites)
+    (d,), (e,) = chain_bands(theta1, theta2, p)
+    m = np.diag(d + (p.Delta0 - 0.5j * p.kappa)) + np.diag(e, 1) + np.diag(e, -1)
     if a0 is None:
         a = np.zeros(p.sites, dtype=complex)
     else:
@@ -217,23 +211,30 @@ def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
     """r_L of a stack of chains over a detuning grid, shape (chains, detunings).
 
     Chain k is the open chain at (theta1s[k], theta2s[k]), the angle
-    arrays broadcast, and each detuning replaces p.Delta0.  solve_shifted
-    solves the dense chains in blocks of at most BLOCK_ENTRIES matrix
-    entries (one system at least); a singular system anywhere, such as
-    kappa = 0 exactly on resonance, raises SingularMatrixError.
+    arrays broadcast, and each detuning replaces p.Delta0: the
+    _band_reflections of their chain_bands rows.
     """
     t1s, t2s = np.broadcast_arrays(np.ravel(theta1s), np.ravel(theta2s))
+    return _band_reflections(*chain_bands(t1s, t2s, p), delta0_grid, p)
+
+
+def _band_reflections(diags, offs, delta0_grid, p: ModelParams) -> np.ndarray:
+    """r_L of the chains with band rows diags (chains, n) and offs
+    (chains, n - 1) over a detuning grid.  solve_shifted solves them in
+    blocks of at most BLOCK_ENTRIES dense matrix entries (one system at
+    least); a singular system anywhere, such as kappa = 0 exactly on
+    resonance, raises SingularMatrixError.
+    """
     z = np.asarray(delta0_grid, dtype=float) - 0.5j * p.kappa
-    diags, offs = chain_bands(t1s, t2s, p)
     n = p.sites
     systems = max(1, BLOCK_ENTRIES // (n * n))
     chains = max(1, systems // max(1, z.size))
-    r = np.empty((t1s.size, z.size), dtype=complex)
-    for k in range(0, t1s.size, chains):
+    r = np.empty((len(diags), z.size), dtype=complex)
+    for k in range(0, len(diags), chains):
         block = slice(k, k + chains)
-        t = _dense_chains(diags[block], offs[block])
+        d, e = diags[block, None], offs[block, None]
         for j in range(0, z.size, systems):
-            g11 = solve_shifted(t[:, None], z[j : j + systems], left_drive(p))[..., 0]
+            g11 = solve_shifted(d, e, z[j : j + systems], left_drive(p))[..., 0]
             r[block, j : j + systems] = 1.0 + 1j * p.kappa * g11
     return r
 
@@ -442,9 +443,13 @@ def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetect
     # A single-cell chain has no distinct end cells, so nothing can be
     # edge-localized; the port-weight proxy only makes sense for N >= 2.
     if p.N >= 2 and grid.size:
-        r = reflections(grid, theta2, dfit, p)
+        # Chains repeat wherever the grid's cosines do, so each distinct
+        # one is solved and fitted once and its verdict scattered back.
+        bands = np.concatenate(chain_bands(*np.broadcast_arrays(grid, theta2), p), axis=-1)
+        bands, inverse = _distinct_rows(bands)
+        r = _band_reflections(bands[:, : p.sites], bands[:, p.sites :], dfit, p)
         e_hat, weight = _fit_zero_pairs(dfit, (r - 1.0) / (1j * p.kappa), p)
-        inside = (e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN)
+        inside = ((e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN))[inverse]
 
     measured = max_symmetric_interval(grid, inside)
     oracle_ok = arc_membership(theta2, grid, ZTOL_DEFAULT, p)

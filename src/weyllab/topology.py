@@ -175,7 +175,10 @@ def chern_sphere(
     pts = q0 + radius * normals
     hx, hy, hz = bloch_vectors(pts[..., 0], pts[..., 1], pts[..., 2], p)
     h = np.stack([hx, hy, hz], axis=-1)
-    norm = np.linalg.norm(h, axis=-1)
+    with np.errstate(over="ignore"):  # as from an overflowing J
+        norm = np.linalg.norm(h, axis=-1)
+    if not np.isfinite(norm).all():
+        raise ValueError("non-finite Bloch vector norms on the sphere")
     if norm.min() < 1e-12:
         raise NonConvergedChernError("sphere touches a band-degeneracy point")
     hhat = h / norm[..., None]

@@ -270,6 +270,18 @@ class TestCommands:
         assert data["theta1c_plus"] / math.pi == pytest.approx(0.20, abs=1e-9)
         assert (out / "fermi_arc_spectra.csv").exists()
 
+    @pytest.mark.parametrize("sites", [4, 12, 36])
+    @pytest.mark.parametrize(
+        "command,name",
+        [("reflection", "reflection.csv"), ("fermi-arc", "fermi_arc_spectra.csv")],
+    )
+    def test_reflectance_is_passive(self, tmp_path, command, name, sites):
+        # The lossy chain cannot reflect more than it is driven with.
+        assert main([command, "--out", str(tmp_path), "--set", f"sites={sites}"]) == 0
+        header, rows = read_csv(tmp_path / name)
+        R = np.array([float(row[header.index("R")]) for row in rows])
+        assert R.size > 0 and (R <= 1.0 + 1e-12).all()
+
     def test_fermi_arc_sites12(self, tmp_path):
         out = tmp_path / "run"
         assert main(["fermi-arc", "--out", str(out), "--set", "sites=12"]) == 0
@@ -352,6 +364,9 @@ MISUSES = [
     ("edge-spectrum", ["edge_spectrum.densities=7"]),
     ("berry-field", ["berry_field.exclude=-1"]),
     ("edge-spectrum", ["j=1e308"]),
+    ("bulk-bands", ["j=1e200"]),
+    ("chern", ["j=1e200"]),
+    ("berry-field", ["j=1e200"]),
 ]
 
 
@@ -366,6 +381,14 @@ def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
     err = capsys.readouterr().err
     assert err.startswith("weyllab: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["weyl-points", "winding"])
+def test_overflowing_hopping_is_not_a_traceback(tmp_path, capsys, command):
+    # At J = 1e200 the squares of the Bloch vector and the determinant of
+    # the node velocity overflow; neither decides anything here.
+    assert main([command, "--out", str(tmp_path), "--set", "j=1e200"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # Output paths that cannot be written: (arguments, WEYLLAB_OUT), relative
@@ -644,10 +667,16 @@ class TestSinglePass:
         ) == 0
         p = ModelParams()
         n, eye = p.sites, np.eye(p.sites)
-        systems = np.concatenate(
-            [(t + np.asarray(z)[..., None, None] * eye).reshape(-1, n, n)
-             for t, z, _ in calls]
-        )
+
+        def dense(d, e, z):
+            return np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + z * eye
+
+        systems = []
+        for d, e, z, _ in calls:
+            shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], np.shape(z))
+            d, e = np.broadcast_to(d, shape + d.shape[-1:]), np.broadcast_to(e, shape + e.shape[-1:])
+            z = np.broadcast_to(z, shape)
+            systems += [dense(*row) for row in zip(d.reshape(-1, n), e.reshape(-1, n - 1), z.ravel())]
         w = weyl_points(p)[DEFAULTS["winding.weyl"] - 1]
         theta_r = DEFAULTS["winding.theta_r"]
         expected = []
@@ -657,8 +686,7 @@ class TestSinglePass:
                 w.location.theta2 + theta_r * math.sin(th),
                 p,
             )
-            t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            expected.append(t + (p.Delta0 - 0.5j * p.kappa) * eye)
+            expected.append(dense(d, e, p.Delta0 - 0.5j * p.kappa))
         assert np.array_equal(systems, expected)
 
     def test_table1_diagonalizes_once_per_point(self, tmp_path, monkeypatch):
@@ -674,7 +702,7 @@ class TestSinglePass:
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
         # The spectra span the detector's detuning grid; the detector
         # solves only its fit window, |Delta0| <= FIT_WINDOW J, of it.
-        calls = _counting(monkeypatch, spectroscopy, "reflections")
+        calls = _counting(monkeypatch, spectroscopy, "_band_reflections")
         args = ["--set", "j=2", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["fermi-arc", "--out", str(tmp_path), *args]) == 0
         p = ModelParams(J=2.0)
@@ -687,8 +715,9 @@ class TestSinglePass:
         assert written[-1] == pytest.approx(2.0)
         fit = window[np.abs(window) <= spectroscopy.FIT_WINDOW * p.J]
         assert fit.size == 25
-        assert len(calls) == 1  # the detector's; cli calls its own import
+        assert len(calls) == 2  # the detector's, then the spectra's
         assert np.array_equal(calls[0][2], fit)
+        assert np.array_equal(calls[1][2], window)
 
     @pytest.mark.parametrize("kx", [math.pi / 2, 0.7, 2.9, -1.3])
     def test_bulk_sheet_matches_scalar_bands(self, tmp_path, kx):

@@ -167,69 +167,80 @@ class TestEighTridiagonal:
             eigh_bands(*bands([0.0, 0.0], [1.0]))
 
 
-def random_symmetric(rng, shape):
-    a = rng.normal(size=shape)
-    return a + np.swapaxes(a, -1, -2)
+def random_bands(rng, shape, n):
+    """Random bands (shape + (n,), shape + (n - 1,)) of a chain stack."""
+    return rng.normal(size=shape + (n,)), rng.normal(size=shape + (n - 1,))
+
+
+def dense_stack(d, e):
+    """Dense matrices (..., n, n) of stacked bands, built entry by entry."""
+    n = d.shape[-1]
+    t = np.zeros(d.shape + (n,))
+    for i in range(n):
+        t[..., i, i] = d[..., i]
+        if i + 1 < n:
+            t[..., i, i + 1] = t[..., i + 1, i] = e[..., i]
+    return t
 
 
 class TestSolveShifted:
     def test_identity(self):
         b = np.array([1.0, 1.0j, -2.0])
-        assert solve_shifted(np.zeros((3, 3)), 1.0, b) == pytest.approx(b)
+        assert solve_shifted(np.zeros(3), np.zeros(2), 1.0, b) == pytest.approx(b)
 
     def test_scalar_division(self):
-        x = solve_shifted(np.zeros((1, 1)), -0.5j, np.array([1.0]))
+        x = solve_shifted(np.zeros(1), np.zeros(0), -0.5j, np.array([1.0]))
         assert x == pytest.approx([2.0j])
 
     def test_two_by_two_adjugate(self):
         # T + z = [[i, 1], [1, i]] has det = -2 and adjugate
         # [[i, -1], [-1, i]], so (T + z) x = (1, 0) gives x = (-i/2, 1/2).
-        t = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = solve_shifted(t, 1.0j, np.array([1.0, 0.0]))
+        x = solve_shifted(np.zeros(2), np.ones(1), 1.0j, np.array([1.0, 0.0]))
         assert x == pytest.approx([-0.5j, 0.5], abs=1e-12)
 
     def test_singular_raises(self):
-        t = np.array([[1.0, 2.0], [2.0, 4.0]])
+        # [[1, 2], [2, 4]]
         with pytest.raises(SingularMatrixError):
-            solve_shifted(t, 0.0, np.array([1.0, 0.0]))
+            solve_shifted(np.array([1.0, 4.0]), np.array([2.0]), 0.0, np.array([1.0, 0.0]))
 
     def test_one_singular_shift_fails_the_stack(self):
         # T has eigenvalues +/-1; only the shift z = 1 is singular.
-        t = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d, e = np.zeros(2), np.ones(1)
         shifts = np.array([0.5, 1.0, 1.5])
         with pytest.raises(SingularMatrixError):
-            solve_shifted(t, shifts, np.array([1.0, 0.0]))
-        assert solve_shifted(t, shifts[[0, 2]], np.array([1.0, 0.0])).shape == (2, 2)
+            solve_shifted(d, e, shifts, np.array([1.0, 0.0]))
+        assert solve_shifted(d, e, shifts[[0, 2]], np.array([1.0, 0.0])).shape == (2, 2)
 
     def test_stacked_matrices_share_a_shift(self):
-        t = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]]])
-        x = solve_shifted(t, 1.0j, np.array([1.0, 0.0]))
+        # [[0, 1], [1, 0]] and 2 I
+        d, e = np.array([[0.0, 0.0], [2.0, 2.0]]), np.array([[1.0], [0.0]])
+        x = solve_shifted(d, e, 1.0j, np.array([1.0, 0.0]))
         ref = np.array([[-0.5j, 0.5], [1 / (2 + 1j), 0.0]])
         assert x == pytest.approx(ref, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            solve_shifted(np.zeros((3, 3)), 1.0, np.ones(2))
+            solve_shifted(np.zeros(3), np.zeros(2), 1.0, np.ones(2))
         with pytest.raises(ValueError):
-            solve_shifted(np.zeros((4, 3, 3)), np.ones(5), np.ones(3))
-        with pytest.raises(ValueError):
-            solve_shifted(np.zeros((3, 2)), 1.0, np.ones(2))
+            solve_shifted(np.zeros((4, 3)), np.zeros((4, 2)), np.ones(5), np.ones(3))
+        with pytest.raises(ValueError):  # bands of no chain
+            solve_shifted(np.zeros(3), np.zeros(3), 1.0, np.ones(3))
 
     def test_rejects_nonfinite_and_complex_matrices(self):
         with pytest.raises(ValueError):
-            solve_shifted(np.zeros((2, 2)), np.nan, np.ones(2))
+            solve_shifted(np.zeros(2), np.zeros(1), np.nan, np.ones(2))
         with pytest.raises(ValueError):
-            solve_shifted(1j * np.eye(2), 1.0, np.ones(2))
+            solve_shifted(1j * np.ones(2), np.zeros(1), 1.0, np.ones(2))
 
     @given(st.integers(1, 4), st.integers(2, 20), st.integers(0, 2**32 - 1))
     def test_residual_bound_random(self, k, n, seed):
         rng = np.random.default_rng(seed)
-        t = random_symmetric(rng, (k, n, n))
+        d, e = random_bands(rng, (k,), n)
         z = rng.normal(size=k) + 1j * (0.5 + rng.random(size=k))
         b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-        x = solve_shifted(t, z, b)
+        x = solve_shifted(d, e, z, b)
         assert x.shape == (k, n)
-        for ti, zi, bi, xi in zip(t, z, b, x):
+        for ti, zi, bi, xi in zip(dense_stack(d, e), z, b, x):
             a = ti + zi * np.eye(n)
             norm_a = np.abs(a).sum(axis=1).max()
             scale = norm_a * np.linalg.norm(xi) + np.linalg.norm(bi)
@@ -240,16 +251,17 @@ class TestSolveShifted:
         # The stack must give exactly what a per-shift solve of the dense
         # T + z * I gives, since every dataset digest rests on those bits.
         rng = np.random.default_rng(seed)
-        t = random_symmetric(rng, (n, n))
+        d, e = random_bands(rng, (), n)
+        t = dense_stack(d, e)
         z = rng.normal(size=7) - 0.5j * (0.1 + rng.random())
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = [np.linalg.solve(t + zi * np.eye(n), b) for zi in z]
-        assert np.array_equal(solve_shifted(t, z, b), ref)
+        assert np.array_equal(solve_shifted(d, e, z, b), ref)
 
     @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
     def test_condition_number_matches_svd(self, n, seed, im):
         rng = np.random.default_rng(seed)
-        t = random_symmetric(rng, (n, n))
+        t = dense_stack(*random_bands(rng, (), n))
         z = complex(rng.normal(), im * rng.choice([-1.0, 1.0]))
         sv = _shifted_singular_values(t, np.asarray(z))
         ref = np.linalg.cond(t + z * np.eye(n))
@@ -267,27 +279,45 @@ class TestSolveShifted:
         # Both column and 2-norm are |t + z| when n = 1: a few ulps of
         # slack allow for their different rounding.
         rng = np.random.default_rng(seed)
-        t = random_symmetric(rng, (n, n))
+        d, e = random_bands(rng, (), n)
         z = complex(re, im * rng.choice([-1.0, 1.0]))
-        m = t + z * np.eye(n)
-        assert numerics._cond_bound(t, np.asarray(z)) >= np.linalg.cond(m)
+        m = dense_stack(d, e) + z * np.eye(n)
+        assert numerics._cond_bound(d, e, np.asarray(z)) >= np.linalg.cond(m)
         norm2 = np.linalg.norm(m, 2)
-        assert numerics._max_column_norm(m) <= norm2 * (1 + 4 * np.finfo(float).eps)
+        got = numerics._max_column_norm_of_bands(d + z, e)
+        assert got <= norm2 * (1 + 4 * np.finfo(float).eps)
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (7, 7), (3, 2, 12, 12), (101, 1, 36, 36), (512, 1, 12, 1)]
     )
     def test_residual_scale_is_largest_column_norm(self, rng, shape):
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        m *= 10.0 ** rng.uniform(-3, 3, size=shape[:-2] + (1, 1))
+        shape, n = shape[:-2], shape[-2]  # a stack of chains of n sites
+        d, e = random_bands(rng, shape, n)
+        dz = d + 1j * rng.normal(size=d.shape)
+        scale = 10.0 ** rng.uniform(-3, 3, size=shape)
+        dz, e = dz * scale[..., None], e * scale[..., None]
+        m = dense_stack(dz.real, e) + 1j * dense_stack(dz.imag, np.zeros_like(e))
         want = np.linalg.norm(m, axis=-2).max(axis=-1)
-        got = numerics._max_column_norm(m)
+        got = numerics._max_column_norm_of_bands(dz, e)
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-15 * want).all()
         norm2 = np.linalg.norm(m, 2, axis=(-2, -1))
         assert (got <= norm2 * (1 + 4 * np.finfo(float).eps)).all()
         for k in (700, -700):  # squares over- or underflow unless rescaled
-            assert np.array_equal(numerics._max_column_norm(m * 2.0**k), got * 2.0**k)
+            scaled = numerics._max_column_norm_of_bands(dz * 2.0**k, e * 2.0**k)
+            assert np.array_equal(scaled, got * 2.0**k)
+
+    @pytest.mark.parametrize("shape,n", [((), 1), ((512, 1), 12), ((101, 1), 36)])
+    def test_vector_norms_are_rescaled(self, rng, shape, n):
+        # The norms of x, b and the residual: the column vectors that the
+        # dense check took column norms of.
+        x = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+        x *= 10.0 ** rng.uniform(-3, 3, size=shape + (1,))
+        got = numerics._vector_norm(x)
+        want = np.linalg.norm(x, axis=-1)
+        assert (np.abs(got - want) <= 1e-15 * want).all()
+        for k in (700, -700):
+            assert np.array_equal(numerics._vector_norm(x * 2.0**k), got * 2.0**k)
 
     def test_huge_shift_is_not_refused(self):
         # x is about 2e-200 and T + z about 5e199, a well-conditioned
@@ -295,9 +325,32 @@ class TestSolveShifted:
         # of T + z overflow, so the residual scale is NaN.
         t = np.array([[0.0, 1.0], [1.0, 0.0]])
         z, b = -0.1 - 0.5e200j, np.array([1.0, 0.0])
-        x = solve_shifted(t, z, b)
+        x = solve_shifted(np.zeros(2), np.ones(1), z, b)
         assert np.array_equal(x, np.linalg.solve(t + z * np.eye(2), b))
         assert abs(x[0]) == pytest.approx(2e-200)
+
+    @pytest.mark.parametrize("size", [5e-324, 1e-310, 2.0**-901, 1e300])
+    def test_extreme_right_hand_side_is_solved_scaled(self, rng, size):
+        # b is divided by a power of two before the LU and x multiplied by
+        # it after, exactly: x is the solve of the unit-sized b, scaled.
+        d, e = random_bands(rng, (), 6)
+        z = 0.3 - 0.2j
+        unit = rng.normal(size=6) + 1j * rng.normal(size=6)
+        unit /= np.abs(unit).max()
+        b = size * unit
+        k = np.frexp(np.abs(np.concatenate([b.real, b.imag])).max())[1]
+
+        def times_2_to(c, k):
+            return np.ldexp(c.real, k) + 1j * np.ldexp(c.imag, k)
+
+        x = solve_shifted(d, e, z, b)
+        assert np.array_equal(x, times_2_to(solve_shifted(d, e, z, times_2_to(b, -k)), k))
+        assert np.abs(x).max() > 0
+
+    def test_overflowing_solution_is_refused(self):
+        # x = b / z overflows once b is scaled back.
+        with pytest.raises(SingularMatrixError):
+            solve_shifted(np.zeros(1), np.zeros(0), 1e-10j, np.array([1e300]))
 
     def test_singular_message_says_cond_bound(self, monkeypatch):
         # A well-conditioned system whose residual check fails reports
@@ -305,7 +358,7 @@ class TestSolveShifted:
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: 2.0 * solve(a, b))
         with pytest.raises(SingularMatrixError, match=r"\(cond bound \d") as err:
-            solve_shifted(np.diag([1.0, -1.0]), [0.5j, 1.0 + 2j], np.ones(2))
+            solve_shifted(np.array([1.0, -1.0]), np.zeros(1), [0.5j, 1.0 + 2j], np.ones(2))
         # max((1 + 0.5) / 0.5, (1 + sqrt 5) / 2) = 3
         assert "(cond bound 3.000e+00, " in str(err.value)
 

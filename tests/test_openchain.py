@@ -495,3 +495,33 @@ class TestMaxSymmetricInterval:
         res = max_symmetric_interval(np.array([-1.0, 0.0, 1.0]), [False] * 3)
         assert isinstance(res, ArcInterval)
         assert res.empty
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 5e-10, 0.3, -0.3]),
+                st.integers(-12, 12).map(lambda k: k * 0.01 * np.pi),
+                st.floats(-1.0, 1.0),
+            ),
+            max_size=30,
+        ),
+        st.data(),
+    )
+    def test_matches_per_candidate_loop(self, grid, data):
+        # The per-candidate loop it replaced: the largest t >= -eps that
+        # has a grid point within eps of -t and no failing point with
+        # |theta1| <= t + eps.
+        ok = data.draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+        g = np.asarray(grid, dtype=float)
+        order = np.argsort(g)
+        g, flags = g[order], np.asarray(ok, dtype=bool)[order]
+        eps, best = 1e-9, None
+        for t in g[g >= -eps]:
+            if np.any(np.abs(g + t) < eps) and flags[np.abs(g) <= t + eps].all():
+                best = float(t)
+        res = max_symmetric_interval(grid, ok)
+        if best is None:
+            assert res.empty and np.isnan(res.theta1c_plus)
+        else:
+            assert not res.empty
+            assert (res.theta1c_minus, res.theta1c_plus) == (-best, best)

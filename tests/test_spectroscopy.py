@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from weyllab.model import ModelParams, chain_bands, weyl_points
@@ -11,6 +11,7 @@ from weyllab.numerics import SingularMatrixError, UndersampledLoopError, solve_s
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
     ZTOL_DEFAULT,
+    _distinct_rows,
     diagonalize_chain,
     edge_spectrum,
 )
@@ -86,6 +87,7 @@ class TestSteadyState:
         assert np.all(ss.amplitudes == 0)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.integers(0, 2**32 - 1))
+    @example(x=0.0, y=5e-324, seed=0)  # a subnormal drive is solved scaled
     @settings(max_examples=25)
     def test_linearity(self, x, y, seed):
         p = chain(8)
@@ -255,13 +257,35 @@ class TestReflections:
         assert r.shape == (len(angles), len(detunings))
         z = np.array(detunings) - 0.5j * kappa
         for row, t1, t2 in zip(r, t1s, t2s):
-            t = banded_chain(t1, t2, p)
-            g11 = solve_shifted(t, z, left_drive(p))[:, 0]
+            (d,), (e,) = chain_bands(t1, t2, p)
+            g11 = solve_shifted(d, e, z, left_drive(p))[:, 0]
             assert np.array_equal(row, 1.0 + 1j * kappa * g11)
             assert np.abs(row).max() <= 1.0 + 1e-12  # the port is passive
             dense = _dense_chain(t1, t2, p) + z[:, None, None] * np.eye(p.sites)
             g = np.linalg.solve(dense, np.eye(p.sites)[0])[:, 0]
             assert np.abs(row - (1.0 + 1j * kappa * g)).max() <= 1e-12
+
+    @given(
+        cells=st.integers(1, 20),
+        angles=st.lists(st.tuples(_ANGLES, _ANGLES), min_size=1, max_size=4),
+        detunings=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+        je=st.sampled_from([0.0, 0.4, 1.0]),
+        kappa=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=40)
+    def test_matches_dense_oracle_bit_for_bit(self, cells, angles, detunings, je, kappa):
+        # r = 1 + i kappa [(T + z)^-1]_00 from one dense solve per system,
+        # on 2-40 sites: the datasets rest on these bits.
+        p = chain(2 * cells, Je=je, kappa=kappa)
+        t1s, t2s = np.array(angles).T
+        r = reflections(t1s, t2s, detunings, p)
+        e1 = np.eye(p.sites)[0]
+        for row, t1, t2 in zip(r, t1s, t2s):
+            t = banded_chain(t1, t2, p)
+            for r_k, d0 in zip(row, detunings):
+                z = d0 - 0.5j * kappa
+                g = np.linalg.solve(t + z * np.eye(p.sites), e1)[0]
+                assert r_k.tobytes() == (1.0 + 1j * kappa * g).tobytes()
 
     def test_angles_broadcast(self):
         p = chain(6)
@@ -454,6 +478,41 @@ class TestDetectArcEndpoint:
         with pytest.raises(ValueError):
             detect_arc_endpoint(np.pi / 2, [0.0], chain(4, kappa=0.0))
 
+    def test_theta2_per_grid_point(self):
+        # chain_bands broadcasts the angles, so theta2 may come per point.
+        grid = np.arange(-10, 11) * 0.025 * np.pi
+        det = detect_arc_endpoint(np.full(grid.size, np.pi / 2), grid, chain(4))
+        assert det == detect_arc_endpoint(np.pi / 2, grid, chain(4))
+
+    def test_solves_and_fits_each_distinct_chain_once(self, monkeypatch):
+        # The default Table-1 grid is exactly symmetric: its 101 chains
+        # are 51 distinct ones, and only those reach the resolvent and
+        # the pair fit.
+        solved, fitted = [], []
+        solve, fit = spectroscopy.solve_shifted, spectroscopy._fit_zero_pairs
+
+        def counted_solve(d, e, z, b):
+            # Hopping rows (chains, shifts, n - 1) of the block's systems.
+            shape = np.broadcast_shapes(e.shape[:-1], np.shape(z))
+            solved.append(np.broadcast_to(e, shape + e.shape[-1:]))
+            return solve(d, e, z, b)
+
+        def counted_fit(d, g, p):
+            fitted.append(g.shape)
+            return fit(d, g, p)
+
+        monkeypatch.setattr(spectroscopy, "solve_shifted", counted_solve)
+        monkeypatch.setattr(spectroscopy, "_fit_zero_pairs", counted_fit)
+        grid = symmetric_grid(0.5 * np.pi, 0.01 * np.pi)
+        p = chain(12)
+        det = detect_arc_endpoint(np.pi / 2, grid, p)
+        assert grid.size == 101 and not det.flagged
+        chains = np.concatenate([e[:, 0] for e in solved])
+        systems = sum(e.shape[0] * e.shape[1] for e in solved)
+        assert len(chains) == len(_distinct_rows(chains)[0]) == 51
+        assert systems == 51 * 25
+        assert fitted == [(51, 25)]
+
 
 def _reference_residual(e, d, g, kappa):
     cols = np.column_stack(
@@ -539,6 +598,21 @@ class TestBatchedPairFit:
             per_trace = _fit_zero_pairs(d, g, p)
         for a, b in zip(fit, per_trace):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sites", [4, 12, 36])
+    def test_distinct_traces_fit_as_all(self, sites):
+        # Fitting the 51 distinct traces of the Table-1 grid and
+        # scattering the results back gives the bytes of fitting all 101.
+        p = chain(sites)
+        grid = symmetric_grid(0.5 * np.pi, 0.01 * np.pi)
+        d = detuning_grid(FIT_WINDOW, DELTA0_STEP, p)
+        g = (reflections(grid, np.pi / 2, d, p) - 1.0) / (1j * p.kappa)
+        _, offs = chain_bands(grid, np.pi / 2, p)
+        _, inverse = _distinct_rows(offs)
+        first = np.unique(inverse, return_index=True)[1]
+        assert first.size == 51
+        for every, distinct in zip(_fit_zero_pairs(d, g, p), _fit_zero_pairs(d, g[first], p)):
+            assert every.tobytes() == distinct[inverse].tobytes()
 
     def test_misfit_equals_lstsq_residual(self, rng):
         # Misfit and pair weight at every coarse candidate, including
