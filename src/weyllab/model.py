@@ -122,9 +122,10 @@ class DVector:
 
 
 def _det_sign(v: np.ndarray) -> int:
-    """Sign of det v, -1, 0 or 1, from slogdet: the determinant itself
-    overflows for entries of about 1e103 and more."""
-    return int(np.linalg.slogdet(v)[0])
+    """Sign of det v, -1, 0 or 1.  v is first divided, exactly, by the
+    power of two above its largest entry: det v itself overflows for
+    entries of about 1e103 and more."""
+    return int(np.sign(np.linalg.det(np.ldexp(v, -np.frexp(np.abs(v).max())[1]))))
 
 
 @dataclass(frozen=True)
