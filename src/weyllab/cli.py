@@ -31,7 +31,7 @@ from .model import (
     weyl_points,
 )
 from .numerics import NumericsError, unwrap_winding
-from .openchain import density_profile, diagonalize_chain, edge_spectrum
+from .openchain import _distinct_edge_spectrum, density_profile, diagonalize_chain
 from .spectroscopy import (
     DELTA0_STEP,
     FIT_WINDOW,
@@ -241,19 +241,8 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
 def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
     grid = _angle_grid(cfg["edge_spectrum.grid"])
-    energies, labels = edge_spectrum(grid, grid, p)
-    # Rows run theta1, then theta2, then the index fastest.
-    n = grid.size
-    columns = [
-        np.repeat(grid, n * p.sites),
-        np.tile(np.repeat(grid, p.sites), n),
-        np.tile(np.arange(p.sites), n * n),
-        energies.ravel(),
-        labels.ravel(),
-    ]
-    out.write_csv(
-        "edge_spectrum.csv", ["theta1", "theta2", "index", "energy", "label"], columns
-    )
+    sheet = _distinct_edge_spectrum(grid, grid, p)
+    out._write("edge_spectrum.csv", _edge_sheet_chunks(grid, grid, *sheet))
     if cfg["edge_spectrum.densities"]:
         chains = diagonalize_chain(grid, math.pi / 2, p)
         vals, _, labels = chains
@@ -265,6 +254,46 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
             [grid[rows], *columns],
         )
     return EXIT_OK
+
+
+def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
+    """Text of edge_spectrum.csv from _distinct_edge_spectrum's sheet on
+    the float grids theta1 and theta2: the header, then one chunk per
+    theta1, rows running theta1, then theta2, then the index fastest, as
+    write_csv would write the scattered sheet's five columns, byte for
+    byte.
+
+    Each distinct chain's n "index,energy,label" lines are formatted
+    once, in one text per distinct off-diagonal row that is built when
+    a theta1 first needs it and dropped after its last; a grid point is
+    its "theta1,theta2," prefix put before every line of its chain.
+    """
+    n = energies.shape[-1]
+    index = [str(k) for k in range(n)] * energies.shape[1]
+    left = np.bincount(row, minlength=len(energies))  # theta1s still to come
+    texts = [None] * len(energies)
+    theta2 = [f"{t!r}," for t in theta2.tolist()]
+    col = col.tolist()
+    yield "theta1,theta2,index,energy,label\n"
+    for t1, r in zip(theta1.tolist(), row.tolist()):
+        if texts[r] is None:
+            lines = list(map(",".join, zip(
+                index, map(float.__repr__, energies[r].ravel().tolist()),
+                labels[r].ravel().tolist(),
+            )))
+            # Line k of the text starts at starts[k], so chain c, lines
+            # c * n onward, is text[cuts[c]:cuts[c + 1] - 1].
+            starts = np.cumsum([0, *map(len, lines)]) + np.arange(len(lines) + 1)
+            texts[r] = "\n".join(lines), starts[::n].tolist()
+        text, cuts = texts[r]
+        t1 = f"{t1!r},"
+        yield "".join([
+            t1 + t2 + text[cuts[c]:cuts[c + 1] - 1].replace("\n", "\n" + t1 + t2) + "\n"
+            for t2, c in zip(theta2, col)
+        ])
+        left[r] -= 1
+        if not left[r]:
+            texts[r] = None
 
 
 def _density_columns(chains, keep) -> list[np.ndarray]:

@@ -170,18 +170,19 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], inverse
 
 
-def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
-    """Open-chain spectrum with localization labels over a surface grid.
+def _distinct_edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
+    """The edge sheet of edge_spectrum in its distinct chains.
 
-    Returns (energies, labels), both of shape (T1, T2, n): entry [i, j]
-    is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
-    theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
-    in C order.  A chain depends on its angles only through their
-    cosines, so chain_bands' rows repeat; each distinct chain (distinct
-    off-diagonal row times distinct diagonal row) is solved once, giving
-    the same bits, and only the four END_ROWS of its vectors are kept.
-    One stacked solve per distinct diagonal row takes every distinct
-    off-diagonal row, so a single theta2 is one eigh_bands call.
+    Returns (energies, labels, row, col): energies and labels of shape
+    (R, C, n), one entry per distinct off-diagonal row (R of them) times
+    distinct diagonal row (C), and the index arrays row (T1,) and col
+    (T2,) that map each grid angle to its distinct row, so that
+    energies[np.ix_(row, col)] is the (T1, T2, n) sheet.  A chain depends
+    on its angles only through their cosines, so chain_bands' rows
+    repeat; each distinct chain is solved once and only the four
+    END_ROWS of its vectors are kept.  One stacked solve per distinct
+    diagonal row takes every distinct off-diagonal row, so a single
+    theta2 is one eigh_bands call.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
@@ -193,8 +194,21 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     for k, diag in enumerate(diags):
         energies[:, k], vecs = _eigensystems(diag, offs, PAIR_WINDOW * p.J)
         ends[:, k] = vecs[:, END_ROWS]
+    return energies, _labels(ends), row, col
+
+
+def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
+    """Open-chain spectrum with localization labels over a surface grid.
+
+    Returns (energies, labels), both of shape (T1, T2, n): entry [i, j]
+    is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
+    theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
+    in C order.  It is _distinct_edge_spectrum's sheet scattered through
+    np.ix_(row, col), so each distinct chain is solved once.
+    """
+    energies, labels, row, col = _distinct_edge_spectrum(theta1_grid, theta2_grid, p)
     every = np.ix_(row, col)
-    return energies[every], _labels(ends)[every]
+    return energies[every], labels[every]
 
 
 def arc_membership(

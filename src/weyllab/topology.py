@@ -39,6 +39,10 @@ __all__ = [
 ROUNDING_TOL = 0.05
 # A point this close to a node is on it.
 NODE_RADIUS = 1e-9
+# The smallest band splitting on the mapped torus must exceed this
+# fraction of the largest: the rounding of the hopping terms of h (about
+# 1e-16 of |h|) would otherwise hide the on-site term that opens the gap.
+GAP_REL_MIN = 1e-15
 # Points per block of berry_curvature_numeric, which bounds its plaquette
 # temporaries (about 1 kB a point) whatever the number of points.
 BLOCK_POINTS = 8192
@@ -230,6 +234,11 @@ def chern_mapped_torus(
     if gap.min() < 1e-9:
         raise DegenerateGroundStateError(
             "gap closes on the mapped torus; shrink theta_r"
+        )
+    if gap.min() < GAP_REL_MIN * gap.max():
+        raise DegenerateGroundStateError(
+            f"gap {gap.min():.3e} on the mapped torus is lost in the rounding "
+            f"of splittings up to {gap.max():.3e}; J dwarfs Je"
         )
 
     def link(axis):

@@ -442,30 +442,22 @@ def _no_memory(*args):
     raise MemoryError("Unable to allocate 1.16 TiB for an array")
 
 
-class _NoMemoryLabel:
-    """A label whose text cannot be allocated."""
-
-    def __str__(self):
-        _no_memory()
-
-
 @pytest.mark.parametrize("command", ["density", "edge-spectrum"])
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch, command):
-    # density fails before it writes; edge-spectrum fails in its second
-    # CSV block, after the first was written to the file.
+    # density fails before it writes; edge-spectrum fails while streaming
+    # its sheet, after the first chunk was written to the file.
     if command == "density":
         monkeypatch.setattr(numerics, "dstev", _no_memory)
     else:
-        sheet = cli.edge_spectrum
+        sheet = cli._edge_sheet_chunks
 
         def sheet_without_memory(*args):
-            energies, labels = sheet(*args)
-            labels = labels.copy()
-            labels.flat[1] = _NoMemoryLabel()  # the second row's label
-            return energies, labels
+            chunks = sheet(*args)
+            yield next(chunks)
+            assert (tmp_path / "run" / "edge_spectrum.csv").exists()
+            _no_memory()
 
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)
-        monkeypatch.setattr(cli, "edge_spectrum", sheet_without_memory)
+        monkeypatch.setattr(cli, "_edge_sheet_chunks", sheet_without_memory)
     out = tmp_path / "run"
     args = [command, "--out", str(out), "--set", "edge_spectrum.grid=3"]
     assert main(args) == 2
@@ -575,6 +567,34 @@ def test_write_csv_repeated_cells(tmp_path, monkeypatch, block_rows):
     header = list("abcdef")
     path = cli._OutputSet(tmp_path).write_csv("t.csv", header, columns)
     assert path.read_bytes() == _reference_csv(header, zip(*columns))
+
+
+@given(
+    st.integers(2, 12).map(lambda cells: 2 * cells),
+    st.integers(1, 41),
+    st.floats(0.05, 3.0), st.floats(0.0, 3.0), st.floats(-3.0, 3.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_edge_sheet_matches_per_cell_writer(sites, grid, j, je, delta0):
+    # The sheet written from its distinct chains is, byte for byte, the
+    # per-cell CSV of the scattered sheet, theta1 mirrors and all.
+    sets = {"edge_spectrum.sites": sites, "edge_spectrum.grid": grid,
+            "j": j, "je": je, "delta0": delta0}
+    with tempfile.TemporaryDirectory() as out:
+        args = ["edge-spectrum", "--out", out]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={value!r}"]
+        assert main(args) == 0
+        written = (Path(out) / "edge_spectrum.csv").read_bytes()
+    thetas = np.linspace(-math.pi, math.pi, grid)
+    p = ModelParams(J=j, Je=je, Delta0=delta0, N=sites // 2)
+    energies, labels = openchain.edge_spectrum(thetas, thetas, p)
+    rows = (
+        (thetas[a], thetas[b], k, energies[a, b, k], labels[a, b, k])
+        for a in range(grid) for b in range(grid) for k in range(sites)
+    )
+    header = ["theta1", "theta2", "index", "energy", "label"]
+    assert written == _reference_csv(header, rows)
 
 
 # Every run starts from small sizes and grids, and each key's draws stay

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weyllab import numerics
+from weyllab.cli import main
+from weyllab.config import DEFAULTS
 from weyllab.model import ModelParams, chain_bands
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
@@ -12,6 +14,7 @@ from weyllab.openchain import (
     PAIR_WINDOW,
     ZTOL_DEFAULT,
     ArcInterval,
+    _distinct_edge_spectrum,
     _distinct_rows,
     _eigensystems,
     _end_weights,
@@ -23,7 +26,7 @@ from weyllab.openchain import (
     edge_spectrum,
     max_symmetric_interval,
 )
-from weyllab.spectroscopy import detect_arc_endpoint
+from weyllab.spectroscopy import detect_arc_endpoint, symmetric_grid
 
 ARC_GRID = np.arange(-50, 51) * 0.01 * np.pi
 
@@ -311,6 +314,32 @@ class TestEdgeSpectrum:
         _, offs = chain_bands(ARC_GRID, np.pi / 2, chain(8))
         assert len(_distinct_rows(offs)[0]) == 51
 
+    def test_grid81_sheet_has_55_by_55_distinct_chains(self):
+        grid = np.linspace(-np.pi, np.pi, 81)
+        energies, labels, row, col = _distinct_edge_spectrum(grid, grid, chain(6))
+        assert energies.shape == labels.shape == (55, 55, 6)
+        assert row.shape == col.shape == (81,)
+
+    @given(
+        st.integers(2, 8),
+        *[st.lists(st.one_of(st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2]),
+                             st.floats(-np.pi, np.pi)), min_size=1, max_size=4)] * 2,
+    )
+    @settings(max_examples=40)
+    def test_sheet_is_the_distinct_form_scattered(self, cells, theta1s, theta2s):
+        # Mirrored angles repeat chains, so the distinct form is smaller.
+        theta1s, theta2s = theta1s + [-t for t in theta1s], theta2s + [-t for t in theta2s]
+        p = chain(2 * cells)
+        energies, labels = edge_spectrum(theta1s, theta2s, p)
+        distinct, distinct_labels, row, col = _distinct_edge_spectrum(theta1s, theta2s, p)
+        every = np.ix_(row, col)
+        assert energies.tobytes() == distinct[every].tobytes()
+        assert labels.tolist() == distinct_labels[every].tolist()
+        diags, offs = chain_bands(theta1s, theta2s, p)
+        assert distinct.shape == (
+            len({r.tobytes() for r in offs}), len({r.tobytes() for r in diags}), p.sites
+        )
+
     @pytest.mark.parametrize("points", [21, 41, 81])
     def test_sheet_is_even_where_cosines_match(self, points):
         # linspace(-pi, pi) is not exactly symmetric, but wherever the
@@ -478,6 +507,23 @@ class TestTable1ThreeLegs:
             assert (arc.theta1c_minus, arc.theta1c_plus) == (
                 ends.theta1c_minus, ends.theta1c_plus
             )
+
+
+    def test_table1_csv_is_the_closed_form_endpoint(self, tmp_path):
+        # The endpoints as the CLI writes them, read back from table1.csv,
+        # are those the closed-form rule picks on the CLI's own grid.
+        sizes = [4, 6, 8, 12]
+        args = ["--set", "table1.sizes=" + ",".join(map(str, sizes))]
+        assert main(["table1", "--out", str(tmp_path), *args]) == 0
+        lines = (tmp_path / "table1.csv").read_text().splitlines()
+        assert lines[0] == "N,theta1c"
+        grid = symmetric_grid(DEFAULTS["fermi_arc.span"] * math.pi,
+                              DEFAULTS["fermi_arc.grid_step"] * math.pi)
+        for sites, line in zip(sizes, lines[1:], strict=True):
+            p = chain(sites)
+            ends = max_symmetric_interval(grid, [_closed_form_inside(t, p) for t in grid])
+            assert not ends.empty
+            assert line == f"{sites},{ends.theta1c_plus!r}"
 
 
 class TestMaxSymmetricInterval:

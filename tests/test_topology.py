@@ -405,3 +405,26 @@ class TestChernMappedTorus:
             chern_mapped_torus(w, 1.6, 40, params)
         with pytest.raises(ValueError):
             chern_mapped_torus(w, 0.25 * np.pi, 10, params)
+
+    @pytest.mark.parametrize("j", [1e150, 1e200])
+    def test_onsite_term_lost_in_rounding_is_refused(self, j):
+        # At J = 1e150 the hopping terms' rounding (about 1e134 where
+        # cos(pi/2) should vanish) swamps the unit on-site term that opens
+        # the gap, which read value 0 with no error before this guard.
+        p = ModelParams(J=j)
+        for w in weyl_points(p):
+            with pytest.raises(DegenerateGroundStateError, match="lost in the rounding"):
+                chern_mapped_torus(w, 0.25 * np.pi, 40, p)
+
+    @pytest.mark.parametrize("j", [1e10, 1e14])
+    def test_large_hopping_keeps_each_chirality(self, j):
+        p = ModelParams(J=j)
+        for w in weyl_points(p):
+            torus = chern_mapped_torus(w, 0.25 * np.pi, 40, p)
+            assert torus.value == w.chirality and torus.raw == pytest.approx(2 * w.chirality)
+
+    def test_onsite_term_lost_in_rounding_is_numeric_failure(self, tmp_path, capsys):
+        assert main(["chern", "--out", str(tmp_path), "--set", "j=1e150"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+        assert "lost in the rounding" in err
