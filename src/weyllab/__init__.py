@@ -9,12 +9,9 @@ of a handful of lossy resonators.
 
 from .model import (
     DegenerateModelError,
-    DVector,
     ModelParams,
     SyntheticMomentum,
     WeylPoint,
-    bulk_bands,
-    d_vector,
     linearize,
     weyl_points,
 )
@@ -30,7 +27,6 @@ from .numerics import (
 from .openchain import (
     ArcInterval,
     DensityProfile,
-    arc_interval_oracle,
     density_profile,
     diagonalize_chain,
     edge_spectrum,

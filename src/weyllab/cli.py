@@ -24,13 +24,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config, format_config
-from .model import (
-    ModelParams,
-    bulk_band_sheet,
-    reduce_angle,
-    weyl_points,
-)
-from .numerics import NumericsError, unwrap_winding
+from .model import ModelParams, bulk_band_sheet, weyl_points
+from .numerics import NumericsError, reduce_angle, unwrap_winding
 from .openchain import _distinct_edge_spectrum, density_profile, diagonalize_chain
 from .spectroscopy import (
     DELTA0_STEP,

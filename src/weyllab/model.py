@@ -19,19 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericsError
+from .numerics import NumericsError, reduce_angle
 
 __all__ = [
     "ModelParams",
     "SyntheticMomentum",
-    "DVector",
     "WeylPoint",
     "DegenerateModelError",
-    "reduce_angle",
     "bloch_vectors",
-    "d_vector",
     "bulk_band_sheet",
-    "bulk_bands",
     "weyl_points",
     "linearize",
     "chain_bands",
@@ -40,11 +36,6 @@ __all__ = [
 
 class DegenerateModelError(NumericsError):
     """Model parameters degenerate the band-touching structure."""
-
-
-def reduce_angle(x):
-    """Reduce an angle, or an array of angles, to (-pi, pi]."""
-    return np.pi - np.fmod(np.pi - x, 2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -105,22 +96,6 @@ class SyntheticMomentum:
         return np.array([self.kx, self.theta1, self.theta2])
 
 
-@dataclass(frozen=True)
-class DVector:
-    """Bloch decomposition (delta0, hx, hy, hz) of the 2x2 momentum matrix."""
-
-    delta0: float
-    hx: float
-    hy: float
-    hz: float
-
-    def magnitude(self) -> float:
-        return math.hypot(self.hx, self.hy, self.hz)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.hx, self.hy, self.hz])
-
-
 def _det_sign(v: np.ndarray) -> int:
     """Sign of det v, -1, 0 or 1.  v is first divided, exactly, by the
     power of two above its largest entry: det v itself overflows for
@@ -158,12 +133,6 @@ def bloch_vectors(kx, theta1, theta2, p: ModelParams):
     return np.broadcast_arrays(hx, hy, hz)
 
 
-def d_vector(k: SyntheticMomentum, p: ModelParams) -> DVector:
-    """Bloch vector of the momentum-space matrix at k."""
-    hx, hy, hz = bloch_vectors(k.kx, k.theta1, k.theta2, p)
-    return DVector(p.Delta0, float(hx), float(hy), float(hz))
-
-
 def bulk_band_sheet(kx, theta1, theta2, p: ModelParams):
     """Bulk bands (E-, E+) = Delta0 -/+ |h| on broadcastable angle arrays,
     which are reduced to (-pi, pi] as SyntheticMomentum stores them.
@@ -174,12 +143,6 @@ def bulk_band_sheet(kx, theta1, theta2, p: ModelParams):
     if not np.isfinite(h).all():
         raise ValueError("non-finite entries in bulk band sheet")
     return p.Delta0 - h, p.Delta0 + h
-
-
-def bulk_bands(k: SyntheticMomentum, p: ModelParams) -> tuple[float, float]:
-    """The two bulk band energies (E-, E+) = Delta0 -/+ |h| at k."""
-    em, ep = bulk_band_sheet(k.kx, k.theta1, k.theta2, p)
-    return float(em), float(ep)
 
 
 _WEYL_LOCATIONS = (
@@ -210,8 +173,8 @@ def linearize(w: SyntheticMomentum, p: ModelParams) -> WeylPoint:
     The derivatives are exact partials of the Bloch vector; w must be a
     band-touching point.
     """
-    d = d_vector(w, p)
-    if d.magnitude() > 1e-9 * max(p.J, p.Je):
+    h = math.hypot(*map(float, bloch_vectors(w.kx, w.theta1, w.theta2, p)))
+    if h > 1e-9 * max(p.J, p.Je):
         raise ValueError(f"momentum {w} is not a band-touching point")
     skx, ckx = math.sin(w.kx), math.cos(w.kx)
     v = np.array(

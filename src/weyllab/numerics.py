@@ -1,10 +1,11 @@
 """Numerical kernels.
 
 Symmetric tridiagonal eigensolver and shifted complex solves (T + z) x = b,
-both on broadcastable stacks of a chain's two bands, phase-loop winding
-extraction, and signed spherical solid angles.  Everything here is a
-pure function of its inputs.  The shifted solve factors the dense T + z,
-but checks each system's residual and conditioning from the bands.
+both on broadcastable stacks of a chain's two bands, angle reduction,
+phase-loop winding extraction, and signed spherical solid angles.
+Everything here is a pure function of its inputs.  The shifted solve
+factors the dense T + z, but checks each system's residual and
+conditioning from the bands.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
 ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
@@ -29,6 +30,7 @@ __all__ = [
     "UndersampledLoopError",
     "WindingResult",
     "eigh_bands",
+    "reduce_angle",
     "solve_shifted",
     "unwrap_winding",
 ]
@@ -307,9 +309,9 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     return x
 
 
-def _principal(phi: np.ndarray) -> np.ndarray:
-    """Wrap angles to the principal branch (-pi, pi]."""
-    return np.pi - np.mod(np.pi - phi, 2.0 * np.pi)
+def reduce_angle(x):
+    """Reduce an angle, or an array of angles, to (-pi, pi]."""
+    return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
 def unwrap_winding(phases: np.ndarray) -> WindingResult:
@@ -325,7 +327,7 @@ def unwrap_winding(phases: np.ndarray) -> WindingResult:
         raise ValueError("need a one-dimensional list of at least two phases")
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite phases")
-    steps = _principal(np.diff(phi, append=phi[:1]))
+    steps = reduce_angle(np.diff(phi, append=phi[:1]))
     worst = np.abs(steps).max()
     if worst >= PHASE_STEP_LIMIT:
         raise UndersampledLoopError(

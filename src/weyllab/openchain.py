@@ -30,13 +30,12 @@ __all__ = [
     "ArcInterval",
     "edge_spectrum",
     "density_profile",
-    "arc_interval_oracle",
     "arc_membership",
     "max_symmetric_interval",
     "diagonalize_chain",
 ]
 
-# Default zero-energy tolerance for arc membership, in units of J.
+# Zero-energy tolerance of arc detection and its oracle, in units of J.
 ZTOL_DEFAULT = 0.02
 # Minimum end-cell weight for a Left/Right label.
 EDGE_WEIGHT_MIN = 0.25
@@ -250,22 +249,3 @@ def max_symmetric_interval(theta1_grid, ok) -> ArcInterval:
     best = float(t[good][-1])
     return ArcInterval(-best, best)
 
-
-def arc_interval_oracle(
-    theta2: float,
-    theta1_grid,
-    p: ModelParams,
-    ztol: float = ZTOL_DEFAULT,
-) -> ArcInterval:
-    """Maximal symmetric theta1 interval carrying an edge-localized
-    near-zero state, from direct diagonalization.
-
-    A grid point qualifies per arc_membership; the returned endpoints
-    are the extremes of the largest all-qualifying interval [-t, t],
-    at grid resolution.
-    """
-    if ztol <= 0:
-        raise ValueError("ztol must be positive")
-    return max_symmetric_interval(
-        theta1_grid, arc_membership(theta2, theta1_grid, ztol, p)
-    )

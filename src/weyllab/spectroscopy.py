@@ -65,7 +65,7 @@ __all__ = [
 BLOCK_ENTRIES = 2**17
 # Drive-detuning scan step for arc detection, in units of J.
 DELTA0_STEP = 0.01
-# Most points of a symmetric detuning or theta1 grid.
+# Most points of a symmetric detuning or theta1 grid, or of a winding loop.
 MAX_GRID_POINTS = 10_001
 # Samples with |Delta0| up to this many J feed the resonance fit.
 FIT_WINDOW = 0.12
@@ -292,12 +292,13 @@ def loop_reflection(
 
     The loop is theta1 = theta1w + theta_r cos(theta), theta2 = theta2w
     + theta_r sin(theta) with theta uniform on offset + [0, 2pi); the
-    trace is indexed by theta.
+    trace is indexed by theta.  A sample count outside [64,
+    MAX_GRID_POINTS] raises ValueError before anything is allocated.
     """
     if p.kappa <= 0:
         raise ValueError("winding readout needs kappa > 0")
-    if samples < 64:
-        raise ValueError("need at least 64 samples around the loop")
+    if not 64 <= samples <= MAX_GRID_POINTS:
+        raise ValueError(f"need 64 to {MAX_GRID_POINTS} samples around the loop")
     if not (0.0 < theta_r < np.pi / 2):
         raise ValueError("theta_r must lie in (0, pi/2)")
     theta = offset + 2.0 * np.pi * np.arange(samples) / samples

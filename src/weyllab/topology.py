@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SyntheticMomentum, WeylPoint, bloch_vectors
+from .model import ModelParams, WeylPoint, bloch_vectors
 from .numerics import NumericsError, solid_angle_batch
 
 __all__ = [
@@ -39,9 +39,10 @@ __all__ = [
 ROUNDING_TOL = 0.05
 # A point this close to a node is on it.
 NODE_RADIUS = 1e-9
-# The smallest band splitting on the mapped torus must exceed this
-# fraction of the largest: the rounding of the hopping terms of h (about
-# 1e-16 of |h|) would otherwise hide the on-site term that opens the gap.
+# The smallest |h| on a Chern surface (band splitting on the mapped
+# torus, Bloch-vector norm on the sphere) must exceed this fraction of
+# the largest: the rounding of the hopping terms of h (about 1e-16 of
+# |h|) would otherwise hide the on-site term that opens the gap.
 GAP_REL_MIN = 1e-15
 # Points per block of berry_curvature_numeric, which bounds its plaquette
 # temporaries (about 1 kB a point) whatever the number of points.
@@ -112,7 +113,7 @@ def _ground_states(hx, hy, hz, gauge_rng=None):
 def berry_curvature_numeric(q, plane: tuple[int, int], step: float, p: ModelParams,
                             gauge_rng=None):
     """Lower-band Berry curvature component normal to `plane` at stacked
-    points q, shape (..., 3), or at one SyntheticMomentum.
+    points q, shape (..., 3).
 
     The phase of the product of the four normalized ground-state
     overlaps around a step x step plaquette spanned by the two axes in
@@ -127,7 +128,7 @@ def berry_curvature_numeric(q, plane: tuple[int, int], step: float, p: ModelPara
         raise ValueError("plane must be a pair of distinct axes from {0, 1, 2}")
     if not step > 0:
         raise ValueError("step must be positive")
-    q = np.asarray(q.as_array() if isinstance(q, SyntheticMomentum) else q, float)
+    q = np.asarray(q, dtype=float)
     # A step whose square underflows, or lost against a point, spans no area.
     if step**2 < sys.float_info.min or np.any(q[..., [i, j]] + step == q[..., [i, j]]):
         raise ValueError(f"plaquette step {step!r} vanishes in floating point")
@@ -185,6 +186,11 @@ def chern_sphere(
         raise ValueError("non-finite Bloch vector norms on the sphere")
     if norm.min() < 1e-12:
         raise NonConvergedChernError("sphere touches a band-degeneracy point")
+    if norm.min() < GAP_REL_MIN * norm.max():
+        raise NonConvergedChernError(
+            f"|h| {norm.min():.3e} on the sphere is lost in the rounding of "
+            f"|h| up to {norm.max():.3e}; J dwarfs Je"
+        )
     hhat = h / norm[..., None]
 
     # Quad (i,j)-(i+1,j)-(i+1,j+1)-(i,j+1) split into two triangles with

@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from weyllab.cli import main
-from weyllab.model import ModelParams, SyntheticMomentum, bulk_bands, weyl_points
+from weyllab.model import ModelParams, SyntheticMomentum, bulk_band_sheet, weyl_points
 from weyllab.numerics import eigh_bands, unwrap_winding
-from weyllab.openchain import arc_interval_oracle, density_profile, diagonalize_chain
+from weyllab.openchain import (
+    ZTOL_DEFAULT,
+    arc_membership,
+    density_profile,
+    diagonalize_chain,
+    max_symmetric_interval,
+)
 from weyllab.spectroscopy import (
     detect_arc_endpoint,
     left_drive,
@@ -103,7 +109,8 @@ def test_criterion_4_gaplessness():
     closed, min_far = [], np.inf
     for t1 in grid:
         for t2 in grid:
-            em, ep = bulk_bands(SyntheticMomentum(h, t1, t2), p)
+            k = SyntheticMomentum(h, t1, t2)
+            em, ep = map(float, bulk_band_sheet(k.kx, k.theta1, k.theta2, p))
             split = ep - em
             if split < 1e-12 * p.J:
                 closed.append((t1, t2))
@@ -168,7 +175,9 @@ def test_criterion_6_oracle_equivalence():
     for sites in TABLE1:
         p = chain(sites)
         det = detect_arc_endpoint(math.pi / 2, grid, p)
-        oracle = arc_interval_oracle(math.pi / 2, grid, p=p)
+        oracle = max_symmetric_interval(
+            grid, arc_membership(math.pi / 2, grid, ZTOL_DEFAULT, p)
+        )
         assert not det.flagged
         assert det.empty == oracle.empty
         if not det.empty:

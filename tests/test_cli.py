@@ -20,7 +20,7 @@ from weyllab.config import DEFAULTS, KEYS, ConfigError, format_config, load_conf
 from weyllab.model import (
     ModelParams,
     SyntheticMomentum,
-    bulk_bands,
+    bulk_band_sheet,
     chain_bands,
     weyl_points,
 )
@@ -343,6 +343,7 @@ class TestManifestAndDeterminism:
 
 MISUSES = [
     ("winding", ["winding.samples=10"]),
+    ("winding", ["winding.samples=10002"]),
     ("winding", ["winding.weyl=5"]),
     ("winding", ["kappa=0"]),
     ("chern", ["chern.mesh=4"]),
@@ -748,4 +749,5 @@ class TestSinglePass:
         p = ModelParams()
         for t1, t2, em, ep in rows:
             k = SyntheticMomentum(kx, float(t1), float(t2))
-            assert (float(em), float(ep)) == bulk_bands(k, p)
+            one = bulk_band_sheet(k.kx, k.theta1, k.theta2, p)
+            assert (float(em), float(ep)) == tuple(map(float, one))

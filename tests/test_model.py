@@ -8,10 +8,9 @@ from weyllab.model import (
     DegenerateModelError,
     ModelParams,
     SyntheticMomentum,
+    bloch_vectors,
     bulk_band_sheet,
-    bulk_bands,
     chain_bands,
-    d_vector,
     linearize,
     weyl_points,
 )
@@ -86,17 +85,28 @@ class TestProfiles:
         assert_libm_rows(theta1s, theta2s, ModelParams(J=0.9, Je=1.3, N=2))
 
 
+def bloch(k: SyntheticMomentum, p: ModelParams) -> tuple[float, float, float]:
+    """(hx, hy, hz) at one zone point, as floats."""
+    return tuple(map(float, bloch_vectors(k.kx, k.theta1, k.theta2, p)))
+
+
+def bands(k: SyntheticMomentum, p: ModelParams) -> tuple[float, float]:
+    """The bulk bands (E-, E+) at one zone point, as floats."""
+    return tuple(map(float, bulk_band_sheet(k.kx, k.theta1, k.theta2, p)))
+
+
 class TestDVector:
     def test_vanishes_at_node(self, params):
-        d = d_vector(SyntheticMomentum(np.pi / 2, np.pi / 2, np.pi / 2), params)
-        assert (d.hx, d.hy, d.hz) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
-        assert d.delta0 == params.Delta0
+        k = SyntheticMomentum(np.pi / 2, np.pi / 2, np.pi / 2)
+        assert bloch(k, params) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
+        em, ep = bands(k, params)
+        assert (em + ep) / 2 == pytest.approx(params.Delta0, abs=1e-15)
 
     def test_substitutions(self, params):
-        d = d_vector(SyntheticMomentum(0.0, 0.0, 0.0), params)
-        assert (d.hx, d.hy, d.hz) == pytest.approx((2.0, 0.0, 1.0), abs=1e-15)
-        d = d_vector(SyntheticMomentum(np.pi / 2, 0.0, np.pi / 2), params)
-        assert (d.hx, d.hy, d.hz) == pytest.approx((0.0, 2.0, 0.0), abs=1e-15)
+        d = bloch(SyntheticMomentum(0.0, 0.0, 0.0), params)
+        assert d == pytest.approx((2.0, 0.0, 1.0), abs=1e-15)
+        d = bloch(SyntheticMomentum(np.pi / 2, 0.0, np.pi / 2), params)
+        assert d == pytest.approx((0.0, 2.0, 0.0), abs=1e-15)
 
     @given(angles, angles, angles, st.sampled_from([0, 1, 2]))
     def test_periodicity(self, kx, t1, t2, axis):
@@ -105,38 +115,41 @@ class TestDVector:
         shift = np.zeros(3)
         shift[axis] = 2 * np.pi
         k2 = SyntheticMomentum(*(np.array([kx, t1, t2]) + shift))
-        d1, d2 = d_vector(k, p), d_vector(k2, p)
-        assert (d1.hx, d1.hy, d1.hz) == pytest.approx(
-            (d2.hx, d2.hy, d2.hz), abs=1e-12
-        )
+        assert bloch(k, p) == pytest.approx(bloch(k2, p), abs=1e-12)
 
     def test_reduction_convention(self):
         k = SyntheticMomentum(-np.pi, 3 * np.pi, 0.0)
         assert k.kx == pytest.approx(np.pi)
         assert k.theta1 == pytest.approx(np.pi)
+        # Angles above pi are reduced as well.
+        k = SyntheticMomentum(4.0, 7.0, -7.0)
+        got = k.as_array()
+        assert np.all((-np.pi < got) & (got <= np.pi))
+        assert got == pytest.approx([4.0 - 2 * np.pi, 7.0 - 2 * np.pi, 2 * np.pi - 7.0])
 
     @given(angles, angles, angles)
     def test_bloch_matrix_hermitian_and_bands(self, kx, t1, t2):
         p = ModelParams(Delta0=0.3)
-        d = d_vector(SyntheticMomentum(kx, t1, t2), p)
+        k = SyntheticMomentum(kx, t1, t2)
+        hx, hy, hz = bloch(k, p)
         m = np.array(
-            [[d.delta0 + d.hz, d.hx - 1j * d.hy], [d.hx + 1j * d.hy, d.delta0 - d.hz]]
+            [[p.Delta0 + hz, hx - 1j * hy], [hx + 1j * hy, p.Delta0 - hz]]
         )
         assert np.allclose(m, m.conj().T)
-        em, ep = bulk_bands(SyntheticMomentum(kx, t1, t2), p)
+        em, ep = bands(k, p)
         assert np.linalg.eigvalsh(m) == pytest.approx([em, ep])
 
 
 class TestBulkBands:
     def test_degenerate_at_nodes(self, params):
         for w in weyl_points(params):
-            em, ep = bulk_bands(w.location, params)
+            em, ep = bands(w.location, params)
             assert em == pytest.approx(ep)
             assert em == pytest.approx(params.Delta0)
 
     def test_sqrt5_point(self):
         p = ModelParams(Je=1.0, Delta0=0.0)
-        em, ep = bulk_bands(SyntheticMomentum(0.0, 0.0, 0.0), p)
+        em, ep = bands(SyntheticMomentum(0.0, 0.0, 0.0), p)
         assert (em, ep) == pytest.approx((-np.sqrt(5), np.sqrt(5)))
 
     @given(angles, angles, angles)
@@ -144,8 +157,8 @@ class TestBulkBands:
         # sigma_z conjugation flips hx, hy only, so the spectrum repeats
         # after kx -> kx + pi.
         p = ModelParams()
-        a = bulk_bands(SyntheticMomentum(kx, t1, t2), p)
-        b = bulk_bands(SyntheticMomentum(kx + np.pi, t1, t2), p)
+        a = bands(SyntheticMomentum(kx, t1, t2), p)
+        b = bands(SyntheticMomentum(kx + np.pi, t1, t2), p)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_gap_positive_away_from_nodes(self, params):

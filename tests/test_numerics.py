@@ -16,6 +16,7 @@ from weyllab.numerics import (
     UndersampledLoopError,
     eigh_bands,
     _shifted_singular_values,
+    reduce_angle,
     solid_angle_batch,
     solve_shifted,
     unwrap_winding,
@@ -396,6 +397,26 @@ class TestUnwrapWinding:
         assert ref == w
         assert unwrap_winding(phases + shift).winding == w
         assert unwrap_winding(np.roll(phases, rot)).winding == w
+
+
+class TestReduceAngle:
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+    @given(st.lists(finite, min_size=1, max_size=16))
+    def test_principal_branch_and_cosine(self, xs):
+        x = np.array(xs)
+        got = reduce_angle(x)
+        assert np.all((-np.pi < got) & (got <= np.pi))
+        assert np.abs(np.cos(got) - np.cos(x)).max() <= 1e-12
+
+    @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=16))
+    def test_bits_of_the_fmod_form_up_to_pi(self, xs):
+        # The recorded datasets were reduced with pi - fmod(pi - x, 2 pi),
+        # which np.mod matches bit for bit wherever pi - x >= 0.
+        x = np.array(xs)
+        old = np.pi - np.fmod(np.pi - x, 2.0 * np.pi)
+        assert reduce_angle(x).tobytes() == old.tobytes()
+        assert all(float(reduce_angle(v)) == float(o) for v, o in zip(xs, old))
 
 
 class TestSolidAngle:

@@ -19,7 +19,6 @@ from weyllab.openchain import (
     _eigensystems,
     _end_weights,
     _labels,
-    arc_interval_oracle,
     arc_membership,
     density_profile,
     diagonalize_chain,
@@ -35,6 +34,14 @@ ARC_GRID = np.arange(-50, 51) * 0.01 * np.pi
 # within the 0.02 pi acceptance tolerance of the reported ones).
 TABLE1_REPORTED = {4: 0.20, 6: 0.30, 8: 0.35, 12: 0.40, 20: 0.45, 36: 0.48}
 TABLE1_ORACLE = {4: 0.20, 6: 0.28, 8: 0.34, 12: 0.39, 20: 0.44, 36: 0.47}
+
+
+def arc_oracle(p: ModelParams) -> ArcInterval:
+    """The diagonalization oracle's arc on ARC_GRID at theta2 = pi/2, as
+    detect_arc_endpoint reports it in .oracle."""
+    return max_symmetric_interval(
+        ARC_GRID, arc_membership(np.pi / 2, ARC_GRID, ZTOL_DEFAULT, p)
+    )
 
 
 def chain(sites: int, **kw) -> ModelParams:
@@ -397,17 +404,14 @@ class TestEdgeSpectrum:
 class TestArcIntervalOracle:
     @pytest.mark.parametrize("sites", sorted(TABLE1_REPORTED))
     def test_table_endpoints(self, sites):
-        arc = arc_interval_oracle(np.pi / 2, ARC_GRID, p=chain(sites))
+        arc = arc_oracle(chain(sites))
         got = arc.theta1c_plus / np.pi
         assert got == pytest.approx(TABLE1_ORACLE[sites], abs=1e-9)
         assert abs(got - TABLE1_REPORTED[sites]) <= 0.02 + 1e-9
         assert arc.theta1c_minus == pytest.approx(-arc.theta1c_plus)
 
     def test_endpoints_nondecreasing_in_size(self):
-        ends = [
-            arc_interval_oracle(np.pi / 2, ARC_GRID, p=chain(s)).theta1c_plus
-            for s in sorted(TABLE1_REPORTED)
-        ]
+        ends = [arc_oracle(chain(s)).theta1c_plus for s in sorted(TABLE1_REPORTED)]
         assert all(b >= a - 1e-12 for a, b in zip(ends, ends[1:]))
 
     def test_splitting_decays_with_size(self):
@@ -423,12 +427,7 @@ class TestArcIntervalOracle:
     def test_trivial_chain_is_empty(self):
         # A single cell has no distinct end cells, so nothing is ever
         # labeled Left or Right.
-        arc = arc_interval_oracle(np.pi / 2, ARC_GRID, p=ModelParams(N=1))
-        assert arc.empty
-
-    def test_ztol_validation(self):
-        with pytest.raises(ValueError):
-            arc_interval_oracle(np.pi / 2, ARC_GRID, ztol=0.0, p=chain(4))
+        assert arc_oracle(ModelParams(N=1)).empty
 
 
 def _ssh_edge_energy(v: float, w: float, cells: int) -> float:

@@ -431,6 +431,14 @@ class TestWindingMeasurement:
         with pytest.raises(ValueError):
             winding_measurement(ws[0], 0.25 * np.pi, 128, chain(4, kappa=0.0))
 
+    def test_sample_bound_is_checked_before_allocating(self):
+        # One sample past MAX_GRID_POINTS; no loop array is built.
+        w = weyl_points(ModelParams())[0]
+        samples = spectroscopy.MAX_GRID_POINTS + 1
+        with mock.patch.object(np, "arange", side_effect=AssertionError("allocated")):
+            with pytest.raises(ValueError, match=f"need 64 to {samples - 1} samples"):
+                spectroscopy.loop_reflection(w, 0.25 * np.pi, samples, chain(4))
+
 
 SCALE_GRID = np.arange(-25, 26) * 0.02 * np.pi
 

@@ -80,22 +80,22 @@ class TestPlaquetteCurvature:
             k = SyntheticMomentum(*(node.location.as_array() + np.array(off)))
             oracle = monopole_superposition(k, nodes, charges)
             for plane, comp in [((1, 2), 0), ((2, 0), 1), ((0, 1), 2)]:
-                got = berry_curvature_numeric(k, plane, 1e-3, p)
+                got = berry_curvature_numeric(k.as_array(), plane, 1e-3, p)
                 assert got == pytest.approx(oracle[comp], rel=0.05)
 
     def test_gauge_invariance(self, rng):
         k = SyntheticMomentum(1.2, 0.8, 0.9)
         p = ModelParams()
-        ref = berry_curvature_numeric(k, (1, 2), 1e-3, p)
+        ref = berry_curvature_numeric(k.as_array(), (1, 2), 1e-3, p)
         for _ in range(5):
-            got = berry_curvature_numeric(k, (1, 2), 1e-3, p, gauge_rng=rng)
+            got = berry_curvature_numeric(k.as_array(), (1, 2), 1e-3, p, gauge_rng=rng)
             assert got == pytest.approx(ref, abs=1e-8)
 
     def test_plane_antisymmetry(self):
         k = SyntheticMomentum(0.9, 0.4, 1.3)
         p = ModelParams()
-        assert berry_curvature_numeric(k, (0, 1), 1e-3, p) == pytest.approx(
-            -berry_curvature_numeric(k, (1, 0), 1e-3, p)
+        assert berry_curvature_numeric(k.as_array(), (0, 1), 1e-3, p) == pytest.approx(
+            -berry_curvature_numeric(k.as_array(), (1, 0), 1e-3, p)
         )
 
     @pytest.mark.parametrize(
@@ -107,12 +107,12 @@ class TestPlaquetteCurvature:
         # it is not, but its square underflows.
         k = SyntheticMomentum(0.7, theta, theta)
         with pytest.raises(ValueError, match="vanishes in floating point"):
-            berry_curvature_numeric(k, (1, 2), step, params)
+            berry_curvature_numeric(k.as_array(), (1, 2), step, params)
 
     def test_degeneracy_rejected(self, params):
         node = weyl_points(params)[0]
         with pytest.raises(DegenerateGroundStateError):
-            berry_curvature_numeric(node.location, (1, 2), 1e-3, params)
+            berry_curvature_numeric(node.location.as_array(), (1, 2), 1e-3, params)
 
     def test_surface_summed_flux_matches_analytic(self, params):
         # Outward-quadrature of the plaquette field over a small sphere
@@ -131,7 +131,7 @@ class TestPlaquetteCurvature:
                 k = SyntheticMomentum(*(node.location.as_array() + r * n))
                 comp = np.array(
                     [
-                        berry_curvature_numeric(k, plane, 1e-3, params)
+                        berry_curvature_numeric(k.as_array(), plane, 1e-3, params)
                         for plane in [(1, 2), (2, 0), (0, 1)]
                     ]
                 )
@@ -229,7 +229,8 @@ class TestStackedKernels:
             # Stacking is free: any leading shape, and the one-point form.
             grid = berry_curvature_numeric(q[:294].reshape(7, 42, 3), plane, step, p)
             assert grid.tobytes() == got[:294].tobytes()
-            one = berry_curvature_numeric(SyntheticMomentum(*q[0]), plane, step, p)
+            one = berry_curvature_numeric(SyntheticMomentum(*q[0]).as_array(), plane,
+                                          step, p)
             assert np.float64(one).tobytes() == got[:1].tobytes()
 
     def test_stacked_gauge_invariance(self, params, rng):
@@ -313,11 +314,17 @@ def test_berry_field_csv_is_the_monopole_closed_form(tmp_path, grid, exclude, je
     sets = {"berry_field.grid": grid, "berry_field.exclude": exclude, "je": je}
     args = [a for key, v in sets.items() for a in ("--set", f"{key}={v!r}")]
     assert main(["berry-field", "--out", str(tmp_path), *args]) == 0
-    data = np.loadtxt(tmp_path / "berry_field.csv", delimiter=",", skiprows=1)
+    assert_monopole_closed_form(tmp_path / "berry_field.csv", exclude, ModelParams(Je=je))
+
+
+def assert_monopole_closed_form(path, exclude, p):
+    """berry_field.csv at path holds the closed-form monopole sum of p's
+    nodes, and NaN in F_kx_numeric exactly within exclude of a node."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
     q = np.stack([np.full(len(data), math.pi / 2), data[:, 0], data[:, 1]], -1)
     want = np.zeros((len(data), 3))
     dmin = np.full(len(data), np.inf)
-    for w in weyl_points(ModelParams(Je=je)):
+    for w in weyl_points(p):
         d = (q - w.location.as_array() + math.pi) % (2 * math.pi) - math.pi
         r = np.linalg.norm(d, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -330,6 +337,23 @@ def test_berry_field_csv_is_the_monopole_closed_form(tmp_path, grid, exclude, je
     assert (err <= 1e-12 * np.linalg.norm(want, axis=-1)[~at_node]).all()
     assert np.array_equal(np.isnan(data[:, 5]), dmin <= exclude)
     assert 0 < np.count_nonzero(dmin <= exclude) < len(data)
+
+
+def test_berry_field_at_large_hopping_is_the_closed_form(tmp_path):
+    # J = 1e14 is the largest decade whose sphere charges survive rounding.
+    assert main(["berry-field", "--out", str(tmp_path), "--set", "j=1e14"]) == 0
+    exclude = DEFAULTS["berry_field.exclude"]
+    assert_monopole_closed_form(tmp_path / "berry_field.csv", exclude, ModelParams(J=1e14))
+
+
+@pytest.mark.parametrize("j", ["1e15", "1e150"])
+def test_sphere_lost_in_rounding_is_numeric_failure(tmp_path, capsys, j):
+    # berry-field's monopole charges are the sphere's, so it refuses what
+    # the sphere refuses, as a numerical failure.
+    assert main(["berry-field", "--out", str(tmp_path), "--set", f"j={j}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+    assert "lost in the rounding" in err
 
 
 class TestChernSphere:
@@ -356,6 +380,23 @@ class TestChernSphere:
         assert res.value == 1
         assert abs(res.raw - res.value) < 0.05
         assert res.mesh == mesh
+
+    @pytest.mark.parametrize("j", [1e15, 1e150])
+    def test_onsite_term_lost_in_rounding_is_refused(self, j):
+        # At J = 1e150 the rounding of cos(pi/2) leaves |h| at least 1.7e134
+        # on the sphere against 4.0e149 at most, so every solid angle falls
+        # below solid_angle_batch's cut and each degree would read 0.
+        p = ModelParams(J=j)
+        for w in weyl_points(p):
+            with pytest.raises(NonConvergedChernError, match="lost in the rounding"):
+                chern_sphere(w, DEFAULTS["chern.radius"], DEFAULTS["chern.mesh"], p)
+
+    def test_large_hopping_keeps_each_chirality(self):
+        p = ModelParams(J=1e14)
+        ws = weyl_points(p)
+        values = [chern_sphere(w, DEFAULTS["chern.radius"], DEFAULTS["chern.mesh"], p).value
+                  for w in ws]
+        assert values == [w.chirality for w in ws] == [-1, 1, -1, 1]
 
     def test_parameter_validation(self, params):
         w = weyl_points(params)[0]
