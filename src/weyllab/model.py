@@ -190,6 +190,20 @@ def linearize(w: SyntheticMomentum, p: ModelParams) -> WeylPoint:
     return WeylPoint(w, v, chirality)
 
 
+def _node_loop(w: WeylPoint, theta_r: float, theta):
+    """The circle (theta1w + theta_r cos theta, theta2w + theta_r sin theta)
+    around node w's (theta1, theta2) projection, the loop of both the
+    winding readout and the mapped-torus Chern number.  ValueError unless
+    0 < theta_r < pi/2 and theta_r survives addition to both node angles.
+    """
+    theta1w, theta2w = w.location.theta1, w.location.theta2
+    if not (0.0 < theta_r < np.pi / 2):
+        raise ValueError("theta_r must lie in (0, pi/2)")
+    if theta1w + theta_r == theta1w or theta2w + theta_r == theta2w:
+        raise ValueError(f"loop radius theta_r={theta_r!r} vanishes against the node's angles")
+    return theta1w + theta_r * np.cos(theta), theta2w + theta_r * np.sin(theta)
+
+
 def chain_bands(theta1s, theta2s, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Open-chain bands (diags, offs): a diagonal row per theta2 and an
     off-diagonal row per theta1, in the order of the raveled angles.

@@ -5,7 +5,7 @@ both on broadcastable stacks of a chain's two bands, angle reduction,
 phase-loop winding extraction, and signed spherical solid angles.
 Everything here is a pure function of its inputs.  The shifted solve
 factors the dense T + z, but checks each system's residual and
-conditioning from the bands.
+conditioning from the bands, in their inf-norm.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
 ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
@@ -90,41 +90,44 @@ def _bundled_lapack_dstev():
 _LAPACK_DSTEV = _bundled_lapack_dstev()
 
 
-def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> int:
+def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     """LAPACK dstev in place on each chain of C-contiguous float stacks d
     (m, n), e (m, n - 1) and z (m, n, n), n >= 2, through numpy's bundled
     LAPACK: d[k] becomes chain k's eigenvalues and z[k] its eigenvectors
-    in column-major order, e[k] is destroyed.  Returns the first nonzero
-    INFO, or 0."""
+    in column-major order, e[k] is destroyed.  z None asks for the
+    eigenvalues only (JOBZ = "N").  Returns the first nonzero INFO, or 0."""
     m, n = d.shape
-    if e.shape != (m, n - 1) or z.shape != (m, n, n) or not all(
-        a.dtype == np.float64 and a.flags.c_contiguous for a in (d, e, z)
+    if e.shape != (m, n - 1) or z is not None and z.shape != (m, n, n) or not all(
+        a.dtype == np.float64 and a.flags.c_contiguous for a in (d, e, z) if a is not None
     ):
         raise ValueError("dstev needs C-contiguous float stacks (m, n), (m, n - 1), (m, n, n)")
     work = np.empty(2 * n - 2)
-    jobz, size, info = ctypes.c_char(b"V"), ctypes.c_int64(n), ctypes.c_int64()
+    jobz = ctypes.c_char(b"N" if z is None else b"V")
+    size, info = ctypes.c_int64(n), ctypes.c_int64()
     jobz_p, size_p, info_p = map(ctypes.addressof, (jobz, size, info))
-    d_p, e_p, z_p, work_p = (a.ctypes.data for a in (d, e, z, work))
+    d_p, e_p, work_p = (a.ctypes.data for a in (d, e, work))
+    z_p, z_step = (work_p, 0) if z is None else (z.ctypes.data, 8 * n * n)
     for k in range(m):
         _LAPACK_DSTEV(
             jobz_p, size_p, d_p + 8 * n * k, e_p + 8 * (n - 1) * k,
-            z_p + 8 * n * n * k, size_p, work_p, info_p, 1,
+            z_p + z_step * k, size_p, work_p, info_p, 1,
         )
         if info.value:
             return info.value
     return 0
 
 
-def _scipy_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> int:
+def _scipy_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     """_bundled_dstev through scipy.linalg.lapack.dstev, imported on the
     first call."""
     from scipy.linalg.lapack import dstev as scipy_dstev
 
-    for d_k, e_k, z_k in zip(d, e, z):
-        vals, vecs, info = scipy_dstev(d_k, e_k)
+    for k in range(len(d)):
+        d[k], vecs, info = scipy_dstev(d[k], e[k], compute_v=z is not None)
         if info:
             return info
-        d_k[:], z_k[:] = vals, vecs.T
+        if z is not None:
+            z[k] = vecs.T
     return 0
 
 
@@ -145,6 +148,13 @@ def eigh_bands(diags: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndar
     if the band lengths do not form a chain; EigenNonConvergenceError if
     a chain does not converge.
     """
+    return _dstev_bands(diags, offs, vectors=True)
+
+
+def _dstev_bands(diags: np.ndarray, offs: np.ndarray, vectors: bool):
+    """eigh_bands, or with vectors False the eigenvalues alone, from dstev
+    with JOBZ = "N": dsterf, which np.linalg.eigvalsh runs on the dense
+    chain, so its values bit for bit (JOBZ = "V" rounds them otherwise)."""
     n = diags.shape[-1]
     if offs.shape[-1] != n - 1:
         raise ValueError(f"bands of lengths {n} and {offs.shape[-1]} do not form a chain")
@@ -157,71 +167,25 @@ def eigh_bands(diags: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndar
     e = np.array(np.broadcast_to(offs, shape + (n - 1,)), dtype=float, order="C")
     # Chain k's vectors, column-major, fill z[k]; the swapped view has
     # them as columns.
-    z = np.empty(shape + (n, n))
-    info = dstev(vals.reshape(-1, n), e.reshape(-1, n - 1), z.reshape(-1, n, n))
+    z = np.empty((vals.size // n, n, n)) if vectors else None
+    info = dstev(vals.reshape(-1, n), e.reshape(-1, n - 1), z)
     if info > 0:
         raise EigenNonConvergenceError(
             f"tridiagonal eigensolver: {info} off-diagonal entries did not converge"
         )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dstev")
-    return vals, np.swapaxes(z, -1, -2)
+    return vals, z if z is None else np.swapaxes(z.reshape(shape + (n, n)), -1, -2)
 
 
-def _shifted_singular_values(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Singular values |lam + z| of T + z for stacked real symmetric T.
-
-    T + z is normal, so they follow from the eigenvalues lam of T: one
-    real eigvalsh per T, however many shifts, and no SVD.  solve_shifted
-    needs them only where _cond_bound cannot vouch for a system, such as
-    at Im z = 0.
-    """
-    return np.abs(np.linalg.eigvalsh(t) + z[..., None])
-
-
-def _cond_bound(diags: np.ndarray, offs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(||T||_inf + |z|) / |Im z| for the chains T with bands diags (..., n)
-    and offs (..., n - 1) and shifts z, which broadcast.
-
-    T + z is normal with singular values |lam + z|, and each of them lies
-    between |Im z| and ||T||_inf + |z|, so this bounds the 2-norm
-    condition number from above.  inf or NaN where Im z = 0.
-    """
+def _inf_norm(dz: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Inf-norm max_i |dz_i| + |e_{i-1}| + |e_i| of the tridiagonal stacks
+    with diagonal dz (..., n) and off-diagonal offs (..., n - 1)."""
     e = np.abs(offs)
-    rows = np.abs(diags) + np.zeros(e.shape[:-1] + (1,))
+    rows = np.abs(dz) + np.zeros(e.shape[:-1] + (1,))
     rows[..., 1:] += e
     rows[..., :-1] += e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (rows.max(axis=-1) + np.abs(z)) / np.abs(z.imag)
-
-
-def _max_norm(v: np.ndarray) -> np.ndarray:
-    """Largest 2-norm among the rows v[..., i, :] of a real stack.  Squares
-    are summed unscaled and rescaled only where a sum over- or underflows."""
-    norm2 = np.einsum("...ij,...ij->...i", v, v).max(axis=-1)
-    if ((2.0**-900 < norm2) & (norm2 < np.inf)).all():
-        return np.sqrt(norm2)
-    # Dividing each stack entry by the power of two just above its largest
-    # part (1 for zeros) is exact, and then no square over- or underflows
-    # unless it is negligible.
-    s = np.ldexp(1.0, np.frexp(np.abs(v).max(axis=(-2, -1)))[1])
-    v = v / s[..., None, None]
-    return s * np.sqrt(np.einsum("...ij,...ij->...i", v, v).max(axis=-1))
-
-
-def _max_column_norm_of_bands(dz: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Largest column 2-norm sqrt(|dz_j|^2 + e_{j-1}^2 + e_j^2) of the
-    complex tridiagonal matrices with diagonal dz (..., n) and real
-    off-diagonal offs (..., n - 1): a lower bound on their 2-norm."""
-    parts = np.zeros(np.broadcast_shapes(dz.shape, offs.shape[:-1] + (1,)) + (4,))
-    parts[..., 0], parts[..., 1] = dz.real, dz.imag
-    parts[..., 1:, 2] = parts[..., :-1, 3] = offs
-    return _max_norm(parts)
-
-
-def _vector_norm(x: np.ndarray) -> np.ndarray:
-    """2-norms of stacked complex vectors x (..., n), rescaled as _max_norm."""
-    return _max_norm(np.ascontiguousarray(x).view(np.float64)[..., None, :])
+    return rows.max(axis=-1)
 
 
 def _ldexp(c: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -240,17 +204,18 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     b (..., n) broadcast, like eigh_bands' bands.  One stacked pivoted LU
     solves the dense T + z, whose diagonal is d + z, whose off-diagonals
     are the offs and whose other entries are +0.0 (-0.0 entries of the
-    bands become 0.0).  Each system gets one rule, checked on its bands
-    in O(n): SingularMatrixError when the LU fails, x is not finite, the
-    residual exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or the condition
-    number exceeds 1e14, all in the 2-norm.  ||T + z|| is taken as its
-    largest column norm, which only tightens the residual test, and the
-    condition number as _cond_bound, except where that exceeds 1e14 or is
-    not finite (Im z = 0): those systems get the exact value, and the
-    message says "cond" rather than "cond bound".  Where the largest part
-    of b lies outside [2**-900, 2**900], b is divided by its power of two
-    before the LU and x multiplied by it after, which is exact.
-    Mis-shaped, complex-banded or non-finite input: ValueError.
+    bands become 0.0).  Each system is checked on its bands in O(n), in
+    the inf-norm ||T + z|| = max_i |d_i + z| + |e_{i-1}| + |e_i|, which
+    squares nothing: SingularMatrixError when the LU fails, x is not
+    finite, the residual exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or
+    the condition number exceeds 1e14.  T + z is complex symmetric and
+    normal, so ||T + z|| / |Im z| bounds that number; where the bound
+    exceeds 1e14 or is not finite (Im z = 0), the exact max |lam + z| /
+    min |lam + z| comes from the eigenvalues lam of T, once per chain,
+    and the message says "cond" rather than "cond bound".  Where the
+    largest part of b lies outside [2**-900, 2**900], b is divided by its
+    power of two before the LU and x multiplied by it after, which is
+    exact.  Mis-shaped, complex-banded or non-finite input: ValueError.
     """
     d, e = np.asarray(diags), np.asarray(offs)
     z, b = np.asarray(z, dtype=complex), np.asarray(b, dtype=complex)
@@ -281,21 +246,20 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
         raise SingularMatrixError(str(exc)) from exc
     # A backward-stable LU happily "solves" a singular system with a
     # huge x and a tiny residual, so check conditioning as well.
-    cond = np.array(np.broadcast_to(_cond_bound(d, e, z), shape))
-    exact = ~(cond <= 1e14)
-    if exact.any():
-        t = m.real[exact]  # T + Re z, then T itself
-        t.reshape(len(t), -1)[:, :: n + 1] = np.broadcast_to(d, shape + (n,))[exact]
-        sv = _shifted_singular_values(t, np.broadcast_to(z, shape)[exact])
-        with np.errstate(all="ignore"):  # singular systems give inf and NaN
+    norm = np.broadcast_to(_inf_norm(dz, e), shape)
+    with np.errstate(all="ignore"):  # singular systems give inf and NaN
+        cond = np.array(norm / np.abs(z.imag))
+        exact = ~(cond <= 1e14)
+        if exact.any():
+            sv = np.abs(_dstev_bands(d, e, vectors=False)[0] + z[..., None])
+            sv = np.broadcast_to(sv, shape + (n,))[exact]
             cond[exact] = sv.max(axis=-1) / sv.min(axis=-1)
-    with np.errstate(all="ignore"):
         r = dz * x - b  # the residual (T + z) x - b as a band product
         r[..., 1:] += e * x[..., :-1]
         r[..., :-1] += e * x[..., 1:]
-        resid = _vector_norm(r)
-        scale = _max_column_norm_of_bands(dz, e) * _vector_norm(x) + _vector_norm(b)
-        ok = (resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()
+        resid = np.abs(r).max(axis=-1)
+        scale = norm * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1)
+        ok = np.isfinite(x).all() and (resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()
         if ok and exponent is not None:
             x = _ldexp(x, exponent)
             ok = np.isfinite(x).all()

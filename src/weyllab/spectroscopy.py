@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, WeylPoint, chain_bands
+from .model import ModelParams, WeylPoint, _node_loop, chain_bands
 from .numerics import solve_shifted, unwrap_winding
 from .openchain import (
     ZTOL_DEFAULT,
@@ -293,17 +293,15 @@ def loop_reflection(
     The loop is theta1 = theta1w + theta_r cos(theta), theta2 = theta2w
     + theta_r sin(theta) with theta uniform on offset + [0, 2pi); the
     trace is indexed by theta.  A sample count outside [64,
-    MAX_GRID_POINTS] raises ValueError before anything is allocated.
+    MAX_GRID_POINTS] raises ValueError before anything is allocated; so
+    does a theta_r that model._node_loop refuses.
     """
     if p.kappa <= 0:
         raise ValueError("winding readout needs kappa > 0")
     if not 64 <= samples <= MAX_GRID_POINTS:
         raise ValueError(f"need 64 to {MAX_GRID_POINTS} samples around the loop")
-    if not (0.0 < theta_r < np.pi / 2):
-        raise ValueError("theta_r must lie in (0, pi/2)")
     theta = offset + 2.0 * np.pi * np.arange(samples) / samples
-    theta1s = w.location.theta1 + theta_r * np.cos(theta)
-    theta2s = w.location.theta2 + theta_r * np.sin(theta)
+    theta1s, theta2s = _node_loop(w, theta_r, theta)
     return ReflectionTrace(theta, reflections(theta1s, theta2s, [p.Delta0], p)[:, 0])
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, WeylPoint, bloch_vectors
+from .model import ModelParams, WeylPoint, _node_loop, bloch_vectors
 from .numerics import NumericsError, solid_angle_batch
 
 __all__ = [
@@ -227,15 +227,12 @@ def chern_mapped_torus(
     twice (the node and its equal-charge partner at kx + pi), so the
     reported value is raw / 2 rounded, with raw alongside.
     """
-    if not (0.0 < theta_r < np.pi / 2):
-        raise ValueError("theta_r must lie in (0, pi/2)")
     if grid < 20:
         raise ValueError("grid must be at least 20")
     kx = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     th = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     kk, tt = np.meshgrid(kx, th, indexing="ij")
-    th1 = w.location.theta1 + theta_r * np.cos(tt)
-    th2 = w.location.theta2 + theta_r * np.sin(tt)
+    th1, th2 = _node_loop(w, theta_r, tt)
     psi, gap = _ground_states(*bloch_vectors(kk, th1, th2, p), gauge_rng=gauge_rng)
     if gap.min() < 1e-9:
         raise DegenerateGroundStateError(

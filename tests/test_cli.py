@@ -258,9 +258,23 @@ class TestCommands:
         assert w1 == -w4
 
     def test_winding_huge_damping(self, tmp_path):
-        # Every loop system is well conditioned at kappa = 1e200; only its
-        # residual norms need scaling to avoid over- and underflow.
+        # Every loop system is well conditioned at kappa = 1e200, and its
+        # inf-norm residual test squares nothing that could overflow.
         assert main(["winding", "--out", str(tmp_path), "--set", "kappa=1e200"]) == 0
+
+    def test_reflection_at_the_bottom_of_the_range_is_the_unit_trace(self, tmp_path):
+        # Energies in units of J = 1e-307: the same trace as at J = 1, with
+        # solutions near the top of the float range, which the guard must
+        # not refuse.
+        tiny, unit = tmp_path / "tiny", tmp_path / "unit"
+        sets = ["--set", "j=1e-307", "--set", "je=1e-307", "--set", "kappa=2e-308"]
+        assert main(["reflection", "--out", str(tiny), *sets]) == 0
+        assert main(["reflection", "--out", str(unit), "--set", "kappa=0.2"]) == 0
+        r_tiny, r_unit = (
+            np.array([[float(v) for v in row[1:3]] for row in read_csv(out / "reflection.csv")[1]])
+            for out in (tiny, unit)
+        )
+        assert np.abs(r_tiny - r_unit).max() <= 1e-14
 
     def test_fermi_arc_sites4(self, tmp_path):
         out = tmp_path / "run"
@@ -345,6 +359,10 @@ MISUSES = [
     ("winding", ["winding.samples=10"]),
     ("winding", ["winding.samples=10002"]),
     ("winding", ["winding.weyl=5"]),
+    ("winding", ["winding.theta_r=1e-300"]),
+    ("winding", ["winding.theta_r=1e-17"]),
+    ("chern", ["chern.theta_r=1e-300"]),
+    ("chern", ["chern.theta_r=1e-17"]),
     ("winding", ["kappa=0"]),
     ("chern", ["chern.mesh=4"]),
     ("winding", ["delta0=nan"]),

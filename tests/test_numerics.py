@@ -15,7 +15,6 @@ from weyllab.numerics import (
     SingularMatrixError,
     UndersampledLoopError,
     eigh_bands,
-    _shifted_singular_values,
     reduce_angle,
     solid_angle_batch,
     solve_shifted,
@@ -116,6 +115,20 @@ class TestEighTridiagonal:
             ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d[k], e[k], lapack_driver="stev")
             assert vals[k].tobytes() == ref_vals.tobytes()
             assert vecs[k].tobytes() == ref_vecs.tobytes()
+
+    @pytest.mark.parametrize("path", ["bundled", "scipy"])
+    def test_eigenvalues_alone_are_eigvalsh_bits(self, rng, monkeypatch, path):
+        # solve_shifted's exact condition number rests on these: JOBZ = "N"
+        # runs dsterf, as eigvalsh does on the dense chain, at any scale.
+        if path == "bundled" and numerics._LAPACK_DSTEV is None:
+            pytest.skip("this numpy build exports no dstev")
+        monkeypatch.setattr(numerics, "dstev", getattr(numerics, f"_{path}_dstev"))
+        for n in (1, 2, 7, 13, 40):
+            d, e = random_bands(rng, (5,), n)
+            scale = 10.0 ** rng.uniform(-300, 300, size=(5, 1))
+            d, e = d * scale, e * scale
+            vals = numerics._dstev_bands(d, e, vectors=False)[0]
+            assert vals.tobytes() == np.linalg.eigvalsh(dense_stack(d, e)).tobytes()
 
     def test_missing_symbol_means_no_binding(self, monkeypatch):
         class NoSymbols:
@@ -261,11 +274,13 @@ class TestSolveShifted:
 
     @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
     def test_condition_number_matches_svd(self, n, seed, im):
+        # The exact condition number, which solve_shifted takes from the
+        # chain's eigenvalues alone where its bound cannot vouch.
         rng = np.random.default_rng(seed)
-        t = dense_stack(*random_bands(rng, (), n))
+        d, e = random_bands(rng, (), n)
         z = complex(rng.normal(), im * rng.choice([-1.0, 1.0]))
-        sv = _shifted_singular_values(t, np.asarray(z))
-        ref = np.linalg.cond(t + z * np.eye(n))
+        sv = np.abs(numerics._dstev_bands(d, e, vectors=False)[0] + z)
+        ref = np.linalg.cond(dense_stack(d, e) + z * np.eye(n))
         assert sv.max() / sv.min() == pytest.approx(ref, rel=1e-10)
 
     @given(
@@ -275,50 +290,35 @@ class TestSolveShifted:
         st.floats(-10.0, 10.0),
     )
     def test_bounds_bracket_the_exact_norms(self, n, seed, im, re):
-        # The condition bound may only overestimate and the residual
-        # scale only underestimate, so neither loosens the solve's rule.
-        # Both column and 2-norm are |t + z| when n = 1: a few ulps of
-        # slack allow for their different rounding.
+        # The inf-norm bounds the 2-norm, and so over |Im z| the condition
+        # number, from above: neither loosens the solve's rule.  Both are
+        # |t + z| when n = 1: a few ulps of slack allow for their rounding.
         rng = np.random.default_rng(seed)
         d, e = random_bands(rng, (), n)
         z = complex(re, im * rng.choice([-1.0, 1.0]))
         m = dense_stack(d, e) + z * np.eye(n)
-        assert numerics._cond_bound(d, e, np.asarray(z)) >= np.linalg.cond(m)
-        norm2 = np.linalg.norm(m, 2)
-        got = numerics._max_column_norm_of_bands(d + z, e)
-        assert got <= norm2 * (1 + 4 * np.finfo(float).eps)
+        norm = numerics._inf_norm(d + z, e)
+        assert norm >= np.linalg.norm(m, 2) * (1 - 4 * np.finfo(float).eps)
+        assert norm / abs(z.imag) >= np.linalg.cond(m)
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (7, 7), (3, 2, 12, 12), (101, 1, 36, 36), (512, 1, 12, 1)]
     )
     def test_residual_scale_is_largest_column_norm(self, rng, shape):
+        # T + z is symmetric, so its largest column sum is its inf-norm.
         shape, n = shape[:-2], shape[-2]  # a stack of chains of n sites
         d, e = random_bands(rng, shape, n)
         dz = d + 1j * rng.normal(size=d.shape)
         scale = 10.0 ** rng.uniform(-3, 3, size=shape)
         dz, e = dz * scale[..., None], e * scale[..., None]
         m = dense_stack(dz.real, e) + 1j * dense_stack(dz.imag, np.zeros_like(e))
-        want = np.linalg.norm(m, axis=-2).max(axis=-1)
-        got = numerics._max_column_norm_of_bands(dz, e)
+        want = np.abs(m).sum(axis=-2).max(axis=-1)
+        got = numerics._inf_norm(dz, e)
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-15 * want).all()
-        norm2 = np.linalg.norm(m, 2, axis=(-2, -1))
-        assert (got <= norm2 * (1 + 4 * np.finfo(float).eps)).all()
-        for k in (700, -700):  # squares over- or underflow unless rescaled
-            scaled = numerics._max_column_norm_of_bands(dz * 2.0**k, e * 2.0**k)
+        for k in (1000, -1000):  # no square to over- or underflow
+            scaled = numerics._inf_norm(dz * 2.0**k, e * 2.0**k)
             assert np.array_equal(scaled, got * 2.0**k)
-
-    @pytest.mark.parametrize("shape,n", [((), 1), ((512, 1), 12), ((101, 1), 36)])
-    def test_vector_norms_are_rescaled(self, rng, shape, n):
-        # The norms of x, b and the residual: the column vectors that the
-        # dense check took column norms of.
-        x = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
-        x *= 10.0 ** rng.uniform(-3, 3, size=shape + (1,))
-        got = numerics._vector_norm(x)
-        want = np.linalg.norm(x, axis=-1)
-        assert (np.abs(got - want) <= 1e-15 * want).all()
-        for k in (700, -700):
-            assert np.array_equal(numerics._vector_norm(x * 2.0**k), got * 2.0**k)
 
     def test_huge_shift_is_not_refused(self):
         # x is about 2e-200 and T + z about 5e199, a well-conditioned
@@ -348,6 +348,12 @@ class TestSolveShifted:
         assert np.array_equal(x, times_2_to(solve_shifted(d, e, z, times_2_to(b, -k)), k))
         assert np.abs(x).max() > 0
 
+    def test_solution_at_the_top_of_the_range_is_accepted(self):
+        # x = -1e308j is exact and the system perfectly conditioned; no
+        # norm of the guard may overflow on an entry at or above 2**1023.
+        x = solve_shifted(np.zeros(1), np.zeros(0), 1e-38j, np.array([1e270]))
+        assert np.array_equal(x, [-1e308j])
+
     def test_overflowing_solution_is_refused(self):
         # x = b / z overflows once b is scaled back.
         with pytest.raises(SingularMatrixError):
@@ -360,8 +366,8 @@ class TestSolveShifted:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: 2.0 * solve(a, b))
         with pytest.raises(SingularMatrixError, match=r"\(cond bound \d") as err:
             solve_shifted(np.array([1.0, -1.0]), np.zeros(1), [0.5j, 1.0 + 2j], np.ones(2))
-        # max((1 + 0.5) / 0.5, (1 + sqrt 5) / 2) = 3
-        assert "(cond bound 3.000e+00, " in str(err.value)
+        # max(|1 + 0.5i| / 0.5, |2 + 2i| / 2) = sqrt 5
+        assert "(cond bound 2.236e+00, " in str(err.value)
 
 
 class TestUnwrapWinding:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from weyllab.model import ModelParams, chain_bands, weyl_points
-from weyllab import spectroscopy
+from weyllab import numerics, spectroscopy
 from weyllab.numerics import SingularMatrixError, UndersampledLoopError, solve_shifted
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
@@ -299,7 +299,7 @@ class TestReflections:
         # kappa > 0 bounds every condition number; undamped systems get
         # the exact one, from eigenvalues.
         grid = np.linspace(-1.0, 1.0, 9)
-        with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+        with mock.patch.object(numerics, "dstev", wraps=numerics.dstev) as eig:
             reflections(grid, 0.3, DGRID, chain(12))
             assert eig.call_count == 0
             reflections(grid, 0.3, [0.05], chain(12, kappa=0.0))
@@ -430,6 +430,14 @@ class TestWindingMeasurement:
             winding_measurement(ws[0], 1.6, 128, chain(4))
         with pytest.raises(ValueError):
             winding_measurement(ws[0], 0.25 * np.pi, 128, chain(4, kappa=0.0))
+
+    @pytest.mark.parametrize("theta_r", [1e-300, 1e-17])
+    def test_radius_lost_against_the_node_is_refused(self, theta_r):
+        # pi/2 + theta_r == pi/2: every sample of r would be one value,
+        # which read winding 0 with no error before this guard.
+        w = weyl_points(ModelParams())[0]
+        with pytest.raises(ValueError, match="vanishes against the node's angles"):
+            winding_measurement(w, theta_r, 128, chain(4))
 
     def test_sample_bound_is_checked_before_allocating(self):
         # One sample past MAX_GRID_POINTS; no loop array is built.

@@ -447,6 +447,13 @@ class TestChernMappedTorus:
         with pytest.raises(ValueError):
             chern_mapped_torus(w, 0.25 * np.pi, 10, params)
 
+    @pytest.mark.parametrize("theta_r", [1e-300, 1e-17])
+    def test_radius_lost_against_the_node_is_refused(self, params, theta_r):
+        # The loop's rule: not a closing gap, which advised shrinking theta_r.
+        w = weyl_points(params)[0]
+        with pytest.raises(ValueError, match="vanishes against the node's angles"):
+            chern_mapped_torus(w, theta_r, 40, params)
+
     @pytest.mark.parametrize("j", [1e150, 1e200])
     def test_onsite_term_lost_in_rounding_is_refused(self, j):
         # At J = 1e150 the hopping terms' rounding (about 1e134 where
