@@ -15,13 +15,13 @@ a point, a spectrum, a winding loop and an arc scan are one call each.
 Arc detection solves each distinct chain of its theta1 grid once, only
 on the fit window |Delta0| <= FIT_WINDOW J, and fits all those traces
 at once, scattering each verdict back to every grid point of its chain.
-The resonance-pair model is linear except in the pair energy e, so its
-linear weights are projected out (variable projection).  The
-e-independent background is projected out of every trace once; each
-candidate e adds two pole columns, orthonormalised by Gram-Schmidt.  A
-coarse scan over e and a golden-section search refine all traces in
-lockstep; the same projection at the fitted energies gives the port
-weights.
+The resonance-pair model is linear except in u = e^2, the squared pair
+energy, so its linear weights are projected out (variable projection).
+The u-independent background is projected out of every trace once; each
+u adds two pole columns, orthonormalised by Gram-Schmidt.  A linear
+projection gives every trace's start and two Gauss-Newton steps refine
+all traces in lockstep; the same projection at the fitted u gives the
+port weights.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, WeylPoint, _node_loop, chain_bands
-from .numerics import solve_shifted, unwrap_winding
+from .numerics import NumericsError, solve_shifted, unwrap_winding
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 # Most matrix entries that one block of a reflections stack solves at
-# once (2 MB of complex systems); it bounds the kernel's memory, and
-# that of the pair fit's coarse scan.
+# once (2 MB of complex systems); it bounds the kernel's memory.
 BLOCK_ENTRIES = 2**17
 # Drive-detuning scan step for arc detection, in units of J.
 DELTA0_STEP = 0.01
@@ -69,16 +68,8 @@ DELTA0_STEP = 0.01
 MAX_GRID_POINTS = 10_001
 # Samples with |Delta0| up to this many J feed the resonance fit.
 FIT_WINDOW = 0.12
-# Pair energies of the fit's coarse scan over [0, FIT_WINDOW J].
-COARSE_CANDIDATES = 61
-# Width, in units of J, at which the fit's refinement bracket stops.
-REFINE_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps that shrink a two-candidate bracket below REFINE_TOL.
-_REFINE_STEPS = math.ceil(
-    math.log(REFINE_TOL * (COARSE_CANDIDATES - 1) / (2.0 * FIT_WINDOW))
-    / math.log(_INVPHI)
-)
+# Gauss-Newton steps of the pair fit from its linear start.
+NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -320,26 +311,30 @@ def winding_measurement(
 
 
 def _pair_fit(
-    e: np.ndarray, d: np.ndarray, q: np.ndarray, g: np.ndarray, kappa: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """lstsq residual norms and pair weights of the resonance-pair model
-    at pair energies e.
+    u: np.ndarray, d: np.ndarray, q: np.ndarray, g: np.ndarray, kappa: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual norms, pair weights and Gauss-Newton steps of the
+    resonance-pair model at squared pair energies u = e^2.
 
-    Model: g(d) = w+ a+ + w- a- + quadratic background, with the poles
-    a+- = 1/(d +- e - i kappa/2); linear in everything but e.  q (m, 3) is
-    an orthonormal basis of the background (1, d, d^2), which is already
-    projected out of the traces g (..., m); e broadcasts against g's stack.
-    The pole columns enter as s = a+ + a- and t = a+ - a-.  Gram-Schmidt,
-    applied twice, orthonormalises s against q, then t against q and s;
-    lstsq's rank rule drops t when at most eps max(m, 5) ||s|| of it is
-    left, as at e = 0.  The residual is formed, not taken as ||g||^2 -
-    ||projection||^2, which cancels.  Back substitution in the same basis
-    gives g = c_s s + c_t t + background, c_t = 0 where t is dropped
-    (lstsq's minimum-norm solution), and the weight w+ + w- = 2 Re c_s.
+    Model: g(d) = w+/(w + e) + w-/(w - e) + quadratic background, with
+    w = d - i kappa/2; linear in everything but u.  q (m, 3) is an
+    orthonormal basis of the background (1, d, d^2), which is already
+    projected out of the traces g (..., m); u broadcasts against g's stack.
+    The pole columns enter as s = 2w/(w^2 - u) and t = 1/(w^2 - u): for
+    u > 0 they span the plane of 1/(w +- e), and at u = 0 they are its
+    double-pole limit, so they stay independent.  Gram-Schmidt, applied
+    twice, orthonormalises s against q, then t against q and s.  The
+    residual r is formed, not taken as ||g||^2 - ||projection||^2, which
+    cancels.  Back substitution in the same basis gives g = c_s s + c_t t
+    + background, and the weight w+ + w- = 2 Re c_s.  The step in u is
+    Kaufman's Gauss-Newton step of the projected misfit: v = (c_s s +
+    c_t t)/(w^2 - u), the u-derivative of the fitted poles, with q, s and
+    t projected out of it, and step = Re<v, r>/||v||^2.
     """
-    e = np.asarray(e, dtype=float)[..., None]
-    plus, minus = 1.0 / (d + e - 0.5j * kappa), 1.0 / (d - e - 0.5j * kappa)
-    s, t = plus + minus, plus - minus
+    u = np.asarray(u, dtype=float)[..., None]
+    w = d - 0.5j * kappa
+    pole = 1.0 / (w * w - u)
+    s, t = 2.0 * w * pole, pole.copy()
     for _ in range(2):
         s -= (s @ q) @ q.T
     norm_s = np.linalg.norm(s, axis=-1, keepdims=True)
@@ -351,18 +346,20 @@ def _pair_fit(
         t -= s * proj
         s_t += proj
     norm_t = np.linalg.norm(t, axis=-1, keepdims=True)
-    keep = norm_t > np.finfo(float).eps * max(d.size, 5) * norm_s
-    t = np.divide(t, norm_t, out=np.zeros_like(t), where=keep)
+    t /= norm_t
     s_g = np.sum(s.conj() * g, axis=-1, keepdims=True)
     r = g - s * s_g
     t_g = np.sum(t.conj() * r, axis=-1, keepdims=True)
     r -= t * t_g
-    # The norm's two trace-sized temporaries come before the small weight
-    # arrays, which would otherwise fragment the heap and lift peak RSS.
-    misfit = np.linalg.norm(r, axis=-1)
-    c_t = np.divide(t_g, norm_t, out=np.zeros_like(t_g), where=keep)
+    c_t = t_g / norm_t
     c_s = (s_g - c_t * s_t) / norm_s
-    return misfit, 2.0 * c_s[..., 0].real
+    v = (2.0 * w * c_s + c_t) * pole * pole
+    for _ in range(2):
+        v -= (v @ q) @ q.T
+        v -= s * np.sum(s.conj() * v, axis=-1, keepdims=True)
+        v -= t * np.sum(t.conj() * v, axis=-1, keepdims=True)
+    step = np.sum(v.conj() * r, axis=-1).real / np.sum(np.abs(v) ** 2, axis=-1)
+    return np.linalg.norm(r, axis=-1), 2.0 * c_s[..., 0].real, step
 
 
 def _fit_zero_pairs(
@@ -375,49 +372,39 @@ def _fit_zero_pairs(
     its pole positions, which a known-linewidth fit recovers far below
     the kappa/2 blurring of any local lineshape statistic.  The fit is a
     variable projection (Golub & Pereyra 1973): the linear weights are
-    projected out, leaving a misfit in e alone.  The quadratic
-    background does not depend on e, so one QR of its real (m, 3)
-    columns projects it out of every trace once; _pair_fit handles
-    the two pole columns per e.  Every trace is scanned against
-    COARSE_CANDIDATES energies in [0, FIT_WINDOW J], a block of traces
-    at a time, then refined in lockstep by golden-section search inside
-    the bracket of the best candidate's neighbours, to a width of
-    REFINE_TOL J.  The weights come from _pair_fit at the fitted
-    energies.  Returns (energies, total pair weights), each (P,).
+    projected out, leaving a misfit in u = e^2 alone.  It runs in units
+    of J, so every energy scale gives the same fit.  One QR of the real
+    Vandermonde columns (1, d, ..., d^4) serves every trace; its first
+    three columns span the quadratic background, which is projected out
+    of every trace once.  The start is linear (Levy 1959): times
+    (w^2 - u), the model reads g w^2 = u g + a quartic in d, so with the
+    quartics projected out of g and of g w^2, leaving x and y,
+    u = Re<x, y>/||x||^2.  NEWTON_STEPS Gauss-Newton steps of _pair_fit
+    refine it, u clipped to [0, FIT_WINDOW^2] before each call, and the
+    weights come from _pair_fit at the final u.  Returns (energies,
+    total pair weights), each (P,).  A fit that rounding leaves
+    non-finite, as from kappa of about 5e72 J, raises NumericsError.
     """
-    q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
-    g_off = g - (g @ q) @ q.T  # the traces with the background projected out
-
-    coarse = np.linspace(0.0, FIT_WINDOW * p.J, COARSE_CANDIDATES)
-    # A block of traces at a time: _pair_fit holds up to three arrays of
-    # the block's (traces, candidates, m) shape at once (the residual and
-    # two temporaries), together at most BLOCK_ENTRIES entries.
-    traces = max(1, BLOCK_ENTRIES // (3 * coarse.size * d.size))
-    i0 = np.empty(len(g_off), dtype=np.intp)
-    for k in range(0, len(g_off), traces):
-        block = g_off[k : k + traces, None, :]
-        i0[k : k + traces] = np.argmin(_pair_fit(coarse, d, q, block, p.kappa)[0], axis=1)
-    lo = coarse[np.maximum(i0 - 1, 0)]
-    hi = coarse[np.minimum(i0 + 1, coarse.size - 1)]
-
-    def misfit(e):
-        return _pair_fit(e, d, q, g_off, p.kappa)[0]
-
-    a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fa, fb = misfit(a), misfit(b)
-    for _ in range(_REFINE_STEPS):
-        left = fa < fb  # the minimum is bracketed by [lo, b]
-        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
-        new = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        fnew = misfit(new)
-        a, b, fa, fb = (
-            np.where(left, new, b),
-            np.where(left, a, new),
-            np.where(left, fnew, fb),
-            np.where(left, fa, fnew),
+    d, kappa = d / p.J, p.kappa / p.J  # energies in units of J
+    basis = np.linalg.qr(np.vander(d, 5, increasing=True))[0]
+    q = basis[:, :3]  # the quadratic background (1, d, d^2)
+    with np.errstate(all="ignore"):
+        g = g * p.J
+        g_off = g - (g @ q) @ q.T  # the traces with the background projected out
+        x = g - (g @ basis) @ basis.T
+        gw2 = g * (d - 0.5j * kappa) ** 2
+        y = gw2 - (gw2 @ basis) @ basis.T
+        u = np.sum(x.conj() * y, axis=-1).real / np.sum(np.abs(x) ** 2, axis=-1)
+        u = np.clip(u, 0.0, FIT_WINDOW**2)
+        for _ in range(NEWTON_STEPS):
+            u = np.clip(u + _pair_fit(u, d, q, g_off, kappa)[2], 0.0, FIT_WINDOW**2)
+        e_hat, weight = p.J * np.sqrt(u), _pair_fit(u, d, q, g_off, kappa)[1]
+    if not (np.isfinite(e_hat).all() and np.isfinite(weight).all()):
+        raise NumericsError(
+            f"resonance-pair fit is not finite at kappa = {p.kappa:.3g} "
+            f"(J = {p.J:.3g}): the fit window is lost in rounding"
         )
-    e_hat = 0.5 * (lo + hi)
-    return e_hat, _pair_fit(e_hat, d, q, g_off, p.kappa)[1]
+    return e_hat, weight
 
 
 def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetection:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,18 @@ def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
     # theta1 = 0 chain: no steady state exists.
     args = ["reflection", "--out", str(tmp_path), "--set", "kappa=0"]
     assert main([*args, "--set", "reflection.window=0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fermi-arc", "table1"])
+def test_huge_damping_arc_fit_is_numeric_failure(tmp_path, capsys, command):
+    # At kappa = 1e200 the fit window is lost in rounding against the
+    # linewidth: the pair fit refuses its non-finite energies and weights,
+    # and warns of nothing on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--out", str(tmp_path), "--set", "kappa=1e200"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
 

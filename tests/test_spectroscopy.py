@@ -477,10 +477,11 @@ class TestDetectArcEndpoint:
             assert det.theta1c_plus == pytest.approx(det.oracle.theta1c_plus)
             assert det.theta1c_minus == pytest.approx(det.oracle.theta1c_minus)
 
-    @pytest.mark.parametrize("j", [0.1, 0.5, 2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("j", [1e-300, 0.1, 0.5, 2.0, 10.0, 100.0, 1e200])
     def test_endpoints_invariant_under_energy_scale(self, unit_scale_arc, j):
         # Every energy in units of J: the detector must read the same
-        # arc on the scaled model as at J = 1.
+        # arc on the scaled model as at J = 1, at both ends of the float
+        # range too, where the pair fit's squared energies would leave it.
         scaled = chain(4, J=j, Je=j, kappa=0.1 * j, Delta0=-0.1 * j)
         det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, scaled)
         assert not det.flagged
@@ -531,23 +532,21 @@ class TestDetectArcEndpoint:
 
 
 def _reference_residual(e, d, g, kappa):
-    cols = np.column_stack(
-        [
-            1.0 / (d + e - 0.5j * kappa),
-            1.0 / (d - e - 0.5j * kappa),
-            np.ones_like(d),
-            d,
-            d * d,
-        ]
-    )
+    """lstsq residual norm and pair weight of the model at pair energy e:
+    poles at 1/(w +- e), w = d - i kappa/2, and at e = 0 their
+    double-pole limit 2/w, 1/w^2."""
+    w = d - 0.5j * kappa
+    poles = [1.0 / (w + e), 1.0 / (w - e)] if e else [2.0 / w, 1.0 / (w * w)]
+    cols = np.column_stack([*poles, np.ones_like(d), d, d * d])
     coef, *_ = np.linalg.lstsq(cols, g, rcond=None)
-    return float(np.linalg.norm(cols @ coef - g)), coef
+    weight = coef[0] + coef[1] if e else 2.0 * coef[0]
+    return float(np.linalg.norm(cols @ coef - g)), float(weight.real)
 
 
 def _reference_pair_fit(d, g, p):
-    """The per-trace fit that _fit_zero_pairs replaced: one lstsq per
-    coarse candidate, then bounded Brent minimisation in the bracket of
-    the best candidate's neighbours.  Returns (energy, pair weight)."""
+    """The per-trace reference for _fit_zero_pairs: one lstsq per coarse
+    candidate, then bounded Brent minimisation in the bracket of the best
+    candidate's neighbours.  Returns (energy, pair weight)."""
     coarse = np.linspace(0.0, FIT_WINDOW * p.J, 61)
     i0 = int(np.argmin([_reference_residual(e, d, g, p.kappa)[0] for e in coarse]))
     res = minimize_scalar(
@@ -556,8 +555,12 @@ def _reference_pair_fit(d, g, p):
         method="bounded",
         options={"xatol": 1e-9},
     )
-    _, coef = _reference_residual(float(res.x), d, g, p.kappa)
-    return float(res.x), float(coef[0].real + coef[1].real)
+    return float(res.x), _reference_residual(float(res.x), d, g, p.kappa)[1]
+
+
+def _verdicts(e, w, p):
+    """detect_arc_endpoint's inside-the-arc rule on fitted energies and weights."""
+    return (e < ZTOL_DEFAULT * p.J) & (w > EDGE_WEIGHT_MIN)
 
 
 # theta1 >= 0 half of the Table-1 grid: spectra are even in theta1, so
@@ -596,24 +599,9 @@ class TestBatchedPairFit:
         g = (r - 1.0) / (1j * p.kappa)
         e_hat, weight = _fit_zero_pairs(d, g, p)
         e_ref, w_ref = np.array([_reference_pair_fit(d, gi, p) for gi in g]).T
-
-        def verdicts(e, w):
-            return (e < ZTOL_DEFAULT * p.J) & (w > EDGE_WEIGHT_MIN)
-
-        assert np.array_equal(verdicts(e_hat, weight), verdicts(e_ref, w_ref))
+        assert np.array_equal(_verdicts(e_hat, weight, p), _verdicts(e_ref, w_ref, p))
         assert np.abs(e_hat - e_ref).max() <= 1e-7 * p.J
         assert np.abs(weight - w_ref).max() <= 1e-6
-
-    def test_scan_blocks_do_not_change_the_fit(self, fit_window_traces):
-        # Every trace's scan is independent of the others, so one trace
-        # per block gives the bits of the default blocks.
-        p, d, r, _ = fit_window_traces
-        g = (r - 1.0) / (1j * p.kappa)
-        fit = _fit_zero_pairs(d, g, p)
-        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", 1):
-            per_trace = _fit_zero_pairs(d, g, p)
-        for a, b in zip(fit, per_trace):
-            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("sites", [4, 12, 36])
     def test_distinct_traces_fit_as_all(self, sites):
@@ -631,26 +619,62 @@ class TestBatchedPairFit:
             assert every.tobytes() == distinct[inverse].tobytes()
 
     def test_misfit_equals_lstsq_residual(self, rng):
-        # Misfit and pair weight at every coarse candidate, including
-        # e = 0, where the two pole columns coincide and lstsq's rank rule
-        # drops one of them for the minimum-norm solution.
+        # Misfit and pair weight on a grid of pair energies, including
+        # e = 0, where the pole columns are the double-pole limit 2/w and
+        # 1/w^2 of the pair's plane.
         p = chain(12)
         d = np.arange(-12, 13) * DELTA0_STEP
         g = rng.normal(size=(3, d.size)) + 1j * rng.normal(size=(3, d.size))
-        coarse = np.linspace(0.0, FIT_WINDOW, 61)
+        energies = np.linspace(0.0, FIT_WINDOW, 61)
         q = np.linalg.qr(np.stack([np.ones_like(d), d, d * d], axis=-1))[0]
         g_off = g - (g @ q) @ q.T
-        misfit, weight = _pair_fit(coarse, d, q, g_off[:, None, :], p.kappa)
-        ref = [[_reference_residual(e, d, gi, p.kappa) for e in coarse] for gi in g]
-        ref_misfit = np.array([[r for r, _ in row] for row in ref])
-        ref_weight = np.array([[(c[0] + c[1]).real for _, c in row] for row in ref])
+        misfit, weight, _ = _pair_fit(energies**2, d, q, g_off[:, None, :], p.kappa)
+        ref_misfit, ref_weight = np.array(
+            [[_reference_residual(e, d, gi, p.kappa) for e in energies] for gi in g]
+        ).transpose(2, 0, 1)
         assert misfit.shape == weight.shape == (3, 61)
         assert misfit == pytest.approx(ref_misfit, rel=1e-9, abs=1e-12)
         assert weight == pytest.approx(ref_weight, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("energy", [0.0, 0.003, 0.04, FIT_WINDOW])
+    def test_recovers_an_exact_pair(self, rng, energy):
+        # A trace that is the model itself, two poles at +-e with complex
+        # weights on a quadratic background, gives back e and w+ + w-.
+        p = chain(12)
+        d = detuning_grid(FIT_WINDOW, DELTA0_STEP, p)
+        w = d - 0.5j * p.kappa
+        a, b, *bg = rng.normal(size=5) + 1j * rng.normal(size=5)
+        if energy:
+            g = a / (w + energy) + b / (w - energy)
+        else:
+            g = a * 2.0 / w + b / (w * w)
+        g = g + bg[0] + bg[1] * d + bg[2] * d * d
+        e_hat, weight = _fit_zero_pairs(d, g[None], p)
+        assert e_hat[0] == pytest.approx(energy, abs=1e-9)
+        assert weight[0] == pytest.approx(2.0 * a.real if not energy else (a + b).real)
+
+    @given(st.floats(0.05, 0.3), st.integers(2, 20))
+    @settings(max_examples=12)
+    def test_detection_verdicts_match_the_reference(self, kappa, cells):
+        # Every per-trace verdict of a Table-1 detection, on the distinct
+        # chains of its grid, is the Brent reference's.
+        p = chain(2 * cells, kappa=kappa)
+        fit, fits = spectroscopy._fit_zero_pairs, []
+
+        def recorded(d, g, p):
+            fits.append((d, g, *fit(d, g, p)))
+            return fits[-1][2:]
+
+        with mock.patch.object(spectroscopy, "_fit_zero_pairs", recorded):
+            detect_arc_endpoint(np.pi / 2, symmetric_grid(0.5 * np.pi, 0.01 * np.pi), p)
+        ((d, g, e_hat, weight),) = fits
+        e_ref, w_ref = np.array([_reference_pair_fit(d, gi, p) for gi in g]).T
+        assert g.shape == (51, 25)
+        assert np.array_equal(_verdicts(e_hat, weight, p), _verdicts(e_ref, w_ref, p))
+
     def test_detection_runs_no_svd(self):
-        # The scan, the refinement and the port weights all come from the
-        # one Gram-Schmidt projection.
+        # The start, the Gauss-Newton steps and the port weights all come
+        # from QR and Gram-Schmidt projections.
         grid = np.arange(-25, 26) * 0.02 * np.pi
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
             det = detect_arc_endpoint(np.pi / 2, grid, p=chain(12))
