@@ -26,23 +26,17 @@ from .numerics import (
 )
 from .openchain import (
     ArcInterval,
-    DensityProfile,
     density_profile,
     diagonalize_chain,
     edge_spectrum,
 )
 from .spectroscopy import (
     ArcDetection,
-    ReflectionTrace,
-    SteadyState,
     detect_arc_endpoint,
     left_drive,
-    reflection,
-    reflection_spectrum,
     reflections,
     steady_state,
     transient_oracle,
-    winding_measurement,
 )
 from .topology import (
     ChernResult,

@@ -33,7 +33,6 @@ from .spectroscopy import (
     detect_arc_endpoint,
     detuning_grid,
     loop_reflection,
-    reflection_spectrum,
     reflections,
     symmetric_grid,
 )
@@ -135,8 +134,7 @@ class _OutputSet:
             "artifact_version": __version__,
             "outputs": outputs,
         }
-        path = self._path(f"{command}_manifest.json")
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.write_json(f"{command}_manifest.json", payload)
 
 
 # Rows per block of write_csv.
@@ -299,7 +297,7 @@ def _density_columns(chains, keep) -> list[np.ndarray]:
     vals, vecs, labels = chains
     states = np.nonzero(keep)
     sites = vecs.shape[-1]
-    dens = density_profile(np.swapaxes(vecs, -1, -2)[states]).site_densities
+    dens = density_profile(np.swapaxes(vecs, -1, -2)[states])
     return [
         *(np.repeat(col, sites) for col in (*states, vals[states], labels[states])),
         np.tile(np.arange(1, sites + 1), states[0].size),
@@ -319,16 +317,13 @@ def cmd_density(cfg, out: _OutputSet) -> int:
 def cmd_reflection(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     dgrid = detuning_grid(cfg["reflection.window"], cfg["reflection.step"], p)
-    trace = reflection_spectrum(
-        cfg["reflection.theta1"], cfg["reflection.theta2"], dgrid, p
-    )
-    r = trace.r_values
+    r = reflections(cfg["reflection.theta1"], cfg["reflection.theta2"], dgrid, p)[0]
     # hypot and float_power round as the scalar abs(r) ** 2 does, sample
     # for sample; np.abs(r) ** 2 does not.
     R = np.float_power(np.hypot(r.real, r.imag), 2)
     out.write_csv(
         "reflection.csv", ["delta0", "r_re", "r_im", "R"],
-        [trace.parameter_samples, r.real, r.imag, R],
+        [dgrid, r.real, r.imag, R],
     )
     return EXIT_OK
 
@@ -338,12 +333,11 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     idx = cfg["winding.weyl"]
     theta_r = cfg["winding.theta_r"]
     samples = cfg["winding.samples"]
-    trace = loop_reflection(weyl_points(p)[idx - 1], theta_r, samples, p)
-    r = trace.r_values
+    theta, r = loop_reflection(weyl_points(p)[idx - 1], theta_r, samples, p)
     phases = np.angle(r)
     trace_path = out.write_csv(
         "winding_phases.csv", ["theta", "phase", "r_re", "r_im"],
-        [trace.parameter_samples, phases, r.real, r.imag],
+        [theta, phases, r.real, r.imag],
     )
     out.write_json(
         "winding.json",

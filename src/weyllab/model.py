@@ -97,10 +97,10 @@ class SyntheticMomentum:
 
 
 def _det_sign(v: np.ndarray) -> int:
-    """Sign of det v, -1, 0 or 1.  v is first divided, exactly, by the
-    power of two above its largest entry: det v itself overflows for
-    entries of about 1e103 and more."""
-    return int(np.sign(np.linalg.det(np.ldexp(v, -np.frexp(np.abs(v).max())[1]))))
+    """Sign of det v, -1, 0 or 1, from slogdet: its LU keeps the sign of
+    each pivot and sums their logarithms, so no product of entries can
+    overflow or underflow to 0 however far apart J and Je are."""
+    return int(np.linalg.slogdet(v)[0])
 
 
 @dataclass(frozen=True)

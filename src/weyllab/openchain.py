@@ -26,7 +26,6 @@ from .model import ModelParams, chain_bands
 from .numerics import eigh_bands
 
 __all__ = [
-    "DensityProfile",
     "ArcInterval",
     "edge_spectrum",
     "density_profile",
@@ -47,19 +46,6 @@ END_ROWS = [0, 1, -2, -1]
 # Label of code 0, 1, 2 in _labels; shared str objects, so a label array
 # costs one reference per state.
 LABEL_NAMES = np.array(["Bulk", "Left", "Right"], dtype=object)
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Site densities (..., sites): one profile per last-axis row."""
-
-    site_densities: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.site_densities, dtype=float)
-        if np.any(d < 0) or np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-10):
-            raise ValueError("densities must be nonnegative and sum to 1")
-        object.__setattr__(self, "site_densities", d)
 
 
 @dataclass(frozen=True)
@@ -102,11 +88,14 @@ def _labels(ends: np.ndarray) -> np.ndarray:
     return LABEL_NAMES[left + 2 * right]
 
 
-def density_profile(v: np.ndarray) -> DensityProfile:
-    """Entrywise squared magnitudes of normalized vectors (..., sites),
-    one vector per last-axis row."""
-    v = np.asarray(v)
-    return DensityProfile(np.abs(v) ** 2)
+def density_profile(v: np.ndarray) -> np.ndarray:
+    """Site densities |v|^2 (..., sites) of normalized vectors v (...,
+    sites), one vector per last-axis row.  A row whose densities do not
+    sum to 1 within 1e-10 raises ValueError."""
+    d = np.abs(np.asarray(v)) ** 2
+    if np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-10):
+        raise ValueError("densities must sum to 1")
+    return d
 
 
 def _eigensystems(diags, offs, window: float):

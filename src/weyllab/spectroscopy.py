@@ -8,9 +8,10 @@ the zero-energy-arc endpoint extraction from those spectra.
 All response quantities derive from the linear steady state
 a = -(Delta0 + T - i kappa/2)^{-1} Omega, so they are independent of
 the drive amplitude; the left-port reflection is
-r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel
-solves it for a stack of chains, from their bands, in bounded blocks;
-a point, a spectrum, a winding loop and an arc scan are one call each.
+r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel,
+reflections, solves it for a stack of chains over a detuning grid, in
+bounded blocks; a point is its [0, 0] entry, a spectrum its row 0, and
+a winding loop its one column over the loop's chains.
 
 Arc detection solves each distinct chain of its theta1 grid once, only
 on the fit window |Delta0| <= FIT_WINDOW J, and fits all those traces
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, WeylPoint, _node_loop, chain_bands
-from .numerics import NumericsError, solve_shifted, unwrap_winding
+from .numerics import NumericsError, solve_shifted
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
@@ -43,19 +44,14 @@ from .openchain import (
 )
 
 __all__ = [
-    "SteadyState",
-    "ReflectionTrace",
     "ArcDetection",
     "left_drive",
     "steady_state",
     "transient_oracle",
     "reflections",
-    "reflection",
-    "reflection_spectrum",
     "symmetric_grid",
     "detuning_grid",
     "loop_reflection",
-    "winding_measurement",
     "detect_arc_endpoint",
 ]
 
@@ -70,30 +66,6 @@ MAX_GRID_POINTS = 10_001
 FIT_WINDOW = 0.12
 # Gauss-Newton steps of the pair fit from its linear start.
 NEWTON_STEPS = 2
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    amplitudes: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class ReflectionTrace:
-    """Complex reflection sampled along a swept parameter (theta or Delta0)."""
-
-    parameter_samples: np.ndarray
-    r_values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.parameter_samples, dtype=float)
-        r = np.asarray(self.r_values, dtype=complex)
-        if s.size != r.size:
-            raise ValueError("samples and values must have equal length")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("parameter samples must be strictly increasing")
-        object.__setattr__(self, "parameter_samples", s)
-        object.__setattr__(self, "r_values", r)
 
 
 @dataclass(frozen=True)
@@ -121,8 +93,10 @@ def left_drive(p: ModelParams, amplitude: complex = 1.0) -> np.ndarray:
 
 def steady_state(
     theta1: float, theta2: float, drive: np.ndarray, p: ModelParams
-) -> SteadyState:
-    """Steady amplitudes a = -(Delta0 + T - i kappa/2)^{-1} Omega.
+) -> np.ndarray:
+    """Steady amplitudes a = -(Delta0 + T - i kappa/2)^{-1} Omega, shape
+    (sites,), from one solve_shifted, which refuses any solve whose
+    residual exceeds its tolerance.
 
     kappa = 0 with Delta0 on an eigenvalue of T has no steady state and
     raises SingularMatrixError.
@@ -131,12 +105,7 @@ def steady_state(
     if drive.shape != (p.sites,):
         raise ValueError(f"drive must have {p.sites} amplitudes")
     (d,), (e,) = chain_bands(theta1, theta2, p)
-    z = p.Delta0 - 0.5j * p.kappa
-    amps = solve_shifted(d, e, z, -drive)
-    resid = (d + z) * amps + drive
-    resid[1:] += e * amps[:-1]
-    resid[:-1] += e * amps[1:]
-    return SteadyState(amps, float(np.linalg.norm(resid)))
+    return solve_shifted(d, e, p.Delta0 - 0.5j * p.kappa, -drive)
 
 
 def transient_oracle(
@@ -230,20 +199,6 @@ def _band_reflections(diags, offs, delta0_grid, p: ModelParams) -> np.ndarray:
     return r
 
 
-def reflection(theta1: float, theta2: float, p: ModelParams) -> complex:
-    """Left-port reflection at p.Delta0: the one-point reflections, so it
-    is manifestly drive-amplitude independent."""
-    return complex(reflections(theta1, theta2, [p.Delta0], p)[0, 0])
-
-
-def reflection_spectrum(
-    theta1: float, theta2: float, delta0_grid, p: ModelParams
-) -> ReflectionTrace:
-    """r_L over the sorted drive-detuning grid: the one-chain reflections."""
-    grid = np.sort(np.asarray(delta0_grid, dtype=float))
-    return ReflectionTrace(grid, reflections(theta1, theta2, grid, p)[0])
-
-
 def symmetric_grid(half_width: float, step: float) -> np.ndarray:
     """Grid k * step for |k| <= round(half_width / step).
 
@@ -277,15 +232,16 @@ def loop_reflection(
     samples: int,
     p: ModelParams,
     offset: float = 0.0,
-) -> ReflectionTrace:
-    """r_L around a circle enclosing the node's (theta1, theta2)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, r_L) around a circle enclosing the node's (theta1, theta2)
     projection, at fixed in-gap detuning p.Delta0.
 
     The loop is theta1 = theta1w + theta_r cos(theta), theta2 = theta2w
-    + theta_r sin(theta) with theta uniform on offset + [0, 2pi); the
-    trace is indexed by theta.  A sample count outside [64,
-    MAX_GRID_POINTS] raises ValueError before anything is allocated; so
-    does a theta_r that model._node_loop refuses.
+    + theta_r sin(theta) with theta uniform on offset + [0, 2pi), and r_L
+    is the reflections column of its chains; the node's charge is
+    unwrap_winding(np.angle(r_L)).winding.  kappa = 0, or a sample count
+    outside [64, MAX_GRID_POINTS], raises ValueError before anything is
+    allocated; so does a theta_r that model._node_loop refuses.
     """
     if p.kappa <= 0:
         raise ValueError("winding readout needs kappa > 0")
@@ -293,21 +249,7 @@ def loop_reflection(
         raise ValueError(f"need 64 to {MAX_GRID_POINTS} samples around the loop")
     theta = offset + 2.0 * np.pi * np.arange(samples) / samples
     theta1s, theta2s = _node_loop(w, theta_r, theta)
-    return ReflectionTrace(theta, reflections(theta1s, theta2s, [p.Delta0], p)[:, 0])
-
-
-def winding_measurement(
-    w: WeylPoint,
-    theta_r: float,
-    samples: int,
-    p: ModelParams,
-    offset: float = 0.0,
-) -> int:
-    """Integer winding of arg r_L in (-pi, pi] around loop_reflection's
-    loop, closing step included.  Undersampled loops raise rather than guess.
-    """
-    trace = loop_reflection(w, theta_r, samples, p, offset)
-    return unwrap_winding(np.angle(trace.r_values)).winding
+    return theta, reflections(theta1s, theta2s, [p.Delta0], p)[:, 0]
 
 
 def _pair_fit(

@@ -21,10 +21,10 @@ from weyllab.openchain import (
 from weyllab.spectroscopy import (
     detect_arc_endpoint,
     left_drive,
-    reflection,
+    loop_reflection,
+    reflections,
     steady_state,
     transient_oracle,
-    winding_measurement,
 )
 from weyllab.topology import chern_mapped_torus, chern_sphere
 
@@ -68,8 +68,9 @@ def test_criterion_2_winding_readout():
     for sites in (4, 12):
         for kappa in (0.1, 0.7, 1.5):
             p = chain(sites, Delta0=-0.1, kappa=kappa)
-            w1_vals.add(winding_measurement(nodes[0], 0.25 * math.pi, 128, p))
-            w4_vals.add(winding_measurement(nodes[3], 0.25 * math.pi, 128, p))
+            for node, vals in ((nodes[0], w1_vals), (nodes[3], w4_vals)):
+                r = loop_reflection(node, 0.25 * math.pi, 128, p)[1]
+                vals.add(unwrap_winding(np.angle(r)).winding)
     elapsed = time.time() - t0
     assert len(w1_vals) == 1 and len(w4_vals) == 1
     w1, w4 = w1_vals.pop(), w4_vals.pop()
@@ -141,7 +142,7 @@ def test_criterion_5_edge_physics():
     def left_weight(theta1):
         v, w, lab = diagonalize_chain(theta1, math.pi / 2, p)
         idx = [i for i in range(v.size) if lab[i] == "Left" and abs(v[i]) < 0.1]
-        dens = density_profile(w[:, idx[0]]).site_densities
+        dens = density_profile(w[:, idx[0]])
         return dens[0] + dens[1]
 
     w0 = left_weight(0.0)
@@ -162,7 +163,7 @@ def test_criterion_6_oracle_equivalence():
         for kappa in (0.1, 0.7):
             p = chain(sites, kappa=kappa, Delta0=-0.1)
             drive = left_drive(p)
-            ss = steady_state(0.2, 0.9, drive, p).amplitudes
+            ss = steady_state(0.2, 0.9, drive, p)
             a40 = transient_oracle(0.2, 0.9, drive, p, t_end=40.0 / kappa)
             rel = np.linalg.norm(a40 - ss) / np.linalg.norm(ss)
             worst = max(worst, rel)
@@ -190,9 +191,9 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_closed_form_checks():
     for d0 in np.linspace(-5.0, 5.0, 101):
         p = ModelParams(N=1, Je=0.0, kappa=0.1, Delta0=d0)
-        assert abs(abs(reflection(0.0, math.pi / 2, p)) - 1.0) <= 1e-12
+        assert abs(abs(reflections(0.0, math.pi / 2, [d0], p)[0, 0]) - 1.0) <= 1e-12
     p = chain(6, kappa=0.0, Delta0=-0.43)
-    assert reflection(0.25, 0.8, p) == 1.0
+    assert reflections(0.25, 0.8, [p.Delta0], p)[0, 0] == 1.0
 
     assert unwrap_winding(np.full(32, 1.3)).winding == 0
     n = 64

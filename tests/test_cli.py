@@ -405,10 +405,12 @@ def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
 
 @pytest.mark.parametrize("command", ["weyl-points", "winding"])
 def test_overflowing_hopping_is_not_a_traceback(tmp_path, capsys, command):
-    # At J = 1e200 the squares of the Bloch vector and the determinant of
-    # the node velocity overflow; neither decides anything here.
-    assert main([command, "--out", str(tmp_path), "--set", "j=1e200"]) == 0
-    assert capsys.readouterr().err == ""
+    # At J = 1e200 the squares of the Bloch vector overflow; at Je = 1e200
+    # or J = 1e-200 the node velocity's entries lie 1e200 apart, so a
+    # product of three of them over- or underflows.  Neither decides anything.
+    for setting in ("j=1e200", "je=1e200", "j=1e-200"):
+        assert main([command, "--out", str(tmp_path), "--set", setting]) == 0, setting
+        assert capsys.readouterr().err == ""
 
 
 # Output paths that cannot be written: (arguments, WEYLLAB_OUT), relative

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weyllab.model import (
     DegenerateModelError,
@@ -187,6 +187,14 @@ class TestWeylPoints:
         assert c[0] * c[1] == -1
         assert c[0] * c[2] == +1
         assert sum(c) == 0
+
+    @given(st.floats(-300, 300), st.floats(-300, 300))
+    @settings(max_examples=50)
+    def test_chiralities_at_every_energy_scale(self, log_j, log_je):
+        # det v = -4 J^2 Je at W1: the node velocity's entries may lie up
+        # to 1e600 apart, and no product of them may decide the sign.
+        p = ModelParams(J=10.0**log_j, Je=10.0**log_je)
+        assert [w.chirality for w in weyl_points(p)] == [-1, 1, -1, 1]
 
     def test_degenerate_when_je_zero(self):
         with pytest.raises(DegenerateModelError):

@@ -125,14 +125,14 @@ class TestDensityProfile:
     def test_basis_vector(self):
         v = np.zeros(6)
         v[0] = 1.0
-        assert density_profile(v).site_densities == pytest.approx(
+        assert density_profile(v) == pytest.approx(
             [1, 0, 0, 0, 0, 0]
         )
 
     def test_normalization(self, rng):
         v = rng.normal(size=10) + 1j * rng.normal(size=10)
         v /= np.linalg.norm(v)
-        assert density_profile(v).site_densities.sum() == pytest.approx(1.0)
+        assert density_profile(v).sum() == pytest.approx(1.0)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -141,10 +141,10 @@ class TestDensityProfile:
     def test_stacked_vectors(self, rng):
         v = rng.normal(size=(2, 3, 5))
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        got = density_profile(v).site_densities
+        got = density_profile(v)
         assert got.shape == (2, 3, 5)
         for k in np.ndindex(2, 3):
-            assert np.array_equal(got[k], density_profile(v[k]).site_densities)
+            assert np.array_equal(got[k], density_profile(v[k]))
 
     def test_checks_every_stacked_vector(self):
         v = np.eye(4)
@@ -382,7 +382,7 @@ class TestEdgeSpectrum:
                 for i in range(vals.size)
                 if labels[i] == "Left" and abs(vals[i]) < 0.1
             ]
-            d = density_profile(vecs[:, idx[0]]).site_densities
+            d = density_profile(vecs[:, idx[0]])
             return d[0] + d[1]
 
         w_center = left_first_cell_weight(0.0)

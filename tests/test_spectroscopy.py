@@ -7,7 +7,12 @@ from scipy.optimize import minimize_scalar
 
 from weyllab.model import ModelParams, chain_bands, weyl_points
 from weyllab import numerics, spectroscopy
-from weyllab.numerics import SingularMatrixError, UndersampledLoopError, solve_shifted
+from weyllab.numerics import (
+    SingularMatrixError,
+    UndersampledLoopError,
+    solve_shifted,
+    unwrap_winding,
+)
 from weyllab.openchain import (
     EDGE_WEIGHT_MIN,
     ZTOL_DEFAULT,
@@ -18,19 +23,16 @@ from weyllab.openchain import (
 from weyllab.spectroscopy import (
     DELTA0_STEP,
     FIT_WINDOW,
-    ReflectionTrace,
     _fit_zero_pairs,
     _pair_fit,
     detect_arc_endpoint,
     detuning_grid,
     left_drive,
-    reflection,
-    reflection_spectrum,
+    loop_reflection,
     reflections,
     steady_state,
     symmetric_grid,
     transient_oracle,
-    winding_measurement,
 )
 
 
@@ -39,6 +41,12 @@ def chain(sites: int, **kw) -> ModelParams:
 
 
 DGRID = np.arange(-100, 101) * 0.01
+
+
+def loop_winding(w, theta_r, samples, p, offset=0.0):
+    """Winding of arg r_L around loop_reflection's loop."""
+    r = loop_reflection(w, theta_r, samples, p, offset)[1]
+    return unwrap_winding(np.angle(r)).winding
 
 
 def banded_chain(theta1, theta2, p):
@@ -78,13 +86,13 @@ class TestSteadyState:
         # Decoupled driven resonator: a1 = -Omega / (-i kappa / 2).
         p = ModelParams(N=1, Je=0.0, Delta0=0.0, kappa=0.4)
         omega = 0.7 + 0.2j
-        ss = steady_state(0.0, np.pi / 2, left_drive(p, omega), p)
-        assert ss.amplitudes[0] == pytest.approx(-2j * omega / p.kappa)
-        assert ss.amplitudes[1] == pytest.approx(0.0)
+        a = steady_state(0.0, np.pi / 2, left_drive(p, omega), p)
+        assert a[0] == pytest.approx(-2j * omega / p.kappa)
+        assert a[1] == pytest.approx(0.0)
 
     def test_zero_drive(self, params):
-        ss = steady_state(0.3, 0.8, np.zeros(params.sites, dtype=complex), params)
-        assert np.all(ss.amplitudes == 0)
+        a = steady_state(0.3, 0.8, np.zeros(params.sites, dtype=complex), params)
+        assert np.all(a == 0)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.integers(0, 2**32 - 1))
     @example(x=0.0, y=5e-324, seed=0)  # a subnormal drive is solved scaled
@@ -94,13 +102,16 @@ class TestSteadyState:
         rng = np.random.default_rng(seed)
         drive = rng.normal(size=p.sites) + 1j * rng.normal(size=p.sites)
         scale = x + 1j * y
-        a1 = steady_state(0.4, 1.0, drive, p).amplitudes
-        a2 = steady_state(0.4, 1.0, scale * drive, p).amplitudes
+        a1 = steady_state(0.4, 1.0, drive, p)
+        a2 = steady_state(0.4, 1.0, scale * drive, p)
         assert np.allclose(a2, scale * a1, atol=1e-12)
 
     def test_residual_bound(self, params):
-        ss = steady_state(0.2, 0.5, left_drive(params), params)
-        assert ss.residual <= 1e-10 * max(1.0, np.linalg.norm(ss.amplitudes))
+        drive = left_drive(params)
+        a = steady_state(0.2, 0.5, drive, params)
+        resid = banded_chain(0.2, 0.5, params) @ a
+        resid += (params.Delta0 - 0.5j * params.kappa) * a + drive
+        assert np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(a))
 
     def test_undamped_resonance_is_singular(self):
         # kappa = 0 with Delta0 on an eigenvalue of T: dimer at
@@ -115,7 +126,7 @@ class TestTransientOracle:
         for sites, kappa in ((4, 0.1), (12, 0.7)):
             p = chain(sites, kappa=kappa)
             drive = left_drive(p)
-            ss = steady_state(0.2, 0.9, drive, p).amplitudes
+            ss = steady_state(0.2, 0.9, drive, p)
             a = transient_oracle(0.2, 0.9, drive, p, t_end=40.0 / kappa)
             assert np.linalg.norm(a - ss) <= 1e-6 * np.linalg.norm(ss)
 
@@ -124,7 +135,7 @@ class TestTransientOracle:
         # rotation: ||a(t) - a_ss|| = exp(-kappa t / 2) ||a_ss||.
         p = chain(4, kappa=0.1)
         drive = left_drive(p)
-        ss = steady_state(0.3, 0.7, drive, p).amplitudes
+        ss = steady_state(0.3, 0.7, drive, p)
         t = 20.0 / p.kappa
         a = transient_oracle(0.3, 0.7, drive, p, t_end=t)
         rel = np.linalg.norm(a - ss) / np.linalg.norm(ss)
@@ -184,23 +195,22 @@ class TestReflection:
     def test_single_resonator_unit_modulus(self):
         for d0 in np.linspace(-5, 5, 41):
             p = ModelParams(N=1, Je=0.0, kappa=0.1, Delta0=d0)
-            r = reflection(0.0, np.pi / 2, p)
+            r = reflections(0.0, np.pi / 2, [p.Delta0], p)[0, 0]
             assert abs(abs(r) - 1.0) <= 1e-12
             assert r == pytest.approx((d0 + 0.05j) / (d0 - 0.05j))
 
     def test_kappa_zero_off_resonance(self):
         p = chain(4, kappa=0.0, Delta0=-0.37)
-        assert reflection(0.3, 0.7, p) == 1.0
+        assert reflections(0.3, 0.7, [p.Delta0], p)[0, 0] == 1.0
 
     def test_large_detuning_limit(self):
-        p = chain(8, Delta0=1e6)
-        assert reflection(0.4, 0.9, p) == pytest.approx(1.0, abs=1e-5)
+        assert reflections(0.4, 0.9, [1e6], chain(8))[0, 0] == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda p: reflection(np.pi / 2, np.pi / 2, p),
-            lambda p: reflection_spectrum(np.pi / 2, np.pi / 2, [0.5, 1.0, 1.5], p),
+            lambda p: reflections(np.pi / 2, np.pi / 2, [p.Delta0], p)[0, 0],
+            lambda p: reflections(np.pi / 2, np.pi / 2, [0.5, 1.0, 1.5], p),
         ],
         ids=["reflection", "reflection_spectrum"],
     )
@@ -212,10 +222,10 @@ class TestReflection:
 
     def test_drive_amplitude_cancels(self):
         p = chain(8, Delta0=-0.2)
-        r = reflection(0.5, 1.2, p)
+        r = reflections(0.5, 1.2, [p.Delta0], p)[0, 0]
         for omega in (1.0, 3.7 - 1.1j):
-            ss = steady_state(0.5, 1.2, left_drive(p, omega), p)
-            r_from_drive = 1.0 - 1j * p.kappa * ss.amplitudes[0] / omega
+            a = steady_state(0.5, 1.2, left_drive(p, omega), p)
+            r_from_drive = 1.0 - 1j * p.kappa * a[0] / omega
             assert r_from_drive == pytest.approx(r, abs=1e-12)
 
 
@@ -292,8 +302,7 @@ class TestReflections:
         grid = np.linspace(-1.0, 1.0, 5)
         r = reflections(grid, 0.7, [-0.1, 0.2], p)
         assert np.array_equal(r, reflections(grid, np.full(5, 0.7), [-0.1, 0.2], p))
-        trace = reflection_spectrum(grid[3], 0.7, [-0.1, 0.2], p)
-        assert np.array_equal(r[3], trace.r_values)
+        assert np.array_equal(r[3], reflections(grid[3], 0.7, [-0.1, 0.2], p)[0])
 
     def test_damped_stack_needs_no_eigenvalues(self):
         # kappa > 0 bounds every condition number; undamped systems get
@@ -327,31 +336,27 @@ class TestReflectionSpectrum:
     def test_matches_pointwise_reflection(self):
         p = chain(8)
         grid = np.linspace(-1, 1, 11)
-        trace = reflection_spectrum(0.2, 0.8, grid, p)
-        for d0, r in zip(trace.parameter_samples, trace.r_values):
-            q = chain(8, Delta0=float(d0))
-            assert r == pytest.approx(reflection(0.2, 0.8, q), abs=1e-12)
+        for d0, r in zip(grid, reflections(0.2, 0.8, grid, p)[0]):
+            assert r == pytest.approx(reflections(0.2, 0.8, [d0], p)[0, 0], abs=1e-12)
 
     def test_flat_at_decoupled_point(self):
         # theta1 = 0 decouples the driven resonator, which then reflects
         # everything at every detuning: |r| = 1 identically.
-        trace = reflection_spectrum(0.0, np.pi / 2, DGRID, chain(4))
-        assert np.abs(np.abs(trace.r_values) - 1.0).max() <= 1e-12
+        r = reflections(0.0, np.pi / 2, DGRID, chain(4))[0]
+        assert np.abs(np.abs(r) - 1.0).max() <= 1e-12
 
     def test_zero_energy_dip_inside_arc(self):
         # Inside the arc the near-zero edge mode leaves a reflection
         # feature exactly at zero detuning.
-        trace = reflection_spectrum(0.1 * np.pi, np.pi / 2, DGRID, chain(4))
-        R = np.abs(trace.r_values) ** 2
-        i0 = np.argmin(np.abs(trace.parameter_samples))
+        R = np.abs(reflections(0.1 * np.pi, np.pi / 2, DGRID, chain(4))[0]) ** 2
+        i0 = np.argmin(np.abs(DGRID))
         assert np.argmin(R) == i0
         assert R[i0] < R[i0 - 1] < 1.0
         assert R[i0] < R[i0 + 1] < 1.0
 
     def test_split_features_outside_arc(self):
-        trace = reflection_spectrum(0.4 * np.pi, np.pi / 2, DGRID, chain(4))
-        R = np.abs(trace.r_values) ** 2
-        d = trace.parameter_samples
+        R = np.abs(reflections(0.4 * np.pi, np.pi / 2, DGRID, chain(4))[0]) ** 2
+        d = DGRID
         i0 = np.argmin(np.abs(d))
         ileft = np.argmin(R[:i0])
         iright = i0 + 1 + np.argmin(R[i0 + 1 :])
@@ -364,8 +369,8 @@ class TestReflectionSpectrum:
     def test_even_in_theta1(self, theta1):
         p = chain(8)
         grid = np.linspace(-1, 1, 21)
-        ra = np.abs(reflection_spectrum(theta1, np.pi / 2, grid, p).r_values) ** 2
-        rb = np.abs(reflection_spectrum(-theta1, np.pi / 2, grid, p).r_values) ** 2
+        ra = np.abs(reflections(theta1, np.pi / 2, grid, p)[0]) ** 2
+        rb = np.abs(reflections(-theta1, np.pi / 2, grid, p)[0]) ** 2
         assert ra == pytest.approx(rb, abs=1e-12)
 
     def test_center_depth_grows_toward_arc_edge(self):
@@ -373,14 +378,9 @@ class TestReflectionSpectrum:
         # the edge mode hybridizes (deeper dips approaching the arc end).
         values = []
         for theta1 in (0.0, 0.1 * np.pi, 0.15 * np.pi):
-            trace = reflection_spectrum(theta1, np.pi / 2, DGRID, chain(4))
-            i0 = np.argmin(np.abs(trace.parameter_samples))
-            values.append(abs(trace.r_values[i0]) ** 2)
+            r = reflections(theta1, np.pi / 2, DGRID, chain(4))[0]
+            values.append(abs(r[np.argmin(np.abs(DGRID))]) ** 2)
         assert values[0] > values[1] > values[2]
-
-    def test_trace_validation(self):
-        with pytest.raises(ValueError):
-            ReflectionTrace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("half_width", [-1.0, -5e-324, -np.inf, np.inf, np.nan])
     def test_grid_rejects_bad_half_width(self, half_width):
@@ -398,8 +398,8 @@ class TestWindingMeasurement:
     def test_opposite_charges_resolved(self):
         ws = weyl_points(ModelParams())
         p = chain(4, Delta0=-0.1, kappa=0.1)
-        w1 = winding_measurement(ws[0], 0.25 * np.pi, 128, p)
-        w4 = winding_measurement(ws[3], 0.25 * np.pi, 128, p)
+        w1 = loop_winding(ws[0], 0.25 * np.pi, 128, p)
+        w4 = loop_winding(ws[3], 0.25 * np.pi, 128, p)
         assert abs(w1) == 1 and abs(w4) == 1
         assert w1 == -w4
         assert w1 == ws[0].chirality
@@ -410,26 +410,26 @@ class TestWindingMeasurement:
     def test_size_and_damping_invariance(self, sites, kappa):
         ws = weyl_points(ModelParams())
         p = chain(sites, Delta0=-0.1, kappa=kappa)
-        assert winding_measurement(ws[0], 0.25 * np.pi, 128, p) == -1
+        assert loop_winding(ws[0], 0.25 * np.pi, 128, p) == -1
 
     def test_loop_shape_invariance(self):
         ws = weyl_points(ModelParams())
         p = chain(4)
-        ref = winding_measurement(ws[1], 0.25 * np.pi, 128, p)
-        assert winding_measurement(ws[1], 0.2 * np.pi, 128, p) == ref
-        assert winding_measurement(ws[1], 0.3 * np.pi, 128, p) == ref
-        assert winding_measurement(ws[1], 0.25 * np.pi, 64, p) == ref
-        assert winding_measurement(ws[1], 0.25 * np.pi, 256, p) == ref
-        assert winding_measurement(ws[1], 0.25 * np.pi, 128, p, offset=0.4) == ref
+        ref = loop_winding(ws[1], 0.25 * np.pi, 128, p)
+        assert loop_winding(ws[1], 0.2 * np.pi, 128, p) == ref
+        assert loop_winding(ws[1], 0.3 * np.pi, 128, p) == ref
+        assert loop_winding(ws[1], 0.25 * np.pi, 64, p) == ref
+        assert loop_winding(ws[1], 0.25 * np.pi, 256, p) == ref
+        assert loop_winding(ws[1], 0.25 * np.pi, 128, p, offset=0.4) == ref
 
     def test_parameter_guards(self):
         ws = weyl_points(ModelParams())
         with pytest.raises(ValueError):
-            winding_measurement(ws[0], 0.25 * np.pi, 32, chain(4))
+            loop_winding(ws[0], 0.25 * np.pi, 32, chain(4))
         with pytest.raises(ValueError):
-            winding_measurement(ws[0], 1.6, 128, chain(4))
+            loop_winding(ws[0], 1.6, 128, chain(4))
         with pytest.raises(ValueError):
-            winding_measurement(ws[0], 0.25 * np.pi, 128, chain(4, kappa=0.0))
+            loop_winding(ws[0], 0.25 * np.pi, 128, chain(4, kappa=0.0))
 
     @pytest.mark.parametrize("theta_r", [1e-300, 1e-17])
     def test_radius_lost_against_the_node_is_refused(self, theta_r):
@@ -437,7 +437,7 @@ class TestWindingMeasurement:
         # which read winding 0 with no error before this guard.
         w = weyl_points(ModelParams())[0]
         with pytest.raises(ValueError, match="vanishes against the node's angles"):
-            winding_measurement(w, theta_r, 128, chain(4))
+            loop_winding(w, theta_r, 128, chain(4))
 
     def test_sample_bound_is_checked_before_allocating(self):
         # One sample past MAX_GRID_POINTS; no loop array is built.
@@ -445,7 +445,7 @@ class TestWindingMeasurement:
         samples = spectroscopy.MAX_GRID_POINTS + 1
         with mock.patch.object(np, "arange", side_effect=AssertionError("allocated")):
             with pytest.raises(ValueError, match=f"need 64 to {samples - 1} samples"):
-                spectroscopy.loop_reflection(w, 0.25 * np.pi, samples, chain(4))
+                loop_reflection(w, 0.25 * np.pi, samples, chain(4))
 
 
 SCALE_GRID = np.arange(-25, 26) * 0.02 * np.pi
@@ -576,12 +576,7 @@ def fit_window_traces(request):
     full = detuning_grid(1.0, DELTA0_STEP, p)
     sel = np.abs(full) <= FIT_WINDOW * p.J + 1e-12 * p.J
     r_fit, r_full = (
-        np.array(
-            [
-                reflection_spectrum(t, np.pi / 2, grid, p).r_values
-                for t in HALF_TABLE1_GRID
-            ]
-        )
+        reflections(HALF_TABLE1_GRID, np.pi / 2, grid, p)
         for grid in (full[sel], full)
     )
     return p, full[sel], r_fit, r_full[:, sel]
