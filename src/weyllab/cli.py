@@ -6,8 +6,9 @@ the effective configuration, and content digests of every output.
 No plotting: the files are plot-ready arrays.
 
 Exit codes: 0 success, 2 usage/config error, unwritable output path or
-out of memory, 3 numerical failure, 4 oracle-inconsistency in arc
-detection.
+out of memory, 3 numerical failure, 4 a readout that contradicts its
+cross-check (arc detection against the oracle, a winding against its
+node's chirality), with its files written.
 """
 
 from __future__ import annotations
@@ -257,9 +258,10 @@ def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
     byte.
 
     Each distinct chain's n "index,energy,label" lines are formatted
-    once, in one text per distinct off-diagonal row that is built when
-    a theta1 first needs it and dropped after its last; a grid point is
-    its "theta1,theta2," prefix put before every line of its chain.
+    once, as one text per chain; a distinct off-diagonal row's texts are
+    built, from _reprs of its energies, when a theta1 first needs them
+    and dropped after its last.  A grid point is its "theta1,theta2,"
+    prefix put before every line of its chain.
     """
     n = energies.shape[-1]
     index = [str(k) for k in range(n)] * energies.shape[1]
@@ -271,22 +273,36 @@ def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
     for t1, r in zip(theta1.tolist(), row.tolist()):
         if texts[r] is None:
             lines = list(map(",".join, zip(
-                index, map(float.__repr__, energies[r].ravel().tolist()),
-                labels[r].ravel().tolist(),
+                index, _reprs(energies[r]), labels[r].ravel().tolist()
             )))
-            # Line k of the text starts at starts[k], so chain c, lines
-            # c * n onward, is text[cuts[c]:cuts[c + 1] - 1].
-            starts = np.cumsum([0, *map(len, lines)]) + np.arange(len(lines) + 1)
-            texts[r] = "\n".join(lines), starts[::n].tolist()
-        text, cuts = texts[r]
+            texts[r] = ["\n".join(lines[k : k + n]) for k in range(0, len(lines), n)]
+        chains = texts[r]
         t1 = f"{t1!r},"
         yield "".join([
-            t1 + t2 + text[cuts[c]:cuts[c + 1] - 1].replace("\n", "\n" + t1 + t2) + "\n"
+            t1 + t2 + chains[c].replace("\n", "\n" + t1 + t2) + "\n"
             for t2, c in zip(theta2, col)
         ])
         left[r] -= 1
         if not left[r]:
             texts[r] = None
+
+
+def _reprs(a: np.ndarray) -> list[str]:
+    """float.__repr__ of every value of the float64 array a, in C order.
+
+    Each distinct magnitude, told apart by its bits, is formatted once,
+    and a negative value is "-" plus its magnitude's repr: the shortest
+    round-trip digits do not depend on the sign.  -0.0 and -inf follow
+    that rule; a NaN with its sign bit set does not, as repr drops that
+    sign.
+    """
+    a = np.ravel(a)
+    mags, inverse = np.unique(
+        a.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True
+    )
+    texts = list(map(float.__repr__, mags.view(np.float64).tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[inverse + len(texts) * (np.signbit(a) & (a == a))].tolist()
 
 
 def _density_columns(chains, keep) -> list[np.ndarray]:
@@ -333,8 +349,10 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     idx = cfg["winding.weyl"]
     theta_r = cfg["winding.theta_r"]
     samples = cfg["winding.samples"]
-    theta, r = loop_reflection(weyl_points(p)[idx - 1], theta_r, samples, p)
+    node = weyl_points(p)[idx - 1]
+    theta, r = loop_reflection(node, theta_r, samples, p)
     phases = np.angle(r)
+    winding = unwrap_winding(phases).winding
     trace_path = out.write_csv(
         "winding_phases.csv", ["theta", "phase", "r_re", "r_im"],
         [theta, phases, r.real, r.imag],
@@ -343,7 +361,7 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
         "winding.json",
         {
             "weyl": f"W{idx}",
-            "winding": unwrap_winding(phases).winding,
+            "winding": winding,
             "kappa": p.kappa,
             "delta0": p.Delta0,
             "theta_r": theta_r,
@@ -351,6 +369,10 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
             "phase_trace": trace_path.name,
         },
     )
+    if winding != node.chirality:
+        return _inconsistent(
+            f"W{idx} winding {winding} contradicts its chirality {node.chirality}"
+        )
     return EXIT_OK
 
 
@@ -386,22 +408,39 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
             "oracle_theta1c_plus": None if det.oracle.empty else det.oracle.theta1c_plus,
         },
     )
-    return EXIT_INCONSISTENT if det.flagged else EXIT_OK
+    if det.flagged:
+        return _inconsistent(
+            f"arc detection disagrees with the diagonalization oracle at "
+            f"{det.disagreement_count} theta1 points"
+        )
+    return EXIT_OK
 
 
 def cmd_table1(cfg, out: _OutputSet) -> int:
     grid = _theta1_grid(cfg)
     sizes = cfg["table1.sizes"]
     theta1c = np.full(len(sizes), math.nan)
-    flagged = False
+    flagged = []  # the sizes whose detection disagrees with the oracle
     for k, sites in enumerate(sizes):
         p = _params(cfg, sites=sites)
         det = detect_arc_endpoint(math.pi / 2, grid, p)
-        flagged |= det.flagged
+        if det.flagged:
+            flagged.append(sites)
         if not det.empty:
             theta1c[k] = det.theta1c_plus
     out.write_csv("table1.csv", ["N", "theta1c"], [np.array(sizes), theta1c])
-    return EXIT_INCONSISTENT if flagged else EXIT_OK
+    if flagged:
+        return _inconsistent(
+            f"arc detection disagrees with the diagonalization oracle at sites {flagged}"
+        )
+    return EXIT_OK
+
+
+def _inconsistent(message: str) -> int:
+    """Name a result that contradicts its cross-check on stderr, in one
+    line, once its files are written."""
+    print(f"weyllab: inconsistent: {message}", file=sys.stderr)
+    return EXIT_INCONSISTENT
 
 
 def cmd_show_config(cfg, out: _OutputSet) -> int:

@@ -222,8 +222,20 @@ def symmetric_grid(half_width: float, step: float) -> np.ndarray:
 
 def detuning_grid(window: float, step: float, p: ModelParams) -> np.ndarray:
     """Symmetric drive-detuning grid over [-window, window] in steps of
-    `step`, both in units of J."""
-    return symmetric_grid(window, step) * p.J
+    `step`, both in units of J.
+
+    Raises ValueError when the grid scaled by J is not strictly
+    increasing: rounding merges its points at a subnormal J, and an
+    overflow makes them infinite.
+    """
+    with np.errstate(over="ignore"):
+        grid = symmetric_grid(window, step) * p.J
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError(
+            f"detuning grid in steps of {step:.3g} J is not strictly increasing "
+            f"at J = {p.J:.3g}: rounding merges or overflows its points"
+        )
+    return grid
 
 
 def loop_reflection(

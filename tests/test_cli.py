@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weyllab import cli, numerics, openchain, spectroscopy
 from weyllab.cli import main
@@ -258,10 +259,34 @@ class TestCommands:
         w4 = json.loads((b / "winding.json").read_text())["winding"]
         assert w1 == -w4
 
-    def test_winding_huge_damping(self, tmp_path):
+    def test_winding_huge_damping(self, tmp_path, capsys):
         # Every loop system is well conditioned at kappa = 1e200, and its
-        # inf-norm residual test squares nothing that could overflow.
-        assert main(["winding", "--out", str(tmp_path), "--set", "kappa=1e200"]) == 0
+        # inf-norm residual test squares nothing that could overflow.  The
+        # linewidth swamps the loop, so the winding reads 0, against W1's
+        # chirality -1: both files are written and the run exits 4.
+        assert main(["winding", "--out", str(tmp_path), "--set", "kappa=1e200"]) == 4
+        assert capsys.readouterr().err == (
+            "weyllab: inconsistent: W1 winding 0 contradicts its chirality -1\n"
+        )
+        assert json.loads((tmp_path / "winding.json").read_text())["winding"] == 0
+
+    def test_winding_against_chirality_is_inconsistent(self, tmp_path, capsys):
+        # A loop of radius 0.5 misses the reflection zero of a 4-resonator
+        # chain at kappa = 0.05, Delta0 = 0: winding 0 where W1 has -1.
+        # winding.json and its manifest are written as for any winding.
+        sets = ["kappa=0.05", "delta0=0", "winding.theta_r=0.5"]
+        args = ["winding", "--out", str(tmp_path)]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("weyllab: inconsistent: W1 winding 0 ") and err.count("\n") == 1
+        data = json.loads((tmp_path / "winding.json").read_text())
+        assert data["winding"] == 0 and data["theta_r"] == 0.5
+        manifest = json.loads((tmp_path / "winding_manifest.json").read_text())
+        assert [o["path"] for o in manifest["outputs"]] == [
+            "winding_phases.csv", "winding.json"
+        ]
 
     def test_reflection_at_the_bottom_of_the_range_is_the_unit_trace(self, tmp_path):
         # Energies in units of J = 1e-307: the same trace as at J = 1, with
@@ -375,6 +400,9 @@ MISUSES = [
     ("reflection", ["reflection.window=-1"]),
     ("fermi-arc", ["fermi_arc.span=-0.5"]),
     ("reflection", ["reflection.step=5e-324"]),
+    ("reflection", ["j=5e-324"]),
+    ("fermi-arc", ["j=5e-324"]),
+    ("table1", ["j=5e-324"]),
     ("reflection", ["reflection.step=1e-9"]),
     ("fermi-arc", ["fermi_arc.grid_step=1e-12"]),
     ("berry-field", ["berry_field.step=1e-170"]),
@@ -408,9 +436,38 @@ def test_overflowing_hopping_is_not_a_traceback(tmp_path, capsys, command):
     # At J = 1e200 the squares of the Bloch vector overflow; at Je = 1e200
     # or J = 1e-200 the node velocity's entries lie 1e200 apart, so a
     # product of three of them over- or underflows.  Neither decides anything.
+    # The winding loop's chains are decoupled or gapless on the drive's
+    # scale there, so it reads 0 against W1's chirality -1 and exits 4,
+    # with its files written and one line on stderr.
     for setting in ("j=1e200", "je=1e200", "j=1e-200"):
-        assert main([command, "--out", str(tmp_path), "--set", setting]) == 0, setting
-        assert capsys.readouterr().err == ""
+        out = tmp_path / setting
+        code = main([command, "--out", str(out), "--set", setting])
+        err = capsys.readouterr().err
+        if command == "weyl-points":
+            assert code == 0 and err == "", setting
+        else:
+            assert code == 4 and err.count("\n") == 1, setting
+            assert err.startswith("weyllab: inconsistent: W1 winding 0 "), setting
+            assert (out / "winding.json").exists(), setting
+
+
+@pytest.mark.parametrize("command", ["fermi-arc", "table1"])
+def test_flagged_arc_is_inconsistent(tmp_path, capsys, monkeypatch, command):
+    # A detection that disagrees with its oracle still writes its files,
+    # then exits 4 with one line on stderr.
+    detect = cli.detect_arc_endpoint
+
+    def flagged(*args):
+        return dataclasses.replace(detect(*args), flagged=True, disagreement_count=3)
+
+    monkeypatch.setattr(cli, "detect_arc_endpoint", flagged)
+    assert main([command, "--out", str(tmp_path), "--set", "table1.sizes=4"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: inconsistent: ") and err.count("\n") == 1
+    assert "disagrees with the diagonalization oracle at " in err
+    assert {"fermi-arc": "3 theta1 points", "table1": "sites [4]"}[command] in err
+    name = {"fermi-arc": "fermi_arc.json", "table1": "table1.csv"}[command]
+    assert (tmp_path / name).exists()
 
 
 # Output paths that cannot be written: (arguments, WEYLLAB_OUT), relative
@@ -603,11 +660,35 @@ def test_write_csv_repeated_cells(tmp_path, monkeypatch, block_rows):
     assert path.read_bytes() == _reference_csv(header, zip(*columns))
 
 
+_REPR_VALUES = [
+    0.0, 5e-324, 2.2e-308, 1e16, 1e-5, math.inf,
+    *np.random.default_rng(0).normal(size=40).tolist(),
+]
+
+
+def test_reprs_is_float_repr():
+    # Each value and its negation, NaN with either sign bit, and exact
+    # +/- pairs in either order and in repeats: the sign fold writes each
+    # as float.__repr__ does, "-nan" never.
+    values = np.array(_REPR_VALUES)
+    nan = np.array([np.nan])
+    minus_nan = (nan.view(np.uint64) | np.uint64(2**63)).view(np.float64)
+    assert np.signbit(minus_nan[0])
+    a = np.concatenate([values, -values, nan, minus_nan, -values[::-1], values[:7]])
+    assert cli._reprs(a) == list(map(float.__repr__, a.tolist()))
+    grid = a[: 2 * 46].reshape(4, 23)  # as the sheet passes a (C, n) row
+    assert cli._reprs(grid) == list(map(float.__repr__, grid.ravel().tolist()))
+    assert cli._reprs(np.array([])) == []
+
+
 @given(
     st.integers(2, 12).map(lambda cells: 2 * cells),
     st.integers(1, 41),
     st.floats(0.05, 3.0), st.floats(0.0, 3.0), st.floats(-3.0, 3.0),
 )
+# theta = 0 gives dimer chains (J1 = 0) with exact +/-E pairs; theta =
+# +/-pi/2 an on-site term of about 6e-17.
+@example(sites=8, grid=9, j=1.0, je=1.0, delta0=-0.1)
 @settings(max_examples=30, deadline=None)
 def test_edge_sheet_matches_per_cell_writer(sites, grid, j, je, delta0):
     # The sheet written from its distinct chains is, byte for byte, the

@@ -393,6 +393,24 @@ class TestReflectionSpectrum:
         assert symmetric_grid(0.0, 0.1).tolist() == [0.0]
         assert symmetric_grid(0.04, 0.1).tolist() == [0.0]
 
+    @pytest.mark.parametrize("j,window", [(5e-324, 1.0), (1e-322, 1.0), (1e308, 10.0)])
+    def test_detuning_grid_refuses_merged_points(self, j, window):
+        # k * 0.01 * J rounds to repeated subnormals at a tiny J and to
+        # infinities at a huge one; a one-point grid has no steps to merge.
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            detuning_grid(window, DELTA0_STEP, chain(4, J=j))
+        assert detuning_grid(0.0, DELTA0_STEP, chain(4, J=j)).tolist() == [0.0]
+
+    def test_arc_detection_refuses_merged_fit_grid(self):
+        # The fit grid is refused before any chain is solved.
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            detect_arc_endpoint(np.pi / 2, [0.0], chain(4, J=5e-324))
+
+    def test_detuning_grid_keeps_subnormal_steps(self):
+        # Steps of 1e-309 are subnormal but distinct: the grid stands.
+        grid = detuning_grid(1.0, DELTA0_STEP, chain(4, J=1e-307))
+        assert grid.size == 201 and (np.diff(grid) > 0).all()
+
 
 class TestWindingMeasurement:
     def test_opposite_charges_resolved(self):
