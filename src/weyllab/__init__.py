@@ -25,7 +25,6 @@ from .numerics import (
     unwrap_winding,
 )
 from .openchain import (
-    ArcInterval,
     density_profile,
     diagonalize_chain,
     edge_spectrum,

@@ -27,7 +27,7 @@ from . import __version__
 from .config import ConfigError, load_config, format_config
 from .model import ModelParams, bulk_band_sheet, weyl_points
 from .numerics import NumericsError, reduce_angle, unwrap_winding
-from .openchain import _distinct_edge_spectrum, density_profile, diagonalize_chain
+from .openchain import density_profile, diagonalize_chain, edge_spectrum
 from .spectroscopy import (
     DELTA0_STEP,
     FIT_WINDOW,
@@ -235,7 +235,7 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
 def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
     grid = _angle_grid(cfg["edge_spectrum.grid"])
-    sheet = _distinct_edge_spectrum(grid, grid, p)
+    sheet = edge_spectrum(grid, grid, p)
     out._write("edge_spectrum.csv", _edge_sheet_chunks(grid, grid, *sheet))
     if cfg["edge_spectrum.densities"]:
         chains = diagonalize_chain(grid, math.pi / 2, p)
@@ -251,7 +251,7 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
 
 
 def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
-    """Text of edge_spectrum.csv from _distinct_edge_spectrum's sheet on
+    """Text of edge_spectrum.csv from edge_spectrum's distinct chains on
     the float grids theta1 and theta2: the header, then one chunk per
     theta1, rows running theta1, then theta2, then the index fastest, as
     write_csv would write the scattered sheet's five columns, byte for
@@ -387,10 +387,11 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
     grid = _theta1_grid(cfg)
     det = detect_arc_endpoint(math.pi / 2, grid, p)
+    edge, oracle = det.theta1c, det.oracle_theta1c
+    empty = math.isnan(edge)
     dgrid = detuning_grid(cfg["fermi_arc.window"], DELTA0_STEP, p)
     probe = [0.0]
-    if not det.empty:
-        edge = det.theta1c_plus
+    if not empty:
         probe = [0.0, 0.5 * edge, -0.5 * edge, edge + 0.1 * math.pi, -edge - 0.1 * math.pi]
     spectra = np.abs(reflections(probe, math.pi / 2, dgrid, p)) ** 2
     out.write_csv(
@@ -401,17 +402,17 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
         "fermi_arc.json",
         {
             "sites": p.sites,
-            "theta1c_minus": None if det.empty else det.theta1c_minus,
-            "theta1c_plus": None if det.empty else det.theta1c_plus,
-            "empty": det.empty,
+            "theta1c_minus": None if empty else -edge,
+            "theta1c_plus": None if empty else edge,
+            "empty": empty,
             "flagged": det.flagged,
-            "oracle_theta1c_plus": None if det.oracle.empty else det.oracle.theta1c_plus,
+            "oracle_theta1c_plus": None if math.isnan(oracle) else oracle,
         },
     )
     if det.flagged:
         return _inconsistent(
             f"arc detection disagrees with the diagonalization oracle at "
-            f"{det.disagreement_count} theta1 points"
+            f"{det.disagreements} theta1 points"
         )
     return EXIT_OK
 
@@ -419,15 +420,9 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
 def cmd_table1(cfg, out: _OutputSet) -> int:
     grid = _theta1_grid(cfg)
     sizes = cfg["table1.sizes"]
-    theta1c = np.full(len(sizes), math.nan)
-    flagged = []  # the sizes whose detection disagrees with the oracle
-    for k, sites in enumerate(sizes):
-        p = _params(cfg, sites=sites)
-        det = detect_arc_endpoint(math.pi / 2, grid, p)
-        if det.flagged:
-            flagged.append(sites)
-        if not det.empty:
-            theta1c[k] = det.theta1c_plus
+    dets = [detect_arc_endpoint(math.pi / 2, grid, _params(cfg, sites=s)) for s in sizes]
+    theta1c = np.array([det.theta1c for det in dets], dtype=float)
+    flagged = [s for s, det in zip(sizes, dets) if det.flagged]  # disagree with the oracle
     out.write_csv("table1.csv", ["N", "theta1c"], [np.array(sizes), theta1c])
     if flagged:
         return _inconsistent(

@@ -171,9 +171,11 @@ def linearize(w: SyntheticMomentum, p: ModelParams) -> WeylPoint:
     """Linearized node at w: velocity v_ij = d h_j / d q_i and chirality.
 
     The derivatives are exact partials of the Bloch vector; w must be a
-    band-touching point.
+    band-touching point with a finite Bloch vector.
     """
     h = math.hypot(*map(float, bloch_vectors(w.kx, w.theta1, w.theta2, p)))
+    if not math.isfinite(h):
+        raise ValueError(f"non-finite Bloch vector at {w}: 2 J overflows at J = {p.J!r}")
     if h > 1e-9 * max(p.J, p.Je):
         raise ValueError(f"momentum {w} is not a band-touching point")
     skx, ckx = math.sin(w.kx), math.cos(w.kx)

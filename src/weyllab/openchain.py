@@ -1,9 +1,9 @@
 """Open-boundary diagonalization of the resonator chain.
 
-Edge-state sheets over the (theta1, theta2) surface zone, per-state
-localization labels, site-density profiles, and the diagonalization
-oracle for the zero-energy arc interval that the spectroscopy layer
-must reproduce.
+Edge-state sheets over the (theta1, theta2) surface zone, in their
+distinct chains, per-state localization labels, site-density profiles,
+and the diagonalization oracle for the zero-energy arc endpoint that
+the spectroscopy layer must reproduce.
 
 At theta2 = +/-pi/2 the chain is mirror symmetric, so near-zero
 eigenvectors come out of the solver as even/odd combinations with
@@ -18,15 +18,12 @@ rule (_labels) labels a single vector, one chain, or a whole sheet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ModelParams, chain_bands
 from .numerics import eigh_bands
 
 __all__ = [
-    "ArcInterval",
     "edge_spectrum",
     "density_profile",
     "arc_membership",
@@ -46,19 +43,6 @@ END_ROWS = [0, 1, -2, -1]
 # Label of code 0, 1, 2 in _labels; shared str objects, so a label array
 # costs one reference per state.
 LABEL_NAMES = np.array(["Bulk", "Left", "Right"], dtype=object)
-
-
-@dataclass(frozen=True)
-class ArcInterval:
-    """Symmetric zero-mode interval (theta1c_minus, theta1c_plus).
-
-    empty is True when no grid point carries a qualifying state; the
-    endpoints are then meaningless.
-    """
-
-    theta1c_minus: float
-    theta1c_plus: float
-    empty: bool = False
 
 
 def _end_weights(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,19 +142,21 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], inverse
 
 
-def _distinct_edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
-    """The edge sheet of edge_spectrum in its distinct chains.
+def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
+    """Open-chain spectrum with localization labels over a surface grid,
+    in its distinct chains.
 
     Returns (energies, labels, row, col): energies and labels of shape
     (R, C, n), one entry per distinct off-diagonal row (R of them) times
     distinct diagonal row (C), and the index arrays row (T1,) and col
-    (T2,) that map each grid angle to its distinct row, so that
-    energies[np.ix_(row, col)] is the (T1, T2, n) sheet.  A chain depends
-    on its angles only through their cosines, so chain_bands' rows
-    repeat; each distinct chain is solved once and only the four
-    END_ROWS of its vectors are kept.  One stacked solve per distinct
-    diagonal row takes every distinct off-diagonal row, so a single
-    theta2 is one eigh_bands call.
+    (T2,) that map each grid angle to its distinct row.  Scattered
+    through np.ix_(row, col), entry [i, j] is the ascending spectrum of
+    diagonalize_chain at (theta1_grid[i], theta2_grid[j]) and its labels,
+    bit for bit.  A chain depends on its angles only through their
+    cosines, so chain_bands' rows repeat; each distinct chain is solved
+    once and only the four END_ROWS of its vectors are kept.  One stacked
+    solve per distinct diagonal row takes every distinct off-diagonal
+    row, so a single theta2 is one eigh_bands call.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
@@ -185,41 +171,29 @@ def _distinct_edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     return energies, _labels(ends), row, col
 
 
-def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
-    """Open-chain spectrum with localization labels over a surface grid.
-
-    Returns (energies, labels), both of shape (T1, T2, n): entry [i, j]
-    is the ascending spectrum of diagonalize_chain at (theta1_grid[i],
-    theta2_grid[j]) and its labels, bit for bit, so theta2 runs fastest
-    in C order.  It is _distinct_edge_spectrum's sheet scattered through
-    np.ix_(row, col), so each distinct chain is solved once.
-    """
-    energies, labels, row, col = _distinct_edge_spectrum(theta1_grid, theta2_grid, p)
-    every = np.ix_(row, col)
-    return energies[every], labels[every]
-
-
-def arc_membership(
-    theta2: float, theta1_grid, ztol: float, p: ModelParams
-) -> np.ndarray:
+def arc_membership(theta2: float, theta1_grid, p: ModelParams) -> np.ndarray:
     """Per-grid-point arc membership from direct diagonalization.
 
     True where some state of the edge_spectrum sheet at (theta1, theta2)
-    has |E| < ztol * J and is labeled Left or Right.  A single-cell chain
-    has no distinct end cells, so no point of it is a member.
+    has |E| < ZTOL_DEFAULT * J and is labeled Left or Right.  Each
+    distinct chain is reduced to its verdict, which row scatters to every
+    grid point of that chain.  A single-cell chain has no distinct end
+    cells, so no point of it is a member.
     """
     grid = np.asarray(theta1_grid, dtype=float)
     if p.N < 2:
         return np.zeros(grid.shape, dtype=bool)
-    energies, labels = edge_spectrum(grid, [theta2], p)
-    return ((np.abs(energies) < ztol * p.J) & (labels != "Bulk")).any(axis=-1)[:, 0]
+    energies, labels, row, col = edge_spectrum(grid, [theta2], p)
+    inside = ((np.abs(energies) < ZTOL_DEFAULT * p.J) & (labels != "Bulk")).any(axis=-1)
+    return inside[row, col[0]]
 
 
-def max_symmetric_interval(theta1_grid, ok) -> ArcInterval:
-    """Largest interval [-t, t] whose grid points all satisfy `ok`.
+def max_symmetric_interval(theta1_grid, ok) -> float:
+    """Endpoint t of the largest interval [-t, t] whose grid points all
+    satisfy `ok`, at grid resolution.
 
-    Endpoints are reported at grid resolution; an all-false grid (or a
-    disqualified center) gives an empty-arc result.
+    An all-false grid (or a disqualified center) has no arc and gives
+    NaN.
     """
     grid = np.asarray(theta1_grid, dtype=float)
     order = np.argsort(grid)
@@ -233,8 +207,4 @@ def max_symmetric_interval(theta1_grid, ok) -> ArcInterval:
     mirror = grid[np.stack([np.maximum(i - 1, 0), np.minimum(i, grid.size - 1)])]
     good = (np.abs(mirror + t) < eps).any(axis=0)
     good &= t + eps < np.abs(grid[~ok]).min(initial=np.inf)
-    if not good.any():
-        return ArcInterval(np.nan, np.nan, empty=True)
-    best = float(t[good][-1])
-    return ArcInterval(-best, best)
-
+    return float(t[good][-1]) if good.any() else np.nan

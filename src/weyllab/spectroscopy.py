@@ -15,7 +15,8 @@ a winding loop its one column over the loop's chains.
 
 Arc detection solves each distinct chain of its theta1 grid once, only
 on the fit window |Delta0| <= FIT_WINDOW J, and fits all those traces
-at once, scattering each verdict back to every grid point of its chain.
+at once, scattering each verdict back to every grid point of its chain;
+it reports an arc [-t, t], and its oracle's, by the float t, NaN for none.
 The resonance-pair model is linear except in u = e^2, the squared pair
 energy, so its linear weights are projected out (variable projection).
 The u-independent background is projected out of every trace once; each
@@ -37,7 +38,6 @@ from .numerics import NumericsError, solve_shifted
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
-    ArcInterval,
     _distinct_rows,
     arc_membership,
     max_symmetric_interval,
@@ -70,18 +70,18 @@ NEWTON_STEPS = 2
 
 @dataclass(frozen=True)
 class ArcDetection:
-    """Spectroscopic arc endpoints with the diagonalization cross-check.
+    """Spectroscopic arc endpoint with the diagonalization cross-check.
 
-    flagged is True when the reflection-based classification disagrees
-    with the oracle beyond single boundary-adjacent grid points.
+    theta1c and oracle_theta1c end the arcs [-t, t] that the reflection
+    spectra and the oracle read, NaN for no arc.  disagreements counts
+    the grid points the two classify differently; flagged is True when
+    they differ beyond single boundary-adjacent grid points.
     """
 
-    theta1c_minus: float
-    theta1c_plus: float
-    empty: bool
+    theta1c: float
+    oracle_theta1c: float
     flagged: bool
-    oracle: ArcInterval
-    disagreement_count: int
+    disagreements: int
 
 
 def left_drive(p: ModelParams, amplitude: complex = 1.0) -> np.ndarray:
@@ -362,7 +362,7 @@ def _fit_zero_pairs(
 
 
 def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetection:
-    """Arc endpoints from reflection spectra, cross-checked against the
+    """Arc endpoint from reflection spectra, cross-checked against the
     diagonalization oracle.
 
     For each theta1 the complex reflection is solved only on the fit
@@ -370,7 +370,7 @@ def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetect
     all traces reduces them to the near-zero resonance energy and port
     weight; the point is inside the arc when the energy is below
     ZTOL_DEFAULT J and the weight exceeds the edge-label threshold.
-    Endpoints are the maximal symmetric interval of inside points.
+    theta1c ends the maximal symmetric interval of inside points.
     Disagreement with the oracle beyond single boundary-adjacent grid
     points flags the result as inconsistent.
     """
@@ -391,22 +391,15 @@ def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetect
         e_hat, weight = _fit_zero_pairs(dfit, (r - 1.0) / (1j * p.kappa), p)
         inside = ((e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN))[inverse]
 
-    measured = max_symmetric_interval(grid, inside)
-    oracle_ok = arc_membership(theta2, grid, ZTOL_DEFAULT, p)
-    oracle = max_symmetric_interval(grid, oracle_ok)
+    theta1c = max_symmetric_interval(grid, inside)
+    oracle_ok = arc_membership(theta2, grid, p)
+    oracle_theta1c = max_symmetric_interval(grid, oracle_ok)
 
     mism = grid[inside != oracle_ok]
     step = np.min(np.diff(grid)) if grid.size > 1 else 1.0
     # Flagged unless each mismatch is within 1.5 steps of an endpoint (an
     # empty interval's NaN one is near nothing), at most one per side of 0.
-    bounds = [abs(measured.theta1c_plus), abs(oracle.theta1c_plus)]
+    bounds = [abs(theta1c), abs(oracle_theta1c)]
     near = (np.abs(np.abs(mism)[:, None] - bounds) <= 1.5 * step).any(axis=1)
     flagged = not near.all() or max(np.sum(mism >= 0), np.sum(mism < 0)) > 1
-    return ArcDetection(
-        measured.theta1c_minus,
-        measured.theta1c_plus,
-        measured.empty,
-        bool(flagged),
-        oracle,
-        mism.size,
-    )
+    return ArcDetection(theta1c, oracle_theta1c, bool(flagged), mism.size)

@@ -61,7 +61,6 @@ class DegenerateGroundStateError(NumericsError):
 class ChernResult:
     value: int
     raw: float
-    mesh: int
 
 
 def berry_curvature_weyl(q, charge: int) -> np.ndarray:
@@ -121,13 +120,15 @@ def berry_curvature_numeric(q, plane: tuple[int, int], step: float, p: ModelPara
     the component is the one completing the right-handed axis triple.
     Matmul overlaps, hypot moduli and a real-arithmetic loop product keep
     each value bit for bit that of a scalar vdot/abs/complex loop.  The
-    points are evaluated BLOCK_POINTS at a time.
+    points are evaluated BLOCK_POINTS at a time.  A step outside (0, pi),
+    or one that vanishes in floating point, raises ValueError.
     """
     i, j = plane
     if i == j or not {i, j} <= {0, 1, 2}:
         raise ValueError("plane must be a pair of distinct axes from {0, 1, 2}")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    # Before step**2 overflows (from 1.3e154); a side >= pi spans half a period.
+    if not 0 < step < np.pi:
+        raise ValueError(f"step must be positive and below pi, got {step!r}")
     q = np.asarray(q, dtype=float)
     # A step whose square underflows, or lost against a point, spans no area.
     if step**2 < sys.float_info.min or np.any(q[..., [i, j]] + step == q[..., [i, j]]):
@@ -207,7 +208,7 @@ def chern_sphere(
             f"degree {raw:.4f} not within {ROUNDING_TOL} of an integer; "
             "refine the mesh or shrink the sphere"
         )
-    return ChernResult(value, raw, mesh)
+    return ChernResult(value, raw)
 
 
 def chern_mapped_torus(
@@ -262,4 +263,4 @@ def chern_mapped_torus(
         raise NonConvergedChernError(
             f"half-degree {raw / 2.0:.4f} not within {ROUNDING_TOL} of an integer"
         )
-    return ChernResult(value, raw, grid)
+    return ChernResult(value, raw)

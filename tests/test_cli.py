@@ -306,9 +306,22 @@ class TestCommands:
         out = tmp_path / "run"
         assert main(["fermi-arc", "--out", str(out)]) == 0
         data = json.loads((out / "fermi_arc.json").read_text())
-        assert data["flagged"] is False
+        assert data["flagged"] is False and data["empty"] is False
         assert data["theta1c_plus"] / math.pi == pytest.approx(0.20, abs=1e-9)
+        # One endpoint float, written with both signs.
+        minus, plus = data["theta1c_minus"], data["theta1c_plus"]
+        assert np.float64(minus).tobytes() == (-np.float64(plus)).tobytes()
         assert (out / "fermi_arc_spectra.csv").exists()
+
+    def test_fermi_arc_single_cell_is_empty(self, tmp_path):
+        # Two sites are one cell, with no distinct ends: no arc on either
+        # side, so the two agree and nothing is flagged.
+        out = tmp_path / "run"
+        assert main(["fermi-arc", "--out", str(out), "--set", "sites=2"]) == 0
+        data = json.loads((out / "fermi_arc.json").read_text())
+        assert data["empty"] is True and data["flagged"] is False
+        assert data["theta1c_minus"] is None and data["theta1c_plus"] is None
+        assert data["oracle_theta1c_plus"] is None
 
     @pytest.mark.parametrize("sites", [4, 12, 36])
     @pytest.mark.parametrize(
@@ -409,6 +422,8 @@ MISUSES = [
     ("berry-field", ["berry_field.step=1e-160"]),
     ("berry-field", ["berry_field.step=-1", "berry_field.exclude=100"]),
     ("berry-field", ["berry_field.step=1e-170", "berry_field.exclude=100"]),
+    ("berry-field", ["berry_field.step=1e200"]),
+    ("berry-field", ["berry_field.step=4"]),
     ("edge-spectrum", ["edge_spectrum.densities=7"]),
     ("berry-field", ["berry_field.exclude=-1"]),
     ("edge-spectrum", ["j=1e308"]),
@@ -428,6 +443,18 @@ def test_misuse_is_usage_error(tmp_path, capsys, command, sets):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("weyllab: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["weyl-points", "winding", "chern", "berry-field"])
+def test_hopping_overflowing_at_the_nodes_is_named(tmp_path, capsys, command):
+    # At J = 1e308, 2 J overflows, so the Bloch vector at every node is
+    # infinite: the error names that, not a node that is not one.
+    assert main([command, "--out", str(tmp_path / "run"), "--set", "j=1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("weyllab: usage error: non-finite Bloch vector at ")
+    assert "2 J overflows at J = 1e+308" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -458,7 +485,7 @@ def test_flagged_arc_is_inconsistent(tmp_path, capsys, monkeypatch, command):
     detect = cli.detect_arc_endpoint
 
     def flagged(*args):
-        return dataclasses.replace(detect(*args), flagged=True, disagreement_count=3)
+        return dataclasses.replace(detect(*args), flagged=True, disagreements=3)
 
     monkeypatch.setattr(cli, "detect_arc_endpoint", flagged)
     assert main([command, "--out", str(tmp_path), "--set", "table1.sizes=4"]) == 4
@@ -703,7 +730,8 @@ def test_edge_sheet_matches_per_cell_writer(sites, grid, j, je, delta0):
         written = (Path(out) / "edge_spectrum.csv").read_bytes()
     thetas = np.linspace(-math.pi, math.pi, grid)
     p = ModelParams(J=j, Je=je, Delta0=delta0, N=sites // 2)
-    energies, labels = openchain.edge_spectrum(thetas, thetas, p)
+    energies, labels, row, col = openchain.edge_spectrum(thetas, thetas, p)
+    energies, labels = energies[np.ix_(row, col)], labels[np.ix_(row, col)]
     rows = (
         (thetas[a], thetas[b], k, energies[a, b, k], labels[a, b, k])
         for a in range(grid) for b in range(grid) for k in range(sites)

@@ -13,8 +13,6 @@ from weyllab.openchain import (
     END_ROWS,
     PAIR_WINDOW,
     ZTOL_DEFAULT,
-    ArcInterval,
-    _distinct_edge_spectrum,
     _distinct_rows,
     _eigensystems,
     _end_weights,
@@ -36,12 +34,18 @@ TABLE1_REPORTED = {4: 0.20, 6: 0.30, 8: 0.35, 12: 0.40, 20: 0.45, 36: 0.48}
 TABLE1_ORACLE = {4: 0.20, 6: 0.28, 8: 0.34, 12: 0.39, 20: 0.44, 36: 0.47}
 
 
-def arc_oracle(p: ModelParams) -> ArcInterval:
-    """The diagonalization oracle's arc on ARC_GRID at theta2 = pi/2, as
-    detect_arc_endpoint reports it in .oracle."""
-    return max_symmetric_interval(
-        ARC_GRID, arc_membership(np.pi / 2, ARC_GRID, ZTOL_DEFAULT, p)
-    )
+def arc_oracle(p: ModelParams) -> float:
+    """The diagonalization oracle's arc endpoint on ARC_GRID at theta2 =
+    pi/2, as detect_arc_endpoint reports it in .oracle_theta1c."""
+    return max_symmetric_interval(ARC_GRID, arc_membership(np.pi / 2, ARC_GRID, p))
+
+
+def scattered_sheet(theta1s, theta2s, p: ModelParams):
+    """edge_spectrum's (T1, T2, n) energies and labels: its distinct
+    chains scattered through np.ix_(row, col)."""
+    energies, labels, row, col = edge_spectrum(theta1s, theta2s, p)
+    every = np.ix_(row, col)
+    return energies[every], labels[every]
 
 
 def chain(sites: int, **kw) -> ModelParams:
@@ -190,7 +194,7 @@ class TestEdgeSpectrum:
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_grid_ordering(self):
-        energies, labels = edge_spectrum([0.0, 0.3], [0.1, 0.2], chain(8))
+        energies, labels = scattered_sheet([0.0, 0.3], [0.1, 0.2], chain(8))
         assert energies.shape == labels.shape == (2, 2, 8)
         # C order runs theta2 fastest: flat point k is the k-th pair below.
         points = [(0.0, 0.1), (0.0, 0.2), (0.3, 0.1), (0.3, 0.2)]
@@ -214,7 +218,7 @@ class TestEdgeSpectrum:
         # Includes the mirror-symmetric rows theta2 = +/-pi/2, where the
         # +/-E pairs are rotated and end-cell weights tie to the last bit.
         p = chain(2 * cells)
-        energies, labels = edge_spectrum(theta1s, theta2s, p)
+        energies, labels = scattered_sheet(theta1s, theta2s, p)
         for i, theta1 in enumerate(theta1s):
             for j, theta2 in enumerate(theta2s):
                 vals, _, want = diagonalize_chain(theta1, theta2, p)
@@ -223,7 +227,7 @@ class TestEdgeSpectrum:
 
     def test_sheet_on_the_cli_grid(self):
         grid = np.linspace(-np.pi, np.pi, 21)
-        energies, labels = edge_spectrum(grid, grid, chain(10))
+        energies, labels = scattered_sheet(grid, grid, chain(10))
         for i, j in np.ndindex(grid.size, grid.size):
             vals, _, want = diagonalize_chain(float(grid[i]), float(grid[j]), chain(10))
             assert energies[i, j].tobytes() == vals.tobytes()
@@ -309,7 +313,7 @@ class TestEdgeSpectrum:
             return solve(d, e, z)
 
         monkeypatch.setattr(numerics, "dstev", counted)
-        energies, _ = edge_spectrum(theta1s, theta2s, p)
+        energies, _ = scattered_sheet(theta1s, theta2s, p)
         diags, offs = chain_bands(theta1s, theta2s, p)
         distinct_diags = {row.tobytes() for row in diags}
         distinct_offs = {row.tobytes() for row in offs}
@@ -323,7 +327,7 @@ class TestEdgeSpectrum:
 
     def test_grid81_sheet_has_55_by_55_distinct_chains(self):
         grid = np.linspace(-np.pi, np.pi, 81)
-        energies, labels, row, col = _distinct_edge_spectrum(grid, grid, chain(6))
+        energies, labels, row, col = edge_spectrum(grid, grid, chain(6))
         assert energies.shape == labels.shape == (55, 55, 6)
         assert row.shape == col.shape == (81,)
 
@@ -334,11 +338,14 @@ class TestEdgeSpectrum:
     )
     @settings(max_examples=40)
     def test_sheet_is_the_distinct_form_scattered(self, cells, theta1s, theta2s):
-        # Mirrored angles repeat chains, so the distinct form is smaller.
+        # Mirrored angles repeat chains, so the distinct form is smaller;
+        # scattered, it is the stacked solve of every grid point.
         theta1s, theta2s = theta1s + [-t for t in theta1s], theta2s + [-t for t in theta2s]
         p = chain(2 * cells)
-        energies, labels = edge_spectrum(theta1s, theta2s, p)
-        distinct, distinct_labels, row, col = _distinct_edge_spectrum(theta1s, theta2s, p)
+        distinct, distinct_labels, row, col = edge_spectrum(theta1s, theta2s, p)
+        energies, _, labels = diagonalize_chain(
+            np.array(theta1s)[:, None], np.array(theta2s)[None, :], p
+        )
         every = np.ix_(row, col)
         assert energies.tobytes() == distinct[every].tobytes()
         assert labels.tolist() == distinct_labels[every].tolist()
@@ -352,7 +359,7 @@ class TestEdgeSpectrum:
         # linspace(-pi, pi) is not exactly symmetric, but wherever the
         # mirror points' cosines agree bit for bit their chains are one.
         grid = np.linspace(-np.pi, np.pi, points)
-        energies, labels = edge_spectrum(grid, grid, chain(6))
+        energies, labels = scattered_sheet(grid, grid, chain(6))
         cos = [math.cos(t) for t in grid]
         mirror = [k for k in range(points) if cos[k] == cos[-1 - k]]
         assert len(mirror) > points // 2
@@ -405,13 +412,14 @@ class TestArcIntervalOracle:
     @pytest.mark.parametrize("sites", sorted(TABLE1_REPORTED))
     def test_table_endpoints(self, sites):
         arc = arc_oracle(chain(sites))
-        got = arc.theta1c_plus / np.pi
+        got = arc / np.pi
         assert got == pytest.approx(TABLE1_ORACLE[sites], abs=1e-9)
         assert abs(got - TABLE1_REPORTED[sites]) <= 0.02 + 1e-9
-        assert arc.theta1c_minus == pytest.approx(-arc.theta1c_plus)
+        # The arc's other end, -arc, is a grid point too.
+        assert np.abs(ARC_GRID + arc).min() < 1e-9
 
     def test_endpoints_nondecreasing_in_size(self):
-        ends = [arc_oracle(chain(s)).theta1c_plus for s in sorted(TABLE1_REPORTED)]
+        ends = [arc_oracle(chain(s)) for s in sorted(TABLE1_REPORTED)]
         assert all(b >= a - 1e-12 for a, b in zip(ends, ends[1:]))
 
     def test_splitting_decays_with_size(self):
@@ -427,7 +435,7 @@ class TestArcIntervalOracle:
     def test_trivial_chain_is_empty(self):
         # A single cell has no distinct end cells, so nothing is ever
         # labeled Left or Right.
-        assert arc_oracle(ModelParams(N=1)).empty
+        assert math.isnan(arc_oracle(ModelParams(N=1)))
 
 
 def _ssh_edge_energy(v: float, w: float, cells: int) -> float:
@@ -461,7 +469,7 @@ class TestSSHClosedForm:
         # w = J(1 + cos theta1).  Where the edge pair exists, it is the
         # sheet's smallest |E|.
         p = ModelParams(N=cells, J=1.0)
-        energies, _ = edge_spectrum(ARC_GRID, [np.pi / 2], p)
+        energies, _ = scattered_sheet(ARC_GRID, [np.pi / 2], p)
         smallest = np.abs(energies[:, 0]).min(axis=-1)
         checked = 0
         for theta1, got in zip(ARC_GRID, smallest):
@@ -497,15 +505,12 @@ class TestTable1ThreeLegs:
         # diagonalization oracle and the closed form pick the same points.
         p = chain(sites)
         det = detect_arc_endpoint(np.pi / 2, ARC_GRID, p)
-        assert not det.flagged and det.disagreement_count == 0
+        assert not det.flagged and det.disagreements == 0
         closed = [_closed_form_inside(t, p) for t in ARC_GRID]
-        assert arc_membership(np.pi / 2, ARC_GRID, ZTOL_DEFAULT, p).tolist() == closed
+        assert arc_membership(np.pi / 2, ARC_GRID, p).tolist() == closed
         ends = max_symmetric_interval(ARC_GRID, closed)
-        assert not ends.empty
-        for arc in (det, det.oracle):
-            assert (arc.theta1c_minus, arc.theta1c_plus) == (
-                ends.theta1c_minus, ends.theta1c_plus
-            )
+        assert not math.isnan(ends)
+        assert (det.theta1c, det.oracle_theta1c) == (ends, ends)
 
 
     def test_table1_csv_is_the_closed_form_endpoint(self, tmp_path):
@@ -521,25 +526,25 @@ class TestTable1ThreeLegs:
         for sites, line in zip(sizes, lines[1:], strict=True):
             p = chain(sites)
             ends = max_symmetric_interval(grid, [_closed_form_inside(t, p) for t in grid])
-            assert not ends.empty
-            assert line == f"{sites},{ends.theta1c_plus!r}"
+            assert not math.isnan(ends)
+            assert line == f"{sites},{ends!r}"
 
 
 class TestMaxSymmetricInterval:
     def test_simple(self):
         grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         res = max_symmetric_interval(grid, [False, True, True, True, False])
-        assert (res.theta1c_minus, res.theta1c_plus) == (-1.0, 1.0)
+        assert res == 1.0
 
     def test_hole_at_center(self):
         grid = np.array([-1.0, 0.0, 1.0])
         res = max_symmetric_interval(grid, [True, False, True])
-        assert res.empty
+        assert math.isnan(res)
 
     def test_all_false(self):
         res = max_symmetric_interval(np.array([-1.0, 0.0, 1.0]), [False] * 3)
-        assert isinstance(res, ArcInterval)
-        assert res.empty
+        assert isinstance(res, float)
+        assert math.isnan(res)
 
     @given(
         st.lists(
@@ -565,8 +570,8 @@ class TestMaxSymmetricInterval:
             if np.any(np.abs(g + t) < eps) and flags[np.abs(g) <= t + eps].all():
                 best = float(t)
         res = max_symmetric_interval(grid, ok)
+        assert isinstance(res, float)
         if best is None:
-            assert res.empty and np.isnan(res.theta1c_plus)
+            assert math.isnan(res)
         else:
-            assert not res.empty
-            assert (res.theta1c_minus, res.theta1c_plus) == (-best, best)
+            assert res == best

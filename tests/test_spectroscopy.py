@@ -472,7 +472,7 @@ SCALE_GRID = np.arange(-25, 26) * 0.02 * np.pi
 @pytest.fixture(scope="module")
 def unit_scale_arc():
     det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, chain(4))
-    assert not det.flagged and not det.empty
+    assert not det.flagged and not np.isnan(det.theta1c)
     return det
 
 
@@ -484,16 +484,15 @@ class TestDetectArcEndpoint:
         grid = np.arange(-50, 51) * 0.01 * np.pi
         det = detect_arc_endpoint(np.pi / 2, grid, chain(sites))
         assert not det.flagged
-        got = det.theta1c_plus / np.pi
+        got = det.theta1c / np.pi
         assert abs(got - reported) <= 0.02 + 1e-9
 
     def test_agrees_with_oracle(self):
         grid = np.arange(-50, 51) * 0.01 * np.pi
         for sites in (4, 12):
             det = detect_arc_endpoint(np.pi / 2, grid, chain(sites))
-            assert det.disagreement_count == 0
-            assert det.theta1c_plus == pytest.approx(det.oracle.theta1c_plus)
-            assert det.theta1c_minus == pytest.approx(det.oracle.theta1c_minus)
+            assert det.disagreements == 0
+            assert det.theta1c == pytest.approx(det.oracle_theta1c)
 
     @pytest.mark.parametrize("j", [1e-300, 0.1, 0.5, 2.0, 10.0, 100.0, 1e200])
     def test_endpoints_invariant_under_energy_scale(self, unit_scale_arc, j):
@@ -504,10 +503,7 @@ class TestDetectArcEndpoint:
         det = detect_arc_endpoint(np.pi / 2, SCALE_GRID, scaled)
         assert not det.flagged
         ref = unit_scale_arc
-        assert (det.theta1c_minus, det.theta1c_plus) == (
-            ref.theta1c_minus,
-            ref.theta1c_plus,
-        )
+        assert det.theta1c == ref.theta1c
 
     def test_requires_damping(self):
         with pytest.raises(ValueError):
@@ -691,5 +687,5 @@ class TestBatchedPairFit:
         grid = np.arange(-25, 26) * 0.02 * np.pi
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
             det = detect_arc_endpoint(np.pi / 2, grid, p=chain(12))
-        assert not det.empty and not det.flagged
+        assert not np.isnan(det.theta1c) and not det.flagged
         assert svd.call_count == 0
