@@ -1,11 +1,14 @@
 """Numerical kernels.
 
-Symmetric tridiagonal eigensolver and shifted complex solves (T + z) x = b,
-both on broadcastable stacks of a chain's two bands, angle reduction,
-phase-loop winding extraction, and signed spherical solid angles.
-Everything here is a pure function of its inputs.  The shifted solve
-factors the dense T + z, but checks each system's residual and
-conditioning from the bands, in their inf-norm.
+Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b
+and the corner resolvent [(T + z)^-1]_00, all on broadcastable stacks of
+a chain's two bands, angle reduction, phase-loop winding extraction, and
+signed spherical solid angles.  Everything here is a pure function of
+its inputs.  The shifted solve factors the dense T + z; the corner
+resolvent is a continued fraction, O(n) per system.  Both refuse a
+system by one conditioning rule, _condition, read from the bands in
+their inf-norm, and both divide a system by a power of two, which is
+exact, where its entries would leave the float range.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
 ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
@@ -30,6 +33,7 @@ __all__ = [
     "UndersampledLoopError",
     "WindingResult",
     "eigh_bands",
+    "corner_resolvent",
     "reduce_angle",
     "solve_shifted",
     "unwrap_winding",
@@ -39,6 +43,8 @@ __all__ = [
 EIG_TOL = 1e-10
 # Solve residual bound, relative to ||A|| ||x|| + ||b||.
 SOLVE_TOL = 1e-10
+# Largest condition number of T + z that a resolvent accepts.
+COND_MAX = 1e14
 # Any principal-value phase step at or beyond this magnitude is
 # considered undersampled; winding cannot be trusted past pi.
 PHASE_STEP_LIMIT = np.pi - 0.1
@@ -196,6 +202,56 @@ def _ldexp(c: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _largest_part(c: np.ndarray) -> np.ndarray:
+    """Largest magnitude of a real or imaginary part along the last axis."""
+    return np.maximum(np.abs(c.real), np.abs(c.imag)).max(axis=-1, initial=0.0)
+
+
+def _shifted_system(diags, offs, z):
+    """Bands d (..., n) and e (..., n - 1) and shifts z (...) of the
+    systems T + z, which broadcast, as float, float and complex arrays.
+    Adding 0.0 turns each -0.0 of the bands into 0.0, so that each entry
+    of a dense T + z built from them is the one of z I + T for the dense
+    T with every zero 0.0.  Complex or mis-shaped bands, or non-finite
+    input: ValueError."""
+    d, e, z = np.asarray(diags), np.asarray(offs), np.asarray(z, dtype=complex)
+    if d.dtype.kind == "c" or e.dtype.kind == "c" or d.ndim < 1 or e.ndim < 1:
+        raise ValueError(f"need real bands, got {d.dtype} {d.shape} and {e.dtype} {e.shape}")
+    if e.shape[-1] != d.shape[-1] - 1:
+        raise ValueError(f"bands of lengths {d.shape[-1]} and {e.shape[-1]} do not form a chain")
+    if not all(np.isfinite(a).all() for a in (d, e, z)):
+        raise ValueError("non-finite entries in linear system")
+    return d + 0.0, e + 0.0, z
+
+
+def _condition(d, e, z, norm):
+    """Condition numbers of the systems T + z, whose inf-norms norm holds,
+    in norm's shape, and where each one is exact.
+
+    T + z is complex symmetric and normal, so norm / |Im z| bounds its
+    condition number; where the bound exceeds COND_MAX or is not finite
+    (Im z = 0), the exact max |lam + z| / min |lam + z| comes from the
+    eigenvalues lam of T, once per chain."""
+    with np.errstate(all="ignore"):
+        cond = np.array(norm / np.abs(z.imag))
+        exact = ~(cond <= COND_MAX)
+        if exact.any():
+            sv = np.abs(_dstev_bands(d, e, vectors=False)[0] + z[..., None])
+            sv = np.broadcast_to(sv, cond.shape + sv.shape[-1:])[exact]
+            cond[exact] = sv.max(axis=-1) / sv.min(axis=-1)
+    return cond, exact
+
+
+def _singular(cond: np.ndarray, exact: np.ndarray, detail: str = "") -> SingularMatrixError:
+    """The refusal of a stack of systems, naming its worst condition
+    number (the first NaN, if any) and whether that one is exact."""
+    worst = np.argmax(cond)
+    kind = "cond" if exact.flat[worst] else "cond bound"
+    return SingularMatrixError(
+        f"system singular to working precision ({kind} {cond.flat[worst]:.3e}{detail})"
+    )
+
+
 def solve_shifted(diags, offs, z, b) -> np.ndarray:
     """Solve (T + z) x = b for real symmetric tridiagonal chains T and
     complex shifts z.
@@ -208,38 +264,35 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     the inf-norm ||T + z|| = max_i |d_i + z| + |e_{i-1}| + |e_i|, which
     squares nothing: SingularMatrixError when the LU fails, x is not
     finite, the residual exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or
-    the condition number exceeds 1e14.  T + z is complex symmetric and
-    normal, so ||T + z|| / |Im z| bounds that number; where the bound
-    exceeds 1e14 or is not finite (Im z = 0), the exact max |lam + z| /
-    min |lam + z| comes from the eigenvalues lam of T, once per chain,
-    and the message says "cond" rather than "cond bound".  Where the
-    largest part of b lies outside [2**-900, 2**900], b is divided by its
-    power of two before the LU and x multiplied by it after, which is
-    exact.  Mis-shaped, complex-banded or non-finite input: ValueError.
+    the condition number exceeds COND_MAX, as _condition reads it (the
+    message says "cond bound" or, where it is exact, "cond").  Where the
+    largest part of b, or of an entry of T + z, lies outside [2**-900,
+    2**900], that system's b, or T + z, is divided by its power of two
+    before the LU and x multiplied back after, which is exact.
+    Mis-shaped, complex-banded or non-finite input: ValueError.
     """
-    d, e = np.asarray(diags), np.asarray(offs)
-    z, b = np.asarray(z, dtype=complex), np.asarray(b, dtype=complex)
-    if d.dtype.kind == "c" or e.dtype.kind == "c" or d.ndim < 1 or e.ndim < 1:
-        raise ValueError(f"need real bands, got {d.dtype} {d.shape} and {e.dtype} {e.shape}")
+    d, e, z = _shifted_system(diags, offs, z)
+    b = np.asarray(b, dtype=complex)
     n = d.shape[-1]
-    if e.shape[-1] != n - 1 or b.shape[-1:] != (n,):
-        raise ValueError(f"bands of lengths {n} and {e.shape[-1]} do not fit b of {b.shape}")
-    if not all(np.isfinite(a).all() for a in (d, e, z, b)):
-        raise ValueError("non-finite entries in linear system")
+    if b.shape[-1:] != (n,) or not np.isfinite(b).all():
+        raise ValueError(f"right-hand side {b.shape} does not fit bands of length {n}")
     shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], z.shape, b.shape[:-1])
-    # + 0.0 turns -0.0 into 0.0, so that each entry of T + z is the one
-    # of z I + T for the dense T of these bands with every zero 0.0.
-    d, e = d + 0.0, e + 0.0
     dz = d + z[..., None]
+    exponent = np.zeros(shape + (1,), int)  # x's power of two
+    big = np.maximum(_largest_part(dz), np.abs(e).max(axis=-1, initial=0.0))
+    if not ((2.0**-900 <= big) & (big <= 2.0**900)).all():
+        k = -np.frexp(np.broadcast_to(big, shape))[1][..., None]
+        d, e, z, dz = np.ldexp(d, k), np.ldexp(e, k), _ldexp(z, k[..., 0]), _ldexp(dz, k)
+        exponent += k
+    big = _largest_part(b)
+    if not ((2.0**-900 <= big) & (big <= 2.0**900)).all():
+        k = np.frexp(big)[1][..., None]
+        b = _ldexp(b, -k)
+        exponent += k
     m = np.zeros(shape + (n, n), complex)
     flat = m.reshape(shape + (n * n,))
     flat[..., :: n + 1] = dz
     flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = e
-    exponent = None
-    big = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=-1)
-    if not ((2.0**-900 <= big) & (big <= 2.0**900)).all():
-        exponent = np.frexp(big)[1][..., None]
-        b = _ldexp(b, -exponent)
     try:
         x = np.linalg.solve(m, b[..., None])[..., 0]  # b as a column (..., n, 1)
     except np.linalg.LinAlgError as exc:
@@ -247,30 +300,55 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     # A backward-stable LU happily "solves" a singular system with a
     # huge x and a tiny residual, so check conditioning as well.
     norm = np.broadcast_to(_inf_norm(dz, e), shape)
+    cond, exact = _condition(d, e, z, norm)
     with np.errstate(all="ignore"):  # singular systems give inf and NaN
-        cond = np.array(norm / np.abs(z.imag))
-        exact = ~(cond <= 1e14)
-        if exact.any():
-            sv = np.abs(_dstev_bands(d, e, vectors=False)[0] + z[..., None])
-            sv = np.broadcast_to(sv, shape + (n,))[exact]
-            cond[exact] = sv.max(axis=-1) / sv.min(axis=-1)
         r = dz * x - b  # the residual (T + z) x - b as a band product
         r[..., 1:] += e * x[..., :-1]
         r[..., :-1] += e * x[..., 1:]
         resid = np.abs(r).max(axis=-1)
         scale = norm * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1)
-        ok = np.isfinite(x).all() and (resid <= SOLVE_TOL * scale).all() and (cond <= 1e14).all()
-        if ok and exponent is not None:
+        ok = (cond <= COND_MAX).all() and (resid <= SOLVE_TOL * scale).all()
+        ok = ok and np.isfinite(x).all()
+        if ok and exponent.any():
             x = _ldexp(x, exponent)
             ok = np.isfinite(x).all()
     if not ok:
-        worst = np.argmax(cond)  # the first NaN, if any
-        kind = "cond" if exact.flat[worst] else "cond bound"
-        raise SingularMatrixError(
-            f"system singular to working precision ({kind} {cond.flat[worst]:.3e}, "
-            f"residual {np.max(resid):.3e})"
-        )
+        raise _singular(cond, exact, f", residual {np.max(resid):.3e}")
     return x
+
+
+def corner_resolvent(diags, offs, z) -> np.ndarray:
+    """Corner element [(T + z)^-1]_00 of real symmetric tridiagonal chains
+    T shifted by complex z, in O(n) per system.
+
+    T has bands diags (..., n) and offs (..., n - 1); they and z (...)
+    broadcast, like solve_shifted's, and the result has their broadcast
+    stack shape.  The continued fraction g <- 1 / (z + d_k - e_k^2 g)
+    (Haydock's recursion) is swept from the far end, once for the whole
+    stack.  Each system's bands and z are first divided by the power of
+    two above their largest magnitude, which is exact, so no e_k^2 g
+    over- or underflows, and g is scaled back at the end.  The system is
+    refused as solve_shifted refuses it: SingularMatrixError when the
+    condition number, as _condition reads it, exceeds COND_MAX, or when
+    g is not finite (a zero denominator needs a real z).  Mis-shaped,
+    complex-banded or non-finite input: ValueError.
+    """
+    d, e, z = _shifted_system(diags, offs, z)
+    n = d.shape[-1]
+    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], z.shape)
+    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
+    big = np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag)))
+    k = -np.frexp(np.broadcast_to(big, shape))[1]
+    zk = _ldexp(z, k)
+    with np.errstate(all="ignore"):  # a zero denominator gives inf and NaN
+        g = 1.0 / (zk + np.ldexp(d[..., -1], k))
+        for i in range(n - 2, -1, -1):
+            g = 1.0 / (zk + np.ldexp(d[..., i], k) - np.ldexp(e[..., i], k) ** 2 * g)
+        g = _ldexp(g, k)
+    cond, exact = _condition(d, e, z, _inf_norm(d + z[..., None], e))
+    if not (np.isfinite(g).all() and (cond <= COND_MAX).all()):
+        raise _singular(cond, exact)
+    return g
 
 
 def reduce_angle(x):

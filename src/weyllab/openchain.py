@@ -171,21 +171,23 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     return energies, _labels(ends), row, col
 
 
-def arc_membership(theta2: float, theta1_grid, p: ModelParams) -> np.ndarray:
+def arc_membership(theta2, theta1_grid, p: ModelParams) -> np.ndarray:
     """Per-grid-point arc membership from direct diagonalization.
 
-    True where some state of the edge_spectrum sheet at (theta1, theta2)
-    has |E| < ZTOL_DEFAULT * J and is labeled Left or Right.  Each
-    distinct chain is reduced to its verdict, which row scatters to every
-    grid point of that chain.  A single-cell chain has no distinct end
-    cells, so no point of it is a member.
+    theta2 is one angle or one per grid point.  True where some state of
+    the chain at (theta1, theta2) has |E| < ZTOL_DEFAULT * J and is
+    labeled Left or Right.  The edge_spectrum sheet of the paired angles
+    solves each distinct chain once and reduces it to its verdict, which
+    (row, col) scatters to every grid point of that chain.  A
+    single-cell chain has no distinct end cells, so no point of it is a
+    member.
     """
-    grid = np.asarray(theta1_grid, dtype=float)
+    grid, theta2 = np.broadcast_arrays(np.asarray(theta1_grid, dtype=float), theta2)
     if p.N < 2:
         return np.zeros(grid.shape, dtype=bool)
-    energies, labels, row, col = edge_spectrum(grid, [theta2], p)
+    energies, labels, row, col = edge_spectrum(grid, theta2, p)
     inside = ((np.abs(energies) < ZTOL_DEFAULT * p.J) & (labels != "Bulk")).any(axis=-1)
-    return inside[row, col[0]]
+    return inside[row, col]
 
 
 def max_symmetric_interval(theta1_grid, ok) -> float:

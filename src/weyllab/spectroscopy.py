@@ -10,12 +10,15 @@ a = -(Delta0 + T - i kappa/2)^{-1} Omega, so they are independent of
 the drive amplitude; the left-port reflection is
 r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel,
 reflections, solves it for a stack of chains over a detuning grid, in
-bounded blocks; a point is its [0, 0] entry, a spectrum its row 0, and
-a winding loop its one column over the loop's chains.
+bounded blocks, by numerics' dense solve_shifted; a point is its [0, 0]
+entry, a spectrum its row 0, and a winding loop its one column over the
+loop's chains.
 
-Arc detection solves each distinct chain of its theta1 grid once, only
-on the fit window |Delta0| <= FIT_WINDOW J, and fits all those traces
-at once, scattering each verdict back to every grid point of its chain;
+Arc detection reads the port resolvent [(Delta0 + T - i kappa/2)^{-1}]_{11}
+of each distinct chain of its theta1 grid once, by numerics'
+corner_resolvent (a continued fraction, O(n) per detuning), only on the
+fit window |Delta0| <= FIT_WINDOW J, and fits all those traces at once,
+scattering each verdict back to every grid point of its chain;
 it reports an arc [-t, t], and its oracle's, by the float t, NaN for none.
 The resonance-pair model is linear except in u = e^2, the squared pair
 energy, so its linear weights are projected out (variable projection).
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, WeylPoint, _node_loop, chain_bands
-from .numerics import NumericsError, solve_shifted
+from .numerics import NumericsError, corner_resolvent, solve_shifted
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
@@ -171,20 +174,14 @@ def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
     """r_L of a stack of chains over a detuning grid, shape (chains, detunings).
 
     Chain k is the open chain at (theta1s[k], theta2s[k]), the angle
-    arrays broadcast, and each detuning replaces p.Delta0: the
-    _band_reflections of their chain_bands rows.
+    arrays broadcast, and each detuning replaces p.Delta0.  solve_shifted
+    solves their chain_bands rows in blocks of at most BLOCK_ENTRIES
+    dense matrix entries (one system at least); a singular system
+    anywhere, such as kappa = 0 exactly on resonance, raises
+    SingularMatrixError.
     """
     t1s, t2s = np.broadcast_arrays(np.ravel(theta1s), np.ravel(theta2s))
-    return _band_reflections(*chain_bands(t1s, t2s, p), delta0_grid, p)
-
-
-def _band_reflections(diags, offs, delta0_grid, p: ModelParams) -> np.ndarray:
-    """r_L of the chains with band rows diags (chains, n) and offs
-    (chains, n - 1) over a detuning grid.  solve_shifted solves them in
-    blocks of at most BLOCK_ENTRIES dense matrix entries (one system at
-    least); a singular system anywhere, such as kappa = 0 exactly on
-    resonance, raises SingularMatrixError.
-    """
+    diags, offs = chain_bands(t1s, t2s, p)
     z = np.asarray(delta0_grid, dtype=float) - 0.5j * p.kappa
     n = p.sites
     systems = max(1, BLOCK_ENTRIES // (n * n))
@@ -321,8 +318,9 @@ def _fit_zero_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Near-zero mode energies and port weights of P resolvent traces.
 
-    g (P, m) holds g = (r - 1)/(i kappa) on the detunings d (m,), which
-    the complex reflection determines exactly.  The mode energies are
+    g (P, m) holds the port resolvent g = [(T + d - i kappa/2)^-1]_00 on
+    the detunings d (m,), which the complex reflection r_L = 1 + i kappa
+    g determines exactly.  The mode energies are
     its pole positions, which a known-linewidth fit recovers far below
     the kappa/2 blurring of any local lineshape statistic.  The fit is a
     variable projection (Golub & Pereyra 1973): the linear weights are
@@ -361,22 +359,26 @@ def _fit_zero_pairs(
     return e_hat, weight
 
 
-def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetection:
+def detect_arc_endpoint(theta2, theta1_grid, p: ModelParams) -> ArcDetection:
     """Arc endpoint from reflection spectra, cross-checked against the
     diagonalization oracle.
 
-    For each theta1 the complex reflection is solved only on the fit
-    window, detuning_grid(FIT_WINDOW, DELTA0_STEP).  One batched fit over
-    all traces reduces them to the near-zero resonance energy and port
-    weight; the point is inside the arc when the energy is below
-    ZTOL_DEFAULT J and the weight exceeds the edge-label threshold.
-    theta1c ends the maximal symmetric interval of inside points.
-    Disagreement with the oracle beyond single boundary-adjacent grid
-    points flags the result as inconsistent.
+    theta2 is one angle or one per grid point.  For each theta1 the port
+    resolvent, which the complex reflection determines, is read only on
+    the fit window, detuning_grid(FIT_WINDOW, DELTA0_STEP), by
+    corner_resolvent.  One batched fit over all traces reduces them to
+    the near-zero resonance energy and port weight; the point is inside
+    the arc when the energy is below ZTOL_DEFAULT J and the weight
+    exceeds the edge-label threshold.  theta1c ends the maximal
+    symmetric interval of inside points.  Disagreement with the oracle
+    beyond single boundary-adjacent grid points flags the result as
+    inconsistent.
     """
     if p.kappa <= 0:
         raise ValueError("arc detection needs kappa > 0")
-    grid = np.sort(np.asarray(theta1_grid, dtype=float))
+    grid = np.asarray(theta1_grid, dtype=float)
+    order = np.argsort(grid, kind="stable")
+    grid, theta2 = grid[order], np.broadcast_to(theta2, grid.shape)[order]
     dfit = detuning_grid(FIT_WINDOW, DELTA0_STEP, p)
 
     inside = np.zeros(grid.size, dtype=bool)
@@ -385,10 +387,11 @@ def detect_arc_endpoint(theta2: float, theta1_grid, p: ModelParams) -> ArcDetect
     if p.N >= 2 and grid.size:
         # Chains repeat wherever the grid's cosines do, so each distinct
         # one is solved and fitted once and its verdict scattered back.
-        bands = np.concatenate(chain_bands(*np.broadcast_arrays(grid, theta2), p), axis=-1)
+        bands = np.concatenate(chain_bands(grid, theta2, p), axis=-1)
         bands, inverse = _distinct_rows(bands)
-        r = _band_reflections(bands[:, : p.sites], bands[:, p.sites :], dfit, p)
-        e_hat, weight = _fit_zero_pairs(dfit, (r - 1.0) / (1j * p.kappa), p)
+        bands = bands[:, None]  # each chain against every detuning
+        g = corner_resolvent(bands[..., : p.sites], bands[..., p.sites :], dfit - 0.5j * p.kappa)
+        e_hat, weight = _fit_zero_pairs(dfit, g, p)
         inside = ((e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN))[inverse]
 
     theta1c = max_symmetric_interval(grid, inside)

@@ -534,6 +534,28 @@ def test_singular_reflection_sweep_is_numeric_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fermi-arc", "table1"])
+def test_arc_at_the_bottom_of_the_range_is_the_unit_arc(tmp_path, command):
+    # Energies in units of J = 1e-307: both resolvent paths divide T + z
+    # by its power of two, so the arc is the one at J = 1.
+    tiny, unit = tmp_path / "tiny", tmp_path / "unit"
+    sets = ["--set", "j=1e-307", "--set", "je=1e-307", "--set", "kappa=2e-308"]
+    assert main([command, "--out", str(tiny), *sets]) == 0
+    assert main([command, "--out", str(unit), "--set", "kappa=0.2"]) == 0
+    name = {"fermi-arc": "fermi_arc.json", "table1": "table1.csv"}[command]
+    assert (tiny / name).read_text() == (unit / name).read_text()
+
+
+def test_ill_conditioned_detection_is_numeric_failure(tmp_path, capsys):
+    # At kappa = 1e-15 the end modes leave T + z singular to working
+    # precision near Delta0 = 0: detection refuses it by the exact
+    # condition number, as the dense solve does.
+    assert main(["table1", "--out", str(tmp_path), "--set", "kappa=1e-15"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
+    assert "(cond " in err
+
+
+@pytest.mark.parametrize("command", ["fermi-arc", "table1"])
 def test_huge_damping_arc_fit_is_numeric_failure(tmp_path, capsys, command):
     # At kappa = 1e200 the fit window is lost in rounding against the
     # linewidth: the pair fit refuses its non-finite energies and weights,
@@ -864,8 +886,9 @@ class TestSinglePass:
 
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
         # The spectra span the detector's detuning grid; the detector
-        # solves only its fit window, |Delta0| <= FIT_WINDOW J, of it.
-        calls = _counting(monkeypatch, spectroscopy, "_band_reflections")
+        # reads the resolvent only on its fit window, |Delta0| <= FIT_WINDOW J.
+        detector = _counting(monkeypatch, spectroscopy, "corner_resolvent")
+        spectra = _counting(monkeypatch, cli, "reflections")
         args = ["--set", "j=2", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["fermi-arc", "--out", str(tmp_path), *args]) == 0
         p = ModelParams(J=2.0)
@@ -878,9 +901,15 @@ class TestSinglePass:
         assert written[-1] == pytest.approx(2.0)
         fit = window[np.abs(window) <= spectroscopy.FIT_WINDOW * p.J]
         assert fit.size == 25
-        assert len(calls) == 2  # the detector's, then the spectra's
-        assert np.array_equal(calls[0][2], fit)
-        assert np.array_equal(calls[1][2], window)
+        assert len(detector) == len(spectra) == 1
+        assert np.array_equal(detector[0][2], fit - 0.5j * p.kappa)
+        assert np.array_equal(spectra[0][2], window)
+
+    def test_table1_makes_no_dense_solve(self, tmp_path, monkeypatch):
+        # Detection reads the port resolvent by its continued fraction.
+        calls = _counting(monkeypatch, np.linalg, "solve")
+        assert main(["table1", "--out", str(tmp_path)]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("kx", [math.pi / 2, 0.7, 2.9, -1.3])
     def test_bulk_sheet_matches_scalar_bands(self, tmp_path, kx):

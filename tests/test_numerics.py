@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -8,18 +9,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from weyllab import numerics
+from weyllab.model import ModelParams, chain_bands
 from weyllab.numerics import (
     EIG_TOL,
     SOLVE_TOL,
     EigenNonConvergenceError,
     SingularMatrixError,
     UndersampledLoopError,
+    corner_resolvent,
     eigh_bands,
     reduce_angle,
     solid_angle_batch,
     solve_shifted,
     unwrap_winding,
 )
+from weyllab.spectroscopy import DELTA0_STEP, FIT_WINDOW, detuning_grid
 
 
 def bands(d, e):
@@ -340,10 +344,6 @@ class TestSolveShifted:
         unit /= np.abs(unit).max()
         b = size * unit
         k = np.frexp(np.abs(np.concatenate([b.real, b.imag])).max())[1]
-
-        def times_2_to(c, k):
-            return np.ldexp(c.real, k) + 1j * np.ldexp(c.imag, k)
-
         x = solve_shifted(d, e, z, b)
         assert np.array_equal(x, times_2_to(solve_shifted(d, e, z, times_2_to(b, -k)), k))
         assert np.abs(x).max() > 0
@@ -368,6 +368,114 @@ class TestSolveShifted:
             solve_shifted(np.array([1.0, -1.0]), np.zeros(1), [0.5j, 1.0 + 2j], np.ones(2))
         # max(|1 + 0.5i| / 0.5, |2 + 2i| / 2) = sqrt 5
         assert "(cond bound 2.236e+00, " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "k,kb", [(-1000, 0), (-920, 0), (920, 0), (1000, 0), (-1000, -1000), (1000, 1000)]
+    )
+    def test_extreme_matrix_is_solved_scaled(self, rng, k, kb):
+        # T + z is divided by its power of two before the LU, as b is, and
+        # x multiplied back after, exactly: x is the unit system's solve.
+        d, e = random_bands(rng, (2,), 6)
+        z = np.array([0.3 - 0.2j, -0.7 + 0.5j])
+        b = rng.normal(size=6) + 1j * rng.normal(size=6)
+        x = solve_shifted(np.ldexp(d, k), np.ldexp(e, k), times_2_to(z, k), times_2_to(b, kb))
+        assert np.array_equal(x, times_2_to(solve_shifted(d, e, z, b), kb - k))
+
+
+def times_2_to(c, k):
+    """Complex c times 2**k, part by part, which is exact."""
+    return np.ldexp(np.real(c), k) + 1j * np.ldexp(np.imag(c), k)
+
+
+def dense_corner(d, e, z):
+    """[(T + z)^-1]_00 of stacked bands and shifts from one dense LU per
+    system, each T + z divided first by the power of two above its
+    largest entry: a zgesv of entries near 1e-307 meets exact zero pivots."""
+    m = dense_stack(d, e) + np.asarray(z)[..., None, None] * np.eye(d.shape[-1])
+    k = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
+    m = times_2_to(m, -k[..., None, None])
+    unit = np.broadcast_to(np.eye(d.shape[-1])[:, :1], m.shape[:-1] + (1,))
+    return times_2_to(np.linalg.solve(m, unit)[..., 0, 0], -k)
+
+
+class TestCornerResolvent:
+    @given(
+        st.integers(1, 36),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 664, -1000, -1019]),
+        st.sampled_from(["chain", "rows x shifts", "shared bands"]),
+    )
+    def test_matches_dense_oracle(self, n, seed, k, layout):
+        # To 1e-12 relative, also with bands and shifts scaled by 2**k to
+        # about 1e200, 1e-301 and 1e-307.
+        rng = np.random.default_rng(seed)
+        shape = {"chain": (), "rows x shifts": (3, 1), "shared bands": ()}[layout]
+        d, e = random_bands(rng, shape, n)
+        size = () if layout == "chain" else (4,)
+        z = rng.normal(size=size) + 1j * rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0, size)
+        g = corner_resolvent(np.ldexp(d, k), np.ldexp(e, k), times_2_to(z, k))
+        assert g.shape == np.broadcast_shapes(shape, size)
+        ref = times_2_to(dense_corner(d, e, z), -k)
+        assert (np.abs(g - ref) <= 1e-12 * np.abs(ref)).all()
+
+    @given(
+        st.sampled_from(
+            [
+                {},
+                {"J": 1e200, "Je": 1e200, "kappa": 2e199},
+                {"kappa": 1e200},
+                {"J": 1e-307, "Je": 1e-307, "kappa": 2e-308},
+            ]
+        ),
+        st.integers(2, 20),
+        st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60)
+    def test_detection_systems_match_dense_oracle(self, params, cells, theta1s):
+        # The chains and fit detunings of an arc detection, at the defaults
+        # and in the extremes that need the scaling.
+        p = ModelParams(N=cells, **params)
+        d, e = chain_bands(*np.broadcast_arrays(theta1s, np.pi / 2), p)
+        z = detuning_grid(FIT_WINDOW, DELTA0_STEP, p) - 0.5j * p.kappa
+        g = corner_resolvent(d[:, None], e[:, None], z)
+        ref = dense_corner(d[:, None], e[:, None], z)
+        assert (np.abs(g - ref) <= 1e-12 * np.abs(ref)).all()
+
+    def test_closed_forms(self):
+        assert corner_resolvent(np.array([0.5]), np.zeros(0), 0.5j) == 1 / (0.5 + 0.5j)
+        # [[i, 1], [1, i]]^-1 has corner i / (i^2 - 1) = -i/2.
+        assert corner_resolvent(np.zeros(2), np.ones(1), 1.0j) == pytest.approx(-0.5j)
+
+    def test_refuses_what_solve_shifted_refuses(self):
+        # One conditioning rule on both paths: z = +/-1 lies on the
+        # eigenvalues of T, exactly (the LU fails) or 1e-16 and 1e-20 off.
+        d, e, b = np.zeros(2), np.ones(1), np.array([1.0, 0.0])
+        for z in ([0.5, 1.0, 1.5], [0.5, 1 + 1e-16j], [-1.0 + 1e-20j]):
+            with pytest.raises(SingularMatrixError) as lu:
+                solve_shifted(d, e, z, b)
+            with pytest.raises(SingularMatrixError, match=r"\(cond ") as cf:
+                corner_resolvent(d, e, z)
+            if 1.0 not in z:
+                cond = re.search(r"\((cond [^,]*),", str(lu.value)).group(1)
+                assert str(cf.value) == f"system singular to working precision ({cond})"
+        z = [0.5, 1.5, 1.0 + 0.1j]
+        assert corner_resolvent(d, e, z) == pytest.approx(solve_shifted(d, e, z, b)[:, 0])
+
+    def test_zero_denominator_is_refused(self):
+        # The trailing 1 x 1 block of [[0, 1], [1, 1]] is singular at z = -1,
+        # although T + z = [[-1, 1], [1, 0]] is not: the sweep divides by 0.
+        with pytest.raises(SingularMatrixError):
+            corner_resolvent(np.array([0.0, 1.0]), np.ones(1), -1.0)
+
+    def test_rejects_what_solve_shifted_rejects(self):
+        for d, e, z in [
+            (np.zeros(3), np.zeros(3), 1.0),
+            (np.zeros(2), np.zeros(1), np.nan),
+            (1j * np.ones(2), np.zeros(1), 1.0),
+            (np.zeros((4, 3)), np.zeros((4, 2)), np.ones(5)),
+        ]:
+            with pytest.raises(ValueError):
+                corner_resolvent(d, e, z)
 
 
 class TestUnwrapWinding:

@@ -512,6 +512,15 @@ class TestTable1ThreeLegs:
         assert not math.isnan(ends)
         assert (det.theta1c, det.oracle_theta1c) == (ends, ends)
 
+    def test_membership_reads_each_points_theta2(self):
+        # One theta2 per grid point: each point's verdict is the one at
+        # its own angles.
+        p = chain(6)
+        theta2 = np.resize([np.pi / 2, 0.3, -np.pi / 2], ARC_GRID.size)
+        got = arc_membership(theta2, ARC_GRID, p)
+        want = [arc_membership(t2, [t1], p)[0] for t1, t2 in zip(ARC_GRID, theta2)]
+        assert got.tolist() == want and any(want) and not all(want)
+
 
     def test_table1_csv_is_the_closed_form_endpoint(self, tmp_path):
         # The endpoints as the CLI writes them, read back from table1.csv,

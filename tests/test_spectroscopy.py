@@ -515,24 +515,36 @@ class TestDetectArcEndpoint:
         det = detect_arc_endpoint(np.full(grid.size, np.pi / 2), grid, chain(4))
         assert det == detect_arc_endpoint(np.pi / 2, grid, chain(4))
 
+    def test_oracle_pairs_each_theta1_with_its_theta2(self):
+        # theta2 = pi/2 near theta1 = 0 and 0 elsewhere: the short arc of
+        # the pi/2 points, which the oracle must read at their own theta2.
+        grid = symmetric_grid(0.5 * np.pi, 0.01 * np.pi)
+        theta2 = np.where(np.abs(grid) < 0.1, np.pi / 2, 0.0)
+        det = detect_arc_endpoint(theta2, grid, chain(4))
+        assert det.theta1c == det.oracle_theta1c == pytest.approx(0.03 * np.pi)
+        assert not det.flagged and det.disagreements == 0
+        # An unsorted grid keeps each theta1 with its theta2.
+        order = np.random.default_rng(0).permutation(grid.size)
+        assert detect_arc_endpoint(theta2[order], grid[order], chain(4)) == det
+
     def test_solves_and_fits_each_distinct_chain_once(self, monkeypatch):
         # The default Table-1 grid is exactly symmetric: its 101 chains
         # are 51 distinct ones, and only those reach the resolvent and
         # the pair fit.
         solved, fitted = [], []
-        solve, fit = spectroscopy.solve_shifted, spectroscopy._fit_zero_pairs
+        resolve, fit = spectroscopy.corner_resolvent, spectroscopy._fit_zero_pairs
 
-        def counted_solve(d, e, z, b):
-            # Hopping rows (chains, shifts, n - 1) of the block's systems.
+        def counted_resolvent(d, e, z):
+            # Hopping rows (chains, shifts, n - 1) of the systems.
             shape = np.broadcast_shapes(e.shape[:-1], np.shape(z))
             solved.append(np.broadcast_to(e, shape + e.shape[-1:]))
-            return solve(d, e, z, b)
+            return resolve(d, e, z)
 
         def counted_fit(d, g, p):
             fitted.append(g.shape)
             return fit(d, g, p)
 
-        monkeypatch.setattr(spectroscopy, "solve_shifted", counted_solve)
+        monkeypatch.setattr(spectroscopy, "corner_resolvent", counted_resolvent)
         monkeypatch.setattr(spectroscopy, "_fit_zero_pairs", counted_fit)
         grid = symmetric_grid(0.5 * np.pi, 0.01 * np.pi)
         p = chain(12)
@@ -543,6 +555,24 @@ class TestDetectArcEndpoint:
         assert len(chains) == len(_distinct_rows(chains)[0]) == 51
         assert systems == 51 * 25
         assert fitted == [(51, 25)]
+
+    @pytest.mark.parametrize("kappa,je", [(0.05, 0.5), (0.1, 1.0), (0.3, 2.0)])
+    @pytest.mark.parametrize("sites", [4, 10, 24])
+    def test_verdicts_match_the_lu_path(self, kappa, je, sites):
+        # The continued fraction's traces give every chain of the default
+        # grid the verdict of the dense LU's reflection, g = (r - 1)/(i kappa).
+        p = chain(sites, Je=je, kappa=kappa)
+        grid = symmetric_grid(0.5 * np.pi, 0.01 * np.pi)
+        dfit = detuning_grid(FIT_WINDOW, DELTA0_STEP, p)
+        r = reflections(grid, np.pi / 2, dfit, p)
+        d, e = chain_bands(*np.broadcast_arrays(grid, np.pi / 2), p)
+        g = numerics.corner_resolvent(d[:, None], e[:, None], dfit - 0.5j * kappa)
+        assert np.abs(1.0 + 1j * kappa * g - r).max() <= 1e-14
+        verdicts = []
+        for trace in (g, (r - 1.0) / (1j * kappa)):
+            e_hat, weight = _fit_zero_pairs(dfit, trace, p)
+            verdicts.append((e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN))
+        assert np.array_equal(*verdicts)
 
 
 def _reference_residual(e, d, g, kappa):
