@@ -1,14 +1,16 @@
 """Numerical kernels.
 
-Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b
-and the corner resolvent [(T + z)^-1]_00, all on broadcastable stacks of
-a chain's two bands, angle reduction, phase-loop winding extraction, and
-signed spherical solid angles.  Everything here is a pure function of
-its inputs.  The shifted solve factors the dense T + z; the corner
-resolvent is a continued fraction, O(n) per system.  Both refuse a
-system by one conditioning rule, _condition, read from the bands in
-their inf-norm, and both divide a system by a power of two, which is
-exact, where its entries would leave the float range.
+Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b,
+the corner resolvent [(T + z)^-1]_00, Sturm counts and single
+eigenvectors by bisection and inverse iteration, all on broadcastable
+stacks of a chain's two bands, angle reduction, phase-loop winding
+extraction, and signed spherical solid angles.  Everything here is a
+pure function of its inputs.  The shifted solve factors the dense T + z;
+the corner resolvent, the Sturm count and the single eigenvectors are
+O(n) per system and shift.  The two resolvents refuse a system by one
+conditioning rule, _condition, read from the bands in their inf-norm.
+Every kernel divides a system by a power of two, which is exact, where
+its entries would leave the float range.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
 ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
@@ -34,6 +36,7 @@ __all__ = [
     "WindingResult",
     "eigh_bands",
     "corner_resolvent",
+    "sturm_count",
     "reduce_angle",
     "solve_shifted",
     "unwrap_winding",
@@ -45,6 +48,21 @@ EIG_TOL = 1e-10
 SOLVE_TOL = 1e-10
 # Largest condition number of T + z that a resolvent accepts.
 COND_MAX = 1e14
+# Floor of a scaled squared coupling in the Sturm recurrence: no 0 / 0
+# arises, and no eigenvalue moves by more than 2**-500 of the scale.
+COUPLING_FLOOR = 2.0**-1000
+# Narrowest bracket of _bisect and smallest pivot of _inverse_iteration,
+# in units of a system's scale.
+SCALED_TOL = 2.0**-52
+# Largest width of a bisected bracket relative to its distance from the
+# neighbouring eigenvalues: _inverse_iteration's error per solve.
+SEPARATION = 2.0**-6
+# Shifts per bracket in each multisection sweep (4 bits per sweep).
+MULTISECTION = 15
+# A bracket's ends and its shifts, as fractions of its width.
+_FRACTIONS = np.arange(MULTISECTION + 2) / (MULTISECTION + 1)
+# Solves of inverse iteration from the bisected shift.
+INVERSE_STEPS = 3
 # Any principal-value phase step at or beyond this magnitude is
 # considered undersampled; winding cannot be trusted past pi.
 PHASE_STEP_LIMIT = np.pi - 0.1
@@ -317,6 +335,16 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     return x
 
 
+def _scale_exponents(d, e, z, shape) -> np.ndarray:
+    """Exponents k, of the stack shape, such that 2**k times the largest
+    magnitude of a system's bands and of the real and imaginary part of
+    its shift z lies in [0.5, 1): dividing by that power of two is exact
+    and leaves no square of an entry able to over- or underflow."""
+    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
+    big = np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag)))
+    return -np.frexp(np.broadcast_to(big, shape))[1]
+
+
 def corner_resolvent(diags, offs, z) -> np.ndarray:
     """Corner element [(T + z)^-1]_00 of real symmetric tridiagonal chains
     T shifted by complex z, in O(n) per system.
@@ -330,25 +358,141 @@ def corner_resolvent(diags, offs, z) -> np.ndarray:
     over- or underflows, and g is scaled back at the end.  The system is
     refused as solve_shifted refuses it: SingularMatrixError when the
     condition number, as _condition reads it, exceeds COND_MAX, or when
-    g is not finite (a zero denominator needs a real z).  Mis-shaped,
-    complex-banded or non-finite input: ValueError.
+    g is not finite (a zero denominator needs a real z).  Where the real
+    bound (max |d| + |z| + 2 max |e|) / |Im z|, which is at least the
+    inf-norm's, is within COND_MAX for every system, _condition is not
+    needed and is skipped.  Mis-shaped, complex-banded or non-finite
+    input: ValueError.
     """
     d, e, z = _shifted_system(diags, offs, z)
     n = d.shape[-1]
     shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], z.shape)
-    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
-    big = np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag)))
-    k = -np.frexp(np.broadcast_to(big, shape))[1]
+    k = _scale_exponents(d, e, z, shape)
     zk = _ldexp(z, k)
     with np.errstate(all="ignore"):  # a zero denominator gives inf and NaN
         g = 1.0 / (zk + np.ldexp(d[..., -1], k))
         for i in range(n - 2, -1, -1):
             g = 1.0 / (zk + np.ldexp(d[..., i], k) - np.ldexp(e[..., i], k) ** 2 * g)
         g = _ldexp(g, k)
+        # 1 + 2**-40 absorbs the rounding that could put this bound an ulp
+        # below the inf-norm's.
+        quick = (np.abs(d).max(axis=-1) + np.abs(z) + 2.0 * np.abs(e).max(axis=-1, initial=0.0))
+        quick = quick * (1.0 + 2.0**-40) / np.abs(z.imag)
+    if np.isfinite(g).all() and (quick <= COND_MAX).all():
+        return g
     cond, exact = _condition(d, e, z, _inf_norm(d + z[..., None], e))
     if not (np.isfinite(g).all() and (cond <= COND_MAX).all()):
         raise _singular(cond, exact)
     return g
+
+
+def _pivots(dx: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Pivots q_k = dx_k - f2_k / q_{k+1} of the far-end factorization of
+    the chains T - x whose diagonal d - x is dx (n, ...) and whose squared
+    couplings are f2 (n - 1, ...), site first; f2 broadcasts against the
+    stack.  f2 > 0 keeps every pivot a number: a zero pivot makes the
+    next one infinite with the opposite sign, and the one after that
+    finite again."""
+    q = np.empty(dx.shape[:1] + np.broadcast_shapes(dx.shape[1:], f2.shape[1:]))
+    q[-1] = dx[-1]
+    with np.errstate(divide="ignore"):
+        for i in range(len(q) - 2, -1, -1):
+            np.subtract(dx[i], f2[i] / q[i + 1], out=q[i, ...])
+    return q
+
+
+def sturm_count(diags, offs, x) -> np.ndarray:
+    """Number of eigenvalues below the real shift x of each real symmetric
+    tridiagonal chain T, in O(n) per system.
+
+    T has bands diags (..., n) and offs (..., n - 1); they and x (...)
+    broadcast, like corner_resolvent's bands and z, and the result has
+    their broadcast stack shape.  The count is the number of negative
+    pivots of T - x (Sylvester's law of inertia), swept from the far end
+    as corner_resolvent sweeps T + z, with z = -x: each system is divided
+    by the same power of two, and a squared coupling is raised to at
+    least COUPLING_FLOOR.  A pivot counts as negative by its sign bit, so
+    a zero pivot of either sign counts once with the infinite pivot after
+    it (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)).
+    Mis-shaped, complex or non-finite input: ValueError.
+    """
+    d, e, x = _shifted_system(diags, offs, x)
+    if x.imag.any():
+        raise ValueError("a Sturm count needs a real shift")
+    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], x.shape)
+    k = _scale_exponents(d, e, x, shape)[..., None]
+    dx = np.ldexp(d, k) - np.ldexp(x.real[..., None], k)
+    f2 = np.maximum(np.ldexp(e, k) ** 2, COUPLING_FLOOR)
+    # Reversed axes put the site first; the counts' axes come back reversed.
+    return np.signbit(_pivots(dx.T, f2.T)).sum(axis=0).T
+
+
+def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:
+    """Eigenvalue number index (m,) (0 the lowest) of each of m real
+    symmetric tridiagonal chains, given in [lo, hi] (m,), as far as
+    _inverse_iteration needs it.
+
+    The chains' bands are diags (n, m) and couplings (n - 1, m), site
+    first, with magnitudes of at most about 1, their scale (every kernel
+    here first divides a system by a power of two).  Each sweep takes
+    the Sturm counts of sturm_count at MULTISECTION shifts spread evenly
+    over every bracket, as one stack, and keeps the slot in which the
+    count passes index: bisection (Barth, Martin and Wilkinson 1967,
+    LAPACK dstebz) in a quarter of the sweeps.  The same counts bound the
+    distance from the bracket to the eigenvalues next to its own (none
+    below number 0), and the sweeps stop once every bracket is narrower
+    than SEPARATION times that distance, or than SCALED_TOL.
+    """
+    dt = diags[..., None]  # each bracket's shifts on the last axis
+    f2 = np.maximum(couplings**2, COUPLING_FLOOR)[..., None]
+    rows, j = np.arange(len(index)), index[:, None]
+    # No eigenvalue but number index lies in [low, hi) or [hi, high).
+    low, high = np.where(index == 0, -np.inf, lo), hi
+    while (hi - lo > np.maximum(SEPARATION * np.minimum(lo - low, high - hi), SCALED_TOL)).any():
+        x = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
+        c = np.signbit(_pivots(dt - x[:, 1:-1], f2)).sum(axis=0) - j
+        # Shifts below eigenvalue number index - 1, below number index and
+        # below number index + 1; monotone counts make each a prefix.
+        under, passed, within = (c < 0).sum(axis=1), (c < 1).sum(axis=1), (c < 2).sum(axis=1)
+        low = np.where((under == 0) & (low < lo), low, x[rows, np.minimum(under + 1, passed)])
+        high = np.where(
+            (within == MULTISECTION) & (high > hi), high, x[rows, np.maximum(within, passed + 1)]
+        )
+        lo, hi = x[rows, passed], x[rows, passed + 1]
+    return 0.5 * (lo + hi)
+
+
+def _inverse_iteration(diags, offs, x) -> np.ndarray:
+    """Unit eigenvectors (n, m) of m real symmetric tridiagonal chains for
+    their eigenvalues nearest the shifts x (m,).
+
+    The bands are diags (n, m) and offs (n - 1, m), site first, with
+    magnitudes of at most about 1.  T - x = L D L^T is factored top down
+    with every pivot moved SCALED_TOL away from zero, which changes T by
+    no more than rounding does, and INVERSE_STEPS solves follow from one
+    fixed pseudo-random start (LAPACK dstein).  With x from _bisect, the
+    error of a vector is about SEPARATION^INVERSE_STEPS relative to the
+    start's component along it.
+    """
+    n = len(diags)
+    d, e2 = list(diags - x), list(offs**2)
+    p = [d[0] + np.copysign(SCALED_TOL, d[0])]  # D
+    for i in range(n - 1):
+        pivot = d[i + 1] - e2[i] / p[i]
+        p.append(pivot + np.copysign(SCALED_TOL, pivot))
+    p = np.array(p)
+    lower = list(offs / p[:-1])  # L's subdiagonal
+    y = np.empty(p.shape)
+    y[:] = np.random.default_rng(0).uniform(-1.0, 1.0, n)[:, None]
+    rows = list(y)
+    for _ in range(INVERSE_STEPS):
+        for i in range(1, n):
+            rows[i] -= lower[i - 1] * rows[i - 1]
+        y /= p
+        for i in range(n - 2, -1, -1):
+            rows[i] -= lower[i] * rows[i + 1]
+        y /= np.abs(y).max(axis=0)
+    return y / np.linalg.norm(y, axis=0)
 
 
 def reduce_angle(x):

@@ -2,8 +2,9 @@
 
 Edge-state sheets over the (theta1, theta2) surface zone, in their
 distinct chains, per-state localization labels, site-density profiles,
-and the diagonalization oracle for the zero-energy arc endpoint that
-the spectroscopy layer must reproduce.
+and the oracle for the zero-energy arc endpoint that the spectroscopy
+layer must reproduce, which labels the chain's near-zero states without
+diagonalizing it.
 
 At theta2 = +/-pi/2 the chain is mirror symmetric, so near-zero
 eigenvectors come out of the solver as even/odd combinations with
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, chain_bands
-from .numerics import eigh_bands
+from .numerics import _bisect, _inverse_iteration, eigh_bands, sturm_count
 
 __all__ = [
     "edge_spectrum",
@@ -134,12 +135,18 @@ def diagonalize_chain(theta1, theta2, p: ModelParams):
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a float64 band array (m, n) and the inverse index
-    that rebuilds it, keyed on their bits, so 0.0 and -0.0 stay apart."""
-    _, first, inverse = np.unique(
-        a.view(np.uint64), axis=0, return_index=True, return_inverse=True
-    )
-    return a[first], inverse
+    """Distinct rows of a float64 band array (m, n), in the order they
+    first occur, and the inverse index that rebuilds it, keyed on their
+    bytes, so 0.0 and -0.0 stay apart.  A dict of the rows' bytes finds
+    them in a fraction of the time np.unique(axis=0) takes to sort them."""
+    index, first, inverse = {}, [], []
+    for i, row in enumerate(a):
+        key = row.tobytes()
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+        inverse.append(index[key])
+    return a[first], np.array(inverse, dtype=np.intp)
 
 
 def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
@@ -171,23 +178,75 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     return energies, _labels(ends), row, col
 
 
+def _sublattice_labels(offs: np.ndarray, index: np.ndarray, window: float) -> np.ndarray:
+    """Labels of the mirror-rotated +/-E pair of singular triplet number
+    index (T,) (0 the smallest) of each chain with couplings offs
+    (T, n - 1), shape (2, T): the (u, 0) states first, then the (0, v)
+    states.
+
+    The chain is chiral: with J1 = offs[0::2] and J2 = offs[1::2], its
+    A-site (a_k) and B-site (b_k) amplitudes couple through the N x N
+    bidiagonal B with J1 on the diagonal and J2 below it (Golub and Kahan
+    1965), and its diagonal is +m on A and -m on B.  A singular triplet
+    (s, u, v) of B spans the pair at +/-sqrt(m^2 + s^2), and the pair
+    rotation of _eigensystems, whose projector does not couple the two
+    sublattices, returns (u, 0) and (0, v) exactly.  s^2 is an
+    eigenvalue of the tridiagonal B B^T, bisected in [0, 2 window^2], and
+    u and v are the eigenvectors of B B^T and B^T B there, by inverse
+    iteration; neither has a +/- pair of eigenvalues to resolve.  The
+    couplings are first divided by the power of two above their largest.
+    """
+    k = -np.frexp(np.abs(offs).max(axis=-1))[1]
+    j = np.ldexp(offs, k[:, None]).T  # site first
+    j1, j2 = j[0::2], j[1::2]
+    bbt, btb = j1**2, j1**2  # the diagonals of B B^T and B^T B
+    bbt[1:] += j2**2
+    btb[:-1] += j2**2
+    couplings = np.hstack([j1[:-1] * j2, j2 * j1[1:]])  # of B B^T, then B^T B
+    t = len(offs)
+    s2 = _bisect(bbt, couplings[:, :t], index, np.zeros(t), 2.0 * np.ldexp(window, k) ** 2)
+    vecs = _inverse_iteration(np.hstack([bbt, btb]), couplings, np.tile(s2, 2))
+    ends = np.zeros((4, 2, t))  # END_ROWS a_0, b_0, a_{N-1}, b_{N-1}
+    ends[0::2, 0], ends[1::2, 1] = vecs[[0, -1], :t], vecs[[0, -1], t:]
+    return _labels(np.moveaxis(ends, 0, 1))
+
+
+def _arc_verdicts(diags: np.ndarray, offs: np.ndarray, window: float) -> np.ndarray:
+    """Arc membership (m,) of the chains with bands diags (m, n) and offs
+    (m, n - 1), n >= 4: True where some state has |E| < window and is
+    labeled Left or Right, as diagonalize_chain labels it.
+
+    Sturm counts at +/-window give each chain's number of states in the
+    window, so a chain with none is outside; the others' states come in
+    +/-E pairs, one per singular triplet of the chain's bidiagonal,
+    labeled by _sublattice_labels.  O(n) per chain, with no n x n array.
+    """
+    below = sturm_count(diags, offs, [[window], [-window]])
+    pairs = (below[0] - below[1] + 1) // 2
+    chain, index = np.nonzero(np.arange(diags.shape[-1] // 2) < pairs[:, None])
+    inside = np.zeros(len(diags), dtype=bool)
+    if chain.size:
+        edge = (_sublattice_labels(offs[chain], index, window) != "Bulk").any(axis=0)
+        inside[chain[edge]] = True
+    return inside
+
+
 def arc_membership(theta2, theta1_grid, p: ModelParams) -> np.ndarray:
-    """Per-grid-point arc membership from direct diagonalization.
+    """Per-grid-point arc membership of the open chain.
 
     theta2 is one angle or one per grid point.  True where some state of
     the chain at (theta1, theta2) has |E| < ZTOL_DEFAULT * J and is
-    labeled Left or Right.  The edge_spectrum sheet of the paired angles
-    solves each distinct chain once and reduces it to its verdict, which
-    (row, col) scatters to every grid point of that chain.  A
-    single-cell chain has no distinct end cells, so no point of it is a
-    member.
+    labeled Left or Right, as diagonalize_chain labels it.  Each distinct
+    (theta1, theta2) chain is settled once, by _arc_verdicts, and its
+    verdict scattered to every grid point of that chain.  A single-cell
+    chain has no distinct end cells, so no point of it is a member.
     """
     grid, theta2 = np.broadcast_arrays(np.asarray(theta1_grid, dtype=float), theta2)
     if p.N < 2:
         return np.zeros(grid.shape, dtype=bool)
-    energies, labels, row, col = edge_spectrum(grid, theta2, p)
-    inside = ((np.abs(energies) < ZTOL_DEFAULT * p.J) & (labels != "Bulk")).any(axis=-1)
-    return inside[row, col]
+    bands, inverse = _distinct_rows(np.concatenate(chain_bands(grid, theta2, p), axis=-1))
+    inside = _arc_verdicts(bands[:, : p.sites], bands[:, p.sites :], ZTOL_DEFAULT * p.J)
+    return inside[inverse].reshape(grid.shape)
 
 
 def max_symmetric_interval(theta1_grid, ok) -> float:

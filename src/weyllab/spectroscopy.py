@@ -41,8 +41,8 @@ from .numerics import NumericsError, corner_resolvent, solve_shifted
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
+    _arc_verdicts,
     _distinct_rows,
-    arc_membership,
     max_symmetric_interval,
 )
 
@@ -361,7 +361,7 @@ def _fit_zero_pairs(
 
 def detect_arc_endpoint(theta2, theta1_grid, p: ModelParams) -> ArcDetection:
     """Arc endpoint from reflection spectra, cross-checked against the
-    diagonalization oracle.
+    open-chain oracle of arc_membership.
 
     theta2 is one angle or one per grid point.  For each theta1 the port
     resolvent, which the complex reflection determines, is read only on
@@ -381,21 +381,21 @@ def detect_arc_endpoint(theta2, theta1_grid, p: ModelParams) -> ArcDetection:
     grid, theta2 = grid[order], np.broadcast_to(theta2, grid.shape)[order]
     dfit = detuning_grid(FIT_WINDOW, DELTA0_STEP, p)
 
-    inside = np.zeros(grid.size, dtype=bool)
+    inside = oracle_ok = np.zeros(grid.size, dtype=bool)
     # A single-cell chain has no distinct end cells, so nothing can be
     # edge-localized; the port-weight proxy only makes sense for N >= 2.
     if p.N >= 2 and grid.size:
         # Chains repeat wherever the grid's cosines do, so each distinct
-        # one is solved and fitted once and its verdict scattered back.
-        bands = np.concatenate(chain_bands(grid, theta2, p), axis=-1)
-        bands, inverse = _distinct_rows(bands)
-        bands = bands[:, None]  # each chain against every detuning
-        g = corner_resolvent(bands[..., : p.sites], bands[..., p.sites :], dfit - 0.5j * p.kappa)
+        # one is solved, fitted and settled by the oracle once, and its
+        # verdicts scattered back.
+        bands, inverse = _distinct_rows(np.concatenate(chain_bands(grid, theta2, p), axis=-1))
+        diags, offs = bands[:, : p.sites], bands[:, p.sites :]
+        g = corner_resolvent(diags[:, None], offs[:, None], dfit - 0.5j * p.kappa)
         e_hat, weight = _fit_zero_pairs(dfit, g, p)
         inside = ((e_hat < ZTOL_DEFAULT * p.J) & (weight > EDGE_WEIGHT_MIN))[inverse]
+        oracle_ok = _arc_verdicts(diags, offs, ZTOL_DEFAULT * p.J)[inverse]
 
     theta1c = max_symmetric_interval(grid, inside)
-    oracle_ok = arc_membership(theta2, grid, p)
     oracle_theta1c = max_symmetric_interval(grid, oracle_ok)
 
     mism = grid[inside != oracle_ok]

@@ -552,7 +552,7 @@ def test_ill_conditioned_detection_is_numeric_failure(tmp_path, capsys):
     assert main(["table1", "--out", str(tmp_path), "--set", "kappa=1e-15"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("weyllab: numerical failure: ") and err.count("\n") == 1
-    assert "(cond " in err
+    assert err.endswith("(cond 3.970e+15)\n")
 
 
 @pytest.mark.parametrize("command", ["fermi-arc", "table1"])
@@ -817,6 +817,31 @@ def test_random_overrides_keep_exit_contract(command, sets):
         assert err.getvalue() == ""
 
 
+# Each model scale at zero, the subnormal floor, near the ends of the
+# float range and negative: where the kernels' power-of-two scaling and
+# their guards act, and which the draws above, near each default, miss.
+CONTRACT_VALUES = ["0", "5e-324", "1e-307", "1e-200", "1e-15", "1e200", "1e308", "-1e308", "-1"]
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"show-config"}))
+def test_exit_contract_matrix(command):
+    # Every run ends in 0, 2, 3 or 4 with warnings as errors: one stderr
+    # line on a non-zero exit, none on exit 0.
+    for key in ("j", "je", "kappa", "delta0"):
+        for value in CONTRACT_VALUES:
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, *SMALL_ARGS, "--set", f"{key}={value}", "--out", out])
+            case = f"{key}={value}: exit {code}, stderr {err.getvalue()!r}"
+            assert code in (0, 2, 3, 4), case
+            if code:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), case
+            else:
+                assert err.getvalue() == "", case
+
+
 def test_cli_import_skips_scipy():
     # The package needs only NumPy at import; scipy, the eigensolver's
     # fallback, would add its import time and memory to every CLI run.
@@ -874,15 +899,18 @@ class TestSinglePass:
             expected.append(dense(d, e, p.Delta0 - 0.5j * p.kappa))
         assert np.array_equal(systems, expected)
 
-    def test_table1_diagonalizes_once_per_point(self, tmp_path, monkeypatch):
-        calls = _counting(monkeypatch, openchain, "eigh_bands")
+    def test_table1_counts_once_per_distinct_chain(self, tmp_path, monkeypatch):
+        calls = _counting(monkeypatch, openchain, "sturm_count")
+        solves = _counting(monkeypatch, numerics, "dstev")
         args = ["--set", "table1.sizes=4,6", "--set", "fermi_arc.grid_step=0.05"]
         assert main(["table1", "--out", str(tmp_path), *args]) == 0
         # theta1 in [-pi/2, pi/2] at step pi/20 is an exactly symmetric
         # grid, so its 21 points are 11 distinct chains per size, all
-        # solved in one call.
-        chains = [np.broadcast_shapes(d.shape[:-1], e.shape[:-1]) for d, e, *_ in calls]
-        assert chains == [(11,), (11,)]
+        # counted at both window edges in one call; nothing is
+        # diagonalized.
+        chains = [np.broadcast_shapes(d.shape[:-1], e.shape[:-1], np.shape(x)) for d, e, x in calls]
+        assert chains == [(2, 11), (2, 11)]
+        assert solves == []
 
     def test_fermi_arc_spectra_on_detector_grid(self, tmp_path, monkeypatch):
         # The spectra span the detector's detuning grid; the detector

@@ -21,6 +21,7 @@ from weyllab.numerics import (
     reduce_angle,
     solid_angle_batch,
     solve_shifted,
+    sturm_count,
     unwrap_winding,
 )
 from weyllab.spectroscopy import DELTA0_STEP, FIT_WINDOW, detuning_grid
@@ -476,6 +477,124 @@ class TestCornerResolvent:
         ]:
             with pytest.raises(ValueError):
                 corner_resolvent(d, e, z)
+
+
+class TestResolventConditionBound:
+    def test_detection_systems_skip_the_exact_rule(self, monkeypatch):
+        # The default detection's systems are within the real bound, so
+        # the inf-norm and _condition are never formed.
+        calls = []
+        monkeypatch.setattr(numerics, "_condition", lambda *a: calls.append(a))
+        p = ModelParams(N=18)
+        d, e = chain_bands(np.linspace(-1.5, 1.5, 31), np.pi / 2, p)
+        z = detuning_grid(FIT_WINDOW, DELTA0_STEP, p) - 0.5j * p.kappa
+        corner_resolvent(d[:, None], e[:, None], z)
+        assert calls == []
+
+    @given(st.floats(1e-3, 1e3), st.floats(1e-17, 1e-11))
+    def test_refusals_name_the_exact_rule(self, scale, damping):
+        # Where the real bound exceeds COND_MAX, the system is accepted
+        # or refused, and its message written, exactly as the rule reads it.
+        d, e = scale * np.array([0.5, -0.5, 0.5, -0.5]), scale * np.array([1.0, 2.0, 1.0])
+        z = np.array([0.3, 0.0, -0.2]) * scale - 1j * damping * scale
+        cond, exact = numerics._condition(d, e, z, numerics._inf_norm(d + z[..., None], e))
+        if (cond <= numerics.COND_MAX).all():
+            assert np.isfinite(corner_resolvent(d, e, z)).all()
+        else:
+            with pytest.raises(SingularMatrixError) as err:
+                corner_resolvent(d, e, z)
+            assert str(err.value) == str(numerics._singular(cond, exact))
+
+
+def dense_count(d, e, x):
+    """Eigenvalues below x from np.linalg.eigvalsh of the dense chain."""
+    return int((np.linalg.eigvalsh(dense(d, e)) < x).sum())
+
+
+class TestSturmCount:
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from([0, 664, -1000, -1019]))
+    def test_matches_dense_eigenvalues(self, n, seed, k):
+        # Also with bands and shifts scaled by 2**k to about 1e200, 1e-301
+        # and 1e-307; shifts 1e-6 or more from every eigenvalue.
+        rng = np.random.default_rng(seed)
+        d, e = random_tridiag(rng, n)
+        vals = np.linalg.eigvalsh(dense(d, e))
+        x = rng.uniform(vals[0] - 1, vals[-1] + 1, 6)
+        x = x[np.abs(x[:, None] - vals).min(axis=1) > 1e-6]
+        got = sturm_count(np.ldexp(d, k), np.ldexp(e, k), np.ldexp(x, k))
+        assert got.tolist() == [dense_count(d, e, t) for t in x]
+
+    def test_stack_broadcasts_bands_and_shifts(self, rng):
+        d, e = random_bands(rng, (3, 1), 7)
+        x = np.array([-0.5, 0.0, 0.5, 1.5])
+        got = sturm_count(d, e, x)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [[dense_count(d[i, 0], e[i, 0], t) for t in x] for i in range(3)]
+
+    @pytest.mark.parametrize(
+        "d, e",
+        [([1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 0.0]), ([0.0, 0.0, 0.0], [0.0, 0.0]), ([0.5, -0.5], [0.0])],
+    )
+    def test_split_chains_on_their_eigenvalues(self, d, e):
+        # Zero couplings and shifts on an eigenvalue, where pivots are
+        # exactly zero: the count is a number between those of the
+        # eigenvalues below and not above the shift, and exact off them.
+        d, e = bands(d, e)
+        vals = np.linalg.eigvalsh(dense(d, e))
+        for x in [*vals, -0.0, 0.0, 0.25, 3.0, -3.0]:
+            got = sturm_count(d, e, x)
+            assert (vals < x).sum() <= got <= (vals <= x).sum()
+
+    def test_rejects_what_corner_resolvent_rejects(self):
+        for d, e, x in [
+            (np.zeros(3), np.zeros(3), 1.0),
+            (np.zeros(2), np.zeros(1), np.nan),
+            (np.zeros(2), np.zeros(1), 1.0j),
+            (1j * np.ones(2), np.zeros(1), 1.0),
+        ]:
+            with pytest.raises(ValueError):
+                sturm_count(d, e, x)
+
+
+class TestBisectionAndInverseIteration:
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_eigenpairs_match_eigh(self, n, seed):
+        # Bands of magnitude at most 1; every eigenvalue within SEPARATION
+        # of its gap and every vector within 1e-6 where the gap is 1e-4 or
+        # more.
+        rng = np.random.default_rng(seed)
+        d, e = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n - 1)
+        vals, vecs = np.linalg.eigh(dense(d, e))
+        index = np.arange(n)
+        x = numerics._bisect(
+            np.repeat(d[:, None], n, axis=1), np.repeat(e[:, None], n, axis=1), index,
+            np.full(n, -3.0), np.full(n, 3.0),
+        )
+        gap = np.abs(vals[:, None] - vals + np.diag(np.full(n, np.inf))).min(axis=1)
+        assert (np.abs(x - vals) <= numerics.SEPARATION * gap + numerics.SCALED_TOL).all()
+        got = numerics._inverse_iteration(
+            np.repeat(d[:, None], n, axis=1), np.repeat(e[:, None], n, axis=1), x
+        )
+        clear = gap >= 1e-4
+        assert np.allclose(np.abs((got * vecs).sum(axis=0))[clear], 1.0, atol=1e-6)
+
+    def test_exponentially_close_end_modes(self):
+        # The 100-site chain at theta1 = 0.031, theta2 = pi/2 has its end
+        # pair at +/-6e-17 J; its bidiagonal's smallest singular vectors
+        # u and v sit on the first and the last site.
+        e = chain_bands(0.031, np.pi / 2, ModelParams(N=50))[1][0]
+        j1, j2 = e[0::2], e[1::2]
+        bbt, btb = j1**2 + np.r_[0.0, j2**2], j1**2 + np.r_[j2**2, 0.0]
+        s2 = numerics._bisect(
+            bbt[:, None] / 4, (j1[:-1] * j2)[:, None] / 4, np.array([0]), np.zeros(1), np.ones(1)
+        )
+        u, v = numerics._inverse_iteration(
+            np.c_[bbt, btb] / 4, np.c_[j1[:-1] * j2, j2 * j1[1:]] / 4, np.r_[s2, s2]
+        ).T
+        # The uniform chain's B^T B is B B^T reversed, so v is u reversed,
+        # both to within inverse iteration's error.
+        assert u[0] ** 2 > 0.99 and v[-1] ** 2 > 0.99
+        np.testing.assert_allclose(np.abs(u), np.abs(v[::-1]), rtol=0, atol=1e-6)
 
 
 class TestUnwrapWinding:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyllab import numerics
+from weyllab import numerics, openchain
 from weyllab.cli import main
 from weyllab.config import DEFAULTS
 from weyllab.model import ModelParams, chain_bands
@@ -35,9 +35,21 @@ TABLE1_ORACLE = {4: 0.20, 6: 0.28, 8: 0.34, 12: 0.39, 20: 0.44, 36: 0.47}
 
 
 def arc_oracle(p: ModelParams) -> float:
-    """The diagonalization oracle's arc endpoint on ARC_GRID at theta2 =
+    """The arc oracle's endpoint on ARC_GRID at theta2 =
     pi/2, as detect_arc_endpoint reports it in .oracle_theta1c."""
     return max_symmetric_interval(ARC_GRID, arc_membership(np.pi / 2, ARC_GRID, p))
+
+
+def dense_membership(theta2, theta1_grid, p: ModelParams) -> np.ndarray:
+    """arc_membership by diagonalization, its reference: True where some
+    state has |E| < ZTOL_DEFAULT J and edge_spectrum labels it Left or
+    Right.  One sheet for one theta2, one chain per point otherwise."""
+    grid = np.asarray(theta1_grid, dtype=float)
+    if np.ndim(theta2):
+        return np.array([dense_membership(t2, [t1], p)[0] for t1, t2 in zip(grid, theta2)])
+    energies, labels, row, col = edge_spectrum(grid, [theta2], p)
+    inside = ((np.abs(energies) < ZTOL_DEFAULT * p.J) & (labels != "Bulk")).any(axis=-1)
+    return inside[row, col[0]]
 
 
 def scattered_sheet(theta1s, theta2s, p: ModelParams):
@@ -438,6 +450,65 @@ class TestArcIntervalOracle:
         assert math.isnan(arc_oracle(ModelParams(N=1)))
 
 
+class TestArcMembershipIsTheDenseVerdict:
+    """arc_membership against dense_membership at every grid point, with
+    theta2 = pi/2, theta2 uniform per point, and theta2 per point within
+    about 0.01 of +/-pi/2, where |Je cos theta2| crosses the window.
+    ARC_GRID holds theta1 = 0, where J1 = 0 and B is singular."""
+
+    @staticmethod
+    def angles(rng, size):
+        return [
+            np.pi / 2,
+            rng.uniform(-np.pi, np.pi, size),
+            rng.choice([-1.0, 1.0], size) * (np.pi / 2 + rng.normal(0.0, 0.01, size)),
+        ]
+
+    @pytest.mark.parametrize("sites", [*range(4, 41, 2), 100])
+    @pytest.mark.parametrize("je", [0.5, 1.0, 2.0])
+    def test_every_grid_point(self, sites, je):
+        p = chain(sites, Je=je)
+        for theta2 in self.angles(np.random.default_rng(sites), ARC_GRID.size):
+            got = arc_membership(theta2, ARC_GRID, p)
+            assert got.tolist() == dense_membership(theta2, ARC_GRID, p).tolist()
+
+    @given(
+        st.integers(2, 15),
+        st.floats(0.1, 10.0),
+        st.floats(0.01, 5.0),
+        st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(-0.05, 0.05)), min_size=1, max_size=12),
+    )
+    def test_random_chains(self, cells, j, je, points):
+        p = ModelParams(N=cells, J=j, Je=je)
+        theta1, offset = np.array(points).T
+        theta2 = np.pi / 2 + offset
+        assert arc_membership(theta2, theta1, p).tolist() == dense_membership(theta2, theta1, p).tolist()
+
+    @pytest.mark.parametrize(
+        "scales", [{"J": 1e-307, "Je": 1e-307}, {"J": 1e200, "Je": 1e200}, {"J": 1e-200}, {"Je": 1e-15}]
+    )
+    def test_every_grid_point_at_extreme_scales(self, scales):
+        # Bands near the ends of the float range, and hoppings and on-site
+        # terms far apart, where only the power-of-two scaling keeps the
+        # squared couplings in range.
+        p = chain(12, **scales)
+        for theta2 in self.angles(np.random.default_rng(12), ARC_GRID.size):
+            got = arc_membership(theta2, ARC_GRID, p)
+            assert got.tolist() == dense_membership(theta2, ARC_GRID, p).tolist()
+
+    @pytest.mark.parametrize("je", [0.5, 1.0, 2.0])
+    def test_every_point_of_coarse_grids_at_400_sites(self, je):
+        # ARC_GRID at 5 and 10 times its step keeps 0 and +/-pi/2; the
+        # dense reference takes about 0.1 s per chain here.
+        p = chain(400, Je=je)
+        grid = ARC_GRID[::5]
+        got = arc_membership(np.pi / 2, grid, p)
+        assert got.tolist() == dense_membership(np.pi / 2, grid, p).tolist()
+        grid = ARC_GRID[::10]
+        theta2 = self.angles(np.random.default_rng(400), grid.size)[2]
+        assert arc_membership(theta2, grid, p).tolist() == dense_membership(theta2, grid, p).tolist()
+
+
 def _ssh_edge_energy(v: float, w: float, cells: int) -> float:
     """Closed-form edge-pair energy of an SSH chain of `cells` cells with
     intra-cell hopping v and inter-cell hopping w, for cells w > (cells
@@ -445,19 +516,22 @@ def _ssh_edge_energy(v: float, w: float, cells: int) -> float:
 
     The open-chain condition v sin((N+1)k) + w sin(Nk) = 0 at
     k = pi + iq reads v sinh((N+1)q) = w sinh(Nq); its root q > 0 is
-    bracketed by (0, ln(w/v) + 2] and found by bisection.
+    bracketed by (0, ln(w/v) + 2] and found by bisection.  Every sinh is
+    written as e^(kq) (1 - e^(-2kq)) / 2 and the growing factors cancel,
+    so only factors e^(-q) remain and nothing overflows at any size.
     """
     n = cells
 
-    def f(q):
-        return v * math.sinh((n + 1) * q) - w * math.sinh(n * q)
+    def f(q):  # v sinh((n+1)q) - w sinh(nq), divided by e^((n+1)q) / 2
+        return v * -math.expm1(-2 * (n + 1) * q) + w * math.exp(-q) * math.expm1(-2 * n * q)
 
     lo, hi = 0.0, math.log(w / v) + 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
     q = 0.5 * (lo + hi)
-    decay = math.exp(-(n + 1) * q) * math.sinh(q) / math.sinh((n + 1) * q)
+    # e^(-(n+1)q) sinh(q) / sinh((n+1)q)
+    decay = math.exp(-(2 * n + 1) * q) * math.expm1(-2 * q) / math.expm1(-2 * (n + 1) * q)
     return math.sqrt(w * decay * (w * math.exp(q) - v))
 
 
@@ -499,10 +573,10 @@ def _closed_form_inside(theta1: float, p: ModelParams) -> bool:
 
 
 class TestTable1ThreeLegs:
-    @pytest.mark.parametrize("sites", range(4, 41, 2))
+    @pytest.mark.parametrize("sites", [*range(4, 41, 2), 100, 400, 1000])
     def test_detector_oracle_and_closed_form_agree(self, sites):
         # A third leg beside criterion 6: the reflection detector, the
-        # diagonalization oracle and the closed form pick the same points.
+        # open-chain oracle and the closed form pick the same points.
         p = chain(sites)
         det = detect_arc_endpoint(np.pi / 2, ARC_GRID, p)
         assert not det.flagged and det.disagreements == 0
@@ -520,6 +594,28 @@ class TestTable1ThreeLegs:
         got = arc_membership(theta2, ARC_GRID, p)
         want = [arc_membership(t2, [t1], p)[0] for t1, t2 in zip(ARC_GRID, theta2)]
         assert got.tolist() == want and any(want) and not all(want)
+
+    def test_membership_settles_each_distinct_chain_once(self, monkeypatch):
+        # One theta2 per point: the 101 points are 101 distinct chains,
+        # where a sheet of the 51 distinct theta1 rows by the 101 theta2
+        # values would be 5,151, and no chain is diagonalized.
+        p = chain(12)
+        theta2 = np.pi / 2 + np.random.default_rng(12).normal(0.0, 0.01, ARC_GRID.size)
+        want = dense_membership(theta2, ARC_GRID, p)
+        counted, labeled, solved = [], [], []
+        count, label = openchain.sturm_count, openchain._sublattice_labels
+        monkeypatch.setattr(
+            openchain, "sturm_count", lambda d, e, x: counted.append(d) or count(d, e, x)
+        )
+        monkeypatch.setattr(
+            openchain, "_sublattice_labels", lambda e, *a: labeled.append(e) or label(e, *a)
+        )
+        monkeypatch.setattr(numerics, "dstev", lambda *a: solved.append(a))
+        got = arc_membership(theta2, ARC_GRID, p)
+        assert [len(d) for d in counted] == [ARC_GRID.size]
+        assert len(labeled) == 1 and len(_distinct_rows(labeled[0])[0]) <= ARC_GRID.size
+        assert solved == []
+        assert got.tolist() == want.tolist() and any(want) and not all(want)
 
 
     def test_table1_csv_is_the_closed_form_endpoint(self, tmp_path):
