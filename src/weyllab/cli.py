@@ -89,10 +89,10 @@ class _OutputSet:
 
         `columns` holds one equal-length 1-D array per header name.  Rows
         are written CSV_BLOCK_ROWS at a time: a float64 cell as its
-        shortest round-trip repr, any other cell with str.  Within a
-        block each distinct cell of a column is formatted once, floats
-        told apart by their bits (so 0.0 and -0.0 keep their signs);
-        object cells are formatted one by one.
+        shortest round-trip repr, by _reprs, any other cell with str.
+        Within a block each distinct cell of a column is formatted once,
+        floats told apart by their bits (so 0.0 and -0.0 keep their
+        signs); object cells are formatted one by one.
         """
         columns = [np.asarray(col) for col in columns]
         size = columns[0].size if columns else 0
@@ -100,12 +100,13 @@ class _OutputSet:
             raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
 
         def cells(c: np.ndarray) -> list[str]:
+            if c.dtype == np.float64:
+                return _reprs(c)
             if c.dtype == object:
                 return list(map(str, c.tolist()))
             key = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
             _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            fmt = float.__repr__ if c.dtype == np.float64 else str
-            distinct = np.array(list(map(fmt, c[first].tolist())), dtype=object)
+            distinct = np.array(list(map(str, c[first].tolist())), dtype=object)
             return distinct[inverse].tolist()
 
         def blocks():
@@ -411,7 +412,7 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     )
     if det.flagged:
         return _inconsistent(
-            f"arc detection disagrees with the diagonalization oracle at "
+            f"arc detection disagrees with the arc oracle at "
             f"{det.disagreements} theta1 points"
         )
     return EXIT_OK
@@ -426,7 +427,7 @@ def cmd_table1(cfg, out: _OutputSet) -> int:
     out.write_csv("table1.csv", ["N", "theta1c"], [np.array(sizes), theta1c])
     if flagged:
         return _inconsistent(
-            f"arc detection disagrees with the diagonalization oracle at sites {flagged}"
+            f"arc detection disagrees with the arc oracle at sites {flagged}"
         )
     return EXIT_OK
 
@@ -458,8 +459,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad argument as a ConfigError,
+    so that main prints it as one usage-error line; -h still prints the
+    help and exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weyllab",
         description="Synthetic-dimension Weyl lattice simulator",
     )
@@ -474,8 +484,8 @@ def main(argv=None) -> int:
         help="override one config key (repeatable, later wins)",
     )
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config, args.sets)
         out = _OutputSet(
             Path(args.out or os.environ.get("WEYLLAB_OUT") or "weyllab_out")

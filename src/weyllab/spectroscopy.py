@@ -73,7 +73,7 @@ NEWTON_STEPS = 2
 
 @dataclass(frozen=True)
 class ArcDetection:
-    """Spectroscopic arc endpoint with the diagonalization cross-check.
+    """Spectroscopic arc endpoint with the arc oracle's cross-check.
 
     theta1c and oracle_theta1c end the arcs [-t, t] that the reflection
     spectra and the oracle read, NaN for no arc.  disagreements counts
