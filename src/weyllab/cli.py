@@ -484,17 +484,23 @@ def main(argv=None) -> int:
         help="override one config key (repeatable, later wins)",
     )
     parser.add_argument("--out", metavar="DIR", help="output directory")
+    where = "output directory"
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args.sets)
-        out = _OutputSet(
-            Path(args.out or os.environ.get("WEYLLAB_OUT") or "weyllab_out")
-        )
+        env = os.environ.get("WEYLLAB_OUT")
+        source = "--out" if args.out else "WEYLLAB_OUT" if env else "the default"
+        outdir = args.out or env or "weyllab_out"
+        where = f"output directory {outdir} (from {source})"
+        out = _OutputSet(Path(outdir))
         code = COMMANDS[args.command](cfg, out)
         if args.command != "show-config":
             out.manifest(args.command, cfg)
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: the output path
+    except (ConfigError, ValueError) as exc:
         print(f"weyllab: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # only the output set opens a file; config reports its own
+        print(f"weyllab: usage error: {where}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
         print(f"weyllab: usage error: out of memory: {exc}", file=sys.stderr)

@@ -7,10 +7,12 @@ stacks of a chain's two bands, angle reduction, phase-loop winding
 extraction, and signed spherical solid angles.  Everything here is a
 pure function of its inputs.  The shifted solve factors the dense T + z;
 the corner resolvent, the Sturm count and the single eigenvectors are
-O(n) per system and shift.  The two resolvents refuse a system by one
-conditioning rule, _condition, read from the bands in their inf-norm.
-Every kernel divides a system by a power of two, which is exact, where
-its entries would leave the float range.
+O(n) per system and shift.  One helper, _chain_system, validates every
+system and gives its power-of-two exponent; the corner resolvent and
+the Sturm count always divide by that power, which is exact, and the
+shifted solve only beyond LU_EXPONENT.  The two resolvents refuse a
+system by one conditioning rule, _condition, read from the bands in
+their inf-norm.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
 ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
@@ -42,10 +44,11 @@ __all__ = [
     "unwrap_winding",
 ]
 
-# Residual / orthonormality bound, relative to max(1, ||H||_inf).
-EIG_TOL = 1e-10
 # Solve residual bound, relative to ||A|| ||x|| + ||b||.
 SOLVE_TOL = 1e-10
+# Largest exponent magnitude at which solve_shifted solves a system as
+# given: dividing by a power of two rounds subnormal entries.
+LU_EXPONENT = 900
 # Largest condition number of T + z that a resolvent accepts.
 COND_MAX = 1e14
 # Floor of a scaled squared coupling in the Sturm recurrence: no 0 / 0
@@ -220,18 +223,15 @@ def _ldexp(c: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _largest_part(c: np.ndarray) -> np.ndarray:
-    """Largest magnitude of a real or imaginary part along the last axis."""
-    return np.maximum(np.abs(c.real), np.abs(c.imag)).max(axis=-1, initial=0.0)
-
-
-def _shifted_system(diags, offs, z):
+def _chain_system(diags, offs, z):
     """Bands d (..., n) and e (..., n - 1) and shifts z (...) of the
-    systems T + z, which broadcast, as float, float and complex arrays.
-    Adding 0.0 turns each -0.0 of the bands into 0.0, so that each entry
-    of a dense T + z built from them is the one of z I + T for the dense
-    T with every zero 0.0.  Complex or mis-shaped bands, or non-finite
-    input: ValueError."""
+    systems T + z, which broadcast, as float, float and complex arrays,
+    and each system's exponent k, of their broadcast stack shape: 2**k
+    times its largest band magnitude or part of z lies in [0.5, 1), so
+    dividing by 2**-k is exact and leaves no square of an entry able to
+    over- or underflow.  Adding 0.0 turns each -0.0 of the bands into
+    0.0, as in z I + T for a dense T.  Complex or mis-shaped bands, or
+    non-finite input: ValueError."""
     d, e, z = np.asarray(diags), np.asarray(offs), np.asarray(z, dtype=complex)
     if d.dtype.kind == "c" or e.dtype.kind == "c" or d.ndim < 1 or e.ndim < 1:
         raise ValueError(f"need real bands, got {d.dtype} {d.shape} and {e.dtype} {e.shape}")
@@ -239,7 +239,9 @@ def _shifted_system(diags, offs, z):
         raise ValueError(f"bands of lengths {d.shape[-1]} and {e.shape[-1]} do not form a chain")
     if not all(np.isfinite(a).all() for a in (d, e, z)):
         raise ValueError("non-finite entries in linear system")
-    return d + 0.0, e + 0.0, z
+    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
+    big = np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag)))
+    return d + 0.0, e + 0.0, z, -np.frexp(big)[1]
 
 
 def _condition(d, e, z, norm):
@@ -276,45 +278,36 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
 
     T has bands diags (..., n) and offs (..., n - 1); they, z (...) and
     b (..., n) broadcast, like eigh_bands' bands.  One stacked pivoted LU
-    solves the dense T + z, whose diagonal is d + z, whose off-diagonals
-    are the offs and whose other entries are +0.0 (-0.0 entries of the
-    bands become 0.0).  Each system is checked on its bands in O(n), in
-    the inf-norm ||T + z|| = max_i |d_i + z| + |e_{i-1}| + |e_i|, which
-    squares nothing: SingularMatrixError when the LU fails, x is not
-    finite, the residual exceeds SOLVE_TOL (||T + z|| ||x|| + ||b||) or
-    the condition number exceeds COND_MAX, as _condition reads it (the
-    message says "cond bound" or, where it is exact, "cond").  Where the
-    largest part of b, or of an entry of T + z, lies outside [2**-900,
-    2**900], that system's b, or T + z, is divided by its power of two
-    before the LU and x multiplied back after, which is exact.
+    solves the dense T + z built from _chain_system's bands.  A system,
+    or a b, whose power-of-two exponent exceeds LU_EXPONENT in magnitude
+    is divided by that power first and x multiplied back once; the others
+    are solved as given, bit for bit the dense LU.  Each system is
+    checked on its bands in O(n), in the inf-norm ||T + z|| = max_i
+    |d_i + z| + |e_{i-1}| + |e_i|: SingularMatrixError when the LU fails,
+    x is not finite, the residual exceeds SOLVE_TOL (||T + z|| ||x|| +
+    ||b||) or the condition number exceeds COND_MAX, as _condition reads
+    it (the message says "cond bound" or, where it is exact, "cond").
     Mis-shaped, complex-banded or non-finite input: ValueError.
     """
-    d, e, z = _shifted_system(diags, offs, z)
+    d, e, z, k = _chain_system(diags, offs, z)
     b = np.asarray(b, dtype=complex)
     n = d.shape[-1]
     if b.shape[-1:] != (n,) or not np.isfinite(b).all():
         raise ValueError(f"right-hand side {b.shape} does not fit bands of length {n}")
-    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], z.shape, b.shape[:-1])
-    dz = d + z[..., None]
-    exponent = np.zeros(shape + (1,), int)  # x's power of two
-    big = np.maximum(_largest_part(dz), np.abs(e).max(axis=-1, initial=0.0))
-    if not ((2.0**-900 <= big) & (big <= 2.0**900)).all():
-        k = -np.frexp(np.broadcast_to(big, shape))[1][..., None]
-        d, e, z, dz = np.ldexp(d, k), np.ldexp(e, k), _ldexp(z, k[..., 0]), _ldexp(dz, k)
-        exponent += k
-    big = _largest_part(b)
-    if not ((2.0**-900 <= big) & (big <= 2.0**900)).all():
-        k = np.frexp(big)[1][..., None]
-        b = _ldexp(b, -k)
-        exponent += k
-    m = np.zeros(shape + (n, n), complex)
-    flat = m.reshape(shape + (n * n,))
+    shape = np.broadcast_shapes(k.shape, b.shape[:-1])
+    kb = -np.frexp(np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=-1, initial=0.0))[1]
+    k, kb = (np.where(np.abs(a) > LU_EXPONENT, a, 0) for a in (k, kb[..., None]))
+    if k.any():  # scaled bands take the whole stack's shape
+        d, e, z = np.ldexp(d, k[..., None]), np.ldexp(e, k[..., None]), _ldexp(z, k)
+    b, dz = _ldexp(b, kb), d + z[..., None]
+    flat = np.zeros(shape + (n * n,), complex)  # the dense T + z, row by row
     flat[..., :: n + 1] = dz
     flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = e
     try:
-        x = np.linalg.solve(m, b[..., None])[..., 0]  # b as a column (..., n, 1)
+        x = np.linalg.solve(flat.reshape(shape + (n, n)), b[..., None])[..., 0]  # b as a column
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
+    del flat  # the checks read only the bands
     # A backward-stable LU happily "solves" a singular system with a
     # huge x and a tiny residual, so check conditioning as well.
     norm = np.broadcast_to(_inf_norm(dz, e), shape)
@@ -325,24 +318,12 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
         r[..., :-1] += e * x[..., 1:]
         resid = np.abs(r).max(axis=-1)
         scale = norm * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1)
+        x = _ldexp(x, k[..., None] - kb)
         ok = (cond <= COND_MAX).all() and (resid <= SOLVE_TOL * scale).all()
         ok = ok and np.isfinite(x).all()
-        if ok and exponent.any():
-            x = _ldexp(x, exponent)
-            ok = np.isfinite(x).all()
     if not ok:
         raise _singular(cond, exact, f", residual {np.max(resid):.3e}")
     return x
-
-
-def _scale_exponents(d, e, z, shape) -> np.ndarray:
-    """Exponents k, of the stack shape, such that 2**k times the largest
-    magnitude of a system's bands and of the real and imaginary part of
-    its shift z lies in [0.5, 1): dividing by that power of two is exact
-    and leaves no square of an entry able to over- or underflow."""
-    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
-    big = np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag)))
-    return -np.frexp(np.broadcast_to(big, shape))[1]
 
 
 def corner_resolvent(diags, offs, z) -> np.ndarray:
@@ -353,21 +334,17 @@ def corner_resolvent(diags, offs, z) -> np.ndarray:
     broadcast, like solve_shifted's, and the result has their broadcast
     stack shape.  The continued fraction g <- 1 / (z + d_k - e_k^2 g)
     (Haydock's recursion) is swept from the far end, once for the whole
-    stack.  Each system's bands and z are first divided by the power of
-    two above their largest magnitude, which is exact, so no e_k^2 g
-    over- or underflows, and g is scaled back at the end.  The system is
-    refused as solve_shifted refuses it: SingularMatrixError when the
-    condition number, as _condition reads it, exceeds COND_MAX, or when
-    g is not finite (a zero denominator needs a real z).  Where the real
-    bound (max |d| + |z| + 2 max |e|) / |Im z|, which is at least the
-    inf-norm's, is within COND_MAX for every system, _condition is not
-    needed and is skipped.  Mis-shaped, complex-banded or non-finite
-    input: ValueError.
+    stack, on each system divided by its power of two from _chain_system,
+    and g is scaled back.  The system is refused as solve_shifted refuses
+    it: SingularMatrixError when the condition number, as _condition
+    reads it, exceeds COND_MAX, or when g is not finite (a zero
+    denominator needs a real z).  Where the real bound (max |d| + |z| +
+    2 max |e|) / |Im z|, which is at least the inf-norm's, is within
+    COND_MAX for every system, _condition is skipped.  Mis-shaped,
+    complex-banded or non-finite input: ValueError.
     """
-    d, e, z = _shifted_system(diags, offs, z)
+    d, e, z, k = _chain_system(diags, offs, z)
     n = d.shape[-1]
-    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], z.shape)
-    k = _scale_exponents(d, e, z, shape)
     zk = _ldexp(z, k)
     with np.errstate(all="ignore"):  # a zero denominator gives inf and NaN
         g = 1.0 / (zk + np.ldexp(d[..., -1], k))
@@ -416,13 +393,11 @@ def sturm_count(diags, offs, x) -> np.ndarray:
     it (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)).
     Mis-shaped, complex or non-finite input: ValueError.
     """
-    d, e, x = _shifted_system(diags, offs, x)
+    d, e, x, k = _chain_system(diags, offs, x)
     if x.imag.any():
         raise ValueError("a Sturm count needs a real shift")
-    shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], x.shape)
-    k = _scale_exponents(d, e, x, shape)[..., None]
-    dx = np.ldexp(d, k) - np.ldexp(x.real[..., None], k)
-    f2 = np.maximum(np.ldexp(e, k) ** 2, COUPLING_FLOOR)
+    dx = np.ldexp(d, k[..., None]) - np.ldexp(x.real, k)[..., None]
+    f2 = np.maximum(np.ldexp(e, k[..., None]) ** 2, COUPLING_FLOOR)
     # Reversed axes put the site first; the counts' axes come back reversed.
     return np.signbit(_pivots(dx.T, f2.T)).sum(axis=0).T
 

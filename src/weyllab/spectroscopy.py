@@ -31,6 +31,7 @@ port weights.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -175,24 +176,22 @@ def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
 
     Chain k is the open chain at (theta1s[k], theta2s[k]), the angle
     arrays broadcast, and each detuning replaces p.Delta0.  solve_shifted
-    solves their chain_bands rows in blocks of at most BLOCK_ENTRIES
-    dense matrix entries (one system at least); a singular system
-    anywhere, such as kappa = 0 exactly on resonance, raises
-    SingularMatrixError.
+    solves the (chain, detuning) systems in chain-major order, in blocks
+    of at most BLOCK_ENTRIES dense matrix entries (one system at least):
+    whole chains wherever a chain's detunings fit, else spans of one
+    chain's detunings.  A singular system anywhere, such as kappa = 0
+    exactly on resonance, raises SingularMatrixError.
     """
     t1s, t2s = np.broadcast_arrays(np.ravel(theta1s), np.ravel(theta2s))
     diags, offs = chain_bands(t1s, t2s, p)
     z = np.asarray(delta0_grid, dtype=float) - 0.5j * p.kappa
-    n = p.sites
-    systems = max(1, BLOCK_ENTRIES // (n * n))
-    chains = max(1, systems // max(1, z.size))
+    systems = max(1, BLOCK_ENTRIES // p.sites**2)
+    chains = max(1, systems // max(1, z.size))  # whole chains where they fit
     r = np.empty((len(diags), z.size), dtype=complex)
-    for k in range(0, len(diags), chains):
-        block = slice(k, k + chains)
-        d, e = diags[block, None], offs[block, None]
-        for j in range(0, z.size, systems):
-            g11 = solve_shifted(d, e, z[j : j + systems], left_drive(p))[..., 0]
-            r[block, j : j + systems] = 1.0 + 1j * p.kappa * g11
+    for c, j in itertools.product(range(0, len(diags), chains), range(0, z.size, systems)):
+        c, j = slice(c, c + chains), slice(j, j + systems)
+        g11 = solve_shifted(diags[c, None], offs[c, None], z[j], left_drive(p))[..., 0]
+        r[c, j] = 1.0 + 1j * p.kappa * g11
     return r
 
 

@@ -45,7 +45,8 @@ CASES = [
     ("no-such-command", 2, "argument command: invalid choice: ...", ()),
     ("table1 --bogus", 2, "unrecognized arguments: --bogus", ()),
     ("table1 --set", 2, "argument --set: expected one argument", ()),
-    ("weyl-points --out /dev/null", 2, "[Errno 17] File exists: '/dev/null'", ()),
+    ("weyl-points --out /dev/null", 2,
+     "output directory /dev/null (from --out): [Errno 17] File exists: '/dev/null'", ()),
     # Values that break their key's rule.
     ("chern --set nope=1", 2, "--set: unknown key 'nope'", ()),
     ("chern --set sites", 2, "--set: expected KEY=VALUE, got 'sites'", ()),

@@ -438,6 +438,11 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch, case):
     assert main(["bulk-bands", "--set", "bulk_bands.grid=3", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("weyllab: usage error: ") and err.count("\n") == 1
+    # The message names the directory and where it came from.
+    where = f"output directory {args[1]} (from --out): " if args else (
+        f"output directory {env_out} (from WEYLLAB_OUT): "
+    )
+    assert err.startswith(f"weyllab: usage error: {where}")
     assert sorted(tmp_path.rglob("*")) == before  # no partial file
     assert (tmp_path / "afile").read_text() == "keep\n"
 

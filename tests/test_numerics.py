@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from weyllab import numerics
 from weyllab.model import ModelParams, chain_bands
 from weyllab.numerics import (
-    EIG_TOL,
     SOLVE_TOL,
     EigenNonConvergenceError,
     SingularMatrixError,
@@ -25,6 +24,10 @@ from weyllab.numerics import (
     unwrap_winding,
 )
 from weyllab.spectroscopy import DELTA0_STEP, FIT_WINDOW, detuning_grid
+
+# Residual / orthonormality bound of an eigendecomposition, relative to
+# max(1, ||H||_inf).
+EIG_TOL = 1e-10
 
 
 def bands(d, e):
@@ -371,11 +374,17 @@ class TestSolveShifted:
         assert "(cond bound 2.236e+00, " in str(err.value)
 
     @pytest.mark.parametrize(
-        "k,kb", [(-1000, 0), (-920, 0), (920, 0), (1000, 0), (-1000, -1000), (1000, 1000)]
+        "k,kb",
+        [
+            (-1000, 0), (-920, 0), (920, 0), (1000, 0), (-1000, -1000), (1000, 1000),
+            (-600, 0), (-1, 0), (1, 0), (600, 0),
+        ],
     )
     def test_extreme_matrix_is_solved_scaled(self, rng, k, kb):
-        # T + z is divided by its power of two before the LU, as b is, and
-        # x multiplied back after, exactly: x is the unit system's solve.
+        # Beyond LU_EXPONENT, T + z is divided by its power of two before
+        # the LU, as b is, and x multiplied back after, exactly; within it
+        # the LU itself commutes with a power of two: either way x is the
+        # unit system's solve.
         d, e = random_bands(rng, (2,), 6)
         z = np.array([0.3 - 0.2j, -0.7 + 0.5j])
         b = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -554,6 +563,20 @@ class TestSturmCount:
         ]:
             with pytest.raises(ValueError):
                 sturm_count(d, e, x)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+def test_chain_kernels_divide_by_the_same_power_of_two(rng, k):
+    # Both O(n) kernels divide each system by the power of two of
+    # _chain_system, so a system 2**k times another gives the same bits:
+    # the corner element scaled by 2**-k and the same Sturm counts.
+    d, e = random_bands(rng, (3, 1), 8)
+    z = rng.normal(size=4) + 1j * rng.uniform(0.1, 1.0, size=4)
+    g = corner_resolvent(np.ldexp(d, k), np.ldexp(e, k), times_2_to(z, k))
+    assert np.array_equal(g, times_2_to(corner_resolvent(d, e, z), -k))
+    x = np.linspace(-3.0, 3.0, 13)
+    counts = sturm_count(np.ldexp(d, k), np.ldexp(e, k), np.ldexp(x, k))
+    assert np.array_equal(counts, sturm_count(d, e, x))
 
 
 class TestBisectionAndInverseIteration:

@@ -254,6 +254,11 @@ class TestReflections:
         kappa=st.floats(0.05, 1.0),
         budget=st.sampled_from([1, 3000, spectroscopy.BLOCK_ENTRIES]),
     )
+    # 12 sites in 3000 entries hold 20 systems, 6 whole chains of 3 detunings.
+    @example(
+        cells=6, angles=[(0.1 * k, 0.3) for k in range(8)], detunings=[-0.5, 0.0, 0.5],
+        je=0.4, kappa=0.5, budget=3000,
+    )
     @settings(max_examples=60)
     def test_stack_equals_per_chain_solves(
         self, cells, angles, detunings, je, kappa, budget
@@ -262,10 +267,31 @@ class TestReflections:
         # chains and over detunings.
         p = ModelParams(N=cells, Je=je, kappa=kappa)
         t1s, t2s = np.array(angles).T
-        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", budget):
+        n, m, solve, calls = p.sites, len(detunings), spectroscopy.solve_shifted, []
+
+        def spy(d, e, z, b):
+            # Each call's systems, one row of bands and one shift apiece.
+            shape = np.broadcast_shapes(d.shape[:-1], e.shape[:-1], np.shape(z))
+            calls.append(
+                (np.broadcast_to(d, shape + (n,)).reshape(-1, n), np.broadcast_to(z, shape).ravel())
+            )
+            return solve(d, e, z, b)
+
+        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", budget), mock.patch.object(
+            spectroscopy, "solve_shifted", spy
+        ):
             r = reflections(t1s, t2s, detunings, p)
-        assert r.shape == (len(angles), len(detunings))
+        assert r.shape == (len(angles), m)
         z = np.array(detunings) - 0.5j * kappa
+        # Every block within its budget, of whole chains where a chain's
+        # detunings fit, and every (chain, detuning) system once, chain-major.
+        cap = max(1, budget // n**2)
+        assert all(len(shifts) <= cap for _, shifts in calls)
+        if cap >= m:
+            assert all(len(shifts) % m == 0 for _, shifts in calls)
+        diags = chain_bands(t1s, t2s, p)[0]
+        assert np.array_equal(np.concatenate([d for d, _ in calls]), np.repeat(diags, m, axis=0))
+        assert np.array_equal(np.concatenate([s for _, s in calls]), np.tile(z, len(angles)))
         for row, t1, t2 in zip(r, t1s, t2s):
             (d,), (e,) = chain_bands(t1, t2, p)
             g11 = solve_shifted(d, e, z, left_drive(p))[:, 0]
@@ -282,6 +308,8 @@ class TestReflections:
         je=st.sampled_from([0.0, 0.4, 1.0]),
         kappa=st.floats(1e-3, 10.0),
     )
+    # A subnormal detuning, which dividing T + z by 4 would round.
+    @example(cells=2, angles=[(0.0, 0.0)], detunings=[2.225073858507e-311], je=0.0, kappa=1.0)
     @settings(max_examples=40)
     def test_matches_dense_oracle_bit_for_bit(self, cells, angles, detunings, je, kappa):
         # r = 1 + i kappa [(T + z)^-1]_00 from one dense solve per system,
