@@ -292,18 +292,20 @@ def _reprs(a: np.ndarray) -> list[str]:
     """float.__repr__ of every value of the float64 array a, in C order.
 
     Each distinct magnitude, told apart by its bits, is formatted once,
-    and a negative value is "-" plus its magnitude's repr: the shortest
-    round-trip digits do not depend on the sign.  -0.0 and -inf follow
-    that rule; a NaN with its sign bit set does not, as repr drops that
-    sign.
+    and a negative value is "-" plus its magnitude's repr, built once
+    for each magnitude that occurs negative: the shortest round-trip
+    digits do not depend on the sign.  -0.0 and -inf follow that rule;
+    a NaN with its sign bit set does not, as repr drops that sign.
     """
     a = np.ravel(a)
+    neg = np.signbit(a) & (a == a)
     mags, inverse = np.unique(
         a.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True
     )
+    minus, inverse[neg] = np.unique(inverse[neg], return_inverse=True)
     texts = list(map(float.__repr__, mags.view(np.float64).tolist()))
-    table = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return table[inverse + len(texts) * (np.signbit(a) & (a == a))].tolist()
+    table = np.array(texts + ["-" + texts[i] for i in minus.tolist()], dtype=object)
+    return table[inverse + len(texts) * neg].tolist()
 
 
 def _density_columns(chains, keep) -> list[np.ndarray]:

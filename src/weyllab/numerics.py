@@ -363,21 +363,6 @@ def corner_resolvent(diags, offs, z) -> np.ndarray:
     return g
 
 
-def _pivots(dx: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Pivots q_k = dx_k - f2_k / q_{k+1} of the far-end factorization of
-    the chains T - x whose diagonal d - x is dx (n, ...) and whose squared
-    couplings are f2 (n - 1, ...), site first; f2 broadcasts against the
-    stack.  f2 > 0 keeps every pivot a number: a zero pivot makes the
-    next one infinite with the opposite sign, and the one after that
-    finite again."""
-    q = np.empty(dx.shape[:1] + np.broadcast_shapes(dx.shape[1:], f2.shape[1:]))
-    q[-1] = dx[-1]
-    with np.errstate(divide="ignore"):
-        for i in range(len(q) - 2, -1, -1):
-            np.subtract(dx[i], f2[i] / q[i + 1], out=q[i, ...])
-    return q
-
-
 def sturm_count(diags, offs, x) -> np.ndarray:
     """Number of eigenvalues below the real shift x of each real symmetric
     tridiagonal chain T, in O(n) per system.
@@ -386,20 +371,26 @@ def sturm_count(diags, offs, x) -> np.ndarray:
     broadcast, like corner_resolvent's bands and z, and the result has
     their broadcast stack shape.  The count is the number of negative
     pivots of T - x (Sylvester's law of inertia), swept from the far end
-    as corner_resolvent sweeps T + z, with z = -x: each system is divided
-    by the same power of two, and a squared coupling is raised to at
-    least COUPLING_FLOOR.  A pivot counts as negative by its sign bit, so
-    a zero pivot of either sign counts once with the infinite pivot after
+    as corner_resolvent sweeps T + z, with z = -x: each site is divided
+    by the system's power of two as it is read, so only the last pivot
+    and the count are held.  A pivot counts as negative by its sign bit,
+    and a squared coupling is raised to at least COUPLING_FLOOR, so a
+    zero pivot of either sign counts once with the infinite pivot after
     it (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)).
     Mis-shaped, complex or non-finite input: ValueError.
     """
     d, e, x, k = _chain_system(diags, offs, x)
     if x.imag.any():
         raise ValueError("a Sturm count needs a real shift")
-    dx = np.ldexp(d, k[..., None]) - np.ldexp(x.real, k)[..., None]
-    f2 = np.maximum(np.ldexp(e, k[..., None]) ** 2, COUPLING_FLOOR)
-    # Reversed axes put the site first; the counts' axes come back reversed.
-    return np.signbit(_pivots(dx.T, f2.T)).sum(axis=0).T
+    xk = np.ldexp(x.real, k)
+    q = np.ldexp(d[..., -1], k) - xk
+    count = np.signbit(q).astype(np.intp)
+    with np.errstate(divide="ignore"):
+        for i in range(d.shape[-1] - 2, -1, -1):
+            f2 = np.maximum(np.ldexp(e[..., i], k) ** 2, COUPLING_FLOOR)
+            q = np.ldexp(d[..., i], k) - xk - f2 / q
+            count += np.signbit(q)
+    return count
 
 
 def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:
@@ -418,14 +409,13 @@ def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:
     below number 0), and the sweeps stop once every bracket is narrower
     than SEPARATION times that distance, or than SCALED_TOL.
     """
-    dt = diags[..., None]  # each bracket's shifts on the last axis
-    f2 = np.maximum(couplings**2, COUPLING_FLOOR)[..., None]
+    d, e = diags.T[:, None], couplings.T[:, None]  # each bracket's shifts on the last axis
     rows, j = np.arange(len(index)), index[:, None]
     # No eigenvalue but number index lies in [low, hi) or [hi, high).
     low, high = np.where(index == 0, -np.inf, lo), hi
     while (hi - lo > np.maximum(SEPARATION * np.minimum(lo - low, high - hi), SCALED_TOL)).any():
         x = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
-        c = np.signbit(_pivots(dt - x[:, 1:-1], f2)).sum(axis=0) - j
+        c = sturm_count(d, e, x[:, 1:-1]) - j
         # Shifts below eigenvalue number index - 1, below number index and
         # below number index + 1; monotone counts make each a prefix.
         under, passed, within = (c < 0).sum(axis=1), (c < 1).sum(axis=1), (c < 2).sum(axis=1)

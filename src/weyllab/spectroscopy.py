@@ -22,8 +22,8 @@ scattering each verdict back to every grid point of its chain;
 it reports an arc [-t, t], and its oracle's, by the float t, NaN for none.
 The resonance-pair model is linear except in u = e^2, the squared pair
 energy, so its linear weights are projected out (variable projection).
-The u-independent background is projected out of every trace once; each
-u adds two pole columns, orthonormalised by Gram-Schmidt.  A linear
+At each u, one stacked QR orthonormalises the quadratic background's
+columns and the two pole columns of every trace together.  A linear
 projection gives every trace's start and two Gauss-Newton steps refine
 all traces in lockstep; the same projection at the fitted u gives the
 port weights.
@@ -261,55 +261,42 @@ def loop_reflection(
 
 
 def _pair_fit(
-    u: np.ndarray, d: np.ndarray, q: np.ndarray, g: np.ndarray, kappa: float
+    u: np.ndarray, d: np.ndarray, g: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual norms, pair weights and Gauss-Newton steps of the
     resonance-pair model at squared pair energies u = e^2.
 
     Model: g(d) = w+/(w + e) + w-/(w - e) + quadratic background, with
-    w = d - i kappa/2; linear in everything but u.  q (m, 3) is an
-    orthonormal basis of the background (1, d, d^2), which is already
-    projected out of the traces g (..., m); u broadcasts against g's stack.
-    The pole columns enter as s = 2w/(w^2 - u) and t = 1/(w^2 - u): for
-    u > 0 they span the plane of 1/(w +- e), and at u = 0 they are its
-    double-pole limit, so they stay independent.  Gram-Schmidt, applied
-    twice, orthonormalises s against q, then t against q and s.  The
-    residual r is formed, not taken as ||g||^2 - ||projection||^2, which
-    cancels.  Back substitution in the same basis gives g = c_s s + c_t t
-    + background, and the weight w+ + w- = 2 Re c_s.  The step in u is
+    w = d - i kappa/2; linear in everything but u.  g (..., m) holds the
+    traces on the detunings d (m,); u broadcasts against g's stack.  The
+    background columns are (1, d, d^2), and the pole columns enter as
+    s = 2w/(w^2 - u) and t = 1/(w^2 - u): for u > 0 they span the plane
+    of 1/(w +- e), and at u = 0 they are its double-pole limit, so they
+    stay independent.  One stacked QR of the five columns gives an
+    orthonormal basis Q of the model and R; the residual r = g - Q Q^H g
+    is formed, not taken as ||g||^2 - ||Q^H g||^2, which cancels.  Back
+    substitution in R's two pole rows gives g = c_s s + c_t t +
+    background, and the weight w+ + w- = 2 Re c_s.  The step in u is
     Kaufman's Gauss-Newton step of the projected misfit: v = (c_s s +
-    c_t t)/(w^2 - u), the u-derivative of the fitted poles, with q, s and
-    t projected out of it, and step = Re<v, r>/||v||^2.
+    c_t t)/(w^2 - u), the u-derivative of the fitted poles, with Q
+    projected out of it, and step = Re<v, r>/||v||^2.
     """
     u = np.asarray(u, dtype=float)[..., None]
     w = d - 0.5j * kappa
     pole = 1.0 / (w * w - u)
-    s, t = 2.0 * w * pole, pole.copy()
-    for _ in range(2):
-        s -= (s @ q) @ q.T
-    norm_s = np.linalg.norm(s, axis=-1, keepdims=True)
-    s /= norm_s
-    s_t = 0.0  # <s, t> with the background projected out of t
-    for _ in range(2):
-        t -= (t @ q) @ q.T
-        proj = np.sum(s.conj() * t, axis=-1, keepdims=True)
-        t -= s * proj
-        s_t += proj
-    norm_t = np.linalg.norm(t, axis=-1, keepdims=True)
-    t /= norm_t
-    s_g = np.sum(s.conj() * g, axis=-1, keepdims=True)
-    r = g - s * s_g
-    t_g = np.sum(t.conj() * r, axis=-1, keepdims=True)
-    r -= t * t_g
-    c_t = t_g / norm_t
-    c_s = (s_g - c_t * s_t) / norm_s
-    v = (2.0 * w * c_s + c_t) * pole * pole
-    for _ in range(2):
-        v -= (v @ q) @ q.T
-        v -= s * np.sum(s.conj() * v, axis=-1, keepdims=True)
-        v -= t * np.sum(t.conj() * v, axis=-1, keepdims=True)
+    cols = np.empty(pole.shape + (5,), complex)
+    cols[..., :3] = np.vander(d, 3, increasing=True)
+    cols[..., 3], cols[..., 4] = 2.0 * w * pole, pole
+    basis, rr = np.linalg.qr(cols)
+    adjoint = basis.conj().swapaxes(-1, -2)
+    coef = (adjoint @ g[..., None])[..., 0]
+    r = g - (basis @ coef[..., None])[..., 0]
+    c_t = coef[..., 4] / rr[..., 4, 4]
+    c_s = (coef[..., 3] - rr[..., 3, 4] * c_t) / rr[..., 3, 3]
+    v = (2.0 * w * c_s[..., None] + c_t[..., None]) * pole * pole
+    v -= (basis @ (adjoint @ v[..., None]))[..., 0]
     step = np.sum(v.conj() * r, axis=-1).real / np.sum(np.abs(v) ** 2, axis=-1)
-    return np.linalg.norm(r, axis=-1), 2.0 * c_s[..., 0].real, step
+    return np.linalg.norm(r, axis=-1), 2.0 * c_s.real, step
 
 
 def _fit_zero_pairs(
@@ -324,32 +311,28 @@ def _fit_zero_pairs(
     the kappa/2 blurring of any local lineshape statistic.  The fit is a
     variable projection (Golub & Pereyra 1973): the linear weights are
     projected out, leaving a misfit in u = e^2 alone.  It runs in units
-    of J, so every energy scale gives the same fit.  One QR of the real
-    Vandermonde columns (1, d, ..., d^4) serves every trace; its first
-    three columns span the quadratic background, which is projected out
-    of every trace once.  The start is linear (Levy 1959): times
-    (w^2 - u), the model reads g w^2 = u g + a quartic in d, so with the
-    quartics projected out of g and of g w^2, leaving x and y,
-    u = Re<x, y>/||x||^2.  NEWTON_STEPS Gauss-Newton steps of _pair_fit
-    refine it, u clipped to [0, FIT_WINDOW^2] before each call, and the
-    weights come from _pair_fit at the final u.  Returns (energies,
-    total pair weights), each (P,).  A fit that rounding leaves
-    non-finite, as from kappa of about 5e72 J, raises NumericsError.
+    of J, so every energy scale gives the same fit.  The start is linear
+    (Levy 1959): times (w^2 - u), the model reads g w^2 = u g + a
+    quartic in d, so with the quartics projected out of g and of g w^2
+    by one QR of the real Vandermonde columns (1, d, ..., d^4), leaving
+    x and y, u = Re<x, y>/||x||^2.  NEWTON_STEPS Gauss-Newton steps of
+    _pair_fit refine it, u clipped to [0, FIT_WINDOW^2] before each
+    call, and the weights come from _pair_fit at the final u.  Returns
+    (energies, total pair weights), each (P,).  A fit that rounding
+    leaves non-finite, as from kappa of about 5e72 J, raises NumericsError.
     """
     d, kappa = d / p.J, p.kappa / p.J  # energies in units of J
     basis = np.linalg.qr(np.vander(d, 5, increasing=True))[0]
-    q = basis[:, :3]  # the quadratic background (1, d, d^2)
     with np.errstate(all="ignore"):
         g = g * p.J
-        g_off = g - (g @ q) @ q.T  # the traces with the background projected out
         x = g - (g @ basis) @ basis.T
         gw2 = g * (d - 0.5j * kappa) ** 2
         y = gw2 - (gw2 @ basis) @ basis.T
         u = np.sum(x.conj() * y, axis=-1).real / np.sum(np.abs(x) ** 2, axis=-1)
         u = np.clip(u, 0.0, FIT_WINDOW**2)
         for _ in range(NEWTON_STEPS):
-            u = np.clip(u + _pair_fit(u, d, q, g_off, kappa)[2], 0.0, FIT_WINDOW**2)
-        e_hat, weight = p.J * np.sqrt(u), _pair_fit(u, d, q, g_off, kappa)[1]
+            u = np.clip(u + _pair_fit(u, d, g, kappa)[2], 0.0, FIT_WINDOW**2)
+        e_hat, weight = p.J * np.sqrt(u), _pair_fit(u, d, g, kappa)[1]
     if not (np.isfinite(e_hat).all() and np.isfinite(weight).all()):
         raise NumericsError(
             f"resonance-pair fit is not finite at kappa = {p.kappa:.3g} "

@@ -4,8 +4,11 @@ import pytest
 
 from weyllab.model import ModelParams
 
+# derandomize: every run draws the same examples, so a tree that passes
+# the suite once passes it every time, and a counterexample found once
+# is found again.
 hypothesis.settings.register_profile(
-    "default", max_examples=50, deadline=None
+    "default", max_examples=50, deadline=None, derandomize=True
 )
 hypothesis.settings.load_profile("default")
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -620,6 +621,21 @@ def test_reprs_is_float_repr():
     grid = a[: 2 * 46].reshape(4, 23)  # as the sheet passes a (C, n) row
     assert cli._reprs(grid) == list(map(float.__repr__, grid.ravel().tolist()))
     assert cli._reprs(np.array([])) == []
+
+
+def test_reprs_of_one_signed_column_build_no_minus_texts():
+    # A column with no negative value needs no "-" text: formatting 4,096
+    # distinct positive values peaks near the strings the result holds,
+    # where a "-" text per magnitude adds about two thirds of them again.
+    a = np.random.default_rng(1).uniform(0.5, 1.5, 4096)
+    peaks = []
+    for fmt in (cli._reprs, lambda x: list(map(float.__repr__, x.tolist()))):
+        tracemalloc.start()
+        texts = fmt(a)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        del texts
+    assert peaks[0] < 1.4 * peaks[1]
 
 
 @given(

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,6 +554,19 @@ class TestSturmCount:
         for x in [*vals, -0.0, 0.0, 0.25, 3.0, -3.0]:
             got = sturm_count(d, e, x)
             assert (vals < x).sum() <= got <= (vals <= x).sum()
+
+    def test_holds_no_pivot_array(self):
+        # A long stack, 64 chains of 5,000 sites at two shifts, is counted
+        # within twice the bands' bytes: one copy of the bands and a few
+        # stack-sized arrays.  Stored pivots with the shifted bands they
+        # come from, each (2, 64, 5000), would take about four times.
+        rng = np.random.default_rng(3)
+        d, e = rng.uniform(-1.0, 1.0, (64, 5000)), rng.uniform(-1.0, 1.0, (64, 4999))
+        tracemalloc.start()
+        sturm_count(d, e, [[-0.1], [0.2]])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * (d.nbytes + e.nbytes)
 
     def test_rejects_what_corner_resolvent_rejects(self):
         for d, e, x in [
