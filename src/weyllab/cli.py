@@ -14,6 +14,7 @@ node's chirality), with its files written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ from .openchain import density_profile, diagonalize_chain, edge_spectrum
 from .spectroscopy import (
     DELTA0_STEP,
     FIT_WINDOW,
+    GridError,
     detect_arc_endpoint,
     detuning_grid,
     loop_reflection,
@@ -335,7 +337,8 @@ def cmd_density(cfg, out: _OutputSet) -> int:
 
 def cmd_reflection(cfg, out: _OutputSet) -> int:
     p = _params(cfg)
-    dgrid = detuning_grid(cfg["reflection.window"], cfg["reflection.step"], p)
+    with _grid_keys(cfg, "reflection.window", "reflection.step"):
+        dgrid = detuning_grid(cfg["reflection.window"], cfg["reflection.step"], p)
     r = reflections(cfg["reflection.theta1"], cfg["reflection.theta2"], dgrid, p)[0]
     # hypot and float_power round as the scalar abs(r) ** 2 does, sample
     # for sample; np.abs(r) ** 2 does not.
@@ -379,11 +382,22 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _grid_keys(cfg, *keys):
+    """Name the config keys, with their values as set, in front of a
+    GridError raised inside."""
+    try:
+        yield
+    except GridError as exc:
+        raise GridError(", ".join(f"{key}={cfg[key]!r}" for key in keys) + f": {exc}") from None
+
+
 def _theta1_grid(cfg) -> np.ndarray:
     if not cfg["fermi_arc.window"] >= FIT_WINDOW:
         raise ValueError(f"fermi_arc.window must be at least {FIT_WINDOW} J")
     span, step = cfg["fermi_arc.span"], cfg["fermi_arc.grid_step"]
-    return symmetric_grid(span * math.pi, step * math.pi)
+    with _grid_keys(cfg, "fermi_arc.span", "fermi_arc.grid_step"):
+        return symmetric_grid(span * math.pi, step * math.pi)
 
 
 def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
@@ -392,7 +406,8 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     det = detect_arc_endpoint(math.pi / 2, grid, p)
     edge, oracle = det.theta1c, det.oracle_theta1c
     empty = math.isnan(edge)
-    dgrid = detuning_grid(cfg["fermi_arc.window"], DELTA0_STEP, p)
+    with _grid_keys(cfg, "fermi_arc.window"):
+        dgrid = detuning_grid(cfg["fermi_arc.window"], DELTA0_STEP, p)
     probe = [0.0]
     if not empty:
         probe = [0.0, 0.5 * edge, -0.5 * edge, edge + 0.1 * math.pi, -edge - 0.1 * math.pi]

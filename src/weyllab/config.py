@@ -5,8 +5,10 @@ where it has one, the rule the value must meet.  A config file
 (KEY=VALUE lines, '#' comments) overrides the defaults and repeatable
 --set KEY=VALUE flags override the file (later occurrences win); both go
 through one KEY=VALUE parser, which applies the key's rule.  The rules
-are only those no library call applies: every other bad value is
-rejected, before anything is written, by the call that uses it.  Angles
+are only those no library call applies to the value as set: every
+other bad value is rejected, before anything is written, by the call
+that uses it.  The signs of the grid keys are ruled here, since fermi-arc
+passes its span and step to the grid times pi.  Angles
 are plain radians; energies are in units of the hopping J; `sites`
 counts resonators (the chain has two per unit cell, so it must be even).
 """
@@ -32,6 +34,7 @@ FINITE = (math.isfinite, "finite")
 EVEN = (lambda n: n % 2 == 0, "even")
 GRID = (lambda n: n >= 1, "at least 1")
 NONNEGATIVE = (lambda x: 0 <= x < math.inf, "finite and at least 0")
+POSITIVE = (lambda x: 0 < x < math.inf, "finite and positive")
 SIZES = (lambda v: v and all(n % 2 == 0 for n in v), "a non-empty list of even sizes")
 NODE = (lambda n: 1 <= n <= 4, "a node index 1..4")
 SWITCH = (lambda n: n in (0, 1), "0 or 1")
@@ -65,16 +68,16 @@ KEYS = {
     # reflection trace
     "reflection.theta1": (0.0, float, FINITE),
     "reflection.theta2": (math.pi / 2, float, FINITE),
-    "reflection.window": (1.0, float, FINITE),
-    "reflection.step": (0.01, float, FINITE),
+    "reflection.window": (1.0, float, NONNEGATIVE),
+    "reflection.step": (0.01, float, POSITIVE),
     # winding readout
     "winding.weyl": (1, int, NODE),
     "winding.theta_r": (0.25 * math.pi, float, FINITE),
     "winding.samples": (128, int, None),
     # arc detection
     "fermi_arc.window": (1.0, float, FINITE),
-    "fermi_arc.span": (0.5, float, FINITE),
-    "fermi_arc.grid_step": (0.01, float, FINITE),
+    "fermi_arc.span": (0.5, float, NONNEGATIVE),
+    "fermi_arc.grid_step": (0.01, float, POSITIVE),
     # size sweep
     "table1.sizes": ([4, 6, 8, 12, 20, 36], _sizes, SIZES),
 }

@@ -20,12 +20,22 @@ scipy_dstev_64_ (numpy 2) or dstev_64_ (numpy 1.x), with 64-bit
 integers.  Where numpy's build exports neither (conda, MKL and distro
 builds), dstev is scipy.linalg.lapack.dstev, imported on its first call.
 Either way one eigh_bands call solves a whole stack of chains in place
-in arrays that call allocates, so calls share no state.
+in arrays that call allocates, so calls share no state.  The bundled
+call releases the interpreter lock, so a stack is split into contiguous
+ranges over the CPUs the process may use (its affinity mask, else
+os.cpu_count()): one range per CPU at most, each of at least SPLIT_WORK
+chains times n^2, and only for chains of SPLIT_SITES sites or more.
+The calling thread solves the first range and a threading.Thread each
+other one, with its own work array and INFO, and every thread is joined
+before the call returns; on one CPU none starts.  The scipy fallback
+holds the lock, so it stays one loop.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +54,19 @@ __all__ = [
     "unwrap_winding",
 ]
 
+# Most matrix entries that one block of a stacked kernel holds at once
+# (2 MB of complex systems, 1 MB of real eigenvectors); it bounds the
+# memory of spectroscopy.reflections and openchain.edge_spectrum.
+BLOCK_ENTRIES = 2**17
+# Least work, in chains times n^2 (about 30 to 90 ns each), that one
+# range of a dstev stack must carry to be worth a thread start (about
+# 90 us).
+SPLIT_WORK = 2**13
+# Fewest sites of a chain whose dstev stack is split: a shorter chain's
+# solve (under about 10 us) is shorter than the interpreter-lock handoff
+# that each call costs when two threads take turns, and two threads
+# solved such stacks up to twice as slowly as one.
+SPLIT_SITES = 14
 # Solve residual bound, relative to ||A|| ||x|| + ||b||.
 SOLVE_TOL = 1e-10
 # Largest exponent magnitude at which solve_shifted solves a system as
@@ -117,31 +140,74 @@ def _bundled_lapack_dstev():
 _LAPACK_DSTEV = _bundled_lapack_dstev()
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where it can be
+    read, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     """LAPACK dstev in place on each chain of C-contiguous float stacks d
     (m, n), e (m, n - 1) and z (m, n, n), n >= 2, through numpy's bundled
     LAPACK: d[k] becomes chain k's eigenvalues and z[k] its eigenvectors
     in column-major order, e[k] is destroyed.  z None asks for the
-    eigenvalues only (JOBZ = "N").  Returns the first nonzero INFO, or 0."""
+    eigenvalues only (JOBZ = "N").  Returns the INFO of the first chain
+    that fails, or 0.
+
+    The stack is split into contiguous ranges as the module docstring
+    says; a range stops at its first failing chain, and an exception
+    raised in a range is raised here once every thread is joined.
+    """
     m, n = d.shape
     if e.shape != (m, n - 1) or z is not None and z.shape != (m, n, n) or not all(
         a.dtype == np.float64 and a.flags.c_contiguous for a in (d, e, z) if a is not None
     ):
         raise ValueError("dstev needs C-contiguous float stacks (m, n), (m, n - 1), (m, n, n)")
-    work = np.empty(2 * n - 2)
-    jobz = ctypes.c_char(b"N" if z is None else b"V")
-    size, info = ctypes.c_int64(n), ctypes.c_int64()
-    jobz_p, size_p, info_p = map(ctypes.addressof, (jobz, size, info))
-    d_p, e_p, work_p = (a.ctypes.data for a in (d, e, work))
-    z_p, z_step = (work_p, 0) if z is None else (z.ctypes.data, 8 * n * n)
-    for k in range(m):
-        _LAPACK_DSTEV(
-            jobz_p, size_p, d_p + 8 * n * k, e_p + 8 * (n - 1) * k,
-            z_p + z_step * k, size_p, work_p, info_p, 1,
-        )
-        if info.value:
-            return info.value
-    return 0
+    jobz, size = ctypes.c_char(b"N" if z is None else b"V"), ctypes.c_int64(n)
+    load = m * n * n
+    count = 1
+    if n >= SPLIT_SITES and load >= 2 * SPLIT_WORK:
+        count = min(m, _cpus(), load // SPLIT_WORK)
+    # Range r is chains bounds[r] to bounds[r + 1], with its own work
+    # array and INFO.
+    bounds = [m * r // count for r in range(count + 1)]
+    works = [np.empty(2 * n - 2) for _ in range(count)]
+    infos = [ctypes.c_int64() for _ in range(count)]
+    errors = [None] * count
+
+    def solve(r):
+        # Every pointer is read here, so each buffer LAPACK uses stays
+        # referenced while a thread runs.
+        jobz_p, size_p, info_p = map(ctypes.addressof, (jobz, size, infos[r]))
+        d_p, e_p, work_p = d.ctypes.data, e.ctypes.data, works[r].ctypes.data
+        z_p, z_step = (work_p, 0) if z is None else (z.ctypes.data, 8 * n * n)
+        try:
+            for k in range(bounds[r], bounds[r + 1]):
+                _LAPACK_DSTEV(
+                    jobz_p, size_p, d_p + 8 * n * k, e_p + 8 * (n - 1) * k,
+                    z_p + z_step * k, size_p, work_p, info_p, 1,
+                )
+                if infos[r].value:
+                    return
+        except BaseException as exc:  # raised again in the calling thread
+            errors[r] = exc
+
+    threads = [threading.Thread(target=solve, args=(r,)) for r in range(1, count)]
+    try:
+        for thread in threads:
+            thread.start()
+        solve(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return next((info.value for info in infos if info.value), 0)
 
 
 def _scipy_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
@@ -382,7 +448,14 @@ def sturm_count(diags, offs, x) -> np.ndarray:
     d, e, x, k = _chain_system(diags, offs, x)
     if x.imag.any():
         raise ValueError("a Sturm count needs a real shift")
-    xk = np.ldexp(x.real, k)
+    return _sturm_sweep(d, e, x.real, k)
+
+
+def _sturm_sweep(d, e, x, k) -> np.ndarray:
+    """sturm_count of the validated bands d (..., n) and e (..., n - 1)
+    at real shifts x (...), which broadcast, each system divided by 2**-k
+    as _chain_system gives k."""
+    xk = np.ldexp(x, k)
     q = np.ldexp(d[..., -1], k) - xk
     count = np.signbit(q).astype(np.intp)
     with np.errstate(divide="ignore"):
@@ -401,21 +474,26 @@ def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:
     The chains' bands are diags (n, m) and couplings (n - 1, m), site
     first, with magnitudes of at most about 1, their scale (every kernel
     here first divides a system by a power of two).  Each sweep takes
-    the Sturm counts of sturm_count at MULTISECTION shifts spread evenly
-    over every bracket, as one stack, and keeps the slot in which the
-    count passes index: bisection (Barth, Martin and Wilkinson 1967,
-    LAPACK dstebz) in a quarter of the sweeps.  The same counts bound the
-    distance from the bracket to the eigenvalues next to its own (none
-    below number 0), and the sweeps stop once every bracket is narrower
-    than SEPARATION times that distance, or than SCALED_TOL.
+    the Sturm counts at MULTISECTION shifts spread evenly over every
+    bracket, as one stack, and keeps the slot in which the count passes
+    index: bisection (Barth, Martin and Wilkinson 1967, LAPACK dstebz) in
+    a quarter of the sweeps.  The counts are sturm_count's bit for bit:
+    its sweep, _sturm_sweep, runs with the exponent it gives each shift,
+    on bands validated once, not once per sweep.  The same counts bound
+    the distance from the bracket to the eigenvalues next to its own
+    (none below number 0), and the sweeps stop once every bracket is
+    narrower than SEPARATION times that distance, or than SCALED_TOL.
     """
-    d, e = diags.T[:, None], couplings.T[:, None]  # each bracket's shifts on the last axis
+    # Each bracket's shifts on the last axis; + 0.0 as in _chain_system.
+    d, e = diags.T[:, None] + 0.0, couplings.T[:, None] + 0.0
+    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
     rows, j = np.arange(len(index)), index[:, None]
     # No eigenvalue but number index lies in [low, hi) or [hi, high).
     low, high = np.where(index == 0, -np.inf, lo), hi
     while (hi - lo > np.maximum(SEPARATION * np.minimum(lo - low, high - hi), SCALED_TOL)).any():
         x = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
-        c = sturm_count(d, e, x[:, 1:-1]) - j
+        shifts = x[:, 1:-1]
+        c = _sturm_sweep(d, e, shifts, -np.frexp(np.maximum(big, np.abs(shifts)))[1]) - j
         # Shifts below eigenvalue number index - 1, below number index and
         # below number index + 1; monotone counts make each a prefix.
         under, passed, within = (c < 0).sum(axis=1), (c < 1).sum(axis=1), (c < 2).sum(axis=1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, chain_bands
-from .numerics import _bisect, _inverse_iteration, eigh_bands, sturm_count
+from .numerics import BLOCK_ENTRIES, _bisect, _inverse_iteration, eigh_bands, sturm_count
 
 __all__ = [
     "edge_spectrum",
@@ -161,9 +161,12 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     diagonalize_chain at (theta1_grid[i], theta2_grid[j]) and its labels,
     bit for bit.  A chain depends on its angles only through their
     cosines, so chain_bands' rows repeat; each distinct chain is solved
-    once and only the four END_ROWS of its vectors are kept.  One stacked
-    solve per distinct diagonal row takes every distinct off-diagonal
-    row, so a single theta2 is one eigh_bands call.
+    once and only the labels its four END_ROWS give are kept.  One stacked
+    _eigensystems call takes every distinct off-diagonal row against a
+    group of whole distinct diagonal rows, as many as fit BLOCK_ENTRIES
+    vector entries (one at least), so its eigh_bands stack is large
+    enough to split over the CPUs (numerics module docstring); each
+    group is labeled before the next is solved.
     """
     if p.N < 2:
         raise ValueError("edge spectrum needs at least two unit cells")
@@ -171,11 +174,13 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     diags, col = _distinct_rows(diags)
     offs, row = _distinct_rows(offs)
     energies = np.empty((len(offs), len(diags), p.sites))
-    ends = np.empty((len(offs), len(diags), 4, p.sites))
-    for k, diag in enumerate(diags):
-        energies[:, k], vecs = _eigensystems(diag, offs, PAIR_WINDOW * p.J)
-        ends[:, k] = vecs[:, END_ROWS]
-    return energies, _labels(ends), row, col
+    labels = np.empty(energies.shape, dtype=object)
+    group = max(1, BLOCK_ENTRIES // (len(offs) * p.sites**2))
+    for k in range(0, len(diags), group):
+        cols = slice(k, k + group)
+        energies[:, cols], vecs = _eigensystems(diags[cols], offs[:, None], PAIR_WINDOW * p.J)
+        labels[:, cols] = _labels(vecs[..., END_ROWS, :])
+    return energies, labels, row, col
 
 
 def _sublattice_labels(offs: np.ndarray, index: np.ndarray, window: float) -> np.ndarray:

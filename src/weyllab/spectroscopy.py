@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, WeylPoint, _node_loop, chain_bands
-from .numerics import NumericsError, corner_resolvent, solve_shifted
+from .numerics import BLOCK_ENTRIES, NumericsError, corner_resolvent, solve_shifted
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
@@ -48,6 +48,7 @@ from .openchain import (
 )
 
 __all__ = [
+    "GridError",
     "ArcDetection",
     "left_drive",
     "steady_state",
@@ -59,9 +60,6 @@ __all__ = [
     "detect_arc_endpoint",
 ]
 
-# Most matrix entries that one block of a reflections stack solves at
-# once (2 MB of complex systems); it bounds the kernel's memory.
-BLOCK_ENTRIES = 2**17
 # Drive-detuning scan step for arc detection, in units of J.
 DELTA0_STEP = 0.01
 # Most points of a symmetric detuning or theta1 grid, or of a winding loop.
@@ -195,20 +193,24 @@ def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
     return r
 
 
+class GridError(ValueError):
+    """A grid step and half-width that symmetric_grid refuses."""
+
+
 def symmetric_grid(half_width: float, step: float) -> np.ndarray:
     """Grid k * step for |k| <= round(half_width / step).
 
-    Raises ValueError, before allocating anything, for a non-positive
+    Raises GridError, before allocating anything, for a non-positive
     step, a negative or non-finite half_width, or a grid of more than
     MAX_GRID_POINTS points.
     """
     if not step > 0:
-        raise ValueError("grid step must be positive")
+        raise GridError("grid step must be positive")
     if not 0 <= half_width < math.inf:
-        raise ValueError(f"grid half-width must be finite and >= 0, got {half_width}")
+        raise GridError(f"grid half-width must be finite and >= 0, got {half_width}")
     half = half_width / step  # inf for a denormal step
     if not half <= (MAX_GRID_POINTS - 1) / 2:
-        raise ValueError(
+        raise GridError(
             f"grid of {2 * half + 1:.3g} points exceeds {MAX_GRID_POINTS}; "
             "use a coarser step"
         )

@@ -71,17 +71,23 @@ CASES = [
     ("winding --set kappa=0", 2, "winding readout needs kappa > 0", ()),
     ("chern --set chern.mesh=4", 2, "mesh must be at least 8", ()),
     ("edge-spectrum --set edge_spectrum.sites=2", 2, "edge spectrum needs at least two unit cells", ()),
-    ("fermi-arc --set fermi_arc.grid_step=0", 2, "grid step must be positive", ()),
-    ("reflection --set reflection.step=0", 2, "grid step must be positive", ()),
+    ("fermi-arc --set fermi_arc.grid_step=0", 2,
+     "--set: fermi_arc.grid_step must be finite and positive, got '0'", ()),
+    ("reflection --set reflection.step=0", 2, "--set: reflection.step must be finite and positive, got '0'", ()),
     ("fermi-arc --set fermi_arc.window=0.02", 2, "fermi_arc.window must be at least 0.12 J", ()),
     ("table1 --set fermi_arc.window=0.02", 2, "fermi_arc.window must be at least 0.12 J", ()),
-    ("reflection --set reflection.window=-1", 2, "grid half-width must be finite and >= 0, got -1.0", ()),
-    ("fermi-arc --set fermi_arc.span=-0.5", 2,
-     "grid half-width must be finite and >= 0, got -1.5707963267948966", ()),
-    ("reflection --set reflection.step=5e-324", 2, "grid of inf points exceeds 10001; use a coarser step", ()),
-    ("reflection --set reflection.step=1e-9", 2, "grid of 2e+09 points exceeds 10001; use a coarser step", ()),
+    ("reflection --set reflection.window=-1", 2,
+     "--set: reflection.window must be finite and at least 0, got '-1'", ()),
+    ("fermi-arc --set fermi_arc.span=-0.5", 2, "--set: fermi_arc.span must be finite and at least 0, got '-0.5'", ()),
+    # A grid too long: the keys that set it, with their values.
+    ("reflection --set reflection.step=5e-324", 2,
+     "reflection.window=1.0, reflection.step=5e-324: grid of inf points exceeds 10001; use a coarser step", ()),
+    ("reflection --set reflection.step=1e-9", 2,
+     "reflection.window=1.0, reflection.step=1e-09: grid of 2e+09 points exceeds 10001; use a coarser step", ()),
     ("fermi-arc --set fermi_arc.grid_step=1e-12", 2,
-     "grid of 1e+12 points exceeds 10001; use a coarser step", ()),
+     "fermi_arc.span=0.5, fermi_arc.grid_step=1e-12: grid of 1e+12 points exceeds 10001; use a coarser step", ()),
+    ("fermi-arc --set fermi_arc.window=1e300", 2,
+     "fermi_arc.window=1e+300: grid of 2e+302 points exceeds 10001; use a coarser step", ()),
     ("reflection --set j=5e-324", 2, MERGED_GRID, ()),
     ("fermi-arc --set j=5e-324", 2, MERGED_GRID, ()),
     ("table1 --set j=5e-324", 2, MERGED_GRID, ()),

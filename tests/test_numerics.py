@@ -1,3 +1,4 @@
+import ctypes
 import re
 import sys
 import threading
@@ -188,6 +189,148 @@ class TestEighTridiagonal:
         error = EigenNonConvergenceError if info > 0 else ValueError
         with pytest.raises(error):
             eigh_bands(*bands([0.0, 0.0], [1.0]))
+
+
+needs_bundled = pytest.mark.skipif(
+    numerics._LAPACK_DSTEV is None, reason="this numpy build exports no dstev"
+)
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make the process's affinity mask read as `cpus` CPUs."""
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_threads(monkeypatch):
+    """The list that every numerics thread constructed from now on joins."""
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(numerics.threading, "Thread", Counted)
+    return made
+
+
+class TestSplitDstev:
+    # Chains times n^2 against numerics.SPLIT_WORK = 8192, and n against
+    # SPLIT_SITES = 14: (55, 4), (12, 30) and (300, 12) stay whole; the
+    # others have work for `ranges` ranges, and get one per CPU up to that.
+    @needs_bundled
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "m,n,ranges", [(55, 4, 1), (12, 30, 1), (300, 12, 1), (84, 14, 2), (55, 30, 6), (3, 100, 3)]
+    )
+    def test_split_is_the_serial_loop_bit_for_bit(self, rng, monkeypatch, vectors, cpus, m, n, ranges):
+        set_cpus(monkeypatch, cpus)
+        made = count_threads(monkeypatch)
+        d, e = random_bands(rng, (m,), n)
+        ref_d, ref_e = d.copy(), e.copy()
+        z, ref_z = (np.full((m, n, n), np.nan) for _ in range(2)) if vectors else (None, None)
+        for k in range(m):  # one chain at a time: a stack of one is never split
+            one = slice(k, k + 1)
+            assert numerics._bundled_dstev(ref_d[one], ref_e[one], ref_z if z is None else ref_z[one]) == 0
+        assert not made
+        assert numerics._bundled_dstev(d, e, z) == 0
+        assert len(made) == min(cpus, ranges) - 1
+        assert not any(thread.is_alive() for thread in made)
+        assert d.tobytes() == ref_d.tobytes()
+        assert z is None or z.tobytes() == ref_z.tobytes()
+
+    @needs_bundled
+    def test_eigh_bands_of_a_split_stack_is_scipy_per_chain(self, rng, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        made = count_threads(monkeypatch)
+        d, e = random_bands(rng, (4, 30), 16)
+        vals, vecs = eigh_bands(d, e)
+        assert len(made) == 1
+        for k in np.ndindex(4, 30):
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d[k], e[k], lapack_driver="stev")
+            assert vals[k].tobytes() == ref_vals.tobytes()
+            assert vecs[k].tobytes() == ref_vecs.tobytes()
+
+    @pytest.mark.parametrize("failures,info", [({80: 2}, 2), ({40: 7, 80: 2}, 7)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failure_in_a_later_range_names_the_lowest_failing_chain(
+        self, monkeypatch, cpus, failures, info
+    ):
+        # 100 chains of 20 sites split at chain 50, or at 33 and 66; chain
+        # k's first diagonal entry is k, so the fake LAPACK knows which
+        # chain it has.  Chain 80 fails in the last range and chain 40 in
+        # the first or the second.
+        set_cpus(monkeypatch, cpus)
+        made = count_threads(monkeypatch)
+
+        def fake(jobz, size, d, e, z, ldz, work, info_p, length):
+            chain = int(ctypes.c_double.from_address(d).value)
+            ctypes.c_int64.from_address(info_p).value = failures.get(chain, 0)
+
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEV", fake)
+        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        d = np.zeros((100, 20))
+        d[:, 0] = np.arange(100)
+        with pytest.raises(EigenNonConvergenceError, match=f"^tridiagonal eigensolver: {info} off"):
+            eigh_bands(d, np.ones((100, 19)))
+        assert len(made) == cpus - 1
+        assert not any(thread.is_alive() for thread in made)
+
+    @pytest.mark.parametrize("chain", [10, 80])
+    def test_an_exception_in_any_range_reaches_the_caller(self, monkeypatch, chain):
+        # Chain 10 is in the calling thread's range, chain 80 in the other.
+        set_cpus(monkeypatch, 2)
+        made = count_threads(monkeypatch)
+
+        def fake(jobz, size, d, e, z, ldz, work, info_p, length):
+            if int(ctypes.c_double.from_address(d).value) == chain:
+                raise RuntimeError(f"chain {chain}")
+
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEV", fake)
+        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        d = np.zeros((100, 20))
+        d[:, 0] = np.arange(100)
+        with pytest.raises(RuntimeError, match=f"^chain {chain}$"):
+            eigh_bands(d, np.ones((100, 19)))
+        assert len(made) == 1
+        assert not made[0].is_alive()
+
+    @needs_bundled
+    def test_a_thread_that_cannot_start_leaves_none_running(self, rng, monkeypatch):
+        # Three ranges; the second thread fails to start, so the first is
+        # joined before the error reaches the caller.
+        set_cpus(monkeypatch, 3)
+        made = count_threads(monkeypatch)
+        start = threading.Thread.start
+
+        def flaky(thread):
+            if thread is made[1]:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(numerics.threading.Thread, "start", flaky)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            numerics._bundled_dstev(*random_bands(rng, (90,), 20), np.empty((90, 20, 20)))
+        assert len(made) == 2 and made[0].ident is not None
+        assert not made[0].is_alive()
+
+    @pytest.mark.parametrize("affinity", ["one CPU", "unreadable"])
+    def test_one_cpu_starts_no_thread(self, rng, monkeypatch, affinity):
+        if affinity == "one CPU":
+            set_cpus(monkeypatch, 1)
+        else:
+            def unreadable(pid):
+                raise OSError("no affinity here")
+
+            monkeypatch.setattr(numerics.os, "sched_getaffinity", unreadable, raising=False)
+            monkeypatch.setattr(numerics.os, "cpu_count", lambda: 1)
+        made = count_threads(monkeypatch)
+        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEV", lambda *args: None)
+        eigh_bands(*random_bands(rng, (200,), 40))
+        assert not made
 
 
 def random_bands(rng, shape, n):

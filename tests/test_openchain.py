@@ -333,6 +333,37 @@ class TestEdgeSpectrum:
         assert len(chains) == len(distinct_diags) * len(distinct_offs)
         assert energies.shape == (len(theta1s), len(theta2s), p.sites)
 
+    @pytest.mark.parametrize(
+        "sites,points,budget,calls",
+        # 6 x 6 distinct chains in column groups of 4 and 2; 55 x 55 in
+        # groups of 12 (the default budget at 14 sites), the last one of 7.
+        [(8, 7, 4 * 6 * 64, 2), (14, 81, openchain.BLOCK_ENTRIES, 5)],
+    )
+    def test_ragged_column_groups_give_the_per_column_sheet(
+        self, monkeypatch, sites, points, budget, calls
+    ):
+        grid = np.linspace(-np.pi, np.pi, points)
+        solves, solve = [], openchain._eigensystems
+
+        def counted(diags, offs, window):
+            solves.append(diags.shape)
+            return solve(diags, offs, window)
+
+        monkeypatch.setattr(openchain, "_eigensystems", counted)
+        monkeypatch.setattr(openchain, "BLOCK_ENTRIES", 1)
+        per_column = edge_spectrum(grid, grid, chain(sites))
+        columns = per_column[0].shape[1]
+        assert solves == [(1, sites)] * columns
+        solves.clear()
+        monkeypatch.setattr(openchain, "BLOCK_ENTRIES", budget)
+        grouped = edge_spectrum(grid, grid, chain(sites))
+        assert len(solves) == calls and solves[-1][0] < solves[0][0]
+        assert sum(shape[0] for shape in solves) == columns
+        assert grouped[0].tobytes() == per_column[0].tobytes()
+        assert grouped[1].tolist() == per_column[1].tolist()
+        for a, b in zip(grouped[2:], per_column[2:]):
+            assert a.tobytes() == b.tobytes()
+
     def test_symmetric_arc_grid_has_51_distinct_chains(self):
         _, offs = chain_bands(ARC_GRID, np.pi / 2, chain(8))
         assert len(_distinct_rows(offs)[0]) == 51
