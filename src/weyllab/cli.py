@@ -384,8 +384,10 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
 
 @contextlib.contextmanager
 def _grid_keys(cfg, *keys):
-    """Name the config keys, with their values as set, in front of a
-    GridError raised inside."""
+    """Name the config keys, with their values, in front of a GridError
+    raised inside.  A value reads as show-config prints it, the float's
+    repr (1e-09 for a value set as 1e-9), one form whether it came from
+    a default, a file or --set."""
     try:
         yield
     except GridError as exc:

@@ -24,7 +24,7 @@ in arrays that call allocates, so calls share no state.  The bundled
 call releases the interpreter lock, so a stack is split into contiguous
 ranges over the CPUs the process may use (its affinity mask, else
 os.cpu_count()): one range per CPU at most, each of at least SPLIT_WORK
-chains times n^2, and only for chains of SPLIT_SITES sites or more.
+units of work, and only for chains of at least SPLIT_CHAIN units each.
 The calling thread solves the first range and a threading.Thread each
 other one, with its own work array and INFO, and every thread is joined
 before the call returns; on one CPU none starts.  The scipy fallback
@@ -58,15 +58,18 @@ __all__ = [
 # (2 MB of complex systems, 1 MB of real eigenvectors); it bounds the
 # memory of spectroscopy.reflections and openchain.edge_spectrum.
 BLOCK_ENTRIES = 2**17
-# Least work, in chains times n^2 (about 30 to 90 ns each), that one
-# range of a dstev stack must carry to be worth a thread start (about
-# 90 us).
+# A dstev stack's work is counted per chain as n^2 with vectors and
+# n^2 / 2 without, each unit about 0.1 us of one solve for 10 to 20 sites.
+# Least work that one range of a split stack must carry to be worth a
+# thread start (about 90 us).
 SPLIT_WORK = 2**13
-# Fewest sites of a chain whose dstev stack is split: a shorter chain's
-# solve (under about 10 us) is shorter than the interpreter-lock handoff
-# that each call costs when two threads take turns, and two threads
-# solved such stacks up to twice as slowly as one.
-SPLIT_SITES = 14
+# Least work of each chain in a split stack: a shorter solve (under about
+# 10 us) does not outlast the interpreter-lock handoff that each call
+# costs when two threads take turns.  Against one thread, two solved
+# stacks of 8 sites with vectors, or of 12 without, about 1.6 times as
+# slowly, of 10 with vectors or of 14 without about as fast, and of 12
+# with vectors or of 16 without 1.3 to 1.5 times as fast.
+SPLIT_CHAIN = 100
 # Solve residual bound, relative to ||A|| ||x|| + ||b||.
 SOLVE_TOL = 1e-10
 # Largest exponent magnitude at which solve_shifted solves a system as
@@ -167,10 +170,10 @@ def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     ):
         raise ValueError("dstev needs C-contiguous float stacks (m, n), (m, n - 1), (m, n, n)")
     jobz, size = ctypes.c_char(b"N" if z is None else b"V"), ctypes.c_int64(n)
-    load = m * n * n
+    chain = n * n if z is not None else n * n // 2
     count = 1
-    if n >= SPLIT_SITES and load >= 2 * SPLIT_WORK:
-        count = min(m, _cpus(), load // SPLIT_WORK)
+    if chain >= SPLIT_CHAIN and m * chain >= 2 * SPLIT_WORK:
+        count = min(m, _cpus(), m * chain // SPLIT_WORK)
     # Range r is chains bounds[r] to bounds[r + 1], with its own work
     # array and INFO.
     bounds = [m * r // count for r in range(count + 1)]
@@ -305,9 +308,15 @@ def _chain_system(diags, offs, z):
         raise ValueError(f"bands of lengths {d.shape[-1]} and {e.shape[-1]} do not form a chain")
     if not all(np.isfinite(a).all() for a in (d, e, z)):
         raise ValueError("non-finite entries in linear system")
+    return d + 0.0, e + 0.0, z, _exponent(d, e, np.maximum(np.abs(z.real), np.abs(z.imag)))
+
+
+def _exponent(d, e, x) -> np.ndarray:
+    """-frexp of the largest magnitude in each chain's bands d (..., n)
+    and e (..., n - 1) and in x (...), which broadcast: the k for which
+    that magnitude times 2**k lies in [0.5, 1)."""
     big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
-    big = np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag)))
-    return d + 0.0, e + 0.0, z, -np.frexp(big)[1]
+    return -np.frexp(np.maximum(big, x))[1]
 
 
 def _condition(d, e, z, norm):
@@ -478,22 +487,22 @@ def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:
     bracket, as one stack, and keeps the slot in which the count passes
     index: bisection (Barth, Martin and Wilkinson 1967, LAPACK dstebz) in
     a quarter of the sweeps.  The counts are sturm_count's bit for bit:
-    its sweep, _sturm_sweep, runs with the exponent it gives each shift,
-    on bands validated once, not once per sweep.  The same counts bound
-    the distance from the bracket to the eigenvalues next to its own
-    (none below number 0), and the sweeps stop once every bracket is
-    narrower than SEPARATION times that distance, or than SCALED_TOL.
+    its sweep, _sturm_sweep, runs with the exponent that _exponent gives
+    each shift, as in _chain_system, on bands validated once, not once
+    per sweep.  The same counts bound the distance from the bracket to
+    the eigenvalues next to its own (none below number 0), and the sweeps
+    stop once every bracket is narrower than SEPARATION times that
+    distance, or than SCALED_TOL.
     """
     # Each bracket's shifts on the last axis; + 0.0 as in _chain_system.
     d, e = diags.T[:, None] + 0.0, couplings.T[:, None] + 0.0
-    big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
     rows, j = np.arange(len(index)), index[:, None]
     # No eigenvalue but number index lies in [low, hi) or [hi, high).
     low, high = np.where(index == 0, -np.inf, lo), hi
     while (hi - lo > np.maximum(SEPARATION * np.minimum(lo - low, high - hi), SCALED_TOL)).any():
         x = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
         shifts = x[:, 1:-1]
-        c = _sturm_sweep(d, e, shifts, -np.frexp(np.maximum(big, np.abs(shifts)))[1]) - j
+        c = _sturm_sweep(d, e, shifts, _exponent(d, e, np.abs(shifts))) - j
         # Shifts below eigenvalue number index - 1, below number index and
         # below number index + 1; monotone counts make each a prefix.
         under, passed, within = (c < 0).sum(axis=1), (c < 1).sum(axis=1), (c < 2).sum(axis=1)

@@ -79,7 +79,10 @@ CASES = [
     ("reflection --set reflection.window=-1", 2,
      "--set: reflection.window must be finite and at least 0, got '-1'", ()),
     ("fermi-arc --set fermi_arc.span=-0.5", 2, "--set: fermi_arc.span must be finite and at least 0, got '-0.5'", ()),
-    # A grid too long: the keys that set it, with their values.
+    # A grid key's sign is a config rule, so any command refuses it.
+    ("chern --set reflection.step=0", 2, "--set: reflection.step must be finite and positive, got '0'", ()),
+    # A grid too long: the keys that set it, with their values as
+    # show-config prints them (the float's repr).
     ("reflection --set reflection.step=5e-324", 2,
      "reflection.window=1.0, reflection.step=5e-324: grid of inf points exceeds 10001; use a coarser step", ()),
     ("reflection --set reflection.step=1e-9", 2,

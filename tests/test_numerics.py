@@ -215,16 +215,31 @@ def count_threads(monkeypatch):
 
 
 class TestSplitDstev:
-    # Chains times n^2 against numerics.SPLIT_WORK = 8192, and n against
-    # SPLIT_SITES = 14: (55, 4), (12, 30) and (300, 12) stay whole; the
-    # others have work for `ranges` ranges, and get one per CPU up to that.
+    # A chain's work is n^2 with vectors and n^2 // 2 without; a stack
+    # splits where each chain has numerics.SPLIT_CHAIN = 100 and the stack
+    # twice numerics.SPLIT_WORK = 8192.  (55, 4), (12, 30) and (300, 8)
+    # stay whole, (300, 10), (200, 12) and (84, 14) split with vectors
+    # only; a stack has work for `ranges` ranges (with vectors, without),
+    # and gets one per CPU up to that.
     @needs_bundled
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
-        "m,n,ranges", [(55, 4, 1), (12, 30, 1), (300, 12, 1), (84, 14, 2), (55, 30, 6), (3, 100, 3)]
+        "m,n,ranges",
+        [
+            (55, 4, (1, 1)),
+            (12, 30, (1, 1)),
+            (300, 8, (1, 1)),
+            (300, 10, (3, 1)),
+            (200, 12, (3, 1)),
+            (84, 14, (2, 1)),
+            (140, 16, (4, 2)),
+            (55, 30, (6, 3)),
+            (3, 100, (3, 1)),
+        ],
     )
     def test_split_is_the_serial_loop_bit_for_bit(self, rng, monkeypatch, vectors, cpus, m, n, ranges):
+        ranges = ranges[0] if vectors else ranges[1]
         set_cpus(monkeypatch, cpus)
         made = count_threads(monkeypatch)
         d, e = random_bands(rng, (m,), n)
@@ -757,6 +772,20 @@ class TestBisectionAndInverseIteration:
         )
         clear = gap >= 1e-4
         assert np.allclose(np.abs((got * vecs).sum(axis=0))[clear], 1.0, atol=1e-6)
+
+    def test_sweeps_count_as_sturm_count(self, rng, monkeypatch):
+        # Each multisection sweep divides every system by the power of two
+        # that sturm_count's validation gives it, bands and shift alike:
+        # the shifts, up to 3, outgrow bands of magnitude at most 1.
+        sweeps, sweep = [], numerics._sturm_sweep
+        monkeypatch.setattr(numerics, "_sturm_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        d, e = rng.uniform(-1, 1, (12, 5)), rng.uniform(-1, 1, (11, 5))
+        numerics._bisect(d, e, np.arange(5), np.full(5, -3.0), np.full(5, 3.0))
+        monkeypatch.undo()
+        assert sweeps
+        for d, e, x, k in sweeps:
+            assert np.array_equal(k, numerics._chain_system(d, e, x)[3])
+            assert np.array_equal(sweep(d, e, x, k), sturm_count(d, e, x))
 
     def test_exponentially_close_end_modes(self):
         # The 100-site chain at theta1 = 0.031, theta2 = pi/2 has its end
