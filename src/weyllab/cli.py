@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from .spectroscopy import (
     symmetric_grid,
 )
 from .topology import (
+    BLOCK_POINTS,
     berry_curvature_numeric,
     chern_mapped_torus,
     chern_sphere,
@@ -86,20 +88,27 @@ class _OutputSet:
     def write_text(self, name: str, text: str) -> Path:
         return self._write(name, [text])
 
-    def write_csv(self, name: str, header: list[str], columns) -> Path:
+    def write_csv(self, name: str, header: list[str], blocks) -> Path:
         """Stream a header line and one line per row to the file.
 
-        `columns` holds one equal-length 1-D array per header name.  Rows
-        are written CSV_BLOCK_ROWS at a time: a float64 cell as its
-        shortest round-trip repr, by _reprs, any other cell with str.
-        Within a block each distinct cell of a column is formatted once,
-        floats told apart by their bits (so 0.0 and -0.0 keep their
+        `blocks` yields blocks of rows, each one equal-length 1-D array
+        per header name; a caller that holds whole columns passes them as
+        one block.  The first block is taken before the output directory
+        or the file exists, so a failure computing it leaves neither; a
+        failure in a later one removes the file, as _write does.  Each
+        block is written CSV_BLOCK_ROWS rows at a time: a float64 cell as
+        its shortest round-trip repr, by _reprs, any other cell with str.
+        Within those rows each distinct cell of a column is formatted
+        once, floats told apart by their bits (so 0.0 and -0.0 keep their
         signs); object cells are formatted one by one.
         """
-        columns = [np.asarray(col) for col in columns]
-        size = columns[0].size if columns else 0
-        if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
-            raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
+
+        def checked(columns) -> list[np.ndarray]:
+            columns = [np.asarray(col) for col in columns]
+            size = columns[0].size if columns else 0
+            if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
+                raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
+            return columns
 
         def cells(c: np.ndarray) -> list[str]:
             if c.dtype == np.float64:
@@ -111,14 +120,20 @@ class _OutputSet:
             distinct = np.array(list(map(str, c[first].tolist())), dtype=object)
             return distinct[inverse].tolist()
 
-        def blocks():
-            yield ",".join(header) + "\n"
-            for start in range(0, size, CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                cols = [cells(c[block]) for c in columns]
-                yield "\n".join(map(",".join, zip(*cols))) + "\n"
+        blocks = map(checked, blocks)
+        pending = list(itertools.islice(blocks, 1))  # computed before any file exists
 
-        return self._write(name, blocks())
+        def lines():
+            yield ",".join(header) + "\n"
+            while pending:
+                columns = pending.pop()
+                for start in range(0, columns[0].size if columns else 0, CSV_BLOCK_ROWS):
+                    rows = slice(start, start + CSV_BLOCK_ROWS)
+                    yield "\n".join(map(",".join, zip(*(cells(c[rows]) for c in columns)))) + "\n"
+                del columns  # free this block before the next is computed
+                pending.extend(itertools.islice(blocks, 1))
+
+        return self._write(name, lines())
 
     def write_json(self, name: str, payload) -> Path:
         return self.write_text(
@@ -160,14 +175,26 @@ def _angle_grid(n: int) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, n)
 
 
+def _grid_blocks(n: int, size: int):
+    """The n x n (theta1, theta2) points of _angle_grid(n), theta2
+    fastest, in blocks of at most `size`: each block's theta1 and theta2
+    values and their texts.  The axis is formatted once, by _reprs, and
+    its texts serve every block."""
+    grid = _angle_grid(n)
+    texts = np.array(_reprs(grid), dtype=object)
+    for start in range(0, n * n, size):
+        i1, i2 = np.divmod(np.arange(start, min(start + size, n * n)), n)
+        yield grid[i1], grid[i2], texts[i1], texts[i2]
+
+
 def cmd_bulk_bands(cfg, out: _OutputSet) -> int:
-    grid = _angle_grid(cfg["bulk_bands.grid"])
-    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
-    em, ep = bulk_band_sheet(cfg["bulk_bands.kx"], t1, t2, _params(cfg))
-    out.write_csv(
-        "bulk_bands.csv", ["theta1", "theta2", "E_minus", "E_plus"],
-        [t1.ravel(), t2.ravel(), em.ravel(), ep.ravel()],
-    )
+    p, kx = _params(cfg), cfg["bulk_bands.kx"]
+
+    def blocks():
+        for t1, t2, *texts in _grid_blocks(cfg["bulk_bands.grid"], CSV_BLOCK_ROWS):
+            yield [*texts, *bulk_band_sheet(kx, t1, t2, p)]
+
+    out.write_csv("bulk_bands.csv", ["theta1", "theta2", "E_minus", "E_plus"], blocks())
     return EXIT_OK
 
 
@@ -220,17 +247,21 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
     ws = weyl_points(p)
     sphere_charges = [chern_sphere(w, cfg["chern.radius"], cfg["chern.mesh"], p).value
                       for w in ws]
-    grid = _angle_grid(cfg["berry_field.grid"])
-    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
-    q = np.stack([reduce_angle(a) for a in np.broadcast_arrays(math.pi / 2, t1, t2)], -1)
-    analytic, dmin = monopole_sum(q, ws, sphere_charges)
-    numeric = np.full(t1.shape, math.nan)
-    far = dmin > cfg["berry_field.exclude"]
-    numeric[far] = berry_curvature_numeric(q[far], (1, 2), cfg["berry_field.step"], p)
+    step, exclude = cfg["berry_field.step"], cfg["berry_field.exclude"]
+
+    def blocks():
+        for t1, t2, *texts in _grid_blocks(cfg["berry_field.grid"], BLOCK_POINTS):
+            q = np.stack([reduce_angle(a) for a in np.broadcast_arrays(math.pi / 2, t1, t2)], -1)
+            analytic, dmin = monopole_sum(q, ws, sphere_charges)
+            numeric = np.full(t1.shape, math.nan)
+            far = dmin > exclude
+            numeric[far] = berry_curvature_numeric(q[far], (1, 2), step, p)
+            yield [*texts, *analytic.T, numeric]
+
     out.write_csv(
         "berry_field.csv",
         ["theta1", "theta2", "F_kx", "F_theta1", "F_theta2", "F_kx_numeric"],
-        [t1.ravel(), t2.ravel(), *analytic.reshape(-1, 3).T, numeric.ravel()],
+        blocks(),
     )
     return EXIT_OK
 
@@ -248,7 +279,7 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
         out.write_csv(
             "edge_densities.csv",
             ["theta1", "index", "energy", "label", "site", "density"],
-            [grid[rows], *columns],
+            [[grid[rows], *columns]],
         )
     return EXIT_OK
 
@@ -331,7 +362,7 @@ def cmd_density(cfg, out: _OutputSet) -> int:
     chain = diagonalize_chain(cfg["density.theta1"], cfg["density.theta2"], p)
     header = ["index", "energy", "label", "site", "density"]
     every = np.ones(p.sites, dtype=bool)
-    out.write_csv("density.csv", header, _density_columns(chain, every))
+    out.write_csv("density.csv", header, [_density_columns(chain, every)])
     return EXIT_OK
 
 
@@ -345,7 +376,7 @@ def cmd_reflection(cfg, out: _OutputSet) -> int:
     R = np.float_power(np.hypot(r.real, r.imag), 2)
     out.write_csv(
         "reflection.csv", ["delta0", "r_re", "r_im", "R"],
-        [dgrid, r.real, r.imag, R],
+        [[dgrid, r.real, r.imag, R]],
     )
     return EXIT_OK
 
@@ -361,7 +392,7 @@ def cmd_winding(cfg, out: _OutputSet) -> int:
     winding = unwrap_winding(phases).winding
     trace_path = out.write_csv(
         "winding_phases.csv", ["theta", "phase", "r_re", "r_im"],
-        [theta, phases, r.real, r.imag],
+        [[theta, phases, r.real, r.imag]],
     )
     out.write_json(
         "winding.json",
@@ -416,7 +447,7 @@ def cmd_fermi_arc(cfg, out: _OutputSet) -> int:
     spectra = np.abs(reflections(probe, math.pi / 2, dgrid, p)) ** 2
     out.write_csv(
         "fermi_arc_spectra.csv", ["theta1", "delta0", "R"],
-        [np.repeat(probe, dgrid.size), np.tile(dgrid, len(probe)), spectra.ravel()],
+        [[np.repeat(probe, dgrid.size), np.tile(dgrid, len(probe)), spectra.ravel()]],
     )
     out.write_json(
         "fermi_arc.json",
@@ -443,7 +474,7 @@ def cmd_table1(cfg, out: _OutputSet) -> int:
     dets = [detect_arc_endpoint(math.pi / 2, grid, _params(cfg, sites=s)) for s in sizes]
     theta1c = np.array([det.theta1c for det in dets], dtype=float)
     flagged = [s for s, det in zip(sizes, dets) if det.flagged]  # disagree with the oracle
-    out.write_csv("table1.csv", ["N", "theta1c"], [np.array(sizes), theta1c])
+    out.write_csv("table1.csv", ["N", "theta1c"], [[np.array(sizes), theta1c]])
     if flagged:
         return _inconsistent(
             f"arc detection disagrees with the arc oracle at sites {flagged}"

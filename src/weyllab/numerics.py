@@ -80,6 +80,9 @@ COND_MAX = 1e14
 # Floor of a scaled squared coupling in the Sturm recurrence: no 0 / 0
 # arises, and no eigenvalue moves by more than 2**-500 of the scale.
 COUPLING_FLOOR = 2.0**-1000
+# Most entries (systems times sites) that one block of the Sturm sweep
+# scales and shifts at once: 64 kB an array.
+SWEEP_ENTRIES = 2**13
 # Narrowest bracket of _bisect and smallest pivot of _inverse_iteration,
 # in units of a system's scale.
 SCALED_TOL = 2.0**-52
@@ -446,12 +449,13 @@ def sturm_count(diags, offs, x) -> np.ndarray:
     broadcast, like corner_resolvent's bands and z, and the result has
     their broadcast stack shape.  The count is the number of negative
     pivots of T - x (Sylvester's law of inertia), swept from the far end
-    as corner_resolvent sweeps T + z, with z = -x: each site is divided
-    by the system's power of two as it is read, so only the last pivot
-    and the count are held.  A pivot counts as negative by its sign bit,
-    and a squared coupling is raised to at least COUPLING_FLOOR, so a
-    zero pivot of either sign counts once with the infinite pivot after
-    it (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)).
+    as corner_resolvent sweeps T + z, with z = -x: a block of sites at a
+    time, at most SWEEP_ENTRIES entries over the stack, is divided by the
+    system's power of two, so only that block, the last pivot and the
+    count are held.  A pivot counts as negative by its sign bit, and a
+    squared coupling is raised to at least COUPLING_FLOOR, so a zero
+    pivot of either sign counts once with the infinite pivot after it
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)).
     Mis-shaped, complex or non-finite input: ValueError.
     """
     d, e, x, k = _chain_system(diags, offs, x)
@@ -463,16 +467,32 @@ def sturm_count(diags, offs, x) -> np.ndarray:
 def _sturm_sweep(d, e, x, k) -> np.ndarray:
     """sturm_count of the validated bands d (..., n) and e (..., n - 1)
     at real shifts x (...), which broadcast, each system divided by 2**-k
-    as _chain_system gives k."""
+    as _chain_system gives k.
+
+    A block of sites, SWEEP_ENTRIES entries over the stack at most, is
+    scaled, shifted and squared (with COUPLING_FLOOR) at once, site first,
+    so that each site's step is a subtraction, a division and a sign bit:
+    the block bounds the memory, not an (n, stack) pivot array."""
     xk = np.ldexp(x, k)
-    q = np.ldexp(d[..., -1], k) - xk
+    q = np.ravel(np.ldexp(d[..., -1], k) - xk)  # the stack's systems, flattened
     count = np.signbit(q).astype(np.intp)
+    step = max(SWEEP_ENTRIES // max(q.size, 1), 1)
+    # Bands with as many stack axes as k, so that sites moved first broadcast.
+    d, e = (b.reshape((1,) * (k.ndim + 1 - b.ndim) + b.shape) for b in (d, e))
     with np.errstate(divide="ignore"):
-        for i in range(d.shape[-1] - 2, -1, -1):
-            f2 = np.maximum(np.ldexp(e[..., i], k) ** 2, COUPLING_FLOOR)
-            q = np.ldexp(d[..., i], k) - xk - f2 / q
-            count += np.signbit(q)
-    return count
+        for stop in range(d.shape[-1] - 1, 0, -step):
+            start = max(stop - step, 0)
+            # One row per site, the farthest first, each row's systems contiguous.
+            a, f2 = (np.ldexp(np.moveaxis(b[..., start:stop], -1, 0)[::-1], k, order="C")
+                     for b in (d, e))
+            a = np.subtract(a, xk, out=a).reshape(stop - start, q.size)
+            f2 = np.maximum(np.square(f2, out=f2), COUPLING_FLOOR, out=f2).reshape(a.shape)
+            neg = np.empty(a.shape, dtype=bool)
+            for ai, fi, ni in zip(a, f2, neg):
+                q = np.subtract(ai, np.divide(fi, q, out=fi), out=ai)
+                np.signbit(q, out=ni)
+            count += neg.sum(axis=0)
+    return count.reshape(k.shape)[()]  # [()]: a scalar for one system
 
 
 def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:

@@ -45,8 +45,10 @@ NODE_RADIUS = 1e-9
 # |h|) would otherwise hide the on-site term that opens the gap.
 GAP_REL_MIN = 1e-15
 # Points per block of berry_curvature_numeric, which bounds its plaquette
-# temporaries (about 1 kB a point) whatever the number of points.
-BLOCK_POINTS = 8192
+# temporaries (about 1 kB a point, 2 MB a block) whatever the number of
+# points; the berry-field map is computed and written in blocks of as many
+# grid points.
+BLOCK_POINTS = 2048
 
 
 class NonConvergedChernError(NumericsError):

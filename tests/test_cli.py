@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cli_cases import CASES, check, stderr_message
-from weyllab import cli, numerics, openchain, spectroscopy
+from weyllab import cli, numerics, openchain, spectroscopy, topology
 from weyllab.cli import main
 from weyllab.config import DEFAULTS, KEYS, ConfigError, format_config, load_config
 from weyllab.model import (
@@ -549,7 +549,7 @@ def test_write_csv_matches_per_cell_writer(columns, block_rows):
         saved = cli.CSV_BLOCK_ROWS
         cli.CSV_BLOCK_ROWS = block_rows
         try:
-            path = out.write_csv("t.csv", header, columns)
+            path = out.write_csv("t.csv", header, [columns])
         finally:
             cli.CSV_BLOCK_ROWS = saved
         assert path.read_bytes() == _reference_csv(header, zip(*columns))
@@ -563,14 +563,14 @@ def test_write_csv_numpy_columns(tmp_path):
     labels = np.array(["Bulk", "Left", "Right", "Bulk"] * 2, dtype=object)
     columns = [a, a.astype(np.float32), np.arange(a.size), a.tolist(), labels,
                labels.astype(str)]
-    path = cli._OutputSet(tmp_path).write_csv("t.csv", list("abcdef"), columns)
+    path = cli._OutputSet(tmp_path).write_csv("t.csv", list("abcdef"), [columns])
     assert path.read_bytes() == _reference_csv(list("abcdef"), zip(*columns))
-    empty = cli._OutputSet(tmp_path).write_csv("e.csv", ["x"], [np.array([])])
+    empty = cli._OutputSet(tmp_path).write_csv("e.csv", ["x"], [[np.array([])]])
     assert empty.read_bytes() == b"x\n"
     for bad in ([np.arange(2), np.arange(1)], [np.arange(2)],
                 [np.arange(2), np.zeros((2, 1))]):
         with pytest.raises(ValueError):
-            cli._OutputSet(tmp_path).write_csv("r.csv", ["x", "y"], bad)
+            cli._OutputSet(tmp_path).write_csv("r.csv", ["x", "y"], [bad])
         assert not (tmp_path / "r.csv").exists()
 
 
@@ -598,7 +598,7 @@ def test_write_csv_repeated_cells(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
     columns = _repeating_columns()
     header = list("abcdef")
-    path = cli._OutputSet(tmp_path).write_csv("t.csv", header, columns)
+    path = cli._OutputSet(tmp_path).write_csv("t.csv", header, [columns])
     assert path.read_bytes() == _reference_csv(header, zip(*columns))
 
 
@@ -853,3 +853,134 @@ class TestSinglePass:
             k = SyntheticMomentum(kx, float(t1), float(t2))
             one = bulk_band_sheet(k.kx, k.theta1, k.theta2, p)
             assert (float(em), float(ep)) == tuple(map(float, one))
+
+
+def _grid_rows(n):
+    """theta1 and theta2 of every point of an n x n command grid, theta2
+    fastest, as one meshgrid."""
+    axis = np.linspace(-math.pi, math.pi, n)
+    return [t.ravel() for t in np.meshgrid(axis, axis, indexing="ij")]
+
+
+def _whole_berry_field(n, p, step, exclude):
+    ws = weyl_points(p)
+    charges = [topology.chern_sphere(w, DEFAULTS["chern.radius"], DEFAULTS["chern.mesh"], p).value
+               for w in ws]
+    t1, t2 = _grid_rows(n)
+    q = np.stack([numerics.reduce_angle(a) for a in (np.full(t1.size, math.pi / 2), t1, t2)], -1)
+    analytic, dmin = topology.monopole_sum(q, ws, charges)
+    numeric = np.full(t1.size, math.nan)
+    far = dmin > exclude
+    numeric[far] = topology.berry_curvature_numeric(q[far], (1, 2), step, p)
+    return [t1, t2, *analytic.T, numeric]
+
+
+@pytest.mark.parametrize("grid", [1, 2, 67, 202])
+def test_bulk_bands_stream_is_the_whole_grid(tmp_path, grid):
+    # Blocks of CSV_BLOCK_ROWS points, the last one partial at 67 and 202,
+    # write the bands of the whole grid computed at once, cell for cell.
+    args = ["--set", f"bulk_bands.grid={grid}", "--set", "bulk_bands.kx=0.7"]
+    assert main(["bulk-bands", "--out", str(tmp_path), *args]) == 0
+    t1, t2 = _grid_rows(grid)
+    columns = [t1, t2, *bulk_band_sheet(0.7, t1, t2, ModelParams())]
+    header = ["theta1", "theta2", "E_minus", "E_plus"]
+    assert (tmp_path / "bulk_bands.csv").read_bytes() == _reference_csv(header, zip(*columns))
+
+
+@pytest.mark.parametrize("grid,exclude", [(1, 0.05), (2, 0.05), (67, 0.05), (202, 0.05), (202, 1.7)])
+def test_berry_field_stream_is_the_whole_grid(tmp_path, monkeypatch, grid, exclude):
+    # Blocks of BLOCK_POINTS points, the last one partial at 67 and 202,
+    # write the field of the whole grid computed in one block, cell for
+    # cell.  At exclude 1.7 the blocks of rows near theta1 = +/-pi/2 have
+    # no far point, and the others have some.
+    sets = {"berry_field.grid": grid, "berry_field.exclude": exclude}
+    args = [a for key, v in sets.items() for a in ("--set", f"{key}={v!r}")]
+    assert main(["berry-field", "--out", str(tmp_path), *args]) == 0
+    monkeypatch.setattr(topology, "BLOCK_POINTS", grid * grid)
+    columns = _whole_berry_field(grid, ModelParams(), DEFAULTS["berry_field.step"], exclude)
+    header = ["theta1", "theta2", "F_kx", "F_theta1", "F_theta2", "F_kx_numeric"]
+    assert (tmp_path / "berry_field.csv").read_bytes() == _reference_csv(header, zip(*columns))
+    if exclude == 1.7:
+        far = ~np.isnan(columns[-1])
+        per_block = np.add.reduceat(far, np.arange(0, far.size, cli.BLOCK_POINTS))
+        assert 0 in per_block and per_block.any()
+
+
+@pytest.mark.parametrize(
+    "command,key,grid",
+    [("bulk-bands", "bulk_bands.grid", 128), ("berry-field", "berry_field.grid", 64)],
+)
+def test_grid_commands_stream_in_flat_memory(command, key, grid):
+    # A grid of four times the points peaks within a quarter more traced
+    # memory: both grids fill at least one whole block, and only the axis
+    # texts grow with the grid.  Whole-grid arrays peaked 1.8 (bulk-bands)
+    # and 2.2 (berry-field) times as high at 4x the points.
+    peaks = []
+    with tempfile.TemporaryDirectory() as out:
+        for n in (grid, 2 * grid):
+            tracemalloc.start()
+            assert main([command, "--out", out, "--set", f"{key}={n}"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def _fail_on_call(kernel, number, error):
+    """A stand-in for kernel that raises error on its call number `number`
+    (1 the first) and runs the kernel on every other call."""
+    calls = []
+
+    def fails(*args):
+        calls.append(args)
+        if len(calls) == number:
+            raise error
+        return kernel(*args)
+
+    return fails
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize(
+    "command,kernel,error,code,category",
+    [
+        ("bulk-bands", "bulk_band_sheet",
+         ValueError("non-finite entries in bulk band sheet"), 2, "usage error"),
+        ("bulk-bands", "bulk_band_sheet",
+         MemoryError("Unable to allocate 1.16 TiB for an array"), 2, "usage error"),
+        ("berry-field", "berry_curvature_numeric",
+         topology.DegenerateGroundStateError("band splitting 1e-07 below 1e-6"), 3,
+         "numerical failure"),
+        ("berry-field", "monopole_sum", ValueError("bad point"), 2, "usage error"),
+    ],
+)
+def test_failed_grid_block_leaves_no_file(tmp_path, capsys, monkeypatch, block, command, kernel,
+                                          error, code, category):
+    # A failure in the first block comes before the output directory is
+    # made; one in the second removes the file that the first began.
+    monkeypatch.setattr(cli, kernel, _fail_on_call(getattr(cli, kernel), block, error))
+    out = tmp_path / "run"
+    key = command.replace("-", "_") + ".grid"
+    assert main([command, "--out", str(out), "--set", f"{key}=67"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"weyllab: {category}: ") and err.count("\n") == 1
+    assert not out.exists() if block == 1 else list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "kappa,theta1c,flagged,code",
+    [(0.1, 1.4765485471872029, False, 0),
+     (0.3, 1.4451326206513049, False, 0),
+     (0.4, 1.4137166941154071, True, 4)],
+)
+def test_arc_endpoint_domain_at_36_sites(tmp_path, kappa, theta1c, flagged, code):
+    # Three cells of the measured (kappa, N) map of arc detection on the
+    # default Table-1 grid.  At kappa 0.3 detection ends one grid step
+    # (pi/100) inside the oracle's endpoint, which the flag tolerates, so
+    # the run exits 0; at 0.4 it ends two steps inside and exits 4.
+    cfg = load_config(None, [f"kappa={kappa!r}"])
+    det = spectroscopy.detect_arc_endpoint(math.pi / 2, cli._theta1_grid(cfg), cli._params(cfg, 36))
+    assert (det.theta1c, det.flagged) == (theta1c, flagged)
+    assert det.oracle_theta1c == 1.4765485471872029
+    args = ["table1", "--set", "table1.sizes=36", "--set", f"kappa={kappa!r}"]
+    assert _run(args, tmp_path)[0] == code
+    assert (tmp_path / "table1.csv").read_text() == f"N,theta1c\n36,{theta1c!r}\n"

@@ -726,6 +726,34 @@ class TestSturmCount:
         tracemalloc.stop()
         assert peak < 2 * (d.nbytes + e.nbytes)
 
+    @pytest.mark.parametrize("n", [*range(4, 41, 2), 100, 400, 1000, 4000])
+    def test_blocked_sweep_is_the_per_site_sweep(self, n):
+        # Blocks of sites scaled and shifted at once give the per-site
+        # recurrence's counts bit for bit: on the arc oracle's chains
+        # (theta2 = pi/2, where the diagonal is about 6e-17, at the Table-1
+        # theta1 grid; 20 sites a block) at its window and at zero, and on
+        # random bands with zero couplings at shifts on their diagonal
+        # (409 sites a block).
+        def per_site(d, e, x):
+            d, e, x, k = numerics._chain_system(d, e, x)
+            xk = np.ldexp(x.real, k)
+            q = np.ldexp(d[..., -1], k) - xk
+            count = np.signbit(q).astype(np.intp)
+            with np.errstate(divide="ignore"):
+                for i in range(n - 2, -1, -1):
+                    f2 = np.maximum(np.ldexp(e[..., i], k) ** 2, numerics.COUPLING_FLOOR)
+                    q = np.ldexp(d[..., i], k) - xk - f2 / q
+                    count += np.signbit(q)
+            return count
+
+        theta1 = np.linspace(-np.pi / 2, np.pi / 2, 101)
+        d, e = chain_bands(theta1, np.pi / 2, ModelParams(N=n // 2))
+        rng = np.random.default_rng(n)
+        dr, er = rng.normal(size=(4, n)), rng.normal(size=(4, n - 1))
+        er[:, ::7] = 0.0
+        for d, e, x in [(d, e, [[0.02], [-0.02], [0.0], [-0.0]]), (dr, er, dr[:, :5].T)]:
+            assert np.array_equal(sturm_count(d, e, x), per_site(d, e, x))
+
     def test_rejects_what_corner_resolvent_rejects(self):
         for d, e, x in [
             (np.zeros(3), np.zeros(3), 1.0),
