@@ -33,6 +33,7 @@ from .openchain import density_profile, diagonalize_chain, edge_spectrum
 from .spectroscopy import (
     DELTA0_STEP,
     FIT_WINDOW,
+    MAX_GRID_POINTS,
     GridError,
     detect_arc_endpoint,
     detuning_grid,
@@ -171,16 +172,21 @@ def _params(cfg: dict, sites: int | None = None) -> ModelParams:
     )
 
 
-def _angle_grid(n: int) -> np.ndarray:
-    return np.linspace(-math.pi, math.pi, n)
+def _angle_grid(cfg, key: str) -> np.ndarray:
+    """cfg[key] angles over [-pi, pi]; GridError, naming the key, above MAX_GRID_POINTS."""
+    with _grid_keys(cfg, key):
+        if cfg[key] > MAX_GRID_POINTS:
+            raise GridError(f"grid axis of {cfg[key]} points exceeds {MAX_GRID_POINTS}")
+    return np.linspace(-math.pi, math.pi, cfg[key])
 
 
-def _grid_blocks(n: int, size: int):
-    """The n x n (theta1, theta2) points of _angle_grid(n), theta2
+def _grid_blocks(cfg, key: str, size: int):
+    """The n x n (theta1, theta2) points of _angle_grid(cfg, key), theta2
     fastest, in blocks of at most `size`: each block's theta1 and theta2
     values and their texts.  The axis is formatted once, by _reprs, and
     its texts serve every block."""
-    grid = _angle_grid(n)
+    grid = _angle_grid(cfg, key)
+    n = grid.size
     texts = np.array(_reprs(grid), dtype=object)
     for start in range(0, n * n, size):
         i1, i2 = np.divmod(np.arange(start, min(start + size, n * n)), n)
@@ -191,7 +197,7 @@ def cmd_bulk_bands(cfg, out: _OutputSet) -> int:
     p, kx = _params(cfg), cfg["bulk_bands.kx"]
 
     def blocks():
-        for t1, t2, *texts in _grid_blocks(cfg["bulk_bands.grid"], CSV_BLOCK_ROWS):
+        for t1, t2, *texts in _grid_blocks(cfg, "bulk_bands.grid", CSV_BLOCK_ROWS):
             yield [*texts, *bulk_band_sheet(kx, t1, t2, p)]
 
     out.write_csv("bulk_bands.csv", ["theta1", "theta2", "E_minus", "E_plus"], blocks())
@@ -250,7 +256,7 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
     step, exclude = cfg["berry_field.step"], cfg["berry_field.exclude"]
 
     def blocks():
-        for t1, t2, *texts in _grid_blocks(cfg["berry_field.grid"], BLOCK_POINTS):
+        for t1, t2, *texts in _grid_blocks(cfg, "berry_field.grid", BLOCK_POINTS):
             q = np.stack([reduce_angle(a) for a in np.broadcast_arrays(math.pi / 2, t1, t2)], -1)
             analytic, dmin = monopole_sum(q, ws, sphere_charges)
             numeric = np.full(t1.shape, math.nan)
@@ -268,7 +274,7 @@ def cmd_berry_field(cfg, out: _OutputSet) -> int:
 
 def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
-    grid = _angle_grid(cfg["edge_spectrum.grid"])
+    grid = _angle_grid(cfg, "edge_spectrum.grid")
     sheet = edge_spectrum(grid, grid, p)
     out._write("edge_spectrum.csv", _edge_sheet_chunks(grid, grid, *sheet))
     if cfg["edge_spectrum.densities"]:

@@ -1,27 +1,26 @@
 """Numerical kernels.
 
 Symmetric tridiagonal eigensolver, shifted complex solves (T + z) x = b,
-the corner resolvent [(T + z)^-1]_00, Sturm counts and single
-eigenvectors by bisection and inverse iteration, all on broadcastable
-stacks of a chain's two bands, angle reduction, phase-loop winding
-extraction, and signed spherical solid angles.  Everything here is a
-pure function of its inputs.  The shifted solve factors the dense T + z;
-the corner resolvent, the Sturm count and the single eigenvectors are
-O(n) per system and shift.  One helper, _chain_system, validates every
-system and gives its power-of-two exponent; the corner resolvent and
-the Sturm count always divide by that power, which is exact, and the
-shifted solve only beyond LU_EXPONENT.  The two resolvents refuse a
-system by one conditioning rule, _condition, read from the bands in
-their inf-norm.
+the corner resolvent [(T + z)^-1]_00, Sturm counts and selected
+eigenvectors, all on stacks of a chain's two bands, angle reduction,
+phase-loop winding extraction, and signed spherical solid angles.
+Everything here is a pure function of its inputs.  The shifted solve
+factors the dense T + z; the corner resolvent, the Sturm count and the
+selected eigenvectors are O(n) per system and shift.  One helper,
+_chain_system, validates every system and gives its power-of-two
+exponent; the corner resolvent and the Sturm count always divide by
+that power, which is exact, and the shifted solve only beyond
+LU_EXPONENT.  The two resolvents refuse a system by one conditioning
+rule, _condition, read from the bands in their inf-norm.
 
-numpy is the only third-party import.  The eigensolver calls LAPACK dstev through
-ctypes from the OpenBLAS that numpy's wheels bundle, which exports it as
-scipy_dstev_64_ (numpy 2) or dstev_64_ (numpy 1.x), with 64-bit
-integers.  Where numpy's build exports neither (conda, MKL and distro
-builds), dstev is scipy.linalg.lapack.dstev, imported on its first call.
-Either way one eigh_bands call solves a whole stack of chains in place
-in arrays that call allocates, so calls share no state.  The bundled
-call releases the interpreter lock, so a stack is split into contiguous
+numpy is the only third-party import.  The eigensolver calls LAPACK
+dstev, and select_eigenvectors LAPACK's bisection and inverse iteration,
+dstebz and dstein, through ctypes from the OpenBLAS that numpy's wheels
+bundle (_bundled_lapack).  Where numpy's build does not export them
+(conda, MKL and distro builds), they are scipy.linalg.lapack's, imported
+on the first call.  Either way each call solves its chains in arrays
+that call allocates, so calls share no state.  The bundled dstev call
+releases the interpreter lock, so a stack is split into contiguous
 ranges over the CPUs the process may use (its affinity mask, else
 os.cpu_count()): one range per CPU at most, each of at least SPLIT_WORK
 units of work, and only for chains of at least SPLIT_CHAIN units each.
@@ -49,6 +48,7 @@ __all__ = [
     "eigh_bands",
     "corner_resolvent",
     "sturm_count",
+    "select_eigenvectors",
     "reduce_angle",
     "solve_shifted",
     "unwrap_winding",
@@ -83,18 +83,6 @@ COUPLING_FLOOR = 2.0**-1000
 # Most entries (systems times sites) that one block of the Sturm sweep
 # scales and shifts at once: 64 kB an array.
 SWEEP_ENTRIES = 2**13
-# Narrowest bracket of _bisect and smallest pivot of _inverse_iteration,
-# in units of a system's scale.
-SCALED_TOL = 2.0**-52
-# Largest width of a bisected bracket relative to its distance from the
-# neighbouring eigenvalues: _inverse_iteration's error per solve.
-SEPARATION = 2.0**-6
-# Shifts per bracket in each multisection sweep (4 bits per sweep).
-MULTISECTION = 15
-# A bracket's ends and its shifts, as fractions of its width.
-_FRACTIONS = np.arange(MULTISECTION + 2) / (MULTISECTION + 1)
-# Solves of inverse iteration from the bisected shift.
-INVERSE_STEPS = 3
 # Any principal-value phase step at or beyond this magnitude is
 # considered undersampled; winding cannot be trusted past pi.
 PHASE_STEP_LIMIT = np.pi - 0.1
@@ -109,7 +97,7 @@ class SingularMatrixError(NumericsError):
 
 
 class EigenNonConvergenceError(NumericsError):
-    """The tridiagonal QL/QR iteration did not converge."""
+    """A tridiagonal eigensolver (QL/QR, bisection or inverse iteration) failed."""
 
 
 class UndersampledLoopError(NumericsError):
@@ -121,29 +109,33 @@ class WindingResult(NamedTuple):
     residual: float
 
 
-def _bundled_lapack_dstev():
-    """numpy's bundled ILP64 dstev as a ctypes function, or None.
+def _bundled_lapack(name: str, addresses: int, strings: int = 0):
+    """numpy's bundled ILP64 LAPACK routine `name` as a ctypes function,
+    or None: it takes each of its `addresses` arguments by address, in
+    LAPACK's order, then the length of each of its `strings` strings.
 
     dlsym on the handle of a numpy extension module also searches the
-    libraries it links, which include the bundled OpenBLAS."""
+    libraries it links, which include the bundled OpenBLAS; it exports
+    each routine as scipy_<name>_64_ (numpy 2) or <name>_64_ (numpy 1.x),
+    with 64-bit integers."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError):
         return None
-    for name in ("scipy_dstev_64_", "dstev_64_"):
-        fn = getattr(lib, name, None)
+    for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
+        fn = getattr(lib, symbol, None)
         if fn is not None:
-            # Addresses of JOBZ, N, D, E, Z, LDZ, WORK and INFO, where N,
-            # LDZ and INFO are 64-bit integers, then JOBZ's length.
-            fn.argtypes = (ctypes.c_void_p,) * 8 + (ctypes.c_size_t,)
+            fn.argtypes = (ctypes.c_void_p,) * addresses + (ctypes.c_size_t,) * strings
             fn.restype = None
             return fn
     return None
 
 
-_LAPACK_DSTEV = _bundled_lapack_dstev()
+_LAPACK_DSTEV = _bundled_lapack("dstev", 8, 1)
+_LAPACK_DSTEBZ = _bundled_lapack("dstebz", 18, 2)
+_LAPACK_DSTEIN = _bundled_lapack("dstein", 13)
 
 
 def _cpus() -> int:
@@ -277,6 +269,61 @@ def _dstev_bands(diags: np.ndarray, offs: np.ndarray, vectors: bool):
     return vals, z if z is None else np.swapaxes(z.reshape(shape + (n, n)), -1, -2)
 
 
+def _scipy_stein(d: np.ndarray, e: np.ndarray, index, z: np.ndarray) -> np.ndarray:
+    """select_eigenvectors through scipy.linalg.eigh_tridiagonal, imported
+    on the first call, whose lapack_driver "stebz" runs dstebz and dstein."""
+    from scipy.linalg import eigh_tridiagonal
+
+    for k, j in enumerate(index):
+        try:
+            z[k] = eigh_tridiagonal(d[k], e[k], select="i", select_range=(j, j),
+                                    lapack_driver="stebz")[1][:, 0]
+        except ValueError as exc:  # a LinAlgError too: INFO != 0
+            raise EigenNonConvergenceError(str(exc)) from None
+    return z
+
+
+def select_eigenvectors(diags, offs, index) -> np.ndarray:
+    """Unit eigenvector number index (m,) (0 the lowest) of each of the m
+    real symmetric tridiagonal chains with bands diags (m, n) and offs
+    (m, n - 1), n >= 2, as the rows of an (m, n) array, in O(n) a chain:
+    dstebz bisects for the eigenvalue (RANGE = "I", IL = IU = index + 1,
+    ABSTOL = 0; of M > 1 tied ones the lowest) and dstein iterates for its
+    vector, one chain at a time on C-ordered copies of the bands, through
+    numpy's bundled LAPACK with every pointer built once, else through
+    _scipy_stein.  EigenNonConvergenceError if either returns INFO != 0;
+    ValueError if the bands and the indices do not fit one another."""
+    d, e = (np.array(b, dtype=float, order="C") for b in (diags, offs))
+    if d.ndim != 2 or e.shape != (len(d), d.shape[1] - 1) or len(index) != len(d):
+        raise ValueError(f"bands {d.shape} and {e.shape} do not fit {len(index)} chains")
+    z = np.empty(d.shape)
+    if _LAPACK_DSTEBZ is None or _LAPACK_DSTEIN is None:
+        return _scipy_stein(d, e, index, z)
+    n = d.shape[1]
+    size, il, found, nsplit, one, info = (ctypes.c_int64(v) for v in (n, 0, 0, 0, 1, 0))
+    at, zero = ctypes.addressof, ctypes.c_double(0.0)
+    w, work = np.empty(n), np.empty(5 * n)  # WORK: dstebz needs 4 n, dstein 5 n
+    ints = np.empty(5 * n + 1, np.int64)  # IBLOCK, ISPLIT, IWORK (3 n for dstebz) and IFAIL
+    iblock, isplit, iwork, ifail = (ints.ctypes.data + 8 * o for o in (0, n, 2 * n, 5 * n))
+    w_p, work_p, d_p, e_p, z_p = (a.ctypes.data for a in (w, work, d, e, z))
+    # Each routine's arguments in LAPACK's order; those of D, E and Z (0 here) move per chain.
+    stebz = [b"I", b"E", at(size), at(zero), at(zero), at(il), at(il), at(zero), 0, 0, at(found),
+             at(nsplit), w_p, iblock, isplit, work_p, iwork, at(info), 1, 1]
+    stein = [at(size), 0, 0, at(one), w_p, iblock, isplit, 0, at(size), work_p, iwork,
+             ifail, at(info)]
+    calls = [("dstebz", _LAPACK_DSTEBZ, stebz), ("dstein", _LAPACK_DSTEIN, stein)]
+    for k, j in enumerate(index):
+        il.value = j + 1
+        stebz[8] = stein[1] = d_p + 8 * n * k
+        stebz[9] = stein[2] = e_p + 8 * (n - 1) * k
+        stein[7] = z_p + 8 * n * k
+        for name, routine, args in calls:
+            routine(*args)
+            if info.value:
+                raise EigenNonConvergenceError(f"{name} failed with INFO = {info.value}")
+    return z
+
+
 def _inf_norm(dz: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """Inf-norm max_i |dz_i| + |e_{i-1}| + |e_i| of the tridiagonal stacks
     with diagonal dz (..., n) and off-diagonal offs (..., n - 1)."""
@@ -311,15 +358,9 @@ def _chain_system(diags, offs, z):
         raise ValueError(f"bands of lengths {d.shape[-1]} and {e.shape[-1]} do not form a chain")
     if not all(np.isfinite(a).all() for a in (d, e, z)):
         raise ValueError("non-finite entries in linear system")
-    return d + 0.0, e + 0.0, z, _exponent(d, e, np.maximum(np.abs(z.real), np.abs(z.imag)))
-
-
-def _exponent(d, e, x) -> np.ndarray:
-    """-frexp of the largest magnitude in each chain's bands d (..., n)
-    and e (..., n - 1) and in x (...), which broadcast: the k for which
-    that magnitude times 2**k lies in [0.5, 1)."""
     big = np.maximum(np.abs(d).max(axis=-1), np.abs(e).max(axis=-1, initial=0.0))
-    return -np.frexp(np.maximum(big, x))[1]
+    k = -np.frexp(np.maximum(big, np.maximum(np.abs(z.real), np.abs(z.imag))))[1]
+    return d + 0.0, e + 0.0, z, k
 
 
 def _condition(d, e, z, norm):
@@ -461,19 +502,7 @@ def sturm_count(diags, offs, x) -> np.ndarray:
     d, e, x, k = _chain_system(diags, offs, x)
     if x.imag.any():
         raise ValueError("a Sturm count needs a real shift")
-    return _sturm_sweep(d, e, x.real, k)
-
-
-def _sturm_sweep(d, e, x, k) -> np.ndarray:
-    """sturm_count of the validated bands d (..., n) and e (..., n - 1)
-    at real shifts x (...), which broadcast, each system divided by 2**-k
-    as _chain_system gives k.
-
-    A block of sites, SWEEP_ENTRIES entries over the stack at most, is
-    scaled, shifted and squared (with COUPLING_FLOOR) at once, site first,
-    so that each site's step is a subtraction, a division and a sign bit:
-    the block bounds the memory, not an (n, stack) pivot array."""
-    xk = np.ldexp(x, k)
+    xk = np.ldexp(x.real, k)
     q = np.ravel(np.ldexp(d[..., -1], k) - xk)  # the stack's systems, flattened
     count = np.signbit(q).astype(np.intp)
     step = max(SWEEP_ENTRIES // max(q.size, 1), 1)
@@ -493,78 +522,6 @@ def _sturm_sweep(d, e, x, k) -> np.ndarray:
                 np.signbit(q, out=ni)
             count += neg.sum(axis=0)
     return count.reshape(k.shape)[()]  # [()]: a scalar for one system
-
-
-def _bisect(diags, couplings, index, lo, hi) -> np.ndarray:
-    """Eigenvalue number index (m,) (0 the lowest) of each of m real
-    symmetric tridiagonal chains, given in [lo, hi] (m,), as far as
-    _inverse_iteration needs it.
-
-    The chains' bands are diags (n, m) and couplings (n - 1, m), site
-    first, with magnitudes of at most about 1, their scale (every kernel
-    here first divides a system by a power of two).  Each sweep takes
-    the Sturm counts at MULTISECTION shifts spread evenly over every
-    bracket, as one stack, and keeps the slot in which the count passes
-    index: bisection (Barth, Martin and Wilkinson 1967, LAPACK dstebz) in
-    a quarter of the sweeps.  The counts are sturm_count's bit for bit:
-    its sweep, _sturm_sweep, runs with the exponent that _exponent gives
-    each shift, as in _chain_system, on bands validated once, not once
-    per sweep.  The same counts bound the distance from the bracket to
-    the eigenvalues next to its own (none below number 0), and the sweeps
-    stop once every bracket is narrower than SEPARATION times that
-    distance, or than SCALED_TOL.
-    """
-    # Each bracket's shifts on the last axis; + 0.0 as in _chain_system.
-    d, e = diags.T[:, None] + 0.0, couplings.T[:, None] + 0.0
-    rows, j = np.arange(len(index)), index[:, None]
-    # No eigenvalue but number index lies in [low, hi) or [hi, high).
-    low, high = np.where(index == 0, -np.inf, lo), hi
-    while (hi - lo > np.maximum(SEPARATION * np.minimum(lo - low, high - hi), SCALED_TOL)).any():
-        x = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
-        shifts = x[:, 1:-1]
-        c = _sturm_sweep(d, e, shifts, _exponent(d, e, np.abs(shifts))) - j
-        # Shifts below eigenvalue number index - 1, below number index and
-        # below number index + 1; monotone counts make each a prefix.
-        under, passed, within = (c < 0).sum(axis=1), (c < 1).sum(axis=1), (c < 2).sum(axis=1)
-        low = np.where((under == 0) & (low < lo), low, x[rows, np.minimum(under + 1, passed)])
-        high = np.where(
-            (within == MULTISECTION) & (high > hi), high, x[rows, np.maximum(within, passed + 1)]
-        )
-        lo, hi = x[rows, passed], x[rows, passed + 1]
-    return 0.5 * (lo + hi)
-
-
-def _inverse_iteration(diags, offs, x) -> np.ndarray:
-    """Unit eigenvectors (n, m) of m real symmetric tridiagonal chains for
-    their eigenvalues nearest the shifts x (m,).
-
-    The bands are diags (n, m) and offs (n - 1, m), site first, with
-    magnitudes of at most about 1.  T - x = L D L^T is factored top down
-    with every pivot moved SCALED_TOL away from zero, which changes T by
-    no more than rounding does, and INVERSE_STEPS solves follow from one
-    fixed pseudo-random start (LAPACK dstein).  With x from _bisect, the
-    error of a vector is about SEPARATION^INVERSE_STEPS relative to the
-    start's component along it.
-    """
-    n = len(diags)
-    d, e2 = list(diags - x), list(offs**2)
-    p = [d[0] + np.copysign(SCALED_TOL, d[0])]  # D
-    for i in range(n - 1):
-        pivot = d[i + 1] - e2[i] / p[i]
-        p.append(pivot + np.copysign(SCALED_TOL, pivot))
-    p = np.array(p)
-    lower = list(offs / p[:-1])  # L's subdiagonal
-    y = np.empty(p.shape)
-    y[:] = np.random.default_rng(0).uniform(-1.0, 1.0, n)[:, None]
-    rows = list(y)
-    for _ in range(INVERSE_STEPS):
-        for i in range(1, n):
-            rows[i] -= lower[i - 1] * rows[i - 1]
-        y /= p
-        for i in range(n - 2, -1, -1):
-            rows[i] -= lower[i] * rows[i + 1]
-        y /= np.abs(y).max(axis=0)
-    return y / np.linalg.norm(y, axis=0)
 
 
 def reduce_angle(x):

@@ -2,9 +2,9 @@
 
 Edge-state sheets over the (theta1, theta2) surface zone, in their
 distinct chains, per-state localization labels, site-density profiles,
-and the oracle for the zero-energy arc endpoint that the spectroscopy
-layer must reproduce, which labels the chain's near-zero states without
-diagonalizing it.
+and the oracle for the zero-energy arc endpoint that spectroscopy must
+reproduce, which labels the near-zero states from single eigenvectors
+by LAPACK bisection and inverse iteration, diagonalizing no chain.
 
 At theta2 = +/-pi/2 the chain is mirror symmetric, so near-zero
 eigenvectors come out of the solver as even/odd combinations with
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, chain_bands
-from .numerics import BLOCK_ENTRIES, _bisect, _inverse_iteration, eigh_bands, sturm_count
+from .numerics import BLOCK_ENTRIES, eigh_bands, select_eigenvectors, sturm_count
 
 __all__ = [
     "edge_spectrum",
@@ -183,7 +183,7 @@ def edge_spectrum(theta1_grid, theta2_grid, p: ModelParams):
     return energies, labels, row, col
 
 
-def _sublattice_labels(offs: np.ndarray, index: np.ndarray, window: float) -> np.ndarray:
+def _sublattice_labels(offs: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Labels of the mirror-rotated +/-E pair of singular triplet number
     index (T,) (0 the smallest) of each chain with couplings offs
     (T, n - 1), shape (2, T): the (u, 0) states first, then the (0, v)
@@ -195,25 +195,22 @@ def _sublattice_labels(offs: np.ndarray, index: np.ndarray, window: float) -> np
     1965), and its diagonal is +m on A and -m on B.  A singular triplet
     (s, u, v) of B spans the pair at +/-sqrt(m^2 + s^2), and the pair
     rotation of _eigensystems, whose projector does not couple the two
-    sublattices, returns (u, 0) and (0, v) exactly.  s^2 is an
-    eigenvalue of the tridiagonal B B^T, bisected in [0, 2 window^2], and
-    u and v are the eigenvectors of B B^T and B^T B there, by inverse
-    iteration; neither has a +/- pair of eigenvalues to resolve.  The
-    couplings are first divided by the power of two above their largest.
+    sublattices, returns (u, 0) and (0, v) exactly: eigenvector number
+    index of the tridiagonals B B^T and B^T B, which have no +/- pairs of
+    eigenvalues to resolve.  The couplings are first divided by the power
+    of two above their largest.
     """
     k = -np.frexp(np.abs(offs).max(axis=-1))[1]
-    j = np.ldexp(offs, k[:, None]).T  # site first
-    j1, j2 = j[0::2], j[1::2]
+    j = np.ldexp(offs, k[:, None])
+    j1, j2 = j[:, 0::2], j[:, 1::2]
     bbt, btb = j1**2, j1**2  # the diagonals of B B^T and B^T B
-    bbt[1:] += j2**2
-    btb[:-1] += j2**2
-    couplings = np.hstack([j1[:-1] * j2, j2 * j1[1:]])  # of B B^T, then B^T B
-    t = len(offs)
-    s2 = _bisect(bbt, couplings[:, :t], index, np.zeros(t), 2.0 * np.ldexp(window, k) ** 2)
-    vecs = _inverse_iteration(np.hstack([bbt, btb]), couplings, np.tile(s2, 2))
-    ends = np.zeros((4, 2, t))  # END_ROWS a_0, b_0, a_{N-1}, b_{N-1}
-    ends[0::2, 0], ends[1::2, 1] = vecs[[0, -1], :t], vecs[[0, -1], t:]
-    return _labels(np.moveaxis(ends, 0, 1))
+    bbt[:, 1:] += j2**2
+    btb[:, :-1] += j2**2
+    u = select_eigenvectors(bbt, j1[:, :-1] * j2, index)
+    v = select_eigenvectors(btb, j2 * j1[:, 1:], index)
+    ends = np.zeros((2, 4, len(offs)))  # END_ROWS a_0, b_0, a_{N-1}, b_{N-1}
+    ends[0, 0::2], ends[1, 1::2] = u[:, [0, -1]].T, v[:, [0, -1]].T
+    return _labels(ends)
 
 
 def _arc_verdicts(diags: np.ndarray, offs: np.ndarray, window: float) -> np.ndarray:
@@ -231,7 +228,7 @@ def _arc_verdicts(diags: np.ndarray, offs: np.ndarray, window: float) -> np.ndar
     chain, index = np.nonzero(np.arange(diags.shape[-1] // 2) < pairs[:, None])
     inside = np.zeros(len(diags), dtype=bool)
     if chain.size:
-        edge = (_sublattice_labels(offs[chain], index, window) != "Bulk").any(axis=0)
+        edge = (_sublattice_labels(offs[chain], index) != "Bulk").any(axis=0)
         inside[chain[edge]] = True
     return inside
 

@@ -91,6 +91,12 @@ CASES = [
      "fermi_arc.span=0.5, fermi_arc.grid_step=1e-12: grid of 1e+12 points exceeds 10001; use a coarser step", ()),
     ("fermi-arc --set fermi_arc.window=1e300", 2,
      "fermi_arc.window=1e+300: grid of 2e+302 points exceeds 10001; use a coarser step", ()),
+    ("bulk-bands --set bulk_bands.grid=10002", 2,
+     "bulk_bands.grid=10002: grid axis of 10002 points exceeds 10001", ()),
+    ("berry-field --set berry_field.grid=10002", 2,
+     "berry_field.grid=10002: grid axis of 10002 points exceeds 10001", ()),
+    ("edge-spectrum --set edge_spectrum.grid=10002", 2,
+     "edge_spectrum.grid=10002: grid axis of 10002 points exceeds 10001", ()),
     ("reflection --set j=5e-324", 2, MERGED_GRID, ()),
     ("fermi-arc --set j=5e-324", 2, MERGED_GRID, ()),
     ("table1 --set j=5e-324", 2, MERGED_GRID, ()),

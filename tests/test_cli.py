@@ -966,6 +966,43 @@ def test_failed_grid_block_leaves_no_file(tmp_path, capsys, monkeypatch, block, 
     assert not out.exists() if block == 1 else list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("key", ["bulk_bands.grid", "berry_field.grid", "edge_spectrum.grid"])
+def test_angle_grid_axes_end_at_max_grid_points(key):
+    # The longest axis is allowed; one point more is refused, naming the key.
+    assert cli._angle_grid({key: spectroscopy.MAX_GRID_POINTS}, key).size == 10001
+    with pytest.raises(spectroscopy.GridError, match=f"^{key}=10002: grid axis of 10002 points"):
+        cli._angle_grid({key: 10002}, key)
+
+
+# The oracle's endpoint on the default Table-1 grid by sites, the same
+# at every kappa of the map below.
+ORACLE_ENDPOINTS = {4: 0.6283185307179586, 12: 1.2252211349000195, 20: 1.3823007675795091}
+# The cells of the map where detection differs from the oracle:
+# (kappa, sites) -> (theta1c, disagreements, flagged).
+DETECTION_DIFFERS = {
+    **{(0.3, n): (1.4451326206513049, 2, False) for n in (36, 60)},
+    **{(0.4, n): (1.4137166941154071, 4, True) for n in (36, 60, 100, 400, 1000)},
+    (0.5, 20): (1.3508848410436112, 4, True),
+    **{(0.5, n): (1.3823007675795091, 6, True) for n in (36, 60, 100, 400, 1000)},
+}
+
+
+@pytest.mark.parametrize("sites", [4, 12, 20, 36, 60, 100, 400, 1000])
+@pytest.mark.parametrize("kappa", [0.02, 0.1, 0.25, 0.3, 0.4, 0.5])
+def test_arc_endpoint_map(kappa, sites):
+    # The measured (kappa, N) map of arc detection against the oracle on
+    # the default Table-1 grid: the oracle reads kappa-free endpoints,
+    # and detection equals them in every cell but DETECTION_DIFFERS's.
+    cfg = load_config(None, [f"kappa={kappa!r}"])
+    det = spectroscopy.detect_arc_endpoint(
+        math.pi / 2, cli._theta1_grid(cfg), cli._params(cfg, sites)
+    )
+    oracle = ORACLE_ENDPOINTS.get(sites, 1.4765485471872029)
+    want = DETECTION_DIFFERS.get((kappa, sites), (oracle, 0, False))
+    assert (det.theta1c, det.disagreements, det.flagged) == want
+    assert det.oracle_theta1c == oracle
+
+
 @pytest.mark.parametrize(
     "kappa,theta1c,flagged,code",
     [(0.1, 1.4765485471872029, False, 0),

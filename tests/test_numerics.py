@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import io
 import re
 import sys
 import threading
@@ -10,7 +12,8 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from weyllab import numerics
+from weyllab import numerics, openchain
+from weyllab.cli import main
 from weyllab.model import ModelParams, chain_bands
 from weyllab.numerics import (
     SOLVE_TOL,
@@ -146,7 +149,7 @@ class TestEighTridiagonal:
                 pass
 
         monkeypatch.setattr(numerics.ctypes, "CDLL", NoSymbols)
-        assert numerics._bundled_lapack_dstev() is None
+        assert all(numerics._bundled_lapack(name, 1) is None for name in ("dstev", "dstebz", "dstein"))
 
     def test_threads_of_one_size_keep_their_results(self, rng):
         # The bundled path releases the interpreter lock inside LAPACK;
@@ -193,6 +196,10 @@ class TestEighTridiagonal:
 
 needs_bundled = pytest.mark.skipif(
     numerics._LAPACK_DSTEV is None, reason="this numpy build exports no dstev"
+)
+needs_stebz = pytest.mark.skipif(
+    numerics._LAPACK_DSTEBZ is None or numerics._LAPACK_DSTEIN is None,
+    reason="this numpy build exports no dstebz or dstein",
 )
 
 
@@ -782,38 +789,17 @@ def test_chain_kernels_divide_by_the_same_power_of_two(rng, k):
 class TestBisectionAndInverseIteration:
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     def test_eigenpairs_match_eigh(self, n, seed):
-        # Bands of magnitude at most 1; every eigenvalue within SEPARATION
-        # of its gap and every vector within 1e-6 where the gap is 1e-4 or
-        # more.
+        # Bands of magnitude at most 1: every vector is a unit eigenvector
+        # to rounding, and eigh's own where its gap is 1e-4 or more.
         rng = np.random.default_rng(seed)
         d, e = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n - 1)
         vals, vecs = np.linalg.eigh(dense(d, e))
-        index = np.arange(n)
-        x = numerics._bisect(
-            np.repeat(d[:, None], n, axis=1), np.repeat(e[:, None], n, axis=1), index,
-            np.full(n, -3.0), np.full(n, 3.0),
-        )
+        got = numerics.select_eigenvectors(np.tile(d, (n, 1)), np.tile(e, (n, 1)), np.arange(n))
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.abs(got @ dense(d, e) - vals[:, None] * got).max() <= 1e-13
         gap = np.abs(vals[:, None] - vals + np.diag(np.full(n, np.inf))).min(axis=1)
-        assert (np.abs(x - vals) <= numerics.SEPARATION * gap + numerics.SCALED_TOL).all()
-        got = numerics._inverse_iteration(
-            np.repeat(d[:, None], n, axis=1), np.repeat(e[:, None], n, axis=1), x
-        )
         clear = gap >= 1e-4
-        assert np.allclose(np.abs((got * vecs).sum(axis=0))[clear], 1.0, atol=1e-6)
-
-    def test_sweeps_count_as_sturm_count(self, rng, monkeypatch):
-        # Each multisection sweep divides every system by the power of two
-        # that sturm_count's validation gives it, bands and shift alike:
-        # the shifts, up to 3, outgrow bands of magnitude at most 1.
-        sweeps, sweep = [], numerics._sturm_sweep
-        monkeypatch.setattr(numerics, "_sturm_sweep", lambda *args: sweeps.append(args) or sweep(*args))
-        d, e = rng.uniform(-1, 1, (12, 5)), rng.uniform(-1, 1, (11, 5))
-        numerics._bisect(d, e, np.arange(5), np.full(5, -3.0), np.full(5, 3.0))
-        monkeypatch.undo()
-        assert sweeps
-        for d, e, x, k in sweeps:
-            assert np.array_equal(k, numerics._chain_system(d, e, x)[3])
-            assert np.array_equal(sweep(d, e, x, k), sturm_count(d, e, x))
+        assert np.allclose(np.abs((got * vecs.T).sum(axis=1))[clear], 1.0, atol=1e-10)
 
     def test_exponentially_close_end_modes(self):
         # The 100-site chain at theta1 = 0.031, theta2 = pi/2 has its end
@@ -822,16 +808,98 @@ class TestBisectionAndInverseIteration:
         e = chain_bands(0.031, np.pi / 2, ModelParams(N=50))[1][0]
         j1, j2 = e[0::2], e[1::2]
         bbt, btb = j1**2 + np.r_[0.0, j2**2], j1**2 + np.r_[j2**2, 0.0]
-        s2 = numerics._bisect(
-            bbt[:, None] / 4, (j1[:-1] * j2)[:, None] / 4, np.array([0]), np.zeros(1), np.ones(1)
+        u, v = numerics.select_eigenvectors(
+            np.c_[bbt, btb].T / 4, np.c_[j1[:-1] * j2, j2 * j1[1:]].T / 4, [0, 0]
         )
-        u, v = numerics._inverse_iteration(
-            np.c_[bbt, btb] / 4, np.c_[j1[:-1] * j2, j2 * j1[1:]] / 4, np.r_[s2, s2]
-        ).T
-        # The uniform chain's B^T B is B B^T reversed, so v is u reversed,
-        # both to within inverse iteration's error.
+        # The uniform chain's B^T B is B B^T reversed, so v is u reversed.
         assert u[0] ** 2 > 0.99 and v[-1] ** 2 > 0.99
-        np.testing.assert_allclose(np.abs(u), np.abs(v[::-1]), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(np.abs(u), np.abs(v[::-1]), rtol=0, atol=1e-12)
+
+    @needs_stebz
+    @pytest.mark.parametrize("sites", [4, 12, 36, 100, 1000])
+    def test_both_bindings_give_the_same_labels(self, monkeypatch, sites):
+        # The bundled routines and scipy's fallback, which numpy builds
+        # without the symbols use, label the pairs of the two smallest
+        # singular triplets of the Table-1 grid's chains alike.
+        grid = np.linspace(-np.pi / 2, np.pi / 2, 101)
+        e = chain_bands(grid, np.pi / 2, ModelParams(N=sites // 2))[1]
+
+        def labels():
+            return np.array([openchain._sublattice_labels(e, np.full(len(e), i)) for i in (0, 1)])
+
+        bundled = labels()
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEBZ", None)
+        assert (labels() == bundled).all()
+        assert {"Left", "Right"} <= set(bundled.ravel())
+
+    @pytest.mark.parametrize("d, e, index", [
+        (np.zeros((3, 5)), np.zeros((3, 5)), [0, 0, 0]),
+        (np.zeros((3, 5)), np.zeros((2, 4)), [0, 0, 0]),
+        (np.zeros((3, 5)), np.zeros((3, 4)), [0, 0]),
+        (np.zeros(5), np.zeros(4), [0]),
+    ])
+    def test_rejects_bands_that_do_not_fit(self, d, e, index):
+        # LAPACK would read past a band that is too short.
+        with pytest.raises(ValueError, match="do not fit"):
+            numerics.select_eigenvectors(d, e, index)
+
+    @needs_stebz
+    def test_a_tie_takes_the_first_eigenvalue(self, rng, monkeypatch):
+        # A dstebz that reports M = 2, a second eigenvalue above the first
+        # (as ORDER = "E" sorts them): dstein is asked for M = 1 vector, of
+        # W(1), so every vector is what it is without the tie.
+        d, e = random_bands(rng, (6,), 9)
+        want = numerics.select_eigenvectors(d, e, np.arange(6))
+        stebz, stein, asked = numerics._LAPACK_DSTEBZ, numerics._LAPACK_DSTEIN, []
+
+        def tied(*args):
+            stebz(*args)
+            ctypes.c_int64.from_address(args[10]).value = 2
+            w, iblock = (ctypes.c_double, ctypes.c_int64)
+            w.from_address(args[12] + 8).value = w.from_address(args[12]).value + 0.5
+            iblock.from_address(args[13] + 8).value = iblock.from_address(args[13]).value
+
+        def counted(*args):
+            asked.append(ctypes.c_int64.from_address(args[3]).value)
+            stein(*args)
+
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEBZ", tied)
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEIN", counted)
+        assert numerics.select_eigenvectors(d, e, np.arange(6)).tobytes() == want.tobytes()
+        assert asked == [1] * 6
+
+    @needs_stebz
+    @pytest.mark.parametrize("routine,info", [("DSTEBZ", 4), ("DSTEIN", 1), ("DSTEBZ", -9)])
+    def test_nonzero_info_exits_3(self, tmp_path, monkeypatch, routine, info):
+        # INFO is the last address either routine takes before any string
+        # length.
+        real = getattr(numerics, f"_LAPACK_{routine}")
+        last = {"DSTEBZ": 17, "DSTEIN": 12}[routine]
+
+        def failing(*args):
+            real(*args)
+            ctypes.c_int64.from_address(args[last]).value = info
+
+        monkeypatch.setattr(numerics, f"_LAPACK_{routine}", failing)
+        out = tmp_path / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["table1", "--out", str(out), "--set", "table1.sizes=12"]) == 3
+        name = routine.lower()
+        assert err.getvalue() == f"weyllab: numerical failure: {name} failed with INFO = {info}\n"
+        assert not out.exists()
+
+    def test_fallback_failure_exits_3(self, tmp_path, monkeypatch):
+        # scipy's eigh_tridiagonal reports INFO != 0 as a LinAlgError.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+
+        monkeypatch.setattr(numerics, "_LAPACK_DSTEIN", None)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["table1", "--out", str(tmp_path / "run"), "--set", "table1.sizes=12"]) == 3
+        assert err.getvalue().startswith("weyllab: numerical failure: stein (eigh_tridiagonal)")
 
 
 class TestUnwrapWinding:
