@@ -5,13 +5,13 @@ the corner resolvent [(T + z)^-1]_00, Sturm counts and selected
 eigenvectors, all on stacks of a chain's two bands, angle reduction,
 phase-loop winding extraction, and signed spherical solid angles.
 Everything here is a pure function of its inputs.  The shifted solve
-factors the dense T + z; the corner resolvent, the Sturm count and the
-selected eigenvectors are O(n) per system and shift.  One helper,
-_chain_system, validates every system and gives its power-of-two
-exponent; the corner resolvent and the Sturm count always divide by
-that power, which is exact, and the shifted solve only beyond
-LU_EXPONENT.  The two resolvents refuse a system by one conditioning
-rule, _condition, read from the bands in their inf-norm.
+factors the dense T + z; the corner resolvent and the Sturm count read
+one far-end pivot sweep of T + z, _pivot_blocks, O(n) per system, and
+the selected eigenvectors are O(n) per chain.  _chain_system validates
+every system and gives its power-of-two exponent; the pivot sweep
+always divides by that power, which is exact, and the shifted solve
+only beyond LU_EXPONENT.  The two resolvents refuse a system by one
+conditioning rule, _condition, read from the bands in their inf-norm.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK
 dstev, and select_eigenvectors LAPACK's bisection and inverse iteration,
@@ -77,11 +77,11 @@ SOLVE_TOL = 1e-10
 LU_EXPONENT = 900
 # Largest condition number of T + z that a resolvent accepts.
 COND_MAX = 1e14
-# Floor of a scaled squared coupling in the Sturm recurrence: no 0 / 0
+# Floor of a scaled squared coupling in the pivot sweep: no 0 / 0
 # arises, and no eigenvalue moves by more than 2**-500 of the scale.
 COUPLING_FLOOR = 2.0**-1000
-# Most entries (systems times sites) that one block of the Sturm sweep
-# scales and shifts at once: 64 kB an array.
+# Most entries (systems times sites) that one block of the pivot sweep
+# scales and shifts at once: 64 kB an array, 128 kB complex.
 SWEEP_ENTRIES = 2**13
 # Any principal-value phase step at or beyond this magnitude is
 # considered undersampled; winding cannot be trusted past pi.
@@ -294,8 +294,9 @@ def select_eigenvectors(diags, offs, index) -> np.ndarray:
     _scipy_stein.  EigenNonConvergenceError if either returns INFO != 0;
     ValueError if the bands and the indices do not fit one another."""
     d, e = (np.array(b, dtype=float, order="C") for b in (diags, offs))
-    if d.ndim != 2 or e.shape != (len(d), d.shape[1] - 1) or len(index) != len(d):
-        raise ValueError(f"bands {d.shape} and {e.shape} do not fit {len(index)} chains")
+    if d.ndim != 2 or e.shape != (len(d), d.shape[1] - 1) or len(index) != len(d) or not all(
+            0 <= j < d.shape[1] for j in index):
+        raise ValueError(f"bands {d.shape} and {e.shape} do not fit the indices {np.ravel(index)}")
     z = np.empty(d.shape)
     if _LAPACK_DSTEBZ is None or _LAPACK_DSTEIN is None:
         return _scipy_stein(d, e, index, z)
@@ -445,31 +446,51 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     return x
 
 
+def _pivot_blocks(d, e, z, k):
+    """Pivots p_i = z + d_i - e_i^2 / p_{i+1} of T + z from the far end,
+    for _chain_system's d, e and k and a real or complex z broadcasting to k:
+    p_{n-1}, then blocks of at most SWEEP_ENTRIES entries, one row a site,
+    the farthest first, each row the stack's systems flattened.  Each
+    system is divided by its 2**-k, exactly, and each squared coupling
+    raised to at least COUPLING_FLOOR: a zero pivot gives an infinite one,
+    never 0 / 0 (the caller sets np.errstate).  Holds one block at a time."""
+    zk = np.ldexp(z, k) if z.dtype.kind == "f" else _ldexp(z, k)
+    p = np.ravel(np.ldexp(d[..., -1], k) + zk)  # the stack's systems, flattened
+    yield p[None]
+    step = max(SWEEP_ENTRIES // max(p.size, 1), 1)
+    # Bands with as many stack axes as k, so that sites moved first broadcast.
+    d, e = (b.reshape((1,) * (k.ndim + 1 - b.ndim) + b.shape) for b in (d, e))
+    for stop in range(d.shape[-1] - 1, 0, -step):
+        start = max(stop - step, 0)
+        a, f2 = (np.ldexp(np.moveaxis(b[..., start:stop], -1, 0)[::-1], k, order="C")
+                 for b in (d, e))
+        a = (a + zk).reshape(stop - start, p.size)
+        f2 = np.maximum(np.square(f2, out=f2), COUPLING_FLOOR, out=f2).reshape(a.shape)
+        for ai, fi in zip(a, f2.astype(a.dtype, copy=False)):
+            p = np.subtract(ai, np.divide(fi, p, out=fi), out=ai)
+        yield a
+
+
 def corner_resolvent(diags, offs, z) -> np.ndarray:
     """Corner element [(T + z)^-1]_00 of real symmetric tridiagonal chains
     T shifted by complex z, in O(n) per system.
 
     T has bands diags (..., n) and offs (..., n - 1); they and z (...)
     broadcast, like solve_shifted's, and the result has their broadcast
-    stack shape.  The continued fraction g <- 1 / (z + d_k - e_k^2 g)
-    (Haydock's recursion) is swept from the far end, once for the whole
-    stack, on each system divided by its power of two from _chain_system,
-    and g is scaled back.  The system is refused as solve_shifted refuses
-    it: SingularMatrixError when the condition number, as _condition
-    reads it, exceeds COND_MAX, or when g is not finite (a zero
-    denominator needs a real z).  Where the real bound (max |d| + |z| +
-    2 max |e|) / |Im z|, which is at least the inf-norm's, is within
-    COND_MAX for every system, _condition is skipped.  Mis-shaped,
-    complex-banded or non-finite input: ValueError.
+    stack shape: 1 / p_0 of _pivot_blocks (Haydock's continued fraction),
+    scaled back.  The system is refused as solve_shifted refuses it:
+    SingularMatrixError when the condition number, as _condition reads
+    it, exceeds COND_MAX, or when g is not finite (a zero pivot needs a
+    real z).  Where the real bound (max |d| + |z| + 2 max |e|) / |Im z|,
+    which is at least the inf-norm's, is within COND_MAX for every
+    system, _condition is skipped.  Mis-shaped, complex-banded or
+    non-finite input: ValueError.
     """
     d, e, z, k = _chain_system(diags, offs, z)
-    n = d.shape[-1]
-    zk = _ldexp(z, k)
-    with np.errstate(all="ignore"):  # a zero denominator gives inf and NaN
-        g = 1.0 / (zk + np.ldexp(d[..., -1], k))
-        for i in range(n - 2, -1, -1):
-            g = 1.0 / (zk + np.ldexp(d[..., i], k) - np.ldexp(e[..., i], k) ** 2 * g)
-        g = _ldexp(g, k)
+    with np.errstate(all="ignore"):  # a zero pivot gives inf and NaN
+        for p in _pivot_blocks(d, e, z, k):  # only the last block is kept
+            pass
+        g = _ldexp((1.0 / p[-1]).reshape(k.shape), k)
         # 1 + 2**-40 absorbs the rounding that could put this bound an ulp
         # below the inf-norm's.
         quick = (np.abs(d).max(axis=-1) + np.abs(z) + 2.0 * np.abs(e).max(axis=-1, initial=0.0))
@@ -488,39 +509,17 @@ def sturm_count(diags, offs, x) -> np.ndarray:
 
     T has bands diags (..., n) and offs (..., n - 1); they and x (...)
     broadcast, like corner_resolvent's bands and z, and the result has
-    their broadcast stack shape.  The count is the number of negative
-    pivots of T - x (Sylvester's law of inertia), swept from the far end
-    as corner_resolvent sweeps T + z, with z = -x: a block of sites at a
-    time, at most SWEEP_ENTRIES entries over the stack, is divided by the
-    system's power of two, so only that block, the last pivot and the
-    count are held.  A pivot counts as negative by its sign bit, and a
-    squared coupling is raised to at least COUPLING_FLOOR, so a zero
-    pivot of either sign counts once with the infinite pivot after it
-    (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)).
-    Mis-shaped, complex or non-finite input: ValueError.
+    their broadcast stack shape: the number of negative pivots of T - x
+    (Sylvester's law of inertia), _pivot_blocks' at z = -x by their sign
+    bits, so a zero pivot of either sign counts once with the infinite
+    pivot after it (Barth, Martin and Wilkinson, Numer. Math. 9, 386
+    (1967)).  Mis-shaped, complex or non-finite input: ValueError.
     """
     d, e, x, k = _chain_system(diags, offs, x)
     if x.imag.any():
         raise ValueError("a Sturm count needs a real shift")
-    xk = np.ldexp(x.real, k)
-    q = np.ravel(np.ldexp(d[..., -1], k) - xk)  # the stack's systems, flattened
-    count = np.signbit(q).astype(np.intp)
-    step = max(SWEEP_ENTRIES // max(q.size, 1), 1)
-    # Bands with as many stack axes as k, so that sites moved first broadcast.
-    d, e = (b.reshape((1,) * (k.ndim + 1 - b.ndim) + b.shape) for b in (d, e))
     with np.errstate(divide="ignore"):
-        for stop in range(d.shape[-1] - 1, 0, -step):
-            start = max(stop - step, 0)
-            # One row per site, the farthest first, each row's systems contiguous.
-            a, f2 = (np.ldexp(np.moveaxis(b[..., start:stop], -1, 0)[::-1], k, order="C")
-                     for b in (d, e))
-            a = np.subtract(a, xk, out=a).reshape(stop - start, q.size)
-            f2 = np.maximum(np.square(f2, out=f2), COUPLING_FLOOR, out=f2).reshape(a.shape)
-            neg = np.empty(a.shape, dtype=bool)
-            for ai, fi, ni in zip(a, f2, neg):
-                q = np.subtract(ai, np.divide(fi, q, out=fi), out=ai)
-                np.signbit(q, out=ni)
-            count += neg.sum(axis=0)
+        count = sum(np.signbit(p).sum(axis=0) for p in _pivot_blocks(d, e, -x.real, k))
     return count.reshape(k.shape)[()]  # [()]: a scalar for one system
 
 

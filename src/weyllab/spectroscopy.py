@@ -16,7 +16,7 @@ loop's chains.
 
 Arc detection reads the port resolvent [(Delta0 + T - i kappa/2)^{-1}]_{11}
 of each distinct chain of its theta1 grid once, by numerics'
-corner_resolvent (a continued fraction, O(n) per detuning), only on the
+corner_resolvent (1 / p_0 of a pivot sweep, O(n) per detuning), only on the
 fit window |Delta0| <= FIT_WINDOW J, and fits all those traces at once,
 scattering each verdict back to every grid point of its chain;
 it reports an arc [-t, t], and its oracle's, by the float t, NaN for none.

@@ -579,13 +579,17 @@ class TestCornerResolvent:
         st.integers(1, 36),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0, 664, -1000, -1019]),
-        st.sampled_from(["chain", "rows x shifts", "shared bands"]),
+        st.sampled_from(["chain", "rows x shifts", "shared bands", "2,000 systems"]),
     )
     def test_matches_dense_oracle(self, n, seed, k, layout):
         # To 1e-12 relative, also with bands and shifts scaled by 2**k to
-        # about 1e200, 1e-301 and 1e-307.
+        # about 1e200, 1e-301 and 1e-307.  2,000 systems of 11 sites take
+        # the pivot sweep's blocks of SWEEP_ENTRIES // 2000 = 4 sites over
+        # their 10 couplings: two full blocks and a partial last one.
         rng = np.random.default_rng(seed)
-        shape = {"chain": (), "rows x shifts": (3, 1), "shared bands": ()}[layout]
+        shape = {"chain": (), "rows x shifts": (3, 1), "shared bands": (),
+                 "2,000 systems": (500, 1)}[layout]
+        n = 11 if layout == "2,000 systems" else n
         d, e = random_bands(rng, shape, n)
         size = () if layout == "chain" else (4,)
         z = rng.normal(size=size) + 1j * rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0, size)
@@ -786,6 +790,21 @@ def test_chain_kernels_divide_by_the_same_power_of_two(rng, k):
     assert np.array_equal(counts, sturm_count(d, e, x))
 
 
+@pytest.mark.parametrize("k", [0, 600, -1000])
+def test_chain_kernels_read_one_pivot_sequence(rng, k):
+    # A chain's Sturm count less that of the chain without its first site
+    # is the sign bit of its first pivot p_0, and so of the corner element
+    # 1 / p_0 at z = -x: on 2,000 random chains with zero couplings, each
+    # at a real shift off its spectrum, also scaled by 2**k.
+    d, e = random_bands(rng, (2000,), 9)
+    e[:, ::3] = 0.0
+    x = rng.uniform(-3.0, 3.0, 2000)
+    off = np.abs(np.linalg.eigvalsh(dense_stack(d, e)) - x[:, None]).min(axis=1) > 1e-6
+    d, e, x = (np.ldexp(a[off], k) for a in (d, e, x))
+    first = sturm_count(d, e, x) - sturm_count(d[:, 1:], e[:, 1:], x)
+    assert np.array_equal(first, np.signbit(corner_resolvent(d, e, -x).real))
+
+
 class TestBisectionAndInverseIteration:
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     def test_eigenpairs_match_eigh(self, n, seed):
@@ -837,11 +856,17 @@ class TestBisectionAndInverseIteration:
         (np.zeros((3, 5)), np.zeros((2, 4)), [0, 0, 0]),
         (np.zeros((3, 5)), np.zeros((3, 4)), [0, 0]),
         (np.zeros(5), np.zeros(4), [0]),
+        (np.zeros((2, 5)), np.ones((2, 4)), [0, 5]),
+        (np.zeros((2, 5)), np.ones((2, 4)), [0, -1]),
     ])
-    def test_rejects_bands_that_do_not_fit(self, d, e, index):
-        # LAPACK would read past a band that is too short.
-        with pytest.raises(ValueError, match="do not fit"):
-            numerics.select_eigenvectors(d, e, index)
+    def test_rejects_bands_that_do_not_fit(self, monkeypatch, capfd, d, e, index):
+        # LAPACK would read past a band that is too short, or refuse an
+        # eigenvalue number the chain does not have, on either binding.
+        for stebz in (numerics._LAPACK_DSTEBZ, None):
+            monkeypatch.setattr(numerics, "_LAPACK_DSTEBZ", stebz)
+            with pytest.raises(ValueError, match="do not fit"):
+                numerics.select_eigenvectors(d, e, index)
+        assert capfd.readouterr().err == ""
 
     @needs_stebz
     def test_a_tie_takes_the_first_eigenvalue(self, rng, monkeypatch):
