@@ -159,6 +159,12 @@ class _OutputSet:
 
 # Rows per block of write_csv.
 CSV_BLOCK_ROWS = 4096
+# Largest chern.mesh and chern.torus_grid, whose memory grows as their
+# square: the banded sphere holds 32 bytes a quad, the mapped torus about
+# 210 bytes a point.  A fresh `chern` peaks at about 43 MB at mesh 512
+# and 48 MB at torus grid 256, against 34 MB at the defaults.
+MAX_MESH = 512
+MAX_TORUS_GRID = 256
 
 
 def _params(cfg: dict, sites: int | None = None) -> ModelParams:
@@ -178,6 +184,14 @@ def _angle_grid(cfg, key: str) -> np.ndarray:
         if cfg[key] > MAX_GRID_POINTS:
             raise GridError(f"grid axis of {cfg[key]} points exceeds {MAX_GRID_POINTS}")
     return np.linspace(-math.pi, math.pi, cfg[key])
+
+
+def _mesh(cfg, key: str, bound: int) -> int:
+    """cfg[key]; GridError, naming the key, above bound."""
+    with _grid_keys(cfg, key):
+        if cfg[key] > bound:
+            raise GridError(f"mesh of {cfg[key]} exceeds {bound}")
+    return cfg[key]
 
 
 def _grid_blocks(cfg, key: str, size: int):
@@ -225,14 +239,16 @@ def cmd_weyl_points(cfg, out: _OutputSet) -> int:
 
 
 def cmd_chern(cfg, out: _OutputSet) -> int:
+    mesh = _mesh(cfg, "chern.mesh", MAX_MESH)
+    grid = _mesh(cfg, "chern.torus_grid", MAX_TORUS_GRID)
     p = _params(cfg)
     ws = weyl_points(p)
     charges = {}
     agree = True
     total = 0
     for i, w in enumerate(ws, 1):
-        sphere = chern_sphere(w, cfg["chern.radius"], cfg["chern.mesh"], p)
-        torus = chern_mapped_torus(w, cfg["chern.theta_r"], cfg["chern.torus_grid"], p)
+        sphere = chern_sphere(w, cfg["chern.radius"], mesh, p)
+        torus = chern_mapped_torus(w, cfg["chern.theta_r"], grid, p)
         agree &= torus.value == sphere.value and round(torus.raw) == 2 * sphere.value
         total += sphere.value
         charges[f"W{i}"] = {
@@ -249,10 +265,10 @@ def cmd_chern(cfg, out: _OutputSet) -> int:
 
 
 def cmd_berry_field(cfg, out: _OutputSet) -> int:
+    mesh = _mesh(cfg, "chern.mesh", MAX_MESH)
     p = _params(cfg)
     ws = weyl_points(p)
-    sphere_charges = [chern_sphere(w, cfg["chern.radius"], cfg["chern.mesh"], p).value
-                      for w in ws]
+    sphere_charges = [chern_sphere(w, cfg["chern.radius"], mesh, p).value for w in ws]
     step, exclude = cfg["berry_field.step"], cfg["berry_field.exclude"]
 
     def blocks():

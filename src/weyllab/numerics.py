@@ -5,7 +5,8 @@ the corner resolvent [(T + z)^-1]_00, Sturm counts and selected
 eigenvectors, all on stacks of a chain's two bands, angle reduction,
 phase-loop winding extraction, and signed spherical solid angles.
 Everything here is a pure function of its inputs.  The shifted solve
-factors the dense T + z; the corner resolvent and the Sturm count read
+factors the dense T + z in chunks of at most LU_ENTRIES entries, one
+buffer per call; the corner resolvent and the Sturm count read
 one far-end pivot sweep of T + z, _pivot_blocks, O(n) per system, and
 the selected eigenvectors are O(n) per chain.  _chain_system validates
 every system and gives its power-of-two exponent; the pivot sweep
@@ -33,6 +34,7 @@ holds the lock, so it stays one loop.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from typing import NamedTuple
@@ -54,10 +56,12 @@ __all__ = [
     "unwrap_winding",
 ]
 
-# Most matrix entries that one block of a stacked kernel holds at once
-# (2 MB of complex systems, 1 MB of real eigenvectors); it bounds the
-# memory of spectroscopy.reflections and openchain.edge_spectrum.
+# Most eigenvector entries that one group of openchain.edge_spectrum
+# holds at once (1 MB).
 BLOCK_ENTRIES = 2**17
+# Most dense matrix entries that one chunk of solve_shifted's stacked LU
+# holds at once (512 kB complex).
+LU_ENTRIES = 2**15
 # A dstev stack's work is counted per chain as n^2 with vectors and
 # n^2 / 2 without, each unit about 0.1 us of one solve for 10 to 20 sites.
 # Least work that one range of a split stack must carry to be worth a
@@ -397,8 +401,11 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     complex shifts z.
 
     T has bands diags (..., n) and offs (..., n - 1); they, z (...) and
-    b (..., n) broadcast, like eigh_bands' bands.  One stacked pivoted LU
-    solves the dense T + z built from _chain_system's bands.  A system,
+    b (..., n) broadcast, like eigh_bands' bands.  A pivoted LU solves
+    the dense T + z built from _chain_system's bands, stacked in chunks
+    of at most LU_ENTRIES matrix entries (one system at least) in one
+    zeroed buffer, whose off-band zeros every chunk keeps; each system's
+    LU is its own, so its bits do not depend on the chunks.  A system,
     or a b, whose power-of-two exponent exceeds LU_EXPONENT in magnitude
     is divided by that power first and x multiplied back once; the others
     are solved as given, bit for bit the dense LU.  Each system is
@@ -419,15 +426,25 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
     k, kb = (np.where(np.abs(a) > LU_EXPONENT, a, 0) for a in (k, kb[..., None]))
     if k.any():  # scaled bands take the whole stack's shape
         d, e, z = np.ldexp(d, k[..., None]), np.ldexp(e, k[..., None]), _ldexp(z, k)
-    b, dz = _ldexp(b, kb), d + z[..., None]
-    flat = np.zeros(shape + (n * n,), complex)  # the dense T + z, row by row
-    flat[..., :: n + 1] = dz
-    flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = e
-    try:
-        x = np.linalg.solve(flat.reshape(shape + (n, n)), b[..., None])[..., 0]  # b as a column
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    del flat  # the checks read only the bands
+    if kb.any():
+        b = _ldexp(b, kb)
+    dz = d + z[..., None]
+    # Each system's diagonal, couplings and b as rows, and its x.
+    dzs, es, bs = (np.broadcast_to(a, shape + a.shape[-1:]).reshape(math.prod(shape), a.shape[-1])
+                   for a in (dz, e, b))
+    x = np.empty(dzs.shape, complex)
+    step = max(1, LU_ENTRIES // (n * n))
+    dense = np.zeros((min(step, len(x)), n * n), complex)  # T + z, row by row
+    for s in range(0, len(x), step):
+        m, rows = min(step, len(x) - s), slice(s, s + step)
+        dense[:m, :: n + 1] = dzs[rows]
+        dense[:m, 1 :: n + 1] = dense[:m, n :: n + 1] = es[rows]
+        try:  # b as a column
+            x[rows] = np.linalg.solve(dense[:m].reshape(m, n, n), bs[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(str(exc)) from exc
+    x = x.reshape(shape + (n,))
+    del dense, dzs, es, bs  # the checks read only the bands
     # A backward-stable LU happily "solves" a singular system with a
     # huge x and a tiny residual, so check conditioning as well.
     norm = np.broadcast_to(_inf_norm(dz, e), shape)
@@ -438,7 +455,8 @@ def solve_shifted(diags, offs, z, b) -> np.ndarray:
         r[..., :-1] += e * x[..., 1:]
         resid = np.abs(r).max(axis=-1)
         scale = norm * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1)
-        x = _ldexp(x, k[..., None] - kb)
+        if k.any() or kb.any():  # a zero exponent leaves x as it is
+            x = _ldexp(x, k[..., None] - kb)
         ok = (cond <= COND_MAX).all() and (resid <= SOLVE_TOL * scale).all()
         ok = ok and np.isfinite(x).all()
     if not ok:

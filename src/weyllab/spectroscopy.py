@@ -10,8 +10,10 @@ a = -(Delta0 + T - i kappa/2)^{-1} Omega, so they are independent of
 the drive amplitude; the left-port reflection is
 r_L = 1 + i kappa [(Delta0 + T - i kappa/2)^{-1}]_{11}.  One kernel,
 reflections, solves it for a stack of chains over a detuning grid, in
-bounded blocks, by numerics' dense solve_shifted; a point is its [0, 0]
-entry, a spectrum its row 0, and a winding loop its one column over the
+bounded blocks of at most SYSTEM_ENTRIES systems times sites, each
+with its own chain bands, by numerics' dense solve_shifted, whose LU
+holds at most LU_ENTRIES entries at once; a point is its [0, 0] entry,
+a spectrum its row 0, and a winding loop its one column over the
 loop's chains.
 
 Arc detection reads the port resolvent [(Delta0 + T - i kappa/2)^{-1}]_{11}
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, WeylPoint, _node_loop, chain_bands
-from .numerics import BLOCK_ENTRIES, NumericsError, corner_resolvent, solve_shifted
+from .numerics import NumericsError, corner_resolvent, solve_shifted
 from .openchain import (
     ZTOL_DEFAULT,
     EDGE_WEIGHT_MIN,
@@ -68,6 +70,9 @@ MAX_GRID_POINTS = 10_001
 FIT_WINDOW = 0.12
 # Gauss-Newton steps of the pair fit from its linear start.
 NEWTON_STEPS = 2
+# Most systems times sites that reflections passes to one solve_shifted
+# call: 64 kB a complex array of x or of the residual.
+SYSTEM_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -174,21 +179,22 @@ def reflections(theta1s, theta2s, delta0_grid, p: ModelParams) -> np.ndarray:
 
     Chain k is the open chain at (theta1s[k], theta2s[k]), the angle
     arrays broadcast, and each detuning replaces p.Delta0.  solve_shifted
-    solves the (chain, detuning) systems in chain-major order, in blocks
-    of at most BLOCK_ENTRIES dense matrix entries (one system at least):
-    whole chains wherever a chain's detunings fit, else spans of one
-    chain's detunings.  A singular system anywhere, such as kappa = 0
-    exactly on resonance, raises SingularMatrixError.
+    solves the (chain, detuning) systems in chain-major order, in bounded
+    blocks of at most SYSTEM_ENTRIES systems times sites (one system at
+    least), each block's chain bands built for it: whole chains wherever
+    a chain's detunings fit, else spans of one chain's detunings.  A
+    singular system anywhere, such as kappa = 0 exactly on resonance,
+    raises SingularMatrixError.
     """
     t1s, t2s = np.broadcast_arrays(np.ravel(theta1s), np.ravel(theta2s))
-    diags, offs = chain_bands(t1s, t2s, p)
     z = np.asarray(delta0_grid, dtype=float) - 0.5j * p.kappa
-    systems = max(1, BLOCK_ENTRIES // p.sites**2)
+    systems = max(1, SYSTEM_ENTRIES // p.sites)
     chains = max(1, systems // max(1, z.size))  # whole chains where they fit
-    r = np.empty((len(diags), z.size), dtype=complex)
-    for c, j in itertools.product(range(0, len(diags), chains), range(0, z.size, systems)):
+    r = np.empty((t1s.size, z.size), dtype=complex)
+    for c, j in itertools.product(range(0, t1s.size, chains), range(0, z.size, systems)):
         c, j = slice(c, c + chains), slice(j, j + systems)
-        g11 = solve_shifted(diags[c, None], offs[c, None], z[j], left_drive(p))[..., 0]
+        diags, offs = chain_bands(t1s[c], t2s[c], p)
+        g11 = solve_shifted(diags[:, None], offs[:, None], z[j], left_drive(p))[..., 0]
         r[c, j] = 1.0 + 1j * p.kappa * g11
     return r
 

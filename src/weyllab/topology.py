@@ -167,6 +167,11 @@ def chern_sphere(
     latitude-longitude grid (poles as triangle fans) and the degree is
     the sum of signed solid angles of the image triangles over 4 pi.
     Outward orientation; radius must keep every other node outside.
+    The unit Bloch vectors and both triangles' solid angles are computed
+    in latitude bands of at most BLOCK_POINTS points (two latitudes at
+    least), each band sharing its last latitude with the next, into two
+    whole (mesh, 2 mesh) arrays, each summed once; the |h| guards read
+    the least and largest |h| over all bands, after the last.
     """
     if not (0.0 < radius < np.pi / 2):
         raise ValueError("radius must lie in (0, pi/2)")
@@ -175,34 +180,38 @@ def chern_sphere(
     nth, nph = mesh, 2 * mesh
     theta = np.linspace(0.0, np.pi, nth + 1)
     phi = np.linspace(0.0, 2.0 * np.pi, nph, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    normals = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    )
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     q0 = w.location.as_array()
-    pts = q0 + radius * normals
-    hx, hy, hz = bloch_vectors(pts[..., 0], pts[..., 1], pts[..., 2], p)
-    h = np.stack([hx, hy, hz], axis=-1)
-    with np.errstate(over="ignore"):  # as from an overflowing J
-        norm = np.linalg.norm(h, axis=-1)
-    if not np.isfinite(norm).all():
-        raise ValueError("non-finite Bloch vector norms on the sphere")
-    if norm.min() < 1e-12:
-        raise NonConvergedChernError("sphere touches a band-degeneracy point")
-    if norm.min() < GAP_REL_MIN * norm.max():
-        raise NonConvergedChernError(
-            f"|h| {norm.min():.3e} on the sphere is lost in the rounding of "
-            f"|h| up to {norm.max():.3e}; J dwarfs Je"
-        )
-    hhat = h / norm[..., None]
-
     # Quad (i,j)-(i+1,j)-(i+1,j+1)-(i,j+1) split into two triangles with
     # the (theta, phi) orientation, which is outward on the sphere.
-    va = hhat[:-1, :]
-    vb = hhat[1:, :]
-    vc = np.roll(hhat, -1, axis=1)[1:, :]
-    vd = np.roll(hhat, -1, axis=1)[:-1, :]
-    total = solid_angle_batch(va, vb, vc).sum() + solid_angle_batch(va, vc, vd).sum()
+    first, second = np.empty((nth, nph)), np.empty((nth, nph))
+    least, largest = np.inf, 0.0
+    step = max(BLOCK_POINTS // nph, 2) - 1  # quad rows per band
+    for start in range(0, nth, step):
+        s, c = st[start : start + step + 1, None], ct[start : start + step + 1, None]
+        normals = np.stack(np.broadcast_arrays(s * cp, s * sp, c), axis=-1)
+        pts = q0 + radius * normals
+        hx, hy, hz = bloch_vectors(pts[..., 0], pts[..., 1], pts[..., 2], p)
+        h = np.stack([hx, hy, hz], axis=-1)
+        with np.errstate(over="ignore"):  # as from an overflowing J
+            norm = np.linalg.norm(h, axis=-1)
+        if not np.isfinite(norm).all():
+            raise ValueError("non-finite Bloch vector norms on the sphere")
+        least, largest = min(least, norm.min()), max(largest, norm.max())
+        with np.errstate(divide="ignore", invalid="ignore"):  # |h| = 0 is refused below
+            hhat = h / norm[..., None]
+            ahead = np.roll(hhat, -1, axis=1)
+            quads = slice(start, start + step)
+            first[quads] = solid_angle_batch(hhat[:-1], hhat[1:], ahead[1:])
+            second[quads] = solid_angle_batch(hhat[:-1], ahead[1:], ahead[:-1])
+    if least < 1e-12:
+        raise NonConvergedChernError("sphere touches a band-degeneracy point")
+    if least < GAP_REL_MIN * largest:
+        raise NonConvergedChernError(
+            f"|h| {least:.3e} on the sphere is lost in the rounding of "
+            f"|h| up to {largest:.3e}; J dwarfs Je"
+        )
+    total = first.sum() + second.sum()
     raw = float(total / (4.0 * np.pi))
     value = int(np.rint(raw))
     if abs(raw - value) > ROUNDING_TOL:

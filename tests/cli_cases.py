@@ -97,6 +97,10 @@ CASES = [
      "berry_field.grid=10002: grid axis of 10002 points exceeds 10001", ()),
     ("edge-spectrum --set edge_spectrum.grid=10002", 2,
      "edge_spectrum.grid=10002: grid axis of 10002 points exceeds 10001", ()),
+    # A Chern mesh too fine, refused before the first node's.
+    ("chern --set chern.mesh=513", 2, "chern.mesh=513: mesh of 513 exceeds 512", ()),
+    ("berry-field --set chern.mesh=513", 2, "chern.mesh=513: mesh of 513 exceeds 512", ()),
+    ("chern --set chern.torus_grid=257", 2, "chern.torus_grid=257: mesh of 257 exceeds 256", ()),
     ("reflection --set j=5e-324", 2, MERGED_GRID, ()),
     ("fermi-arc --set j=5e-324", 2, MERGED_GRID, ()),
     ("table1 --set j=5e-324", 2, MERGED_GRID, ()),

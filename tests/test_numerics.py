@@ -399,6 +399,42 @@ class TestSolveShifted:
             solve_shifted(d, e, shifts, np.array([1.0, 0.0]))
         assert solve_shifted(d, e, shifts[[0, 2]], np.array([1.0, 0.0])).shape == (2, 2)
 
+    @pytest.mark.parametrize("lu_entries", [1, 3 * 36, 4 * 36 + 5, numerics.LU_ENTRIES])
+    def test_lu_chunks_give_the_same_bits(self, rng, monkeypatch, lu_entries):
+        # Chunks of one system, of three and of four of the 35 (the last
+        # ones partial) and the default all solve each system by its own
+        # LU, in one buffer whose off-band zeros every chunk keeps: bit for
+        # bit the per-system dense solve, whether b is shared or stacked
+        # and whether the couplings broadcast over the shifts.
+        monkeypatch.setattr(numerics, "LU_ENTRIES", lu_entries)
+        d, e = random_bands(rng, (5, 1), 6)
+        z = rng.normal(size=7) - 1j * (0.1 + rng.random(size=7))
+        t = dense_stack(d, e)
+        for b in (rng.normal(size=6) + 1j, rng.normal(size=(5, 7, 6)) + 1j * rng.normal(size=(5, 7, 6))):
+            want = np.linalg.solve(t + z[:, None, None] * np.eye(6), np.broadcast_to(b, (5, 7, 6))[..., None])
+            assert solve_shifted(d, e, z, b).tobytes() == want[..., 0].tobytes()
+
+    @pytest.mark.parametrize("lu_entries", [1, numerics.LU_ENTRIES])
+    def test_singular_system_in_a_later_chunk_fails_the_stack(self, monkeypatch, lu_entries):
+        # T has eigenvalues +/-1, so T + 1 is exactly singular: the LU of
+        # the last chunk fails, and the stack with it.
+        monkeypatch.setattr(numerics, "LU_ENTRIES", lu_entries)
+        with pytest.raises(SingularMatrixError):
+            solve_shifted(np.zeros(2), np.ones(1), [0.5j, 2.0 + 1j, 1.0], np.array([1.0, 0.0]))
+
+    def test_lu_holds_one_chunk(self, rng):
+        # 2,000 systems of 36 sites, whose dense stack takes 41 MB, peak
+        # within one chunk of LU_ENTRIES complex entries (512 kB) and ten
+        # arrays of the stack's vectors (1.15 MB each complex): x, T + z's
+        # diagonal, the residual and their temporaries.
+        d, e = random_bands(rng, (2000,), 36)
+        z = -0.1 - 0.05j
+        tracemalloc.start()
+        x = solve_shifted(d, e, z, np.eye(36)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * numerics.LU_ENTRIES + 10 * x.nbytes
+
     def test_stacked_matrices_share_a_shift(self):
         # [[0, 1], [1, 0]] and 2 I
         d, e = np.array([[0.0, 0.0], [2.0, 2.0]]), np.array([[1.0], [0.0]])

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -252,19 +253,21 @@ class TestReflections:
         detunings=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
         je=st.sampled_from([0.0, 0.4, 1.0]),
         kappa=st.floats(0.05, 1.0),
-        budget=st.sampled_from([1, 3000, spectroscopy.BLOCK_ENTRIES]),
+        budget=st.sampled_from([1, 250, spectroscopy.SYSTEM_ENTRIES]),
+        lu_entries=st.sampled_from([1, 3000, numerics.LU_ENTRIES]),
     )
-    # 12 sites in 3000 entries hold 20 systems, 6 whole chains of 3 detunings.
+    # 12 sites in 250 entries hold 20 systems, 6 whole chains of 3
+    # detunings, and 3000 dense entries 20 systems too.
     @example(
         cells=6, angles=[(0.1 * k, 0.3) for k in range(8)], detunings=[-0.5, 0.0, 0.5],
-        je=0.4, kappa=0.5, budget=3000,
+        je=0.4, kappa=0.5, budget=250, lu_entries=3000,
     )
     @settings(max_examples=60)
     def test_stack_equals_per_chain_solves(
-        self, cells, angles, detunings, je, kappa, budget
+        self, cells, angles, detunings, je, kappa, budget, lu_entries
     ):
         # Budgets of one system and of a few chains split the stack over
-        # chains and over detunings.
+        # chains and over detunings, and the LU's chunks split each call.
         p = ModelParams(N=cells, Je=je, kappa=kappa)
         t1s, t2s = np.array(angles).T
         n, m, solve, calls = p.sites, len(detunings), spectroscopy.solve_shifted, []
@@ -277,15 +280,15 @@ class TestReflections:
             )
             return solve(d, e, z, b)
 
-        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", budget), mock.patch.object(
+        with mock.patch.object(spectroscopy, "SYSTEM_ENTRIES", budget), mock.patch.object(
             spectroscopy, "solve_shifted", spy
-        ):
+        ), mock.patch.object(numerics, "LU_ENTRIES", lu_entries):
             r = reflections(t1s, t2s, detunings, p)
         assert r.shape == (len(angles), m)
         z = np.array(detunings) - 0.5j * kappa
         # Every block within its budget, of whole chains where a chain's
         # detunings fit, and every (chain, detuning) system once, chain-major.
-        cap = max(1, budget // n**2)
+        cap = max(1, budget // n)
         assert all(len(shifts) <= cap for _, shifts in calls)
         if cap >= m:
             assert all(len(shifts) % m == 0 for _, shifts in calls)
@@ -348,16 +351,34 @@ class TestReflections:
         with pytest.raises(SingularMatrixError, match=r"\(cond \d"):
             steady_state(np.pi / 2, np.pi / 2, left_drive(p), p)
 
-    @pytest.mark.parametrize("budget", [1, spectroscopy.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("budget", [1, spectroscopy.SYSTEM_ENTRIES])
     def test_one_singular_chain_fails_the_stack(self, budget):
         # Undamped at zero detuning, the theta1 = 0 chain at theta2 = pi/2
         # has a decoupled end site at zero energy; the gapped theta2 = 0
         # chains do not.
         p = chain(8, kappa=0.0)
-        with mock.patch.object(spectroscopy, "BLOCK_ENTRIES", budget):
+        with mock.patch.object(spectroscopy, "SYSTEM_ENTRIES", budget):
             assert np.isfinite(reflections([0.3, 0.5], [0.0, 0.0], [0.0], p)).all()
             with pytest.raises(SingularMatrixError):
                 reflections([0.3, 0.0, 0.5], [0.0, np.pi / 2, 0.0], [0.0], p)
+
+    def test_loop_memory_grows_only_with_its_output(self):
+        # At 36 sites, a loop of 4,096 samples peaks above one of 512 by
+        # less than twice the growth of its output (theta and r, 24 bytes
+        # a sample): the loop's own two angle arrays add 16 bytes a sample,
+        # and each block's chain bands and LU chunk are the same size at
+        # both lengths.  Whole-loop chain bands would add 576 bytes a
+        # sample, and one whole-loop dense stack 20 kB.
+        p = chain(36)
+        node = weyl_points(p)[0]
+        peaks, sizes = [], []
+        for samples in (512, 4096):
+            tracemalloc.start()
+            theta, r = loop_reflection(node, 0.25 * np.pi, samples, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            sizes.append(theta.nbytes + r.nbytes)
+        assert peaks[1] - peaks[0] <= 2 * (sizes[1] - sizes[0]), peaks
 
 
 class TestReflectionSpectrum:

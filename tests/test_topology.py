@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from weyllab import topology
 from weyllab.cli import main
 from weyllab.config import DEFAULTS
 from weyllab.model import ModelParams, SyntheticMomentum, bloch_vectors, weyl_points
+from weyllab.numerics import solid_angle_batch
 from weyllab.topology import (
     DegenerateGroundStateError,
     NonConvergedChernError,
@@ -348,6 +350,69 @@ def test_berry_field_at_large_hopping_is_the_closed_form(tmp_path):
     assert main(["berry-field", "--out", str(tmp_path), "--set", "j=1e14"]) == 0
     exclude = DEFAULTS["berry_field.exclude"]
     assert_monopole_closed_form(tmp_path / "berry_field.csv", exclude, ModelParams(J=1e14))
+
+
+def whole_mesh_sphere(w, radius, mesh, p):
+    """chern_sphere's raw degree from the whole latitude-longitude mesh at
+    once, with its |h| guards: the form the banded sphere keeps bit for
+    bit.  Its arrays take about 140 bytes a point (36 MB at mesh 256)."""
+    nth, nph = mesh, 2 * mesh
+    theta = np.linspace(0.0, np.pi, nth + 1)
+    phi = np.linspace(0.0, 2.0 * np.pi, nph, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    normals = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+    pts = w.location.as_array() + radius * normals
+    h = np.stack(bloch_vectors(pts[..., 0], pts[..., 1], pts[..., 2], p), axis=-1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(h, axis=-1)
+    if not np.isfinite(norm).all():
+        raise ValueError("non-finite Bloch vector norms on the sphere")
+    if norm.min() < 1e-12:
+        raise NonConvergedChernError("sphere touches a band-degeneracy point")
+    if norm.min() < topology.GAP_REL_MIN * norm.max():
+        raise NonConvergedChernError(
+            f"|h| {norm.min():.3e} on the sphere is lost in the rounding of "
+            f"|h| up to {norm.max():.3e}; J dwarfs Je"
+        )
+    hhat = h / norm[..., None]
+    ahead = np.roll(hhat, -1, axis=1)
+    total = (solid_angle_batch(hhat[:-1], hhat[1:], ahead[1:]).sum()
+             + solid_angle_batch(hhat[:-1], ahead[1:], ahead[:-1]).sum())
+    return float(total / (4.0 * np.pi))
+
+
+class TestChernSphereBands:
+    # BLOCK_POINTS (2,048) points a band: mesh 8 and 24 are one band, mesh
+    # 64 five of 15 quad rows (the last of 4), mesh 100 twelve of 9 (the
+    # last of 1).
+    @pytest.mark.parametrize("radius", [0.2, 1.0])
+    @pytest.mark.parametrize("mesh", [8, 24, 64, 100])
+    def test_raw_is_the_whole_mesh_bit_for_bit(self, params, mesh, radius):
+        for w in weyl_points(params):
+            got = chern_sphere(w, radius, mesh, params)
+            assert got.raw.hex() == whole_mesh_sphere(w, radius, mesh, params).hex()
+
+    @pytest.mark.parametrize("j", [1e15, 1e150])
+    def test_guards_read_every_band(self, j):
+        # The least and largest |h| lie in different bands at mesh 100,
+        # and the refusal names both as the whole mesh does.
+        p = ModelParams(J=j)
+        for w in weyl_points(p):
+            with pytest.raises(NonConvergedChernError) as want:
+                whole_mesh_sphere(w, 0.2, 100, p)
+            with pytest.raises(NonConvergedChernError, match="lost in the rounding") as got:
+                chern_sphere(w, 0.2, 100, p)
+            assert str(got.value) == str(want.value)
+
+    def test_memory_at_mesh_256(self, params):
+        # The two whole (256, 512) solid-angle arrays (2 MB) and one band's
+        # temporaries (about 0.5 MB): the whole mesh peaked at 36 MB.
+        w = weyl_points(params)[0]
+        tracemalloc.start()
+        chern_sphere(w, 0.2, 256, params)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * 256 * 512 * 8 + 2**20
 
 
 class TestChernSphere:
