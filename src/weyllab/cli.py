@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -56,29 +55,32 @@ EXIT_INCONSISTENT = 4
 
 class _OutputSet:
     """Collects written files, each with the SHA-256 of the bytes written,
-    for the manifest."""
+    for the manifest.  Every file goes through write."""
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.paths: list[Path] = []
         self.digests: list[str] = []
 
-    def _path(self, name: str) -> Path:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        return self.outdir / name
-
-    def _write(self, name: str, chunks) -> Path:
+    def write(self, name: str, chunks) -> Path:
         """Write the text chunks to the file, digesting their bytes as they
-        go; a failed write removes its file, and only its own."""
-        path, digest = self._path(name), hashlib.sha256()
+        go.  The first chunk is taken before the output directory or the
+        file exists, so a failure computing it leaves neither; a failure
+        after it removes the file, and only its own.  Each chunk is freed
+        before the next is taken."""
+        chunks = iter(chunks)
+        chunk = next(chunks, "")
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        path, digest = self.outdir / name, hashlib.sha256()
         f = path.open("wb")  # if this fails, there is no file of ours to remove
         try:
             with f:
-                for chunk in chunks:
+                while chunk is not None:
                     data = chunk.encode()
                     f.write(data)
                     digest.update(data)
-                    del chunk, data  # free this block before the next is built
+                    del chunk, data
+                    chunk = next(chunks, None)
         except BaseException:
             path.unlink(missing_ok=True)  # no partial file from a failed run
             raise
@@ -86,30 +88,20 @@ class _OutputSet:
         self.digests.append(digest.hexdigest())
         return path
 
-    def write_text(self, name: str, text: str) -> Path:
-        return self._write(name, [text])
-
     def write_csv(self, name: str, header: list[str], blocks) -> Path:
-        """Stream a header line and one line per row to the file.
+        """Stream a header line and one line per row to the file, by write.
 
         `blocks` yields blocks of rows, each one equal-length 1-D array
         per header name; a caller that holds whole columns passes them as
-        one block.  The first block is taken before the output directory
-        or the file exists, so a failure computing it leaves neither; a
-        failure in a later one removes the file, as _write does.  Each
-        block is written CSV_BLOCK_ROWS rows at a time: a float64 cell as
-        its shortest round-trip repr, by _reprs, any other cell with str.
-        Within those rows each distinct cell of a column is formatted
-        once, floats told apart by their bits (so 0.0 and -0.0 keep their
-        signs); object cells are formatted one by one.
+        one block.  The header goes out with the first block's first
+        rows, so, as write says, a failure computing or formatting them
+        leaves no directory or file.  Each block is freed before the next
+        is computed and written CSV_BLOCK_ROWS rows at a time: a float64
+        cell as its shortest round-trip repr, by _reprs, any other cell
+        with str.  Within those rows each distinct cell of a column is
+        formatted once, floats told apart by their bits (so 0.0 and -0.0
+        keep their signs); object cells are formatted one by one.
         """
-
-        def checked(columns) -> list[np.ndarray]:
-            columns = [np.asarray(col) for col in columns]
-            size = columns[0].size if columns else 0
-            if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
-                raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
-            return columns
 
         def cells(c: np.ndarray) -> list[str]:
             if c.dtype == np.float64:
@@ -121,25 +113,28 @@ class _OutputSet:
             distinct = np.array(list(map(str, c[first].tolist())), dtype=object)
             return distinct[inverse].tolist()
 
-        blocks = map(checked, blocks)
-        pending = list(itertools.islice(blocks, 1))  # computed before any file exists
-
-        def lines():
-            yield ",".join(header) + "\n"
-            while pending:
-                columns = pending.pop()
-                for start in range(0, columns[0].size if columns else 0, CSV_BLOCK_ROWS):
+        def chunks(blocks):
+            # Lines are joined by "\n": the header starts the first chunk,
+            # each later one starts with "\n", and the last ends the file.
+            head = ",".join(header)
+            block = next(blocks, None)
+            while block is not None:
+                block = [np.asarray(col) for col in block]
+                size = block[0].size if block else 0
+                if len(block) != len(header) or any(c.shape != (size,) for c in block):
+                    raise ValueError(f"{name}: needs one 1-D column of {size} cells per name")
+                for start in range(0, size, CSV_BLOCK_ROWS):
                     rows = slice(start, start + CSV_BLOCK_ROWS)
-                    yield "\n".join(map(",".join, zip(*(cells(c[rows]) for c in columns)))) + "\n"
-                del columns  # free this block before the next is computed
-                pending.extend(itertools.islice(blocks, 1))
+                    yield "\n".join([head, *map(",".join, zip(*(cells(c[rows]) for c in block)))])
+                    head = ""
+                del block  # free this block before the next is computed
+                block = next(blocks, None)
+            yield head + "\n"
 
-        return self._write(name, lines())
+        return self.write(name, chunks(iter(blocks)))
 
     def write_json(self, name: str, payload) -> Path:
-        return self.write_text(
-            name, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        return self.write(name, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
     def manifest(self, command: str, cfg: dict):
         outputs = [
@@ -148,9 +143,7 @@ class _OutputSet:
         ]
         payload = {
             "command": command,
-            "parameters": {
-                k: (v if not isinstance(v, list) else list(v)) for k, v in cfg.items()
-            },
+            "parameters": cfg,
             "artifact_version": __version__,
             "outputs": outputs,
         }
@@ -292,7 +285,7 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
     p = _params(cfg, sites=cfg["edge_spectrum.sites"])
     grid = _angle_grid(cfg, "edge_spectrum.grid")
     sheet = edge_spectrum(grid, grid, p)
-    out._write("edge_spectrum.csv", _edge_sheet_chunks(grid, grid, *sheet))
+    out.write("edge_spectrum.csv", _edge_sheet_chunks(grid, grid, *sheet))
     if cfg["edge_spectrum.densities"]:
         chains = diagonalize_chain(grid, math.pi / 2, p)
         vals, _, labels = chains
@@ -308,10 +301,10 @@ def cmd_edge_spectrum(cfg, out: _OutputSet) -> int:
 
 def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
     """Text of edge_spectrum.csv from edge_spectrum's distinct chains on
-    the float grids theta1 and theta2: the header, then one chunk per
-    theta1, rows running theta1, then theta2, then the index fastest, as
-    write_csv would write the scattered sheet's five columns, byte for
-    byte.
+    the float grids theta1 and theta2: one chunk per theta1, the first
+    with the header, rows running theta1, then theta2, then the index
+    fastest, as write_csv would write the scattered sheet's five columns,
+    byte for byte.
 
     Each distinct chain's n "index,energy,label" lines are formatted
     once, as one text per chain; a distinct off-diagonal row's texts are
@@ -325,7 +318,7 @@ def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
     texts = [None] * len(energies)
     theta2 = [f"{t!r}," for t in theta2.tolist()]
     col = col.tolist()
-    yield "theta1,theta2,index,energy,label\n"
+    head = "theta1,theta2,index,energy,label\n"  # goes out with the first rows
     for t1, r in zip(theta1.tolist(), row.tolist()):
         if texts[r] is None:
             lines = list(map(",".join, zip(
@@ -334,10 +327,11 @@ def _edge_sheet_chunks(theta1, theta2, energies, labels, row, col):
             texts[r] = ["\n".join(lines[k : k + n]) for k in range(0, len(lines), n)]
         chains = texts[r]
         t1 = f"{t1!r},"
-        yield "".join([
+        yield head + "".join([
             t1 + t2 + chains[c].replace("\n", "\n" + t1 + t2) + "\n"
             for t2, c in zip(theta2, col)
         ])
+        head = ""
         left[r] -= 1
         if not left[r]:
             texts[r] = None

@@ -16,27 +16,30 @@ conditioning rule, _condition, read from the bands in their inf-norm.
 
 numpy is the only third-party import.  The eigensolver calls LAPACK
 dstev, and select_eigenvectors LAPACK's bisection and inverse iteration,
-dstebz and dstein, through ctypes from the OpenBLAS that numpy's wheels
-bundle (_bundled_lapack).  Where numpy's build does not export them
-(conda, MKL and distro builds), they are scipy.linalg.lapack's, imported
-on the first call.  Either way each call solves its chains in arrays
-that call allocates, so calls share no state.  The bundled dstev call
-releases the interpreter lock, so a stack is split into contiguous
-ranges over the CPUs the process may use (its affinity mask, else
-os.cpu_count()): one range per CPU at most, each of at least SPLIT_WORK
-units of work, and only for chains of at least SPLIT_CHAIN units each.
-The calling thread solves the first range and a threading.Thread each
-other one, with its own work array and INFO, and every thread is joined
-before the call returns; on one CPU none starts.  The scipy fallback
-holds the lock, so it stays one loop.
+dstebz and dstein, through ctypes from one source, _LAPACK: the ILP64
+OpenBLAS bundled in numpy's wheels, with 64-bit integers
+(_bundled_lapack), else, where numpy's build lacks a routine (conda, MKL
+and distro builds), scipy's LP64 LAPACK, with C ints, from the function
+pointers of scipy.linalg.cython_lapack (_scipy_lapack), imported on the
+first call.  Either way each call solves its chains in arrays that call
+allocates, so calls share no state.  A dstev call releases the
+interpreter lock, so a stack is split into contiguous ranges over the
+CPUs the process may use (its affinity mask, else os.cpu_count()): one
+range per CPU at most, each of at least SPLIT_WORK units of work, and
+only for chains of at least SPLIT_CHAIN units each.  The calling thread
+solves the first range and a threading.Thread each other one, with its
+own work array and INFO, and every thread is joined before the call
+returns; on one CPU none starts.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -56,9 +59,6 @@ __all__ = [
     "unwrap_winding",
 ]
 
-# Most eigenvector entries that one group of openchain.edge_spectrum
-# holds at once (1 MB).
-BLOCK_ENTRIES = 2**17
 # Most dense matrix entries that one chunk of solve_shifted's stacked LU
 # holds at once (512 kB complex).
 LU_ENTRIES = 2**15
@@ -113,33 +113,59 @@ class WindingResult(NamedTuple):
     residual: float
 
 
-def _bundled_lapack(name: str, addresses: int, strings: int = 0):
-    """numpy's bundled ILP64 LAPACK routine `name` as a ctypes function,
-    or None: it takes each of its `addresses` arguments by address, in
-    LAPACK's order, then the length of each of its `strings` strings.
+# One LAPACK's dstev, dstebz and dstein as ctypes functions, each taking
+# its arguments by address, in LAPACK's order, then `lengths` once for
+# each of its strings; `int` is the ctypes integer they take.
+_Lapack = namedtuple("_Lapack", "dstev dstebz dstein int lengths")
+# The number of addresses and of strings that each routine takes.
+_ROUTINES = {"dstev": (8, 1), "dstebz": (18, 2), "dstein": (13, 0)}
+
+
+def _bundled_lapack() -> _Lapack | None:
+    """numpy's bundled ILP64 LAPACK, or None where it lacks a routine.
 
     dlsym on the handle of a numpy extension module also searches the
     libraries it links, which include the bundled OpenBLAS; it exports
     each routine as scipy_<name>_64_ (numpy 2) or <name>_64_ (numpy 1.x),
-    with 64-bit integers."""
+    with 64-bit integers and a length after the other arguments for each
+    string."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError):
         return None
-    for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            fn.argtypes = (ctypes.c_void_p,) * addresses + (ctypes.c_size_t,) * strings
-            fn.restype = None
-            return fn
-    return None
+    routines = []
+    for name, (addresses, strings) in _ROUTINES.items():
+        fn = getattr(lib, f"scipy_{name}_64_", None) or getattr(lib, f"{name}_64_", None)
+        if fn is None:
+            return None
+        fn.argtypes = (ctypes.c_void_p,) * addresses + (ctypes.c_size_t,) * strings
+        fn.restype = None
+        routines.append(fn)
+    return _Lapack(*routines, ctypes.c_int64, (1,))
 
 
-_LAPACK_DSTEV = _bundled_lapack("dstev", 8, 1)
-_LAPACK_DSTEBZ = _bundled_lapack("dstebz", 18, 2)
-_LAPACK_DSTEIN = _bundled_lapack("dstein", 13)
+@functools.cache
+def _scipy_lapack() -> _Lapack:
+    """scipy's LP64 LAPACK: the C functions whose pointers the capsules
+    of scipy.linalg.cython_lapack.__pyx_capi__ hold, with C ints and no
+    string lengths."""
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
+
+    py, api = ctypes.py_object, ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, py)(("PyCapsule_GetName", api))
+    ptr = ctypes.PYFUNCTYPE(ctypes.c_void_p, py, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    routines = []
+    for r, (addresses, _) in _ROUTINES.items():
+        address = ptr(capsules[r], name(capsules[r]))
+        routines.append(ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * addresses)(address))
+    return _Lapack(*routines, ctypes.c_int, ())
+
+
+# The LAPACK that every routine here calls: numpy's, and scipy's where
+# numpy's build lacks a routine, or where this is set to None.
+_LAPACK = _bundled_lapack()
 
 
 def _cpus() -> int:
@@ -151,11 +177,11 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
+def dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     """LAPACK dstev in place on each chain of C-contiguous float stacks d
-    (m, n), e (m, n - 1) and z (m, n, n), n >= 2, through numpy's bundled
-    LAPACK: d[k] becomes chain k's eigenvalues and z[k] its eigenvectors
-    in column-major order, e[k] is destroyed.  z None asks for the
+    (m, n), e (m, n - 1) and z (m, n, n), n >= 2, through _LAPACK: d[k]
+    becomes chain k's eigenvalues and z[k] its eigenvectors in
+    column-major order, e[k] is destroyed.  z None asks for the
     eigenvalues only (JOBZ = "N").  Returns the INFO of the first chain
     that fails, or 0.
 
@@ -168,7 +194,8 @@ def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
         a.dtype == np.float64 and a.flags.c_contiguous for a in (d, e, z) if a is not None
     ):
         raise ValueError("dstev needs C-contiguous float stacks (m, n), (m, n - 1), (m, n, n)")
-    jobz, size = ctypes.c_char(b"N" if z is None else b"V"), ctypes.c_int64(n)
+    lapack = _LAPACK or _scipy_lapack()
+    jobz, size = ctypes.c_char(b"N" if z is None else b"V"), lapack.int(n)
     chain = n * n if z is not None else n * n // 2
     count = 1
     if chain >= SPLIT_CHAIN and m * chain >= 2 * SPLIT_WORK:
@@ -177,7 +204,7 @@ def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     # array and INFO.
     bounds = [m * r // count for r in range(count + 1)]
     works = [np.empty(2 * n - 2) for _ in range(count)]
-    infos = [ctypes.c_int64() for _ in range(count)]
+    infos = [lapack.int() for _ in range(count)]
     errors = [None] * count
 
     def solve(r):
@@ -186,12 +213,14 @@ def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
         jobz_p, size_p, info_p = map(ctypes.addressof, (jobz, size, infos[r]))
         d_p, e_p, work_p = d.ctypes.data, e.ctypes.data, works[r].ctypes.data
         z_p, z_step = (work_p, 0) if z is None else (z.ctypes.data, 8 * n * n)
+        # The arguments in LAPACK's order; those of D, E and Z (0 here)
+        # move per chain.
+        args = [jobz_p, size_p, 0, 0, 0, size_p, work_p, info_p, *lapack.lengths]
         try:
             for k in range(bounds[r], bounds[r + 1]):
-                _LAPACK_DSTEV(
-                    jobz_p, size_p, d_p + 8 * n * k, e_p + 8 * (n - 1) * k,
-                    z_p + z_step * k, size_p, work_p, info_p, 1,
-                )
+                args[2], args[3] = d_p + 8 * n * k, e_p + 8 * (n - 1) * k
+                args[4] = z_p + z_step * k
+                lapack.dstev(*args)
                 if infos[r].value:
                     return
         except BaseException as exc:  # raised again in the calling thread
@@ -212,24 +241,6 @@ def _bundled_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
     return next((info.value for info in infos if info.value), 0)
 
 
-def _scipy_dstev(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> int:
-    """_bundled_dstev through scipy.linalg.lapack.dstev, imported on the
-    first call."""
-    from scipy.linalg.lapack import dstev as scipy_dstev
-
-    for k in range(len(d)):
-        d[k], vecs, info = scipy_dstev(d[k], e[k], compute_v=z is not None)
-        if info:
-            return info
-        if z is not None:
-            z[k] = vecs.T
-    return 0
-
-
-# The one dstev that eigh_bands calls.
-dstev = _scipy_dstev if _LAPACK_DSTEV is None else _bundled_dstev
-
-
 def eigh_bands(diags: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompositions of the real symmetric tridiagonal chains with
     bands diags (..., n) and offs (..., n - 1), which broadcast.
@@ -239,9 +250,10 @@ def eigh_bands(diags: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndar
     finite, as model.chain_bands checks every chain's.  LAPACK dstev, the
     driver of scipy.linalg.eigh_tridiagonal(lapack_driver="stev"), so bit
     for bit its results, solves every chain in place in one C-ordered copy
-    of the bands and one eigenvector stack (module docstring).  ValueError
-    if the band lengths do not form a chain; EigenNonConvergenceError if
-    a chain does not converge.
+    of the bands and one eigenvector stack, from numpy's bundled OpenBLAS
+    with 64-bit integers, else scipy's cython_lapack with C ints (module
+    docstring).  ValueError if the band lengths do not form a chain;
+    EigenNonConvergenceError if a chain does not converge.
     """
     return _dstev_bands(diags, offs, vectors=True)
 
@@ -273,50 +285,35 @@ def _dstev_bands(diags: np.ndarray, offs: np.ndarray, vectors: bool):
     return vals, z if z is None else np.swapaxes(z.reshape(shape + (n, n)), -1, -2)
 
 
-def _scipy_stein(d: np.ndarray, e: np.ndarray, index, z: np.ndarray) -> np.ndarray:
-    """select_eigenvectors through scipy.linalg.eigh_tridiagonal, imported
-    on the first call, whose lapack_driver "stebz" runs dstebz and dstein."""
-    from scipy.linalg import eigh_tridiagonal
-
-    for k, j in enumerate(index):
-        try:
-            z[k] = eigh_tridiagonal(d[k], e[k], select="i", select_range=(j, j),
-                                    lapack_driver="stebz")[1][:, 0]
-        except ValueError as exc:  # a LinAlgError too: INFO != 0
-            raise EigenNonConvergenceError(str(exc)) from None
-    return z
-
-
 def select_eigenvectors(diags, offs, index) -> np.ndarray:
     """Unit eigenvector number index (m,) (0 the lowest) of each of the m
     real symmetric tridiagonal chains with bands diags (m, n) and offs
     (m, n - 1), n >= 2, as the rows of an (m, n) array, in O(n) a chain:
     dstebz bisects for the eigenvalue (RANGE = "I", IL = IU = index + 1,
     ABSTOL = 0; of M > 1 tied ones the lowest) and dstein iterates for its
-    vector, one chain at a time on C-ordered copies of the bands, through
-    numpy's bundled LAPACK with every pointer built once, else through
-    _scipy_stein.  EigenNonConvergenceError if either returns INFO != 0;
-    ValueError if the bands and the indices do not fit one another."""
+    vector, one chain at a time on C-ordered copies of the bands, with
+    every pointer built once, from eigh_bands' source: its integer arrays
+    are 64-bit for numpy's OpenBLAS and C ints for scipy's cython_lapack.
+    EigenNonConvergenceError if either returns INFO != 0; ValueError if
+    the bands and the indices do not fit one another."""
     d, e = (np.array(b, dtype=float, order="C") for b in (diags, offs))
     if d.ndim != 2 or e.shape != (len(d), d.shape[1] - 1) or len(index) != len(d) or not all(
             0 <= j < d.shape[1] for j in index):
         raise ValueError(f"bands {d.shape} and {e.shape} do not fit the indices {np.ravel(index)}")
     z = np.empty(d.shape)
-    if _LAPACK_DSTEBZ is None or _LAPACK_DSTEIN is None:
-        return _scipy_stein(d, e, index, z)
-    n = d.shape[1]
-    size, il, found, nsplit, one, info = (ctypes.c_int64(v) for v in (n, 0, 0, 0, 1, 0))
+    lapack, n = _LAPACK or _scipy_lapack(), d.shape[1]
+    size, il, found, nsplit, one, info = (lapack.int(v) for v in (n, 0, 0, 0, 1, 0))
     at, zero = ctypes.addressof, ctypes.c_double(0.0)
     w, work = np.empty(n), np.empty(5 * n)  # WORK: dstebz needs 4 n, dstein 5 n
-    ints = np.empty(5 * n + 1, np.int64)  # IBLOCK, ISPLIT, IWORK (3 n for dstebz) and IFAIL
-    iblock, isplit, iwork, ifail = (ints.ctypes.data + 8 * o for o in (0, n, 2 * n, 5 * n))
+    ints = np.empty(5 * n + 1, lapack.int)  # IBLOCK, ISPLIT, IWORK (3 n for dstebz) and IFAIL
+    iblock, isplit, iwork, ifail = (a.ctypes.data for a in np.split(ints, [n, 2 * n, 5 * n]))
     w_p, work_p, d_p, e_p, z_p = (a.ctypes.data for a in (w, work, d, e, z))
     # Each routine's arguments in LAPACK's order; those of D, E and Z (0 here) move per chain.
     stebz = [b"I", b"E", at(size), at(zero), at(zero), at(il), at(il), at(zero), 0, 0, at(found),
-             at(nsplit), w_p, iblock, isplit, work_p, iwork, at(info), 1, 1]
+             at(nsplit), w_p, iblock, isplit, work_p, iwork, at(info), *lapack.lengths * 2]
     stein = [at(size), 0, 0, at(one), w_p, iblock, isplit, 0, at(size), work_p, iwork,
              ifail, at(info)]
-    calls = [("dstebz", _LAPACK_DSTEBZ, stebz), ("dstein", _LAPACK_DSTEIN, stein)]
+    calls = [("dstebz", lapack.dstebz, stebz), ("dstein", lapack.dstein, stein)]
     for k, j in enumerate(index):
         il.value = j + 1
         stebz[8] = stein[1] = d_p + 8 * n * k

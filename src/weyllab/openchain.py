@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, chain_bands
-from .numerics import BLOCK_ENTRIES, eigh_bands, select_eigenvectors, sturm_count
+from .numerics import eigh_bands, select_eigenvectors, sturm_count
 
 __all__ = [
     "edge_spectrum",
@@ -32,6 +32,9 @@ __all__ = [
     "diagonalize_chain",
 ]
 
+# Most eigenvector entries that one group of edge_spectrum holds at once
+# (1 MB).
+BLOCK_ENTRIES = 2**17
 # Zero-energy tolerance of arc detection and its oracle, in units of J.
 ZTOL_DEFAULT = 0.02
 # Minimum end-cell weight for a Left/Right label.

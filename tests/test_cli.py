@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,36 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.startswith("weyllab: usage error: out of memory") and err.count("\n") == 1
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_edge_sheet_that_fails_its_first_row_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # The header goes out with the first theta1's rows, which are
+    # formatted before the output directory is made.
+    monkeypatch.setattr(cli, "_reprs", _no_memory)
+    out = tmp_path / "run"
+    assert main(["edge-spectrum", "--out", str(out), "--set", "edge_spectrum.grid=3"]) == 2
+    assert capsys.readouterr().err.startswith("weyllab: usage error: out of memory")
+    assert not out.exists()
+
+
+def test_write_csv_frees_each_block_before_the_next(tmp_path, monkeypatch):
+    # Blocks of 3, 0, 5 and 2 rows, written 2 rows at a time: when block
+    # k + 1 is computed, nothing is left of block k.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+    sizes, refs, rows = [3, 0, 5, 2], [], []
+
+    def blocks():
+        for k, size in enumerate(sizes):
+            assert all(ref() is None for ref in refs), f"block {k - 1} is still alive"
+            block = [np.arange(size) + 10 * k, np.linspace(0, 1, size), np.full(size, "L", object)]
+            refs.extend(map(weakref.ref, block))
+            rows.extend(zip(*block))
+            yield block
+            del block
+
+    path = cli._OutputSet(tmp_path).write_csv("t.csv", ["i", "x", "s"], blocks())
+    assert all(ref() is None for ref in refs)
+    assert path.read_bytes() == _reference_csv(["i", "x", "s"], rows)
 
 
 def _reference_csv(header, rows) -> bytes:

@@ -66,6 +66,31 @@ def check_eig(h):
     return vals, vecs
 
 
+SOURCES = ["bundled", "scipy"]
+needs_bundled = pytest.mark.skipif(
+    numerics._bundled_lapack() is None, reason="this numpy build lacks dstev, dstebz or dstein"
+)
+
+
+def use_lapack(monkeypatch, source, **fakes):
+    """Make numerics call `source`'s LAPACK, numpy's bundled one or
+    scipy's, with any of its routines replaced by the fakes; return that
+    LAPACK without them."""
+    lapack = numerics._scipy_lapack() if source == "scipy" else numerics._bundled_lapack()
+    if lapack is None:
+        pytest.skip("this numpy build lacks dstev, dstebz or dstein")
+    monkeypatch.setattr(numerics, "_LAPACK", lapack._replace(**fakes))
+    return lapack
+
+
+@pytest.fixture(scope="class")
+def lapack(request):
+    """The LAPACK of the test class's `source`, which numerics calls
+    while the class runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        yield use_lapack(patch, request.cls.source)
+
+
 class TestEighTridiagonal:
     def test_two_site_closed_form(self):
         vals, _ = eigh_bands(*bands([0.0, 0.0], [2.0]))
@@ -101,20 +126,15 @@ class TestEighTridiagonal:
             )
         )
     )
-    # monkeypatch sets the same dstev for every example.
+    # monkeypatch sets the same LAPACK for every example.
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @pytest.mark.parametrize("path", ["bundled", "scipy"])
-    def test_bitwise_equal_to_scipy_stev(self, monkeypatch, path, case):
-        # Both dstev paths: numpy's bundled LAPACK, and the scipy fallback
-        # that numpy builds without the symbol use.  A stack is one chain
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_bitwise_equal_to_scipy_stev(self, monkeypatch, source, case):
+        # Both LAPACK sources: numpy's bundled one, and scipy's, which
+        # numpy builds without the symbols use.  A stack is one chain
         # (a 0-d stack), three, or one band row broadcast against three of
         # the other; every chain must come out as scipy solves it alone.
-        if path == "bundled":
-            if numerics._LAPACK_DSTEV is None:
-                pytest.skip("this numpy build exports no dstev")
-            monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
-        else:
-            monkeypatch.setattr(numerics, "dstev", numerics._scipy_dstev)
+        use_lapack(monkeypatch, source)
         layout, d, e = case
         if layout in ("chain", "diag row"):
             d = d[0]
@@ -129,13 +149,11 @@ class TestEighTridiagonal:
             assert vals[k].tobytes() == ref_vals.tobytes()
             assert vecs[k].tobytes() == ref_vecs.tobytes()
 
-    @pytest.mark.parametrize("path", ["bundled", "scipy"])
-    def test_eigenvalues_alone_are_eigvalsh_bits(self, rng, monkeypatch, path):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_eigenvalues_alone_are_eigvalsh_bits(self, rng, monkeypatch, source):
         # solve_shifted's exact condition number rests on these: JOBZ = "N"
         # runs dsterf, as eigvalsh does on the dense chain, at any scale.
-        if path == "bundled" and numerics._LAPACK_DSTEV is None:
-            pytest.skip("this numpy build exports no dstev")
-        monkeypatch.setattr(numerics, "dstev", getattr(numerics, f"_{path}_dstev"))
+        use_lapack(monkeypatch, source)
         for n in (1, 2, 7, 13, 40):
             d, e = random_bands(rng, (5,), n)
             scale = 10.0 ** rng.uniform(-300, 300, size=(5, 1))
@@ -149,10 +167,38 @@ class TestEighTridiagonal:
                 pass
 
         monkeypatch.setattr(numerics.ctypes, "CDLL", NoSymbols)
-        assert all(numerics._bundled_lapack(name, 1) is None for name in ("dstev", "dstebz", "dstein"))
+        assert numerics._bundled_lapack() is None
+
+    def test_one_missing_routine_means_no_binding(self, monkeypatch):
+        # numpy's LAPACK is taken whole or not at all.
+        class TwoSymbols:
+            def __init__(self, path):
+                self.scipy_dstev_64_ = self.dstebz_64_ = lambda *args: None
+
+        monkeypatch.setattr(numerics.ctypes, "CDLL", TwoSymbols)
+        assert numerics._bundled_lapack() is None
+
+    def test_none_takes_scipys_lapack(self, rng, monkeypatch):
+        # The one attribute that selects the source: None is scipy's,
+        # resolved on the first call.
+        monkeypatch.setattr(numerics, "_LAPACK", None)
+        scipy_lapack, solved = numerics._scipy_lapack(), []
+
+        def counted(*args):
+            solved.append(args)
+            return scipy_lapack.dstev(*args)
+
+        monkeypatch.setattr(numerics, "_scipy_lapack", lambda: scipy_lapack._replace(dstev=counted))
+        d, e = random_bands(rng, (3,), 6)
+        vals, vecs = eigh_bands(d, e)
+        assert len(solved) == 3 and len(solved[0]) == 8  # no string length
+        for k in range(3):
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d[k], e[k], lapack_driver="stev")
+            assert vals[k].tobytes() == ref_vals.tobytes()
+            assert vecs[k].tobytes() == ref_vecs.tobytes()
 
     def test_threads_of_one_size_keep_their_results(self, rng):
-        # The bundled path releases the interpreter lock inside LAPACK;
+        # dstev releases the interpreter lock inside LAPACK;
         # threads that shared one workspace per size would read each
         # other's eigenpairs.
         chains = [random_tridiag(rng, 16) for _ in range(6)]
@@ -194,15 +240,6 @@ class TestEighTridiagonal:
             eigh_bands(*bands([0.0, 0.0], [1.0]))
 
 
-needs_bundled = pytest.mark.skipif(
-    numerics._LAPACK_DSTEV is None, reason="this numpy build exports no dstev"
-)
-needs_stebz = pytest.mark.skipif(
-    numerics._LAPACK_DSTEBZ is None or numerics._LAPACK_DSTEIN is None,
-    reason="this numpy build exports no dstebz or dstein",
-)
-
-
 def set_cpus(monkeypatch, cpus):
     """Make the process's affinity mask read as `cpus` CPUs."""
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -227,8 +264,11 @@ class TestSplitDstev:
     # twice numerics.SPLIT_WORK = 8192.  (55, 4), (12, 30) and (300, 8)
     # stay whole, (300, 10), (200, 12) and (84, 14) split with vectors
     # only; a stack has work for `ranges` ranges (with vectors, without),
-    # and gets one per CPU up to that.
-    @needs_bundled
+    # and gets one per CPU up to that.  numpy's LAPACK here; scipy's in
+    # TestSplitDstevOnScipy.
+    pytestmark = pytest.mark.usefixtures("lapack")
+    source = "bundled"
+
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -254,18 +294,16 @@ class TestSplitDstev:
         z, ref_z = (np.full((m, n, n), np.nan) for _ in range(2)) if vectors else (None, None)
         for k in range(m):  # one chain at a time: a stack of one is never split
             one = slice(k, k + 1)
-            assert numerics._bundled_dstev(ref_d[one], ref_e[one], ref_z if z is None else ref_z[one]) == 0
+            assert numerics.dstev(ref_d[one], ref_e[one], ref_z if z is None else ref_z[one]) == 0
         assert not made
-        assert numerics._bundled_dstev(d, e, z) == 0
+        assert numerics.dstev(d, e, z) == 0
         assert len(made) == min(cpus, ranges) - 1
         assert not any(thread.is_alive() for thread in made)
         assert d.tobytes() == ref_d.tobytes()
         assert z is None or z.tobytes() == ref_z.tobytes()
 
-    @needs_bundled
     def test_eigh_bands_of_a_split_stack_is_scipy_per_chain(self, rng, monkeypatch):
         set_cpus(monkeypatch, 2)
-        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
         made = count_threads(monkeypatch)
         d, e = random_bands(rng, (4, 30), 16)
         vals, vecs = eigh_bands(d, e)
@@ -278,7 +316,7 @@ class TestSplitDstev:
     @pytest.mark.parametrize("failures,info", [({80: 2}, 2), ({40: 7, 80: 2}, 7)])
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_failure_in_a_later_range_names_the_lowest_failing_chain(
-        self, monkeypatch, cpus, failures, info
+        self, monkeypatch, lapack, cpus, failures, info
     ):
         # 100 chains of 20 sites split at chain 50, or at 33 and 66; chain
         # k's first diagonal entry is k, so the fake LAPACK knows which
@@ -287,12 +325,11 @@ class TestSplitDstev:
         set_cpus(monkeypatch, cpus)
         made = count_threads(monkeypatch)
 
-        def fake(jobz, size, d, e, z, ldz, work, info_p, length):
+        def fake(jobz, size, d, e, z, ldz, work, info_p, *lengths):
             chain = int(ctypes.c_double.from_address(d).value)
-            ctypes.c_int64.from_address(info_p).value = failures.get(chain, 0)
+            lapack.int.from_address(info_p).value = failures.get(chain, 0)
 
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEV", fake)
-        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        use_lapack(monkeypatch, self.source, dstev=fake)
         d = np.zeros((100, 20))
         d[:, 0] = np.arange(100)
         with pytest.raises(EigenNonConvergenceError, match=f"^tridiagonal eigensolver: {info} off"):
@@ -306,12 +343,11 @@ class TestSplitDstev:
         set_cpus(monkeypatch, 2)
         made = count_threads(monkeypatch)
 
-        def fake(jobz, size, d, e, z, ldz, work, info_p, length):
+        def fake(jobz, size, d, e, z, ldz, work, info_p, *lengths):
             if int(ctypes.c_double.from_address(d).value) == chain:
                 raise RuntimeError(f"chain {chain}")
 
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEV", fake)
-        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
+        use_lapack(monkeypatch, self.source, dstev=fake)
         d = np.zeros((100, 20))
         d[:, 0] = np.arange(100)
         with pytest.raises(RuntimeError, match=f"^chain {chain}$"):
@@ -319,7 +355,6 @@ class TestSplitDstev:
         assert len(made) == 1
         assert not made[0].is_alive()
 
-    @needs_bundled
     def test_a_thread_that_cannot_start_leaves_none_running(self, rng, monkeypatch):
         # Three ranges; the second thread fails to start, so the first is
         # joined before the error reaches the caller.
@@ -334,7 +369,7 @@ class TestSplitDstev:
 
         monkeypatch.setattr(numerics.threading.Thread, "start", flaky)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            numerics._bundled_dstev(*random_bands(rng, (90,), 20), np.empty((90, 20, 20)))
+            numerics.dstev(*random_bands(rng, (90,), 20), np.empty((90, 20, 20)))
         assert len(made) == 2 and made[0].ident is not None
         assert not made[0].is_alive()
 
@@ -349,10 +384,34 @@ class TestSplitDstev:
             monkeypatch.setattr(numerics.os, "sched_getaffinity", unreadable, raising=False)
             monkeypatch.setattr(numerics.os, "cpu_count", lambda: 1)
         made = count_threads(monkeypatch)
-        monkeypatch.setattr(numerics, "dstev", numerics._bundled_dstev)
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEV", lambda *args: None)
+        use_lapack(monkeypatch, self.source, dstev=lambda *args: None)
         eigh_bands(*random_bands(rng, (200,), 40))
         assert not made
+
+    def test_two_cpus_run_a_large_stack_as_two_ranges(self, rng, monkeypatch, lapack):
+        # Either source's dstev releases the interpreter lock, so on two
+        # CPUs a large stack runs as two ranges, one in a thread, each
+        # chain still as scipy solves it alone.
+        set_cpus(monkeypatch, 2)
+        ranges = set()
+
+        def named(*args):
+            ranges.add(threading.current_thread())
+            lapack.dstev(*args)
+
+        use_lapack(monkeypatch, self.source, dstev=named)
+        made = count_threads(monkeypatch)
+        d, e = random_bands(rng, (200,), 40)
+        vals, vecs = eigh_bands(d, e)
+        assert len(made) == 1 and ranges == {threading.main_thread(), made[0]}
+        for k in (0, 99, 100, 199):
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(d[k], e[k], lapack_driver="stev")
+            assert vals[k].tobytes() == ref_vals.tobytes()
+            assert vecs[k].tobytes() == ref_vecs.tobytes()
+
+
+class TestSplitDstevOnScipy(TestSplitDstev):
+    source = "scipy"
 
 
 def random_bands(rng, shape, n):
@@ -842,6 +901,10 @@ def test_chain_kernels_read_one_pivot_sequence(rng, k):
 
 
 class TestBisectionAndInverseIteration:
+    # numpy's LAPACK here; scipy's in TestBisectionAndInverseIterationOnScipy.
+    pytestmark = pytest.mark.usefixtures("lapack")
+    source = "bundled"
+
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     def test_eigenpairs_match_eigh(self, n, seed):
         # Bands of magnitude at most 1: every vector is a unit eigenvector
@@ -870,7 +933,7 @@ class TestBisectionAndInverseIteration:
         assert u[0] ** 2 > 0.99 and v[-1] ** 2 > 0.99
         np.testing.assert_allclose(np.abs(u), np.abs(v[::-1]), rtol=0, atol=1e-12)
 
-    @needs_stebz
+    @needs_bundled
     @pytest.mark.parametrize("sites", [4, 12, 36, 100, 1000])
     def test_both_bindings_give_the_same_labels(self, monkeypatch, sites):
         # The bundled routines and scipy's fallback, which numpy builds
@@ -882,8 +945,9 @@ class TestBisectionAndInverseIteration:
         def labels():
             return np.array([openchain._sublattice_labels(e, np.full(len(e), i)) for i in (0, 1)])
 
+        monkeypatch.setattr(numerics, "_LAPACK", numerics._bundled_lapack())
         bundled = labels()
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEBZ", None)
+        monkeypatch.setattr(numerics, "_LAPACK", None)
         assert (labels() == bundled).all()
         assert {"Left", "Right"} <= set(bundled.ravel())
 
@@ -897,70 +961,61 @@ class TestBisectionAndInverseIteration:
     ])
     def test_rejects_bands_that_do_not_fit(self, monkeypatch, capfd, d, e, index):
         # LAPACK would read past a band that is too short, or refuse an
-        # eigenvalue number the chain does not have, on either binding.
-        for stebz in (numerics._LAPACK_DSTEBZ, None):
-            monkeypatch.setattr(numerics, "_LAPACK_DSTEBZ", stebz)
+        # eigenvalue number the chain does not have, on either source.
+        for lapack in (numerics._LAPACK, None):
+            monkeypatch.setattr(numerics, "_LAPACK", lapack)
             with pytest.raises(ValueError, match="do not fit"):
                 numerics.select_eigenvectors(d, e, index)
         assert capfd.readouterr().err == ""
 
-    @needs_stebz
-    def test_a_tie_takes_the_first_eigenvalue(self, rng, monkeypatch):
+    def test_a_tie_takes_the_first_eigenvalue(self, rng, monkeypatch, lapack):
         # A dstebz that reports M = 2, a second eigenvalue above the first
         # (as ORDER = "E" sorts them): dstein is asked for M = 1 vector, of
         # W(1), so every vector is what it is without the tie.
         d, e = random_bands(rng, (6,), 9)
+        asked = []
         want = numerics.select_eigenvectors(d, e, np.arange(6))
-        stebz, stein, asked = numerics._LAPACK_DSTEBZ, numerics._LAPACK_DSTEIN, []
 
         def tied(*args):
-            stebz(*args)
-            ctypes.c_int64.from_address(args[10]).value = 2
-            w, iblock = (ctypes.c_double, ctypes.c_int64)
+            lapack.dstebz(*args)
+            lapack.int.from_address(args[10]).value = 2
+            w, iblock = (ctypes.c_double, lapack.int)
             w.from_address(args[12] + 8).value = w.from_address(args[12]).value + 0.5
-            iblock.from_address(args[13] + 8).value = iblock.from_address(args[13]).value
+            second = args[13] + ctypes.sizeof(iblock)
+            iblock.from_address(second).value = iblock.from_address(args[13]).value
 
         def counted(*args):
-            asked.append(ctypes.c_int64.from_address(args[3]).value)
-            stein(*args)
+            asked.append(lapack.int.from_address(args[3]).value)
+            lapack.dstein(*args)
 
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEBZ", tied)
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEIN", counted)
+        use_lapack(monkeypatch, self.source, dstebz=tied, dstein=counted)
         assert numerics.select_eigenvectors(d, e, np.arange(6)).tobytes() == want.tobytes()
         assert asked == [1] * 6
 
-    @needs_stebz
     @pytest.mark.parametrize("routine,info", [("DSTEBZ", 4), ("DSTEIN", 1), ("DSTEBZ", -9)])
-    def test_nonzero_info_exits_3(self, tmp_path, monkeypatch, routine, info):
+    def test_nonzero_info_exits_3(self, tmp_path, monkeypatch, lapack, routine, info):
         # INFO is the last address either routine takes before any string
         # length.
-        real = getattr(numerics, f"_LAPACK_{routine}")
-        last = {"DSTEBZ": 17, "DSTEIN": 12}[routine]
+        name = routine.lower()
+        last = {"dstebz": 17, "dstein": 12}[name]
 
         def failing(*args):
-            real(*args)
-            ctypes.c_int64.from_address(args[last]).value = info
+            getattr(lapack, name)(*args)
+            lapack.int.from_address(args[last]).value = info
 
-        monkeypatch.setattr(numerics, f"_LAPACK_{routine}", failing)
+        use_lapack(monkeypatch, self.source, **{name: failing})
         out = tmp_path / "run"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main(["table1", "--out", str(out), "--set", "table1.sizes=12"]) == 3
-        name = routine.lower()
         assert err.getvalue() == f"weyllab: numerical failure: {name} failed with INFO = {info}\n"
         assert not out.exists()
 
-    def test_fallback_failure_exits_3(self, tmp_path, monkeypatch):
-        # scipy's eigh_tridiagonal reports INFO != 0 as a LinAlgError.
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
 
-        monkeypatch.setattr(numerics, "_LAPACK_DSTEIN", None)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert main(["table1", "--out", str(tmp_path / "run"), "--set", "table1.sizes=12"]) == 3
-        assert err.getvalue().startswith("weyllab: numerical failure: stein (eigh_tridiagonal)")
+class TestBisectionAndInverseIterationOnScipy(TestBisectionAndInverseIteration):
+    source = "scipy"
+    # hypothesis refuses to run one test from two classes.
+    test_eigenpairs_match_eigh = None
 
 
 class TestUnwrapWinding:
